@@ -10,6 +10,9 @@ Text formats:
 * sheaves: "ring Z|Q|F p" / "space NAME" / per point
   "stalk x: deg d rank r; d_d = [[..],[..]]" / per cover
   "gen x<y: deg d = [[..]]" with row-major matrices, rationals as p/q;
+  degrees lie in [-16, 16] and F p takes primes p below
+  3317044064679887385961981 (about 3.3e24), where the deterministic
+  primality test is exact;
 * maps: "map NAME" / "target NAME" / "points: ..." / "covers: ..." (the
   embedded target space) / "sends: a->x b->y";
 * constructible functions: "phi: s=1 eta=0".
@@ -29,8 +32,8 @@ from fractions import Fraction
 from . import intpoly as ip
 from .k0 import ConsFunction, ConsFunctionError, chi, realize
 from .linalg import (
-    ChainMap, FGModule, FreeChainComplex, Matrix, ScalarRing, ZZ, QQ, GF,
-    homology,
+    ChainMap, DegreeOverflow, FGModule, FreeChainComplex, LinalgError, Matrix,
+    ScalarRing, ZZ, QQ, GF, homology,
 )
 from .sheaf import (
     SheafComplex, base_change_locus, cell_decompose, pushforward, rgamma,
@@ -385,6 +388,13 @@ def parse_ring(tokens) -> ScalarRing:
     raise ParseError(f"unknown ring {' '.join(tokens)!r} (expected Z, Q or F p)")
 
 
+def _integer(tok: str, idx: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"line {idx}: {tok!r} is not an integer")
+
+
 def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
     """Parse a sheaf file against an already-parsed space."""
     ring = None
@@ -414,9 +424,9 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
                 if toks[0] == "deg":
                     if len(toks) != 4 or toks[2] != "rank":
                         raise ParseError(f"line {idx}: malformed rank item {item!r}")
-                    ranks[pt][int(toks[1])] = int(toks[3])
+                    ranks[pt][_integer(toks[1], idx)] = _integer(toks[3], idx)
                 elif toks[0].startswith("d_"):
-                    deg = int(toks[0][2:])
+                    deg = _integer(toks[0][2:], idx)
                     _, _, mat = item.partition("=")
                     rows = _parse_matrix(mat, ring)
                     if rows is not None:
@@ -440,9 +450,9 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
                 if not item:
                     continue
                 toks = item.split()
-                if toks[0] != "deg":
+                if toks[0] != "deg" or len(toks) < 2:
                     raise ParseError(f"line {idx}: malformed gen item {item!r}")
-                deg = int(toks[1])
+                deg = _integer(toks[1], idx)
                 _, _, mat = item.partition("=")
                 rows = _parse_matrix(mat, ring)
                 if rows is not None:
@@ -466,7 +476,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
             dd[deg] = Matrix(ring, rows, want_rows, want_cols)
         try:
             stalks[pt] = FreeChainComplex(ring, rk, dd)
-        except ValueError as e:
+        except (ValueError, DegreeOverflow) as e:
             raise ParseError(f"stalk {pt!r}: {e}")
     gens = {}
     for (x, y), per_deg in gen_mats.items():
@@ -800,6 +810,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Exception class -> exit code, first match first: a subclass precedes its
+# base.  Exit 1 is bad input, including results outside the degree window
+# and argument values the library rejects with ValueError; exit 2 is a
+# broken invariant inside the library.
+_EXIT_CODES = (
+    (ParseError, 1),
+    (SpaceError, 1),
+    (ConsFunctionError, 1),
+    (ip.ZeroPolynomial, 1),
+    (SheafError, 1),
+    (InconsistentSamples, 2),
+    (SperError, 1),
+    (DegreeOverflow, 1),
+    (LinalgError, 2),
+    (ValueError, 1),
+)
+_HANDLED = tuple(cls for cls, _ in _EXIT_CODES)
+_REPORT_PREFIX = {1: "error", 2: "internal invariant failure"}
+
+
 def run(argv):
     """Dispatch a command line; returns (report text, exit code)."""
     ap = build_arg_parser()
@@ -811,12 +841,9 @@ def run(argv):
         return "", (1 if code == 2 else code)
     try:
         return args.fn(args)
-    except (ParseError, SpaceError, ConsFunctionError, ip.ZeroPolynomial) as e:
-        return f"error: {e}", 1
-    except InconsistentSamples as e:
-        return f"internal invariant failure: {e}", 2
-    except (SheafError, SperError) as e:
-        return f"error: {e}", 1
+    except _HANDLED as e:
+        code = next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
+        return f"{_REPORT_PREFIX[code]}: {e}", code
 
 
 def main():

@@ -1,10 +1,15 @@
 """Exact linear algebra over Z, Q and F_p.
 
 Scalars are plain ints (Z, residues mod p) or fractions.Fraction (Q); every
-matrix entry is kept as a reduced canonical representative.  Smith normal form
-over Z is the classification engine for everything else: kernels, integer
-linear solving, homology of complexes and invariant factors all route through
-it.  Over Q and F_p the same interface degenerates to rank normal form.
+matrix entry is kept as a reduced canonical representative.
+
+Questions about invariants only - rank, invariant factors, cokernels and the
+homology of complexes - are answered by one sparse elimination without
+transforms (``_rank_and_factors``): H^n over a PID follows from the ranks of
+d_n and d_{n-1} and the invariant factors of d_{n-1}.  Smith normal form with
+transformation matrices (``snf``) is kept for the callers that need a
+certificate: kernel lattices (``kernel_basis``) and integer linear solving
+(``solve_right``).  Over Q and F_p it degenerates to rank normal form.
 
 Complexes are cohomological: the differential d_n raises degree n -> n+1 and
 shifts follow C[k]^n = C^{n+k} with differential (-1)^k d.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 # Degree window for all chain complexes; operations that would leave it raise
 # DegreeOverflow instead of truncating.
@@ -44,6 +50,9 @@ class ScalarRing:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
+            if self.p is not None and self.p >= PRIME_LIMIT:
+                raise ValueError(f"F_p needs a prime p below {PRIME_LIMIT}, "
+                                 f"got {self.p}")
             if self.p is None or self.p < 2 or not _is_prime(self.p):
                 raise ValueError(f"F_p needs a prime p, got {self.p!r}")
         elif self.p is not None:
@@ -55,13 +64,15 @@ class ScalarRing:
 
     def normalize(self, x):
         if self.kind == "Z":
+            if type(x) is int:
+                return x
             if isinstance(x, Fraction):
                 if x.denominator != 1:
                     raise ValueError(f"{x} is not an integer")
                 return int(x)
             return int(x)
         if self.kind == "Q":
-            return Fraction(x)
+            return x if type(x) is Fraction else Fraction(x)
         return int(x) % self.p
 
     def zero(self):
@@ -124,11 +135,33 @@ class ScalarRing:
         return self.kind
 
 
+# Deterministic Miller-Rabin with the first 13 prime bases is exact for every
+# n below PRIME_LIMIT (Sorenson and Webster, Math. Comp. 2017); F_p accepts
+# only primes below it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Primality of n; exact for n < PRIME_LIMIT, so callers reject larger n."""
     if n < 2:
         return False
-    for q in range(2, int(n ** 0.5) + 1):
+    for q in _MR_BASES:
         if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -485,9 +518,119 @@ def solve_right(a: Matrix, b: Matrix):
     return v @ Matrix(R, y, a.cols, b.cols)
 
 
+def _sparse_rows(m: Matrix) -> list:
+    """Row i of m as a dict column -> nonzero entry."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+
+
+def _rank_and_factors(R: ScalarRing, sparse_rows: list) -> tuple:
+    """(rank, invariant factors) of a matrix over R given by its sparse rows,
+    by one elimination without transforms; the rows are consumed.
+
+    Over Z the factors are the non-unit invariant factors d_1 | d_2 | ... of
+    the matrix, positive; over a field the tuple is empty.
+    """
+    mod = R.p if R.kind == "Fp" else None
+    rows = {i: r for i, r in enumerate(sparse_rows) if r}
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+
+    def add_multiple(i, c, src):
+        """rows[i] += c * src, keeping the column index in step."""
+        r = rows[i]
+        for j, x in src.items():
+            v = r.get(j, 0) + c * x
+            if mod:
+                v %= mod
+            if v:
+                if j not in r:
+                    cols[j].add(i)
+                r[j] = v
+            elif j in r:
+                del r[j]
+                cols[j].discard(i)
+        if not r:
+            del rows[i]
+
+    def drop_row(i):
+        for j in rows.pop(i):
+            cols[j].discard(i)
+
+    if R.kind != "Z":
+        rank = 0
+        while rows:
+            pi, prow = next(iter(rows.items()))
+            pj, p = next(iter(prow.items()))
+            inv = R.inv(p)
+            for i in list(cols[pj]):
+                if i != pi:
+                    add_multiple(i, -rows[i][pj] * inv, prow)
+            drop_row(pi)
+            rank += 1
+        return rank, ()
+
+    diag = []
+    while rows:
+        # pivot: an entry of least absolute value, taking the first unit seen
+        best = None
+        for i, r in rows.items():
+            for j, x in r.items():
+                if best is None or abs(x) < best:
+                    best, pi, pj = abs(x), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        prow = rows[pi]
+        p = prow[pj]
+        # clear the pivot column by row operations; remainders are smaller
+        # than the pivot, so a dirty pass ends with a smaller pivot next time
+        for i in list(cols[pj]):
+            if i != pi:
+                add_multiple(i, -(rows[i][pj] // p), prow)
+        if len(cols[pj]) > 1:
+            continue
+        # the column is clear, so column operations touch the pivot row only
+        dirty = False
+        for j in list(prow):
+            if j != pj:
+                v = prow[j] % p
+                if v:
+                    prow[j] = v
+                    dirty = True
+                else:
+                    del prow[j]
+                    cols[j].discard(pi)
+        if dirty:
+            continue
+        drop_row(pi)
+        diag.append(abs(p))
+    # diag(d_1, ..., d_r) is equivalent to m; pairwise gcd/lcm puts it in
+    # invariant-factor form (units go first and are dropped)
+    d = [x for x in diag if x != 1]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return len(diag), tuple(x for x in d if x != 1)
+
+
+def _composes_to_zero(R: ScalarRing, a_rows: list, b_rows: list) -> bool:
+    """Whether a @ b is the zero matrix over R, given sparse rows of a and b."""
+    for row in a_rows:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b_rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        if any(R.normalize(v) for v in acc.values()):
+            return False
+    return True
+
+
 def rank(m: Matrix) -> int:
-    s, _, _ = snf(m)
-    return sum(1 for i in range(min(m.rows, m.cols)) if not m.ring.is_zero(s[i, i]))
+    return _rank_and_factors(m.ring, _sparse_rows(m))[0]
 
 
 @dataclass(frozen=True)
@@ -546,17 +689,8 @@ class K0Class:
 
 def cokernel_module(ring: ScalarRing, ambient_rank: int, relations: Matrix) -> FGModule:
     """R^ambient_rank / column span of relations, in invariant-factor form."""
-    s, _, _ = snf(relations)
-    factors = []
-    nonzero = 0
-    for i in range(min(relations.rows, relations.cols)):
-        d = s[i, i]
-        if ring.is_zero(d):
-            continue
-        nonzero += 1
-        if not ring.is_unit(d):
-            factors.append(d)
-    return FGModule(ring, tuple(factors), ambient_rank - nonzero)
+    rk, factors = _rank_and_factors(ring, _sparse_rows(relations))
+    return FGModule(ring, factors, ambient_rank - rk)
 
 
 class FreeChainComplex:
@@ -570,6 +704,9 @@ class FreeChainComplex:
 
     def __init__(self, ring: ScalarRing, ranks: dict, diffs: dict, check: bool = True):
         self.ring = ring
+        for n, r in ranks.items():
+            if r < 0:
+                raise ValueError(f"negative rank {r} in degree {n}")
         self.ranks = {n: r for n, r in ranks.items() if r > 0}
         self.diffs = {}
         for n, d in diffs.items():
@@ -585,19 +722,16 @@ class FreeChainComplex:
             self._validate()
 
     def _validate(self):
-        for n, r in self.ranks.items():
-            if r < 0:
-                raise ValueError("negative rank")
         for n, d in self.diffs.items():
             if d.ring != self.ring:
                 raise RingMismatch("differential over the wrong ring")
             if d.cols != self.rank(n) or d.rows != self.rank(n + 1):
                 raise ValueError(f"d_{n} has shape {d.rows}x{d.cols}, "
                                  f"expected {self.rank(n + 1)}x{self.rank(n)}")
-        for n in self.diffs:
-            if n + 1 in self.diffs:
-                if not (self.diffs[n + 1] @ self.diffs[n]).is_zero():
-                    raise ValueError(f"d_{n + 1} . d_{n} != 0")
+        sparse = {n: _sparse_rows(d) for n, d in self.diffs.items()}
+        for n, rows in sparse.items():
+            if n + 1 in sparse and not _composes_to_zero(self.ring, sparse[n + 1], rows):
+                raise ValueError(f"d_{n + 1} . d_{n} != 0")
 
     @classmethod
     def zero(cls, ring):
@@ -759,22 +893,22 @@ class ChainMap:
 
 
 def homology(c: FreeChainComplex) -> dict:
-    """Degree -> FGModule with H^n = ker d_n / im d_{n-1}."""
+    """Degree -> FGModule with H^n = ker d_n / im d_{n-1}.
+
+    Over a PID, H^n has free rank rank C^n - rk d_n - rk d_{n-1} and torsion
+    the non-unit invariant factors of d_{n-1}, so each differential is
+    eliminated once and no basis of a kernel or image is ever built.
+    """
+    sparse = {n: _sparse_rows(d) for n, d in c.diffs.items()}
+    for n, rows in sparse.items():
+        if n + 1 in sparse and not _composes_to_zero(c.ring, sparse[n + 1], rows):
+            raise LinalgError("image does not lie in the kernel; d^2 != 0?")
+    invariants = {n: _rank_and_factors(c.ring, rows) for n, rows in sparse.items()}
     out = {}
-    degs = set(c.ranks)
-    for n in sorted(degs):
-        k = kernel_basis(c.diff(n))
-        if k.cols == 0:
-            continue
-        prev = c.diff(n - 1)
-        if prev.cols == 0:
-            rel = Matrix.zeros(c.ring, k.cols, 0)
-        else:
-            x = solve_right(k, prev)
-            if x is None:
-                raise LinalgError("image does not lie in the kernel; d^2 != 0?")
-            rel = x
-        mod = cokernel_module(c.ring, k.cols, rel)
+    for n in sorted(c.ranks):
+        rk_out, _ = invariants.get(n, (0, ()))
+        rk_in, torsion = invariants.get(n - 1, (0, ()))
+        mod = FGModule(c.ring, torsion, c.rank(n) - rk_out - rk_in)
         if not mod.is_zero():
             out[n] = mod
     return out

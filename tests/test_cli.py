@@ -1,4 +1,5 @@
 import json
+import time
 from random import Random
 
 import pytest
@@ -9,7 +10,7 @@ from sheafkit.cli import (
     parse_space, run, sheaf_to_text, space_to_text,
 )
 from sheafkit.randgen import random_cons_function, random_poset, random_sheaf
-from sheafkit.linalg import QQ, GF
+from sheafkit.linalg import QQ, GF, LinalgError
 
 
 SIERP = "space sierp\npoints: s eta\ncovers: s<eta\n"
@@ -222,6 +223,55 @@ class TestCommands:
         text, code = run(["cohomology", "--space", str(tmp_path / "s.space"),
                           "--sheaf", str(tmp_path / "bad.sheaf")])
         assert code == 1 and "zz" in text
+
+    def _cohomology(self, tmp_path, sheaf_text):
+        (tmp_path / "s.space").write_text(SIERP)
+        (tmp_path / "k.sheaf").write_text(sheaf_text)
+        return run(["cohomology", "--space", str(tmp_path / "s.space"),
+                    "--sheaf", str(tmp_path / "k.sheaf")])
+
+    def test_negative_rank_is_an_error(self, tmp_path):
+        text, code = self._cohomology(
+            tmp_path, "ring Z\nspace sierp\nstalk s: deg 0 rank -1\n")
+        assert code == 1
+        assert text.startswith("error: ") and "negative rank" in text
+        assert "\n" not in text
+
+    def test_non_integer_degree_is_an_error(self, tmp_path):
+        text, code = self._cohomology(
+            tmp_path, "ring Z\nspace sierp\nstalk s: deg x rank 1\n")
+        assert (text, code) == ("error: line 3: 'x' is not an integer", 1)
+
+    def test_degree_outside_window_is_an_error(self, tmp_path):
+        text, code = self._cohomology(
+            tmp_path, "ring Z\nspace sierp\nstalk s: deg 20 rank 1\n")
+        assert code == 1
+        assert text.startswith("error: ") and "degree 20" in text
+
+    def test_truncated_gen_item_is_an_error(self, tmp_path):
+        text, code = self._cohomology(tmp_path, CONST + "gen s<eta: deg 0 = [[1]]; deg\n")
+        assert code == 1 and text.startswith("error: ")
+
+    def test_linalg_failure_is_an_internal_error(self, tmp_path, monkeypatch):
+        def broken(c):
+            raise LinalgError("image does not lie in the kernel; d^2 != 0?")
+
+        monkeypatch.setattr("sheafkit.cli.homology", broken)
+        text, code = self._cohomology(tmp_path, CONST)
+        assert (text, code) == (
+            "internal invariant failure: image does not lie in the kernel; d^2 != 0?", 2)
+
+    def test_large_prime_field_is_fast(self, tmp_path):
+        start = time.perf_counter()
+        text, code = self._cohomology(
+            tmp_path, CONST.replace("ring Z", "ring F 1000000000000000000000007"))
+        assert time.perf_counter() - start < 1.0
+        assert (text, code) == ("H^0: F_1000000000000000000000007", 0)
+
+    def test_prime_beyond_budget_is_an_error(self, tmp_path):
+        text, code = self._cohomology(
+            tmp_path, CONST.replace("ring Z", "ring F 10000000000000000000000013"))
+        assert code == 1 and text.startswith("error: bad prime for F")
 
     def test_missing_file_exit_code(self):
         text, code = run(["cohomology", "--space", "/nonexistent.space",

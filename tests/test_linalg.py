@@ -4,14 +4,64 @@ from random import Random
 import pytest
 
 from sheafkit.linalg import (
-    ChainMap, DegreeOverflow, FreeChainComplex, GF, Matrix, QQ, RingMismatch,
-    ZZ, cone, det, hom_complex, homology, is_acyclic, k0_rank, kernel_basis,
-    snf, solve_right, tensor_total, tor_amplitude,
+    ChainMap, DegreeOverflow, FGModule, FreeChainComplex, GF, LinalgError,
+    Matrix, PRIME_LIMIT, QQ, RingMismatch, ScalarRing, ZZ, _is_prime,
+    _rank_and_factors, _sparse_rows, cone, det, hom_complex, homology,
+    is_acyclic, k0_rank, kernel_basis, snf, solve_right, tensor_total,
+    tor_amplitude,
 )
+from sheafkit.randgen import random_poset, random_sheaf
+from sheafkit.sheaf import rgamma
+from sheafkit.space import build_space
 
 
 def two_term(ring, k, degree=-1):
     return FreeChainComplex.from_diff(ring, degree, Matrix(ring, [[k]]))
+
+
+def reference_homology(c):
+    """H^n by transforms: a kernel basis of d_n, im d_{n-1} solved into it,
+    and the Smith normal form of the resulting relations."""
+    out = {}
+    for n in sorted(c.ranks):
+        k = kernel_basis(c.diff(n))
+        if k.cols == 0:
+            continue
+        prev = c.diff(n - 1)
+        if prev.cols == 0:
+            rel = Matrix.zeros(c.ring, k.cols, 0)
+        else:
+            rel = solve_right(k, prev)
+            assert rel is not None
+        s, _, _ = snf(rel)
+        diag = [s[i, i] for i in range(min(s.rows, s.cols))
+                if not c.ring.is_zero(s[i, i])]
+        mod = FGModule(c.ring, tuple(d for d in diag if not c.ring.is_unit(d)),
+                       k.cols - len(diag))
+        if not mod.is_zero():
+            out[n] = mod
+    return out
+
+
+def ladder(height):
+    """Width-2 ladder: two points per level, each below both points above."""
+    pts = [f"{c}{i}" for i in range(height) for c in "pq"]
+    covers = [(f"{c}{i}", f"{d}{i + 1}")
+              for i in range(height - 1) for c in "pq" for d in "pq"]
+    return build_space(pts, covers)
+
+
+def change_ring(c, ring):
+    """c (x) ring for a complex c over Z."""
+    diffs = {}
+    for n, d in c.diffs.items():
+        image = {x: ring.normalize(x) for row in d.entries for x in set(row)}
+        diffs[n] = Matrix(ring, [[image[x] for x in row] for row in d.entries])
+    return FreeChainComplex(ring, c.ranks, diffs, check=False)
+
+
+def invariants(m):
+    return _rank_and_factors(m.ring, _sparse_rows(m))
 
 
 class TestSNF:
@@ -111,6 +161,115 @@ class TestHomology:
     def test_degree_window(self):
         with pytest.raises(DegreeOverflow):
             FreeChainComplex(ZZ, {40: 1}, {})
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(ValueError, match="negative rank"):
+            FreeChainComplex(ZZ, {0: -1}, {})
+        with pytest.raises(ValueError, match="negative rank"):
+            FreeChainComplex(ZZ, {0: 1, 1: -2}, {}, check=False)
+
+    def test_unchecked_square_nonzero_raises(self):
+        one = Matrix(ZZ, [[1]])
+        c = FreeChainComplex(ZZ, {0: 1, 1: 1, 2: 1}, {0: one, 1: one}, check=False)
+        with pytest.raises(LinalgError, match="d\\^2 != 0"):
+            homology(c)
+
+    @pytest.mark.parametrize("ring, count", [(ZZ, 300), (QQ, 60), (GF(2), 60), (GF(3), 60)])
+    def test_matches_transform_reference(self, ring, count):
+        rng = Random(f"homology:{ring}")
+        torsion = 0
+        for _ in range(count):
+            m = random_poset(rng, 6)
+            k = random_sheaf(rng, m, ring, max_pieces=3, degree_range=(-2, 2))
+            c = rgamma(k)
+            h = homology(c)
+            assert h == reference_homology(c)
+            torsion += any(mod.invariant_factors for mod in h.values())
+        if ring == ZZ:
+            assert torsion >= 100
+
+    def test_universal_coefficients_on_a_ladder(self):
+        # rgamma of rank 2501 with Z/6 in degree 2
+        k = random_sheaf(Random(5), ladder(7), ZZ, max_pieces=3)
+        c = rgamma(k)
+        assert c.total_rank() > 2000
+        h = homology(c)
+        assert any(mod.invariant_factors for mod in h.values())
+
+        def free(n):
+            return h[n].free_rank if n in h else 0
+
+        def divisible(n, p):
+            return sum(1 for d in h[n].invariant_factors if d % p == 0) if n in h else 0
+
+        degs = range(min(c.ranks) - 1, max(c.ranks) + 2)
+        hq = homology(change_ring(c, QQ))
+        assert {n: hq[n].free_rank if n in hq else 0 for n in degs} == {n: free(n) for n in degs}
+        for p in (2, 3):
+            hp = homology(change_ring(c, GF(p)))
+            assert ({n: hp[n].free_rank if n in hp else 0 for n in degs}
+                    == {n: free(n) + divisible(n, p) + divisible(n + 1, p) for n in degs})
+
+
+class TestRankAndFactors:
+    def test_examples(self):
+        assert invariants(Matrix(ZZ, [[4, 6], [2, 2]])) == (2, (2, 2))
+        assert invariants(Matrix(ZZ, [[2, 0], [0, 3]])) == (2, (6,))
+        assert invariants(Matrix.zeros(ZZ, 2, 3)) == (0, ())
+        assert invariants(Matrix(GF(5), [[2, 1], [4, 2]])) == (1, ())
+        assert invariants(Matrix(QQ, [[Fraction(1, 2), 3], [2, 12]])) == (1, ())
+
+    def test_matches_snf(self):
+        rng = Random(12)
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            for _ in range(200):
+                rows, cols, inner = (rng.randint(1, 6) for _ in range(3))
+                a = Matrix(ring, [[rng.randint(-5, 5) for _ in range(inner)]
+                                  for _ in range(rows)])
+                b = Matrix(ring, [[rng.randint(-5, 5) for _ in range(cols)]
+                                  for _ in range(inner)])
+                m = a @ b
+                s, _, _ = snf(m)
+                diag = [s[i, i] for i in range(min(rows, cols)) if not ring.is_zero(s[i, i])]
+                assert invariants(m) == (
+                    len(diag), tuple(d for d in diag if not ring.is_unit(d)))
+
+    def test_matches_sympy_smith_normal_form(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+        from sympy.polys.domains import ZZ as SZZ
+        rng = Random(11)
+        with_torsion = 0
+        for _ in range(300):
+            rows, cols, inner = (rng.randint(1, 7) for _ in range(3))
+            a = [[rng.randint(-6, 6) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(inner)]
+            entries = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+                       for i in range(rows)]
+            s = smith_normal_form(sympy.Matrix(entries), domain=SZZ)
+            diag = [abs(int(s[i, i])) for i in range(min(rows, cols)) if s[i, i] != 0]
+            rk, factors = invariants(Matrix(ZZ, entries))
+            assert rk == len(diag)
+            assert factors == tuple(d for d in diag if d != 1)
+            with_torsion += bool(factors)
+        assert with_torsion >= 100
+
+
+class TestPrimes:
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+        assert all(_is_prime(n) == trial(n) for n in range(5000))
+
+    def test_strong_pseudoprimes(self):
+        # strong pseudoprimes to the first 8 and to the first 12 prime bases
+        assert not _is_prime(3825123056546413051)
+        assert not _is_prime(318665857834031151167461)
+
+    def test_large_prime_field(self):
+        assert GF(1000000000000000000000007).p == 10 ** 24 + 7
+        with pytest.raises(ValueError, match="below"):
+            ScalarRing("Fp", PRIME_LIMIT)
 
 
 class TestTensor:
