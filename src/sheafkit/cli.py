@@ -6,6 +6,8 @@ Text formats:
   applied only to literal nonnegative integer exponents, parentheses;
 * formulas: atoms "<poly> (<|<=|=|!=|>=|>) 0" combined with & | ! and
   parentheses;
+* both nest at most MAX_NESTING = 100 levels, each "(", unary "-" and "!"
+  opening one; deeper input is a syntax error;
 * spaces: "space NAME" / "points: a b c" / "covers: a<b b<c";
 * sheaves: "ring Z|Q|F p" / "space NAME" / per point
   "stalk x: deg d rank r; d_d = [[..],[..]]" / per cover
@@ -27,7 +29,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
 from . import intpoly as ip
 from .k0 import ConsFunction, ConsFunctionError, chi, realize
@@ -48,6 +52,10 @@ from .sper import (
 
 class ParseError(Exception):
     pass
+
+
+class _TooDeep(ParseError):
+    """Nesting past MAX_NESTING; the formula parser does not backtrack on it."""
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +134,29 @@ def _tokenize(text, formula=False):
     return toks
 
 
+# Nesting budget of the recursive-descent parsers, far inside Python's
+# recursion limit: deeper input is a ParseError, not a RecursionError.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
+
+    @contextmanager
+    def nested(self):
+        """One nesting level opened at the current token."""
+        if self.depth == MAX_NESTING:
+            t = self.peek()
+            raise _TooDeep(f"syntax error at line {t.line}, column {t.col}: "
+                           f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     def peek(self):
         return self.toks[self.pos]
@@ -191,28 +218,16 @@ def _parse_poly_atom(p: _Parser):
         p.next()
         return ip.X
     if t.kind == "-":
-        p.next()
-        return ip.neg(_parse_poly_atom_or_factor(p))
+        with p.nested():
+            p.next()
+            return ip.neg(_parse_poly_factor(p))
     if t.kind == "(":
-        p.next()
-        inner = _parse_poly_expr(p)
-        p.expect(")")
-        return inner
+        with p.nested():
+            p.next()
+            inner = _parse_poly_expr(p)
+            p.expect(")")
+            return inner
     p.fail("expected a polynomial")
-
-
-def _parse_poly_atom_or_factor(p: _Parser):
-    atom = _parse_poly_atom(p)
-    if p.peek().kind == "^":
-        caret = p.next()
-        t = p.peek()
-        if t.kind != "num":
-            raise ParseError(f"syntax error at line {caret.line}, column "
-                             f"{caret.col}: exponent must be a nonnegative "
-                             f"integer literal")
-        p.next()
-        return ip.power(atom, t.value)
-    return atom
 
 
 def parse_poly(text: str):
@@ -241,8 +256,9 @@ def _parse_formula_conj(p: _Parser):
 
 def _parse_formula_unary(p: _Parser):
     if p.peek().kind == "!":
-        p.next()
-        return Not(_parse_formula_unary(p))
+        with p.nested():
+            p.next()
+            return Not(_parse_formula_unary(p))
     return _parse_formula_primary(p)
 
 
@@ -250,10 +266,13 @@ def _parse_formula_primary(p: _Parser):
     if p.peek().kind == "(":
         saved = p.pos
         try:
-            p.next()
-            inner = _parse_formula_disj(p)
-            p.expect(")")
-            return inner
+            with p.nested():
+                p.next()
+                inner = _parse_formula_disj(p)
+                p.expect(")")
+                return inner
+        except _TooDeep:
+            raise
         except ParseError:
             p.pos = saved
     return _parse_formula_atom(p)
@@ -765,7 +784,9 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}")
 
 
+@cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after."""
     ap = argparse.ArgumentParser(
         prog="sheafkit",
         description="constructible sheaf complexes on finite spectral spaces "

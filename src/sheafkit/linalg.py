@@ -1,7 +1,9 @@
 """Exact linear algebra over Z, Q and F_p.
 
 Scalars are plain ints (Z, residues mod p) or fractions.Fraction (Q); every
-matrix entry is kept as a reduced canonical representative.
+matrix entry is kept as a reduced canonical representative.  Matrices built
+inside the package come from Matrix.from_entries, (i, j, x) triples with
+repeats summed; Matrix(ring, rows) normalizes every entry of dense data.
 
 Questions about invariants only - rank, invariant factors, cokernels and the
 homology of complexes - are answered by one sparse elimination without
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 # Degree window for all chain complexes; operations that would leave it raise
@@ -196,24 +199,42 @@ class Matrix:
         self.entries = ent
 
     @classmethod
-    def zeros(cls, ring, rows, cols):
+    def from_entries(cls, ring, rows, cols, entries):
+        """The rows x cols matrix with the values of the (i, j, x) triples in
+        entries, summed where positions repeat, and zero elsewhere.
+
+        The one construction path for matrices built inside the package: only
+        the given values go through ring.normalize.
+        """
         z = ring.zero()
-        return cls(ring, [[z] * cols for _ in range(rows)], rows, cols)
+        grid = [[z] * cols for _ in range(rows)]
+        for i, j, x in entries:
+            row = grid[i]
+            row[j] = ring.normalize(row[j] + x)
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols = ring, rows, cols
+        m.entries = tuple(map(tuple, grid))
+        return m
+
+    @classmethod
+    def zeros(cls, ring, rows, cols):
+        return cls.from_entries(ring, rows, cols, ())
 
     @classmethod
     def identity(cls, ring, n):
-        z, o = ring.zero(), ring.one()
-        return cls(ring, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
-
-    @classmethod
-    def from_rows(cls, ring, rows, ncols=None):
-        if not rows and ncols is None:
-            ncols = 0
-        return cls(ring, rows, len(rows), ncols if ncols is not None else len(rows[0]))
+        one = ring.one()
+        return cls.from_entries(ring, n, n, ((i, i, one) for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
+
+    def nonzeros(self, di=0, dj=0):
+        """The (i + di, j + dj, x) triples of the nonzero entries x."""
+        for i, row in enumerate(self.entries, di):
+            for j, x in enumerate(row, dj):
+                if x:
+                    yield i, j, x
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
@@ -272,9 +293,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.ring, list(zip(*self.entries)) if self.entries else [],
                       self.cols, self.rows)
-
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
 
     def hstack(self, other):
         self._check(other)
@@ -504,18 +522,18 @@ def solve_right(a: Matrix, b: Matrix):
     s, u, v = snf(a)
     ub = u @ b
     rank = sum(1 for i in range(min(a.rows, a.cols)) if not R.is_zero(s[i, i]))
-    y = [[R.zero()] * b.cols for _ in range(a.cols)]
+    y = []
     for i in range(rank):
         d = s[i, i]
         for j in range(b.cols):
             if not R.divides(d, ub[i, j]):
                 return None
-            y[i][j] = R.exact_div(ub[i, j], d)
+            y.append((i, j, R.exact_div(ub[i, j], d)))
     for i in range(rank, a.rows):
         for j in range(b.cols):
             if not R.is_zero(ub[i, j]):
                 return None
-    return v @ Matrix(R, y, a.cols, b.cols)
+    return v @ Matrix.from_entries(R, a.cols, b.cols, y)
 
 
 def _sparse_rows(m: Matrix) -> list:
@@ -786,18 +804,8 @@ class FreeChainComplex:
         ranks = {}
         for n in set(self.ranks) | set(other.ranks):
             ranks[n] = self.rank(n) + other.rank(n)
-        diffs = {}
-        for n in set(self.diffs) | set(other.diffs):
-            a, b = self.diff(n), other.diff(n)
-            rows, cols = a.rows + b.rows, a.cols + b.cols
-            m = [[self.ring.zero()] * cols for _ in range(rows)]
-            for i in range(a.rows):
-                for j in range(a.cols):
-                    m[i][j] = a[i, j]
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    m[a.rows + i][a.cols + j] = b[i, j]
-            diffs[n] = Matrix(self.ring, m, rows, cols)
+        diffs = {n: block_diagonal(self.diff(n), other.diff(n))
+                 for n in set(self.diffs) | set(other.diffs)}
         return FreeChainComplex(self.ring, ranks, diffs, check=False)
 
     def __eq__(self, other):
@@ -923,6 +931,12 @@ def k0_rank(c: FreeChainComplex) -> K0Class:
     return K0Class(sum((-1) ** (n % 2) * r for n, r in c.ranks.items()))
 
 
+def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix [[a, 0], [0, b]]."""
+    return Matrix.from_entries(a.ring, a.rows + b.rows, a.cols + b.cols,
+                               chain(a.nonzeros(), b.nonzeros(a.rows, a.cols)))
+
+
 def cone(f: ChainMap) -> tuple:
     """Mapping cone of f : A -> B.
 
@@ -931,53 +945,28 @@ def cone(f: ChainMap) -> tuple:
     """
     a, b = f.source, f.target
     R = a.ring
-    ranks = {}
-    for n in set(x - 1 for x in a.ranks) | set(b.ranks):
-        r = a.rank(n + 1) + b.rank(n)
-        if r:
-            ranks[n] = r
+    one = R.one()
+    ranks = {n: a.rank(n + 1) + b.rank(n)
+             for n in {x - 1 for x in a.ranks} | set(b.ranks)}
     diffs = {}
-    for n in ranks:
-        ra1, rb = a.rank(n + 1), b.rank(n)
-        ra2, rb1 = a.rank(n + 2), b.rank(n + 1)
-        rows, cols = ra2 + rb1, ra1 + rb
-        if rows == 0 or cols == 0:
-            continue
-        m = [[R.zero()] * cols for _ in range(rows)]
-        da = a.diff(n + 1)
-        for i in range(ra2):
-            for j in range(ra1):
-                m[i][j] = R.neg(da[i, j])
-        fc = f.component(n + 1)
-        for i in range(rb1):
-            for j in range(ra1):
-                m[ra2 + i][j] = fc[i, j]
-        db = b.diff(n)
-        for i in range(rb1):
-            for j in range(rb):
-                m[ra2 + i][ra1 + j] = db[i, j]
-        diffs[n] = Matrix(R, m, rows, cols)
+    for n, r in ranks.items():
+        ra1, ra2 = a.rank(n + 1), a.rank(n + 2)
+        entries = chain(((i, j, -x) for i, j, x in a.diff(n + 1).nonzeros()),
+                        f.component(n + 1).nonzeros(ra2),
+                        b.diff(n).nonzeros(ra2, ra1))
+        diffs[n] = Matrix.from_entries(R, ra2 + b.rank(n + 1), r, entries)
     cn = FreeChainComplex(R, ranks, diffs, check=False)
     inc = {}
     for n, rb in b.ranks.items():
         ra1 = a.rank(n + 1)
-        m = Matrix.zeros(R, ra1 + rb, rb).entries
-        m = [list(r) for r in m]
-        for i in range(rb):
-            m[ra1 + i][i] = R.one()
-        inc[n] = Matrix(R, m, ra1 + rb, rb)
+        inc[n] = Matrix.from_entries(R, ra1 + rb, rb,
+                                     ((ra1 + i, i, one) for i in range(rb)))
     include = ChainMap(b, cn, inc, check=False)
-    shifted = a.shift(1)
     proj = {}
-    for n in cn.ranks:
-        ra1, rb = a.rank(n + 1), b.rank(n)
-        if ra1 == 0:
-            continue
-        m = [[R.zero()] * (ra1 + rb) for _ in range(ra1)]
-        for i in range(ra1):
-            m[i][i] = R.one()
-        proj[n] = Matrix(R, m, ra1, ra1 + rb)
-    project = ChainMap(cn, shifted, proj, check=False)
+    for n, r in cn.ranks.items():
+        ra1 = a.rank(n + 1)
+        proj[n] = Matrix.from_entries(R, ra1, r, ((i, i, one) for i in range(ra1)))
+    project = ChainMap(cn, a.shift(1), proj, check=False)
     return cn, include, project
 
 
@@ -1007,19 +996,10 @@ def complex_from_basis(ring, basis: dict, entry_fn) -> tuple:
     ranks = {n: len(labels) for n, labels in basis.items() if labels}
     diffs = {}
     for n, labels in basis.items():
-        tgt = basis.get(n + 1, [])
-        if not labels or not tgt:
-            continue
-        m = [[ring.zero()] * len(labels) for _ in range(len(tgt))]
-        touched = False
-        for col, lab in enumerate(labels):
-            for tlab, coeff in entry_fn(n, lab):
-                if ring.is_zero(coeff):
-                    continue
-                m[index[(n + 1, tlab)]][col] = ring.add(m[index[(n + 1, tlab)]][col], coeff)
-                touched = True
-        if touched:
-            diffs[n] = Matrix(ring, m, len(tgt), len(labels))
+        entries = ((index[(n + 1, tlab)], col, coeff)
+                   for col, lab in enumerate(labels)
+                   for tlab, coeff in entry_fn(n, lab))
+        diffs[n] = Matrix.from_entries(ring, ranks.get(n + 1, 0), len(labels), entries)
     return FreeChainComplex(ring, ranks, diffs, check=False), index
 
 
@@ -1059,32 +1039,24 @@ def tensor_with_basis(c1: FreeChainComplex, c2: FreeChainComplex):
 
 def tensor_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     """f (x) g on the total tensor complexes (no extra signs for degree-0 maps)."""
-    src, src_idx = tensor_with_basis(f.source, g.source)
+    src, _ = tensor_with_basis(f.source, g.source)
     tgt, tgt_idx = tensor_with_basis(f.target, g.target)
     R = src.ring
-    mats = {}
-    src_basis = _tensor_basis(f.source, g.source)
-    for n, labels in src_basis.items():
-        rows = tgt.rank(n)
-        if rows == 0 or not labels:
-            continue
-        m = [[R.zero()] * len(labels) for _ in range(rows)]
-        touched = False
+
+    def entries(n, labels):
         for col, (p, q, i, j) in enumerate(labels):
-            fm = f.component(p)
-            gm = g.component(q)
-            for i2 in range(f.target.rank(p)):
+            fm, gm = f.component(p), g.component(q)
+            for i2 in range(fm.rows):
                 a = fm[i2, i]
                 if R.is_zero(a):
                     continue
-                for j2 in range(g.target.rank(q)):
+                for j2 in range(gm.rows):
                     b = gm[j2, j]
-                    if R.is_zero(b):
-                        continue
-                    m[tgt_idx[(n, (p, q, i2, j2))]][col] = R.mul(a, b)
-                    touched = True
-        if touched:
-            mats[n] = Matrix(R, m, rows, len(labels))
+                    if not R.is_zero(b):
+                        yield tgt_idx[(n, (p, q, i2, j2))], col, a * b
+
+    mats = {n: Matrix.from_entries(R, tgt.rank(n), len(labels), entries(n, labels))
+            for n, labels in _tensor_basis(f.source, g.source).items()}
     return ChainMap(src, tgt, mats, check=False)
 
 

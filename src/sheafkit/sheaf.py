@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .linalg import (
     ChainMap, FGModule, FreeChainComplex, Matrix, RingMismatch, ScalarRing,
-    complex_from_basis, cone, homology, kernel_basis, solve_right,
-    tensor_chain_maps, tensor_with_basis,
+    block_diagonal, complex_from_basis, cone, homology, kernel_basis,
+    solve_right, tensor_chain_maps, tensor_with_basis,
 )
 from .space import FinSpec, MonotoneMap, SpaceError, admissible_order, subspace, _key
 
@@ -88,24 +88,29 @@ class SheafComplex:
         self._validate_path_independence()
 
     def _validate_path_independence(self):
-        above = {p: [y for (x, y) in self.space.covers if x == p] for p in self.space.points}
-        for x in self.space.points:
-            reached = {}
-
-            def walk(z, acc):
-                if z in reached:
-                    for n in set(acc.mats) | set(reached[z].mats):
-                        if acc.component(n) != reached[z].component(n):
+        """Compose each rho(x, z) once, through the first cover w < z, and
+        check every other cover into z against it; by induction along a
+        linear extension this compares all cover paths x -> z."""
+        m = self.space
+        below = {p: [] for p in m.points}
+        for (w, z) in m.covers:
+            below[z].append(w)
+        # w < z implies a smaller down-set, so this order is a linear extension
+        order = sorted(m.points, key=lambda p: len(m.down_set(p)))
+        for x in m.points:
+            up = m.up_set(x)
+            rho = {x: ChainMap.identity(self.stalks[x])}
+            for z in order:
+                if z == x or z not in up:
+                    continue
+                first, *others = [self.gens[(w, z)].compose(rho[w])
+                                  for w in below[z] if w in up]
+                for via in others:
+                    for n in set(via.mats) | set(first.mats):
+                        if via.component(n) != first.component(n):
                             raise PathIndependenceViolation(
                                 f"two paths {x!r} -> {z!r} compose differently in degree {n}")
-                else:
-                    reached[z] = acc
-                for w in above[z]:
-                    walk(w, self.gens[(z, w)].compose(acc))
-
-            walk(x, ChainMap.identity(self.stalks[x]))
-            for z, acc in reached.items():
-                self._rho[(x, z)] = acc
+                rho[z] = self._rho[(x, z)] = first
 
     def rho(self, x, y) -> ChainMap:
         """The composite generization map along any cover path x <= y."""
@@ -143,19 +148,8 @@ class SheafComplex:
         for e in self.space.covers:
             x, y = e
             a, b = self.gens[e], other.gens[e]
-            mats = {}
-            for n in set(a.mats) | set(b.mats):
-                am, bm = a.component(n), b.component(n)
-                rows = am.rows + bm.rows
-                cols = am.cols + bm.cols
-                m = [[self.ring.zero()] * cols for _ in range(rows)]
-                for i in range(am.rows):
-                    for j in range(am.cols):
-                        m[i][j] = am[i, j]
-                for i in range(bm.rows):
-                    for j in range(bm.cols):
-                        m[am.rows + i][am.cols + j] = bm[i, j]
-                mats[n] = Matrix(self.ring, m, rows, cols)
+            mats = {n: block_diagonal(a.component(n), b.component(n))
+                    for n in set(a.mats) | set(b.mats)}
             gens[e] = ChainMap(stalks[x], stalks[y], mats, check=False)
         return SheafComplex(self.space, self.ring, stalks, gens, check=False)
 
@@ -278,8 +272,7 @@ class CSheaf:
             b = _relation_lift(a, src, tgt)
             if b is None:
                 raise SheafError(f"matrix at {x!r}<{y!r} does not define a module map")
-            gens_cx[(x, y)] = ChainMap(stalk_cx[x], stalk_cx[y],
-                                       {0: a, -1: b} if b.rows and b.cols else {0: a},
+            gens_cx[(x, y)] = ChainMap(stalk_cx[x], stalk_cx[y], {0: a, -1: b},
                                        check=False)
         return SheafComplex(self.space, self.ring, stalk_cx, gens_cx, check=True)
 
@@ -298,31 +291,26 @@ def _ngens(mod: FGModule) -> int:
 def _presentation_complex(mod: FGModule) -> FreeChainComplex:
     k = len(mod.invariant_factors)
     n = _ngens(mod)
-    if k == 0:
-        return FreeChainComplex(mod.ring, {0: n} if n else {}, {}, check=False)
-    rel = [[mod.ring.zero()] * k for _ in range(n)]
-    for i, d in enumerate(mod.invariant_factors):
-        rel[i][i] = d
-    return FreeChainComplex(mod.ring, {-1: k, 0: n},
-                            {-1: Matrix(mod.ring, rel, n, k)}, check=False)
+    rel = Matrix.from_entries(mod.ring, n, k,
+                              ((i, i, d) for i, d in enumerate(mod.invariant_factors)))
+    return FreeChainComplex(mod.ring, {-1: k, 0: n}, {-1: rel}, check=False)
 
 
 def _relation_lift(a: Matrix, src: FGModule, tgt: FGModule):
     R = a.ring
     ks, kt = len(src.invariant_factors), len(tgt.invariant_factors)
-    out = [[R.zero()] * ks for _ in range(kt)]
-    for j in range(ks):
-        dj = src.invariant_factors[j]
+    out = []
+    for j, dj in enumerate(src.invariant_factors):
         for i in range(a.rows):
             val = R.mul(a[i, j], dj)
             if i < kt:
                 di = tgt.invariant_factors[i]
                 if not R.divides(di, val):
                     return None
-                out[i][j] = R.exact_div(val, di)
+                out.append((i, j, R.exact_div(val, di)))
             elif not R.is_zero(val):
                 return None  # torsion cannot map to the free part
-    return Matrix(R, out, kt, ks)
+    return Matrix.from_entries(R, kt, ks, out)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +400,10 @@ def rgamma_labeled(k: SheafComplex):
             if not R.is_zero(co):
                 yield (c, q + 1, i2), R.mul(sign_v, co)
         for (c2, l) in faces.get(c, ()):  # c = face_l(c2), len(c2) = p + 2
+            sign = one if l % 2 == 0 else neg
             if l < len(c2) - 1:
-                sign = one if l % 2 == 0 else neg
                 yield (c2, q, i), sign
             else:
-                sign = one if l % 2 == 0 else neg
                 rho = k.rho(c2[-2], c2[-1]).component(q)
                 for i2 in range(rho.rows):
                     co = rho[i2, i]
@@ -457,30 +444,39 @@ def _pushforward_labeled(f: MonotoneMap, k: SheafComplex):
     if k.space != f.source:
         raise SheafError("sheaf does not live on the source of the map")
     s = f.target
-    stalks = {}
-    labels = {}
-    indexes = {}
-    for q in s.points:
-        pre = f.preimage(s.up_set(q))
-        sub = restrict(k, pre)
-        cx, lab, idx = rgamma_labeled(sub)
-        stalks[q] = cx
-        labels[q] = lab
-        indexes[q] = idx
+    return _restriction_sheaf(
+        s, k.ring, lambda q: rgamma_labeled(restrict(k, f.preimage(s.up_set(q)))))
+
+
+def _restriction_sheaf(m: FinSpec, ring: ScalarRing, local):
+    """(sheaf, labels, indexes) for the stalks local(x) = (complex, labels,
+    index) on m, generization x < y restricting to the labels of y, which
+    must all occur at x."""
+    stalks, labels, indexes = {}, {}, {}
+    for x in m.points:
+        stalks[x], labels[x], indexes[x] = local(x)
+    one = ring.one()
     gens = {}
-    for (q, q2) in s.covers:
-        mats = {}
-        for n, lab2 in labels[q2].items():
-            rows = len(lab2)
-            cols = stalks[q].rank(n)
-            if rows == 0 or cols == 0:
-                continue
-            m = [[k.ring.zero()] * cols for _ in range(rows)]
-            for r, l in enumerate(lab2):
-                m[r][indexes[q][(n, l)]] = k.ring.one()
-            mats[n] = Matrix(k.ring, m, rows, cols)
-        gens[(q, q2)] = ChainMap(stalks[q], stalks[q2], mats, check=False)
-    return SheafComplex(s, k.ring, stalks, gens, check=False), labels, indexes
+    for (x, y) in m.covers:
+        idx = indexes[x]
+        gens[(x, y)] = _label_map(stalks[x], stalks[y], labels[y],
+                                  lambda n, lab: ((idx[(n, lab)], one),))
+    return SheafComplex(m, ring, stalks, gens, check=False), labels, indexes
+
+
+def _label_map(src: FreeChainComplex, tgt: FreeChainComplex, labels: dict,
+               entries) -> ChainMap:
+    """The chain map src -> tgt given row by row on labelled targets.
+
+    labels maps a degree n to the ordered basis labels of tgt^n; the row of
+    label lab holds the (column, coefficient) pairs of entries(n, lab).
+    """
+    R = src.ring
+    mats = {n: Matrix.from_entries(R, len(labs), src.rank(n),
+                                   ((r, j, x) for r, lab in enumerate(labs)
+                                    for j, x in entries(n, lab)))
+            for n, labs in labels.items()}
+    return ChainMap(src, tgt, mats, check=False)
 
 
 def pushforward(f: MonotoneMap, k: SheafComplex) -> SheafComplex:
@@ -540,23 +536,9 @@ def sheaf_cone(phi: SheafMap):
     for (x, y) in src.space.covers:
         a = src.gens[(x, y)]
         b = tgt.gens[(x, y)]
-        mats = {}
-        for n in set(stalks[x].ranks) | set(stalks[y].ranks):
-            rows, cols = stalks[y].rank(n), stalks[x].rank(n)
-            if rows == 0 or cols == 0:
-                continue
-            m = [[src.ring.zero()] * cols for _ in range(rows)]
-            am = a.component(n + 1)
-            ra_t, rb_t = src.stalks[y].rank(n + 1), tgt.stalks[y].rank(n)
-            ra_s, rb_s = src.stalks[x].rank(n + 1), tgt.stalks[x].rank(n)
-            for i in range(ra_t):
-                for j in range(ra_s):
-                    m[i][j] = am[i, j]
-            bm = b.component(n)
-            for i in range(rb_t):
-                for j in range(rb_s):
-                    m[ra_t + i][ra_s + j] = bm[i, j]
-            mats[n] = Matrix(src.ring, m, rows, cols)
+        # cone^n = A^{n+1} (+) B^n, so the generization is a_{n+1} (+) b_n
+        mats = {n: block_diagonal(a.component(n + 1), b.component(n))
+                for n in {d - 1 for d in a.mats} | set(b.mats)}
         gens[(x, y)] = ChainMap(stalks[x], stalks[y], mats, check=False)
     cn_sheaf = SheafComplex(src.space, src.ring, stalks, gens, check=False)
     include = SheafMap(tgt, cn_sheaf, incs, check=False)
@@ -596,25 +578,15 @@ def open_unit(k: SheafComplex, u):
     l_sheaf, labels, _ = _pushforward_labeled(incl, restrict(k, u))
     comps = {}
     for x in m.points:
-        src = k.stalks[x]
-        tgt = l_sheaf.stalks[x]
-        mats = {}
-        for n, labs in labels[x].items():
-            rows, cols = len(labs), src.rank(n)
-            if rows == 0 or cols == 0:
-                continue
-            mat = [[k.ring.zero()] * cols for _ in range(rows)]
-            touched = False
-            for r, (c, q, i) in enumerate(labs):
-                if len(c) != 1 or q != n:
-                    continue
+        def entries(n, lab):
+            # singleton chains (c_0) carry the restriction rho(x, c_0)
+            c, _, i = lab
+            if len(c) == 1:
                 rho = k.rho(x, c[0]).component(n)
-                for j in range(cols):
-                    mat[r][j] = rho[i, j]
-                    touched = touched or not k.ring.is_zero(rho[i, j])
-            if touched:
-                mats[n] = Matrix(k.ring, mat, rows, cols)
-        comps[x] = ChainMap(src, tgt, mats, check=False)
+                for j in range(rho.cols):
+                    yield j, rho[i, j]
+
+        comps[x] = _label_map(k.stalks[x], l_sheaf.stalks[x], labels[x], entries)
     return l_sheaf, SheafMap(k, l_sheaf, comps, check=False)
 
 
@@ -622,21 +594,10 @@ def sheaf_fiber(phi: SheafMap):
     """fib(phi) = cone(phi)[-1], with its projection to the source of phi."""
     cn, _, project = sheaf_cone(phi)
     fib = cn.shift(-1)
-    comps = {}
-    for p in fib.space.points:
-        src = fib.stalks[p]
-        tgt = phi.source.stalks[p]
-        mats = {}
-        for n in src.ranks:
-            ra = phi.source.stalks[p].rank(n)
-            if ra == 0:
-                continue
-            cols = src.rank(n)
-            m = [[fib.ring.zero()] * cols for _ in range(ra)]
-            for i in range(ra):
-                m[i][i] = fib.ring.one()
-            mats[n] = Matrix(fib.ring, m, ra, cols)
-        comps[p] = ChainMap(src, tgt, mats, check=False)
+    # fib^n = cone^{n-1}, so the projection cone^{n-1} -> A^n serves in degree n
+    comps = {p: ChainMap(fib.stalks[p], phi.source.stalks[p],
+                         {n + 1: m for n, m in pr.mats.items()}, check=False)
+             for p, pr in project.comps.items()}
     return fib, SheafMap(fib, phi.source, comps, check=False)
 
 
@@ -750,27 +711,7 @@ def _derived_hom_labeled(k: SheafComplex, l: SheafComplex):
     if k.space != l.space or k.ring != l.ring:
         raise SheafError("hom needs matching space and ring")
     m = k.space
-    stalks = {}
-    labels = {}
-    indexes = {}
-    for x in m.points:
-        cx, lab, idx = _hom_end_complex(k, l, m.up_set(x))
-        stalks[x] = cx
-        labels[x] = lab
-        indexes[x] = idx
-    gens = {}
-    for (x, y) in m.covers:
-        mats = {}
-        for n, lab2 in labels[y].items():
-            rows, cols = len(lab2), stalks[x].rank(n)
-            if rows == 0 or cols == 0:
-                continue
-            mat = [[k.ring.zero()] * cols for _ in range(rows)]
-            for r, lb in enumerate(lab2):
-                mat[r][indexes[x][(n, lb)]] = k.ring.one()
-            mats[n] = Matrix(k.ring, mat, rows, cols)
-        gens[(x, y)] = ChainMap(stalks[x], stalks[y], mats, check=False)
-    return SheafComplex(m, k.ring, stalks, gens, check=False), labels, indexes
+    return _restriction_sheaf(m, k.ring, lambda x: _hom_end_complex(k, l, m.up_set(x)))
 
 
 def derived_hom(k: SheafComplex, l: SheafComplex) -> SheafComplex:
@@ -811,26 +752,16 @@ def evaluation_map(k: SheafComplex):
             by_degree.setdefault(n, {})[pos] = lab
         mats = {}
         for n, pos_lab in by_degree.items():
-            rows, cols = tgt.rank(n), src.rank(n)
-            if rows == 0 or cols == 0:
-                continue
-            mat = [[R.zero()] * cols for _ in range(rows)]
-            touched = False
-            for pos in range(cols):
-                p_deg, q_deg, i0, jv = pos_lab[pos]
+            entries = []
+            for pos, (p_deg, q_deg, i0, jv) in pos_lab.items():
                 c, t, i, _ = kv_labels[x][q_deg][jv]
-                p_c = len(c) - 1
-                sign = R.one() if (p_deg * p_c) % 2 == 0 else R.neg(R.one())
+                sign = 1 if (p_deg * (len(c) - 1)) % 2 == 0 else -1
                 rho = k.rho(x, c[-1]).component(p_deg)
                 for i2 in range(rho.rows):
                     co = rho[i2, i0]
-                    if R.is_zero(co):
-                        continue
-                    row = hom_idx[x][(n, (c, t, i, i2))]
-                    mat[row][pos] = R.add(mat[row][pos], R.mul(sign, co))
-                    touched = True
-            if touched:
-                mats[n] = Matrix(R, mat, rows, cols)
+                    if not R.is_zero(co):
+                        entries.append((hom_idx[x][(n, (c, t, i, i2))], pos, sign * co))
+            mats[n] = Matrix.from_entries(R, tgt.rank(n), src.rank(n), entries)
         comps[x] = ChainMap(src, tgt, mats, check=False)
     ev = SheafMap(tensor_sheaf, hom_kk, comps)
     return tensor_sheaf, hom_kk, ev
@@ -938,27 +869,19 @@ def base_change_compare(f: MonotoneMap, p: MonotoneMap, k: SheafComplex):
     rhs, rhs_labels, _ = _pushforward_labeled(pr_t, pullback(pr_x, k))
     prx = dict(pr_x.mapping)
     pm = dict(p.mapping)
+    one = k.ring.one()
     comps = {}
     for t in p.source.points:
-        src = lhs.stalks[t]
-        tgt = rhs.stalks[t]
         src_idx = rf_indexes[pm[t]]
-        mats = {}
-        for n, labs in rhs_labels[t].items():
-            rows, cols = len(labs), src.rank(n)
-            if rows == 0 or cols == 0:
-                continue
-            mat = [[k.ring.zero()] * cols for _ in range(rows)]
-            touched = False
-            for r, (cw, q, i) in enumerate(labs):
-                cx = tuple(prx[wpt] for wpt in cw)
-                if any(cx[a] == cx[a + 1] for a in range(len(cx) - 1)):
-                    continue  # degenerate image chain
-                mat[r][src_idx[(n, (cx, q, i))]] = k.ring.one()
-                touched = True
-            if touched:
-                mats[n] = Matrix(k.ring, mat, rows, cols)
-        comps[t] = ChainMap(src, tgt, mats, check=False)
+
+        def entries(n, lab):
+            cw, q, i = lab
+            cx = tuple(prx[wpt] for wpt in cw)
+            if any(cx[a] == cx[a + 1] for a in range(len(cx) - 1)):
+                return ()  # degenerate image chain
+            return ((src_idx[(n, (cx, q, i))], one),)
+
+        comps[t] = _label_map(lhs.stalks[t], rhs.stalks[t], rhs_labels[t], entries)
     comparison = SheafMap(lhs, rhs, comps)
     defect, _, _ = sheaf_cone(comparison)
     return comparison, sheaf_is_acyclic(defect), defect
@@ -990,26 +913,18 @@ def compose_pushforward_compare(f: MonotoneMap, g: MonotoneMap, k: SheafComplex)
     lhs, _, lhs_idx = _pushforward_labeled(gf, k)
     mid, mid_labels, _ = _pushforward_labeled(f, k)
     rhs, rhs_labels, _ = _pushforward_labeled(g, mid)
+    one = k.ring.one()
     comps = {}
     for u in g.target.points:
-        src = lhs.stalks[u]
-        tgt = rhs.stalks[u]
-        mats = {}
-        for n, labs in rhs_labels[u].items():
-            rows, cols = len(labs), src.rank(n)
-            if rows == 0 or cols == 0:
-                continue
-            mat = [[k.ring.zero()] * cols for _ in range(rows)]
-            touched = False
-            for r, (cs, qq, ii) in enumerate(labs):
-                if len(cs) != 1:
-                    continue
-                inner = mid_labels[cs[0]][qq][ii]
-                mat[r][lhs_idx[u][(n, inner)]] = k.ring.one()
-                touched = True
-            if touched:
-                mats[n] = Matrix(k.ring, mat, rows, cols)
-        comps[u] = ChainMap(src, tgt, mats, check=False)
+        idx = lhs_idx[u]
+
+        def entries(n, lab):
+            cs, qq, ii = lab
+            if len(cs) != 1:
+                return ()
+            return ((idx[(n, mid_labels[cs[0]][qq][ii])], one),)
+
+        comps[u] = _label_map(lhs.stalks[u], rhs.stalks[u], rhs_labels[u], entries)
     return lhs, rhs, SheafMap(lhs, rhs, comps)
 
 

@@ -17,6 +17,7 @@ polynomials of multiplication operators.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -286,6 +287,18 @@ def locate_cell(roots, x) -> int:
     return 2 * len(roots)
 
 
+def _coarse_cell(roots, fine_roots, pos) -> int:
+    """Position among the cells of roots of the cell that contains cell pos of
+    the refinement over fine_roots (which must contain roots)."""
+    if pos % 2 == 1:
+        return locate_cell(roots, fine_roots[(pos - 1) // 2])
+    if pos == 0:
+        return 0
+    # an interval cell lies in the coarse cell just right of its left endpoint
+    c = locate_cell(roots, fine_roots[pos // 2 - 1])
+    return c + 1 if c % 2 == 1 else c
+
+
 def _cell_of_sper_point(roots, pt: SperPoint) -> int:
     if pt.kind == "-inf":
         return 0
@@ -380,34 +393,24 @@ class SperConstructible:
 
     def membership_on(self, roots) -> list:
         """Membership of each cell of a refinement (roots must contain ours)."""
-        out = []
-        k = len(roots)
-        for pos in range(2 * k + 1):
-            if pos % 2 == 1:
-                out.append(self.contains_value(roots[(pos - 1) // 2]))
-            elif pos == 0:
-                out.append(self.mask[0])
-            else:
-                b = roots[pos // 2 - 1]  # left endpoint; take the cell right of it
-                c = locate_cell(self.roots, b)
-                out.append(self.mask[c + 1] if c % 2 == 1 else self.mask[c])
-        return out
+        return [self.mask[_coarse_cell(self.roots, roots, pos)]
+                for pos in range(2 * len(roots) + 1)]
 
     def complement(self) -> "SperConstructible":
         return SperConstructible(self.roots, tuple(not b for b in self.mask),
                                  normalize=False)
 
     def union(self, other: "SperConstructible") -> "SperConstructible":
-        roots = merge_roots(list(self.roots), list(other.roots))
-        a = self.membership_on(roots)
-        b = other.membership_on(roots)
-        return SperConstructible(roots, [x or y for x, y in zip(a, b)])
+        return self._combine(other, operator.or_)
 
     def intersect(self, other: "SperConstructible") -> "SperConstructible":
+        return self._combine(other, operator.and_)
+
+    def _combine(self, other, op) -> "SperConstructible":
+        """Cellwise op of the memberships over the common refinement."""
         roots = merge_roots(list(self.roots), list(other.roots))
-        a = self.membership_on(roots)
-        b = other.membership_on(roots)
-        return SperConstructible(roots, [x and y for x, y in zip(a, b)])
+        return SperConstructible(roots, map(op, self.membership_on(roots),
+                                            other.membership_on(roots)))
 
     def __eq__(self, other):
         if not isinstance(other, SperConstructible):
@@ -805,17 +808,8 @@ def refine_cells(cells: CellPoset, extra_roots) -> CellPoset:
 
 def transfer_cons(phi: ConsFunction, src: CellPoset, dst: CellPoset) -> ConsFunction:
     """Reindex a function along a refinement (dst roots contain src roots)."""
-    values = {}
-    for pos in range(len(dst.cells)):
-        if pos % 2 == 1:
-            spos = locate_cell(src.roots, dst.roots[(pos - 1) // 2])
-        elif pos == 0:
-            spos = 0
-        else:
-            b = dst.roots[pos // 2 - 1]
-            c = locate_cell(src.roots, b)
-            spos = c + 1 if c % 2 == 1 else c
-        values[dst.point_at(pos)] = phi(src.point_at(spos))
+    values = {dst.point_at(pos): phi(src.point_at(_coarse_cell(src.roots, dst.roots, pos)))
+              for pos in range(len(dst.cells))}
     return ConsFunction(dst.space, values)
 
 

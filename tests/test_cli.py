@@ -62,6 +62,28 @@ class TestParseFormula:
         parse_formula("((t > 0))")
 
 
+class TestNestingBudget:
+    DEEP = "syntax error at line 1, column 101: nesting deeper than 100 levels"
+
+    def test_polynomial(self):
+        text, code = run(["sper-roots", "--poly", "(" * 5000 + "t" + ")" * 5000])
+        assert (text, code) == ("error: " + self.DEEP, 1)
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_poly("-" * 101 + "t")
+        assert parse_poly("(" * 100 + "t" + ")" * 100) == (0, 1)
+        assert parse_poly("-" * 100 + "t") == (0, 1)
+
+    def test_formula(self):
+        text, code = run(["sper-set", "--formula", "(" * 3000 + "t > 0" + ")" * 3000])
+        assert (text, code) == ("error: " + self.DEEP, 1)
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_formula("!" * 101 + "t > 0")
+        # formula and polynomial levels share the budget
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_formula("(!" * 30 + "(" * 41 + "t" + ")" * 41 + " > 0" + ")" * 30)
+        parse_formula("(!" * 30 + "(" * 40 + "t" + ")" * 40 + " > 0" + ")" * 30)
+
+
 class TestParseSpace:
     def test_round_trip_random(self):
         rng = Random(61)

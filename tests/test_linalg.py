@@ -6,7 +6,7 @@ import pytest
 from sheafkit.linalg import (
     ChainMap, DegreeOverflow, FGModule, FreeChainComplex, GF, LinalgError,
     Matrix, PRIME_LIMIT, QQ, RingMismatch, ScalarRing, ZZ, _is_prime,
-    _rank_and_factors, _sparse_rows, cone, det, hom_complex, homology,
+    _rank_and_factors, _sparse_rows, block_diagonal, cone, det, hom_complex, homology,
     is_acyclic, k0_rank, kernel_basis, snf, solve_right, tensor_total,
     tor_amplitude,
 )
@@ -62,6 +62,56 @@ def change_ring(c, ring):
 
 def invariants(m):
     return _rank_and_factors(m.ring, _sparse_rows(m))
+
+
+class TestFromEntries:
+    def test_repeated_positions_are_summed(self):
+        m = Matrix.from_entries(ZZ, 2, 3, [(0, 1, 2), (1, 2, 5), (0, 1, -7), (1, 2, 0)])
+        assert m == Matrix(ZZ, [[0, -5, 0], [0, 0, 5]])
+
+    def test_values_are_reduced_in_the_ring(self):
+        m = Matrix.from_entries(GF(5), 1, 3, [(0, 0, 7), (0, 1, -1), (0, 1, 4)])
+        assert m.entries == ((2, 3, 0),)
+        q = Matrix.from_entries(QQ, 1, 2, [(0, 0, 3), (0, 0, Fraction(1, 2))])
+        assert q.entries == ((Fraction(7, 2), 0),)
+        assert all(type(x) is Fraction for x in q.entries[0])
+
+    def test_rejects_a_fraction_over_z(self):
+        with pytest.raises(ValueError):
+            Matrix.from_entries(ZZ, 1, 1, [(0, 0, Fraction(1, 2))])
+
+    def test_matches_the_dense_constructor(self):
+        rng = Random(71)
+        empty_shapes = 0
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            for _ in range(150):
+                rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+                dense = [[0] * cols for _ in range(rows)]
+                triples = []
+                for _ in range(rng.randint(0, 2 * rows * cols)):
+                    i, j = rng.randrange(rows), rng.randrange(cols)
+                    x = rng.randint(-9, 9)
+                    if ring is QQ:
+                        x = Fraction(x, rng.randint(1, 4))
+                    triples.append((i, j, x))
+                    dense[i][j] += x
+                m = Matrix.from_entries(ring, rows, cols, triples)
+                ref = Matrix(ring, dense, rows, cols)
+                assert m == ref and hash(m) == hash(ref)
+                empty_shapes += rows == 0 or cols == 0
+        assert empty_shapes >= 100
+
+    def test_block_diagonal(self):
+        a = Matrix(ZZ, [[1, 2], [3, 4], [5, 6]])
+        b = Matrix(ZZ, [[7, 0, 8]])
+        assert list(b.nonzeros(3, 2)) == [(3, 2, 7), (3, 4, 8)]
+        assert block_diagonal(a, b) == Matrix(ZZ, [[1, 2, 0, 0, 0],
+                                                   [3, 4, 0, 0, 0],
+                                                   [5, 6, 0, 0, 0],
+                                                   [0, 0, 7, 0, 8]])
+        assert block_diagonal(Matrix.zeros(ZZ, 0, 2), b) == Matrix(ZZ, [[0, 0, 7, 0, 8]])
+        assert block_diagonal(b, Matrix.zeros(ZZ, 2, 0)) == Matrix(ZZ, [[7, 0, 8], [0, 0, 0],
+                                                                        [0, 0, 0]])
 
 
 class TestSNF:

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -21,6 +22,14 @@ from sheafkit.sheaf import (
 from sheafkit.space import (
     MonotoneMap, build_space, fibers_discrete, krull_dim, subspace,
 )
+
+
+def ladder(height):
+    """Width-2 ladder: two points per level, each below both points above."""
+    pts = [f"{c}{i}" for i in range(height) for c in "pq"]
+    covers = [(f"{c}{i}", f"{d}{i + 1}")
+              for i in range(height - 1) for c in "pq" for d in "pq"]
+    return build_space(pts, covers)
 
 
 def sierpinski():
@@ -57,6 +66,30 @@ class TestValidation:
         gens[("bot", "l")] = ChainMap(c, c, {0: Matrix(ZZ, [[2]])})
         with pytest.raises(PathIndependenceViolation):
             SheafComplex(m, ZZ, stalks, gens)
+
+    def test_violation_high_on_a_ladder(self):
+        m = ladder(8)
+        c = lam()
+        gens = {e: ChainMap.identity(c) for e in m.covers}
+        gens[("p6", "q7")] = ChainMap(c, c, {0: Matrix(ZZ, [[2]])})
+        with pytest.raises(PathIndependenceViolation) as e:
+            SheafComplex(m, ZZ, {p: c for p in m.points}, gens)
+        assert str(e.value) == "two paths 'p0' -> 'q7' compose differently in degree 0"
+
+    def test_tall_ladder_validates_quickly(self):
+        # a height-h ladder has 2^(h-1) cover paths from each bottom point
+        for height in (12, 20):
+            m = ladder(height)
+            c = FreeChainComplex.from_diff(ZZ, 0, Matrix(ZZ, [[2, 0], [0, 3]]))
+            neg = ChainMap(c, c, {0: Matrix(ZZ, [[-1, 0], [0, -1]]),
+                                  1: Matrix(ZZ, [[-1, 0], [0, -1]])})
+            gens = {e: neg for e in m.covers}
+            start = time.perf_counter()
+            k = SheafComplex(m, ZZ, {p: c for p in m.points}, gens)
+            assert time.perf_counter() - start < 0.5
+            sign = (-1) ** (height - 1)
+            assert k.rho("p0", f"q{height - 1}").component(0) == Matrix(ZZ, [[sign, 0],
+                                                                              [0, sign]])
 
     def test_naturality_checked(self):
         m = sierpinski()
