@@ -8,6 +8,10 @@ Text formats:
   parentheses;
 * both nest at most MAX_NESTING = 100 levels, each "(", unary "-" and "!"
   opening one; deeper input is a syntax error;
+* both keep every polynomial within degree MAX_POLY_DEGREE = 1000: an
+  exponent literal above it, a power whose degree would exceed it, or a
+  product whose degree would exceed it is a syntax error, found before the
+  power or product is computed;
 * spaces: "space NAME" / "points: a b c" / "covers: a<b b<c";
 * sheaves: "ring Z|Q|F p" / "space NAME" / per point
   "stalk x: deg d rank r; d_d = [[..],[..]]" / per cover
@@ -138,6 +142,10 @@ def _tokenize(text, formula=False):
 # recursion limit: deeper input is a ParseError, not a RecursionError.
 MAX_NESTING = 100
 
+# Degree budget of parsed polynomials, checked before a power or product is
+# computed, so that a large exponent is a ParseError rather than a hang.
+MAX_POLY_DEGREE = 1000
+
 
 class _Parser:
     def __init__(self, toks):
@@ -187,11 +195,19 @@ def _parse_poly_expr(p: _Parser):
     return out
 
 
+def _over_degree(t: _Token, what: str):
+    return ParseError(f"syntax error at line {t.line}, column {t.col}: "
+                      f"{what} above the degree budget of {MAX_POLY_DEGREE}")
+
+
 def _parse_poly_term(p: _Parser):
     out = _parse_poly_factor(p)
     while p.peek().kind == "*":
-        p.next()
-        out = ip.mul(out, _parse_poly_factor(p))
+        star = p.next()
+        rhs = _parse_poly_factor(p)
+        if ip.degree(out) + ip.degree(rhs) > MAX_POLY_DEGREE:
+            raise _over_degree(star, "product degree")
+        out = ip.mul(out, rhs)
     return out
 
 
@@ -205,6 +221,10 @@ def _parse_poly_factor(p: _Parser):
                              f"{caret.col}: exponent must be a nonnegative "
                              f"integer literal")
         p.next()
+        if t.value > MAX_POLY_DEGREE:
+            raise _over_degree(t, f"exponent {t.value}")
+        if ip.degree(base) * t.value > MAX_POLY_DEGREE:
+            raise _over_degree(caret, "power degree")
         return ip.power(base, t.value)
     return base
 

@@ -1,18 +1,20 @@
 """Dense univariate integer polynomials and exact real-root machinery.
 
 A polynomial is a tuple of int coefficients from the constant term up, with
-no trailing zeros; the zero polynomial is the empty tuple.  Rational
-arithmetic uses fractions.Fraction throughout, so every answer is exact:
-Sturm sequences count real roots in half-open intervals, bisection against
-those counts isolates the roots, and characteristic polynomials of
-multiplication operators produce defining polynomials of polynomial images
-of algebraic numbers.
+no trailing zeros; the zero polynomial is the empty tuple.  The root
+machinery is integer-only: Sturm sequences, gcds and exact division run on
+primitive pseudo-remainders over Z, and the sign of a polynomial at a
+rational a/b is the sign of the integer b^deg * p(a/b).  Sturm counts in
+half-open intervals with rational endpoints, and bisection against those
+counts, isolate the real roots.  Defining polynomials of polynomial images
+of algebraic numbers are characteristic polynomials of multiplication
+operators, computed over Q with fractions.Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 
 class ZeroPolynomial(Exception):
@@ -108,67 +110,71 @@ def content(p) -> int:
     return g
 
 
+def _shrink(p, sign=1) -> tuple:
+    """p divided by its positive content, times sign (+1 or -1)."""
+    g = content(p) * sign
+    return tuple(c // g for c in p) if p else ()
+
+
 def primitive(p) -> tuple:
     """Primitive part with positive leading coefficient."""
-    if not p:
-        return ()
-    g = content(p)
-    q = tuple(c // g for c in p)
-    return q if q[-1] > 0 else neg(q)
+    return _shrink(p, -1 if p and p[-1] < 0 else 1)
 
 
-def _frac(p):
-    return tuple(Fraction(c) for c in p)
+def _prem(a, b) -> tuple:
+    """A positive integer multiple of the remainder of a by b over Q.
 
-
-def _frac_divmod(a, b):
-    """Polynomial division over Q."""
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] * inv
-        k = len(a) - len(b)
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        a.pop()
-    return tuple(q), normalize(a)
+    Each step scales the running remainder by |lc(b)| / g and subtracts
+    sign(lc(b)) * (leading coefficient / g) times a shift of b, where g is
+    the gcd of the two leading coefficients; no scale factor is negative.
+    """
+    r = list(a)
+    lb, nb = b[-1], len(b) - 1
+    while len(r) > nb:
+        c = r[-1]
+        g = int_gcd(c, lb)
+        s = abs(lb) // g
+        f = c // g if lb > 0 else -c // g
+        if s != 1:
+            r = [s * x for x in r]
+        k = len(r) - 1 - nb
+        for i in range(nb):
+            r[k + i] -= f * b[i]
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
 
 
 def gcd(p, q) -> tuple:
-    """Primitive gcd with positive leading coefficient."""
-    a, b = _frac(p), _frac(q)
+    """Primitive gcd with positive leading coefficient, by a primitive
+    pseudo-remainder sequence."""
+    a, b = primitive(p), primitive(q)
     while b:
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    lcm_den = 1
-    for c in a:
-        lcm_den = lcm_den * c.denominator // int_gcd(lcm_den, c.denominator)
-    return primitive(tuple(int(c * lcm_den) for c in a))
+        a, b = b, primitive(_prem(a, b))
+    return a
 
 
 def divexact(p, q) -> tuple:
-    """p / q when q divides p over Q, integer-primitive result assumed exact."""
-    quo, rem = _frac_divmod(_frac(p), _frac(q))
-    if rem:
+    """p / q by integer long division, for q dividing p with an integral
+    quotient (by Gauss's lemma, any primitive q dividing p over Q)."""
+    r = list(p)
+    lq, nq = q[-1], len(q) - 1
+    quo = [0] * max(len(r) - nq, 0)
+    while len(r) > nq:
+        f, m = divmod(r[-1], lq)
+        if m:
+            raise ValueError("quotient is not integral")
+        k = len(r) - 1 - nq
+        quo[k] = f
+        for i in range(nq):
+            r[k + i] -= f * q[i]
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    if r:
         raise ValueError("division is not exact")
-    den = 1
-    for c in quo:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    return normalize([int(c * den) for c in quo]) if den == 1 else _int_or_fail(quo)
-
-
-def _int_or_fail(quo):
-    if any(c.denominator != 1 for c in quo):
-        raise ValueError("quotient is not integral")
-    return normalize([int(c) for c in quo])
+    return normalize(quo)
 
 
 def squarefree(p) -> tuple:
@@ -188,17 +194,35 @@ def squarefree(p) -> tuple:
 
 
 def sturm_sequence(p):
-    """Signed-remainder sequence of a squarefree polynomial, over Q."""
-    seq = [_frac(p)]
-    d = _frac(deriv(p))
+    """Sturm sequence of a squarefree polynomial over Z.
+
+    The terms are p and p' divided by their contents, then the negated
+    pseudo-remainders made primitive.  Each term is a positive rational
+    multiple of the corresponding term of the signed-remainder sequence
+    over Q, so every sign and every variation count is the same.
+    """
+    seq = [_shrink(p)]
+    d = deriv(p)
     if d:
-        seq.append(d)
+        seq.append(_shrink(d))
         while True:
-            _, r = _frac_divmod(seq[-2], seq[-1])
+            r = _prem(seq[-2], seq[-1])
             if not r:
                 break
-            seq.append(tuple(-c for c in r))
+            seq.append(_shrink(r, -1))
     return seq
+
+
+def sign_at_rational(p, x) -> int:
+    """The sign of p at a rational x = a/b: the sign of b^deg * p(a/b),
+    computed by homogeneous integer Horner; x may be int or Fraction."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    bk = 1
+    for c in reversed(p):
+        acc = acc * a + c * bk
+        bk *= b
+    return _sign(acc)
 
 
 def _sign(x) -> int:
@@ -211,7 +235,7 @@ def _variations(signs) -> int:
 
 
 def variations_at(seq, x) -> int:
-    return _variations([_sign(evaluate(q, x)) for q in seq])
+    return _variations([sign_at_rational(q, x) for q in seq])
 
 
 def variations_at_neg_inf(seq) -> int:
@@ -268,12 +292,12 @@ def isolate_real_roots(p):
             out.append(("interval", lo, hi))
             return
         mid = (lo + hi) / 2
-        if evaluate(sf, mid) == 0:
+        if sign_at_rational(sf, mid) == 0:
             out.append(("rational", mid))
             # shrink around mid until the point is isolated away
             eps = (hi - lo) / 4
-            while count(mid - eps, mid + eps) != 1 or evaluate(sf, mid - eps) == 0 \
-                    or evaluate(sf, mid + eps) == 0:
+            while count(mid - eps, mid + eps) != 1 or sign_at_rational(sf, mid - eps) == 0 \
+                    or sign_at_rational(sf, mid + eps) == 0:
                 eps /= 2
             refine(lo, mid - eps, count(lo, mid - eps))
             refine(mid + eps, hi, count(mid + eps, hi))
@@ -282,9 +306,9 @@ def isolate_real_roots(p):
             refine(mid, hi, count(mid, hi))
 
     lo, hi = -bound, bound
-    while evaluate(sf, lo) == 0:
+    while sign_at_rational(sf, lo) == 0:
         lo -= 1
-    while evaluate(sf, hi) == 0:
+    while sign_at_rational(sf, hi) == 0:
         hi += 1
     refine(lo, hi, count(lo, hi))
     out.sort(key=lambda e: e[1])
@@ -363,12 +387,22 @@ def image_defining_poly(a_poly, p) -> tuple:
 
 
 def eval_interval(p, lo: Fraction, hi: Fraction):
-    """Rational bounds [m, M] enclosing p([lo, hi]) by interval Horner."""
-    m, M = Fraction(0), Fraction(0)
+    """Rational bounds [m, M] enclosing p([lo, hi]) by interval Horner.
+
+    With lo = a/d and hi = b/d over a common denominator d, the bounds after
+    k coefficients are kept multiplied by d^(k-1), so every step is integer.
+    """
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    m = M = 0
+    dk = 1
     for c in reversed(p):
-        cands = (m * lo, m * hi, M * lo, M * hi)
-        m, M = min(cands) + c, max(cands) + c
-    return m, M
+        cands = (m * a, m * b, M * a, M * b)
+        m, M = min(cands) + c * dk, max(cands) + c * dk
+        dk *= d
+    den = d ** max(len(p) - 1, 0)
+    return Fraction(m, den), Fraction(M, den)
 
 
 # ---------------------------------------------------------------------------

@@ -635,16 +635,19 @@ def _rank_and_factors(R: ScalarRing, sparse_rows: list) -> tuple:
     return len(diag), tuple(x for x in d if x != 1)
 
 
-def _composes_to_zero(R: ScalarRing, a_rows: list, b_rows: list) -> bool:
-    """Whether a @ b is the zero matrix over R, given sparse rows of a and b."""
-    for row in a_rows:
+def _sparse_product(R: ScalarRing, a_rows: list, b_rows: list) -> dict:
+    """a @ b over R from sparse rows of a and b, as row index -> dict
+    column -> nonzero entry, with zero rows left out."""
+    out = {}
+    for i, row in enumerate(a_rows):
         acc = {}
         for k, x in row.items():
             for j, y in b_rows[k].items():
                 acc[j] = acc.get(j, 0) + x * y
-        if any(R.normalize(v) for v in acc.values()):
-            return False
-    return True
+        acc = {j: w for j, v in acc.items() if (w := R.normalize(v))}
+        if acc:
+            out[i] = acc
+    return out
 
 
 def rank(m: Matrix) -> int:
@@ -748,7 +751,7 @@ class FreeChainComplex:
                                  f"expected {self.rank(n + 1)}x{self.rank(n)}")
         sparse = {n: _sparse_rows(d) for n, d in self.diffs.items()}
         for n, rows in sparse.items():
-            if n + 1 in sparse and not _composes_to_zero(self.ring, sparse[n + 1], rows):
+            if n + 1 in sparse and _sparse_product(self.ring, sparse[n + 1], rows):
                 raise ValueError(f"d_{n + 1} . d_{n} != 0")
 
     @classmethod
@@ -844,10 +847,16 @@ class ChainMap:
         for n, m in self.mats.items():
             if m.cols != self.source.rank(n) or m.rows != self.target.rank(n):
                 raise ValueError(f"component {n} has wrong shape")
+        f, d_src, d_tgt = ({n: _sparse_rows(m) for n, m in mats.items()}
+                           for mats in (self.mats, self.source.diffs, self.target.diffs))
+
+        def product(a, b):
+            """a @ b in sparse form; a missing factor is a zero matrix."""
+            return {} if a is None or b is None else _sparse_product(self.source.ring, a, b)
         degs = set(self.source.ranks) | set(self.target.ranks)
         for n in degs:
-            lhs = self.target.diff(n) @ self.component(n)
-            rhs = self.component(n + 1) @ self.source.diff(n)
+            lhs = product(d_tgt.get(n), f.get(n))
+            rhs = product(f.get(n + 1), d_src.get(n))
             if lhs != rhs:
                 raise ValueError(f"does not commute with d in degree {n}")
 
@@ -909,7 +918,7 @@ def homology(c: FreeChainComplex) -> dict:
     """
     sparse = {n: _sparse_rows(d) for n, d in c.diffs.items()}
     for n, rows in sparse.items():
-        if n + 1 in sparse and not _composes_to_zero(c.ring, sparse[n + 1], rows):
+        if n + 1 in sparse and _sparse_product(c.ring, sparse[n + 1], rows):
             raise LinalgError("image does not lie in the kernel; d^2 != 0?")
     invariants = {n: _rank_and_factors(c.ring, rows) for n, rows in sparse.items()}
     out = {}

@@ -12,7 +12,10 @@ can distinguish.
 Everything is exact: algebraic numbers are squarefree integer polynomials
 with isolating rational intervals, signs are decided by Sturm counts and
 gcds, and images under polynomial maps come from characteristic
-polynomials of multiplication operators.
+polynomials of multiplication operators.  Fibers need no such image
+polynomial: a root tau of b.poly(p(t)) maps to b exactly when an interval
+enclosure of p(tau), shrunk by refining tau, lands inside b's isolating
+interval rather than outside it.
 """
 
 from __future__ import annotations
@@ -43,13 +46,12 @@ class AlgNumber:
     """A real algebraic number: squarefree defining polynomial plus an
     isolating open rational interval with non-root endpoints."""
 
-    __slots__ = ("poly", "lo", "hi", "_sturm")
+    __slots__ = ("poly", "lo", "hi")
 
     def __init__(self, poly, lo, hi, check=True):
         self.poly = tuple(poly)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self._sturm = None
         if check:
             if ip.degree(self.poly) < 1:
                 raise SperError("defining polynomial must be nonconstant")
@@ -57,15 +59,12 @@ class AlgNumber:
                 raise SperError("defining polynomial is not squarefree")
             if not self.lo < self.hi:
                 raise SperError("empty isolating interval")
-            if ip.evaluate(self.poly, self.lo) == 0 or ip.evaluate(self.poly, self.hi) == 0:
+            if (ip.sign_at_rational(self.poly, self.lo) == 0
+                    or ip.sign_at_rational(self.poly, self.hi) == 0):
                 raise SperError("interval endpoints must not be roots")
-            if ip.count_roots_halfopen(self.sturm(), self.lo, self.hi) != 1:
+            seq = ip.sturm_sequence(self.poly)
+            if ip.count_roots_halfopen(seq, self.lo, self.hi) != 1:
                 raise SperError("interval does not isolate exactly one root")
-
-    def sturm(self):
-        if self._sturm is None:
-            self._sturm = ip.sturm_sequence(self.poly)
-        return self._sturm
 
     @classmethod
     def from_rational(cls, r) -> "AlgNumber":
@@ -82,13 +81,19 @@ class AlgNumber:
         return Fraction(-self.poly[0], self.poly[1])
 
     def refined(self) -> "AlgNumber":
-        """Halve the isolating interval (exact rational detection included)."""
+        """Halve the isolating interval (exact rational detection included).
+
+        The root is simple and the only one in the interval, so the
+        polynomial changes sign across it and nowhere else in the interval:
+        the half whose endpoints differ in sign keeps it.
+        """
         mid = (self.lo + self.hi) / 2
-        if ip.evaluate(self.poly, mid) == 0:
+        s = ip.sign_at_rational(self.poly, mid)
+        if s == 0:
             poly = ip.primitive((-mid.numerator, mid.denominator))
             return AlgNumber(poly, (self.lo + mid) / 2, (mid + self.hi) / 2,
                              check=False)
-        if ip.count_roots_halfopen(self.sturm(), self.lo, mid) == 1:
+        if s != ip.sign_at_rational(self.poly, self.lo):
             return AlgNumber(self.poly, self.lo, mid, check=False)
         return AlgNumber(self.poly, mid, self.hi, check=False)
 
@@ -99,7 +104,7 @@ class AlgNumber:
             if self.is_rational():
                 v = self.as_rational()
                 return (v > r) - (v < r)
-            if self.lo < r < self.hi and ip.evaluate(self.poly, r) == 0:
+            if self.lo < r < self.hi and ip.sign_at_rational(self.poly, r) == 0:
                 return 0
             me = self
             while me.lo < r < me.hi:
@@ -250,7 +255,7 @@ def sign_at(f, x: SperPoint) -> int:
         return _sign_of_fraction(ip.lead(f)) * (-1 if ip.degree(f) % 2 else 1)
     a = x.center
     if a.is_rational() and x.kind == "alg":
-        return _sign_of_fraction(ip.evaluate(f, a.as_rational()))
+        return ip.sign_at_rational(f, a.as_rational())
     vanishes = _vanishes_at(f, a)
     if x.kind == "alg" and vanishes:
         return 0
@@ -263,12 +268,13 @@ def sign_at(f, x: SperPoint) -> int:
         if ip.count_roots_halfopen(seq, a.lo, a.hi) == want:
             if x.kind in ("alg", "cut+"):
                 # no roots of f in (alpha, hi], so the sign at hi rules
-                return _sign_of_fraction(ip.evaluate(f, a.hi))
-            if ip.evaluate(sf, a.lo) != 0:
-                return _sign_of_fraction(ip.evaluate(f, a.lo))
+                return ip.sign_at_rational(f, a.hi)
+            s = ip.sign_at_rational(f, a.lo)
+            if s != 0:
+                return s
         a = a.refined()
         if a.is_rational() and x.kind == "alg":
-            return _sign_of_fraction(ip.evaluate(f, a.as_rational()))
+            return ip.sign_at_rational(f, a.as_rational())
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +586,7 @@ def cell_samples(roots):
 def _sign_at_sample(f, sample) -> int:
     if isinstance(sample, AlgNumber):
         return sign_at(f, SperPoint.alg(sample))
-    return _sign_of_fraction(ip.evaluate(f, sample))
+    return ip.sign_at_rational(f, sample)
 
 
 def from_formula(phi) -> SperConstructible:
@@ -743,13 +749,13 @@ def _push_alg(p: PolyMap, a: AlgNumber) -> AlgNumber:
             return AlgNumber.from_rational(ip.evaluate(p.poly, a.as_rational()))
         lo, hi = ip.eval_interval(p.poly, a.lo, a.hi)
         for endpoint in (lo, hi):
-            if ip.evaluate(q, endpoint) == 0:
+            if ip.sign_at_rational(q, endpoint) == 0:
                 # is the image exactly this rational?
                 h = ip.sub(ip.scale(p.poly, endpoint.denominator),
                            ip.constant(endpoint.numerator))
                 if _vanishes_at(h, a):
                     return AlgNumber.from_rational(endpoint)
-        if (ip.evaluate(q, lo) != 0 and ip.evaluate(q, hi) != 0
+        if (ip.sign_at_rational(q, lo) != 0 and ip.sign_at_rational(q, hi) != 0
                 and ip.count_roots_halfopen(seq, lo, hi) == 1):
             return AlgNumber(q, lo, hi, check=False)
         a = a.refined()
@@ -793,12 +799,26 @@ def _fiber(p: PolyMap, b) -> list:
         b = Fraction(b)
         h = ip.sub(ip.scale(p.poly, b.denominator), ip.constant(b.numerator))
         return real_roots(h)
-    comp = ip.compose(b.poly, p.poly)
-    out = []
-    for tau in real_roots(comp):
-        if _push_alg(p, tau).compare(b) == 0:
-            out.append(tau)
-    return out
+    return [tau for tau in real_roots(ip.compose(b.poly, p.poly))
+            if _lands_on(p, tau, b)]
+
+
+def _lands_on(p: PolyMap, tau: AlgNumber, b: AlgNumber) -> bool:
+    """Whether p(tau) = b, given that b.poly vanishes at p(tau).
+
+    b is the only root of b.poly in its isolating interval and the endpoints
+    are not roots, so p(tau) = b exactly when p(tau) lies in that interval.
+    tau is refined until an interval enclosure of p(tau) falls inside or
+    outside it.
+    """
+    while not tau.is_rational():
+        m, M = ip.eval_interval(p.poly, tau.lo, tau.hi)
+        if b.lo <= m and M <= b.hi:
+            return True
+        if M <= b.lo or b.hi <= m:
+            return False
+        tau = tau.refined()
+    return b.lo < ip.evaluate(p.poly, tau.as_rational()) < b.hi
 
 
 def refine_cells(cells: CellPoset, extra_roots) -> CellPoset:

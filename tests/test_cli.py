@@ -84,6 +84,36 @@ class TestNestingBudget:
         parse_formula("(!" * 30 + "(" * 40 + "t" + ")" * 40 + " > 0" + ")" * 30)
 
 
+class TestDegreeBudget:
+    def answer(self, argv):
+        start = time.perf_counter()
+        out = run(argv)
+        assert time.perf_counter() - start < 1
+        return out
+
+    def test_polynomial(self):
+        assert self.answer(["sper-roots", "--poly", "t^100000000 - 2"]) == (
+            "error: syntax error at line 1, column 3: exponent 100000000 above "
+            "the degree budget of 1000", 1)
+        assert self.answer(["sper-roots", "--poly", "2^100000000*t - 1"]) == (
+            "error: syntax error at line 1, column 3: exponent 100000000 above "
+            "the degree budget of 1000", 1)
+        with pytest.raises(ParseError, match="column 8: power degree above"):
+            parse_poly("(t^2+1)^501")
+        with pytest.raises(ParseError, match="line 2, column 2: product degree above"):
+            parse_poly("t^600\n * t^401")
+        assert ip.degree(parse_poly("t^600 * t^400 + (t^2 + 1)^500")) == 1000
+        assert parse_poly("2^1000") == (2 ** 1000,)
+
+    def test_formula(self):
+        assert self.answer(["sper-set", "--formula", "t > 0 & t^100000000 - 2 < 0"]) == (
+            "error: syntax error at line 1, column 11: exponent 100000000 above "
+            "the degree budget of 1000", 1)
+        with pytest.raises(ParseError, match="column 14: power degree above"):
+            parse_formula("t > 0 | (t^3)^334 > 0")
+        parse_formula("t > 0 | (t^3)^333 > 0")
+
+
 class TestParseSpace:
     def test_round_trip_random(self):
         rng = Random(61)

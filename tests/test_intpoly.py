@@ -1,0 +1,181 @@
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+import sheafkit.intpoly as ip
+
+
+def reference_sturm(p):
+    """Signed-remainder Sturm sequence over Q: p, p', then the negated
+    remainders of polynomial division with Fraction coefficients."""
+    seq = [tuple(Fraction(c) for c in p)]
+    d = ip.deriv(p)
+    if d:
+        seq.append(tuple(Fraction(c) for c in d))
+        while True:
+            a, b = list(seq[-2]), seq[-1]
+            while len(a) >= len(b):
+                f = a[-1] / b[-1]
+                k = len(a) - len(b)
+                for i, c in enumerate(b):
+                    a[k + i] -= f * c
+                a.pop()
+                while a and a[-1] == 0:
+                    a.pop()
+            if not a:
+                break
+            seq.append(tuple(-c for c in a))
+    return seq
+
+
+def random_poly(rng: Random, degree: int, bound: int = 20) -> tuple:
+    """A random integer polynomial of the given degree; about half of them
+    are products of small factors, some squared, so rational roots and
+    repeated factors occur."""
+    if degree > 1 and rng.random() < 0.5:
+        p = (1,)
+        while ip.degree(p) < degree:
+            room = degree - ip.degree(p)
+            k = rng.randint(1, min(3, room))
+            f = random_poly(rng, k, 6)
+            if 2 * k <= room and rng.random() < 0.3:
+                f = ip.mul(f, f)
+            p = ip.mul(p, f)
+        return p
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree)]
+    return tuple(coeffs) + (rng.choice([-1, 1]) * rng.randint(1, bound),)
+
+
+def squarefree_polys(seed: int, count: int) -> list:
+    """Seeded squarefree polynomials of degree 1-12."""
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        sf = ip.squarefree(random_poly(rng, rng.randint(1, 12)))
+        if 1 <= ip.degree(sf) <= 12:
+            out.append(sf if rng.random() < 0.5 else ip.scale(sf, rng.choice([-3, -1, 2])))
+    return out
+
+
+def random_rational(rng: Random) -> Fraction:
+    return Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3, 4, 7, 8, 64, 1024]))
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def is_positive_multiple(p, q) -> bool:
+    """Whether p = c * q for a rational c > 0."""
+    return (len(p) == len(q) and sign(p[-1]) == sign(q[-1])
+            and all(a * q[-1] == b * p[-1] for a, b in zip(p, q)))
+
+
+def to_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    return sympy.Poly(list(reversed(p)), t, domain="ZZ")
+
+
+def from_sympy(poly) -> tuple:
+    return ip.normalize(int(c) for c in reversed(poly.all_coeffs()))
+
+
+class TestSturmSequence:
+    def test_terms_are_positive_multiples_of_the_reference(self):
+        for p in squarefree_polys(1, 300):
+            seq, ref = ip.sturm_sequence(p), reference_sturm(p)
+            assert len(seq) == len(ref)
+            for a, b in zip(seq, ref):
+                assert all(isinstance(c, int) for c in a)
+                assert is_positive_multiple(a, b)
+
+    def test_counts_roots_between_rationals(self):
+        rng = Random(2)
+        for p in squarefree_polys(2, 60):
+            seq = ip.sturm_sequence(p)
+            lo, hi = sorted((random_rational(rng), random_rational(rng)))
+            ref = reference_sturm(p)
+            assert ip.count_roots_halfopen(seq, lo, hi) == ip.count_roots_halfopen(ref, lo, hi)
+            assert ip.count_real_roots(seq) == ip.count_real_roots(ref)
+
+
+class TestSignAtRational:
+    def test_matches_fraction_evaluation(self):
+        rng = Random(3)
+        for p in squarefree_polys(3, 300):
+            for _ in range(20):
+                x = random_rational(rng)
+                assert ip.sign_at_rational(p, x) == sign(ip.evaluate(p, x))
+                n = x.numerator
+                assert ip.sign_at_rational(p, n) == sign(ip.evaluate(p, n))
+
+    def test_zero_polynomial_and_roots(self):
+        assert ip.sign_at_rational((), Fraction(1, 3)) == 0
+        assert ip.sign_at_rational((-1, 3), Fraction(1, 3)) == 0
+        assert ip.sign_at_rational((1, 0, -4), Fraction(-1, 2)) == 0
+        assert ip.sign_at_rational((-5,), Fraction(7, 2)) == -1
+
+
+class TestExactDivision:
+    def test_integral_quotients(self):
+        rng = Random(4)
+        for _ in range(300):
+            a = random_poly(rng, rng.randint(0, 6))
+            b = ip.primitive(random_poly(rng, rng.randint(0, 6)))
+            assert ip.divexact(ip.mul(a, b), b) == a
+
+    def test_inexact_and_non_integral_division_fail(self):
+        with pytest.raises(ValueError, match="not exact"):
+            ip.divexact((1, 0, 1), (1, 1))
+        with pytest.raises(ValueError, match="not integral"):
+            ip.divexact((1, 1), (1, 2))
+
+
+class TestAgainstSympy:
+    def test_gcd_and_squarefree_part(self):
+        rng = Random(5)
+        for _ in range(300):
+            g = random_poly(rng, rng.randint(0, 4))
+            p = ip.mul(g, random_poly(rng, rng.randint(0, 5)))
+            q = ip.mul(g, random_poly(rng, rng.randint(0, 5)))
+            sp, sq = to_sympy(p), to_sympy(q)
+            assert ip.gcd(p, q) == ip.primitive(from_sympy(sp.gcd(sq)))
+            if ip.degree(p) >= 1:
+                assert ip.squarefree(p) == ip.primitive(from_sympy(sp.sqf_part()))
+
+    def test_isolation_matches_poly_intervals(self):
+        rng = Random(6)
+        for _ in range(300):
+            p = random_poly(rng, rng.randint(1, 12))
+            sp = to_sympy(p).sqf_part()
+            entries = ip.isolate_real_roots(p)
+            roots = sp.intervals()
+            assert len(entries) == len(roots)
+            for (a, b), _ in roots:
+                a, b = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+                hits = sum(_contains(sp, e, a, b) for e in entries)
+                assert hits == 1
+
+
+def _contains(sp, entry, a, b) -> bool:
+    """Whether the root of the squarefree sp isolated by sympy in [a, b] is
+    the reported rational, or lies in the reported open interval (whose
+    endpoints are not roots), refining sympy's interval until that is
+    decided."""
+    if entry[0] == "rational":
+        # sympy reports a rational root it meets as [r, r]; a root on the
+        # boundary of a wider interval is not the one that interval isolates
+        r = entry[1]
+        return (a == b == r or a < r < b) and ip.evaluate(from_sympy(sp), r) == 0
+    lo, hi = entry[1], entry[2]
+    while True:
+        if lo < a and b < hi:
+            return True
+        if b <= lo or hi <= a:
+            return False
+        if a == b:
+            return lo < a < hi
+        s, t = sp.refine_root(a, b, steps=1)
+        a, b = Fraction(int(s.p), int(s.q)), Fraction(int(t.p), int(t.q))

@@ -426,6 +426,53 @@ class TestConeExactness:
         assert inc.source == c and proj.target == c.shift(1)
 
 
+class TestChainMapValidate:
+    def test_non_commuting_map_is_rejected(self):
+        c = two_term(ZZ, 2)  # degrees -1, 0
+        with pytest.raises(ValueError, match=r"^does not commute with d in degree -1$"):
+            ChainMap(c, c, {-1: Matrix(ZZ, [[1]]), 0: Matrix(ZZ, [[3]])})
+        with pytest.raises(ValueError, match=r"^does not commute with d in degree -1$"):
+            ChainMap(c, c, {0: Matrix(ZZ, [[1]])})
+        ChainMap(c, c, {-1: Matrix(ZZ, [[3]]), 0: Matrix(ZZ, [[3]])})
+        f3 = two_term(GF(3), 2)
+        ChainMap(f3, f3, {-1: Matrix(GF(3), [[1]]), 0: Matrix(GF(3), [[4]])})
+        with pytest.raises(ValueError, match="does not commute"):
+            ChainMap(f3, f3, {-1: Matrix(GF(3), [[1]]), 0: Matrix(GF(3), [[2]])})
+
+    def test_wrong_shape_is_rejected(self):
+        c = two_term(ZZ, 2)
+        with pytest.raises(ValueError, match=r"^component 0 has wrong shape$"):
+            ChainMap(c, c, {0: Matrix(ZZ, [[1, 0]])})
+
+    def test_agrees_with_dense_products(self):
+        """Perturbed identities on derived sections of random sheaves are
+        accepted exactly when the dense products commute."""
+        rng = Random(23)
+        rejected = 0
+        for _ in range(150):
+            ring = rng.choice([ZZ, QQ, GF(2), GF(3)])
+            k = random_sheaf(rng, random_poset(rng, 5), ring, max_pieces=2)
+            c = rgamma(k)
+            if not c.ranks:
+                continue
+            mats = {n: Matrix.identity(ring, r) for n, r in c.ranks.items()}
+            n = rng.choice(sorted(c.ranks))
+            rows = [list(row) for row in mats[n].entries]
+            rows[rng.randrange(len(rows))][rng.randrange(len(rows))] = rng.randint(-2, 2)
+            mats[n] = Matrix(ring, rows)
+            commutes = all(c.diff(d) @ mats.get(d, Matrix.zeros(ring, c.rank(d), c.rank(d)))
+                           == mats.get(d + 1, Matrix.zeros(ring, c.rank(d + 1), c.rank(d + 1)))
+                           @ c.diff(d)
+                           for d in c.ranks)
+            if commutes:
+                ChainMap(c, c, mats)
+            else:
+                rejected += 1
+                with pytest.raises(ValueError, match="does not commute"):
+                    ChainMap(c, c, mats)
+        assert rejected >= 20
+
+
 class TestHomComplex:
     def test_dual_of_two_term(self):
         c = two_term(ZZ, 2, 0)  # degrees 0, 1

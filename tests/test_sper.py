@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -11,7 +12,7 @@ from sheafkit.sper import (
     SperConstructible, SperPoint, cell_poset, closure, defining_formula,
     from_formula, interior, is_closed_set, locate_cell, preimage_set,
     pull_cons, push_cons, push_point, real_roots, refine_cells, set_algebra,
-    sign_at, transfer_cons,
+    sign_at, transfer_cons, cell_samples, _fiber, _push_alg,
 )
 from sheafkit.intpoly import ZeroPolynomial
 from sheafkit.sheaf import constant_sheaf, rgamma
@@ -329,6 +330,50 @@ class TestPushCons:
                 rv = (pushed(down.point_at(locate_cell(down.roots, probe)))
                       * psi(down.point_at(locate_cell(down.roots, probe))))
                 assert lv == rv
+
+
+class TestFiber:
+    def test_matches_image_polynomial_filter(self):
+        """Fibers over irrational b found by interval refinement equal the
+        roots of b.poly(p(t)) whose image, built from an image polynomial,
+        compares equal to b."""
+        rng = Random(71)
+        kept = dropped = 0
+        for _ in range(200):
+            # b is a root of t^2 - k with k not a square, so irrational
+            k = rng.choice((2, 3, 5, 6, 7))
+            q = (-k, 0, 1)
+            if rng.random() < 0.3:
+                q = ip.mul(q, (rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])))
+            b = rng.choice([b for b in real_roots(q)
+                            if sign_at((-k, 0, 1), SperPoint.alg(b)) == 0])
+            # composites of degree at most 6 keep the image polynomials cheap
+            top = 3 if ip.degree(q) == 2 else 1
+            p = PolyMap([rng.randint(-3, 3) for _ in range(rng.randint(1, top))]
+                        + [rng.choice([-2, -1, 1, 2])])
+            candidates = real_roots(ip.compose(b.poly, p.poly))
+            expected = [tau for tau in candidates if _push_alg(p, tau).compare(b) == 0]
+            assert [str(tau) for tau in _fiber(p, b)] == [str(tau) for tau in expected]
+            kept += len(expected)
+            dropped += len(candidates) - len(expected)
+        assert kept >= 200 and dropped >= 200
+
+    def test_degree_five_map_with_four_critical_points(self):
+        p = PolyMap((1, 4, 0, -5, 0, 1))  # p' = 5t^4 - 15t^2 + 4
+        assert len(real_roots(ip.deriv(p.poly))) == 4
+        cp = cell_poset(from_formula(Atom(T2M2, "<")))
+        start = time.perf_counter()
+        out, oc = push_cons(p, const_phi(cp), cp)
+        assert time.perf_counter() - start < 2
+        assert [out(oc.point_at(i)) for i in range(len(oc.cells))] == \
+            [1, 2, 3, 3, 3, 4, 5, 4, 3, 3, 3, 2, 1]
+        # independent oracle: the number of real roots of p(t) - c at the
+        # rational sample c of every interval cell
+        _, samples = cell_samples(list(oc.roots))
+        for pos in range(0, len(samples), 2):
+            c = samples[pos]
+            h = ip.sub(ip.scale(p.poly, c.denominator), (c.numerator,))
+            assert out(oc.point_at(pos)) == len(real_roots(h))
 
 
 def _probes(cells_a, cells_b):
