@@ -27,7 +27,7 @@ from .k0 import (
 )
 from .sper import (
     AlgNumber, SperPoint, SperConstructible, PolyMap, CellPoset,
-    real_roots, sign_at, from_formula, set_algebra, closure, interior,
+    real_roots, sign_at, from_formula, closure, interior,
     cell_poset, push_point, preimage_set, push_cons, pull_cons,
     refine_cells, transfer_cons,
 )

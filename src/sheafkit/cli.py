@@ -12,6 +12,10 @@ Text formats:
   exponent literal above it, a power whose degree would exceed it, or a
   product whose degree would exceed it is a syntax error, found before the
   power or product is computed;
+* both keep coefficients within MAX_COEFF_BITS = 10000 bits: an integer
+  literal longer than that, or a power or product whose coefficients could
+  exceed it (bounded by the 1-norms of its factors), is a syntax error,
+  found before the power or product is computed;
 * spaces: "space NAME" / "points: a b c" / "covers: a<b b<c";
 * sheaves: "ring Z|Q|F p" / "space NAME" / per point
   "stalk x: deg d rank r; d_d = [[..],[..]]" / per cover
@@ -101,7 +105,15 @@ def _tokenize(text, formula=False):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            toks.append(_Token("num", int(text[i:j]), *start))
+            # past MAX_COEFF_BITS // 3 significant digits a literal is over the
+            # budget, so int() is never asked for more digits than that
+            digits = text[i:j].lstrip("0") or "0"
+            if (len(digits) > MAX_COEFF_BITS // 3
+                    or (value := int(digits)).bit_length() > MAX_COEFF_BITS):
+                raise ParseError(f"syntax error at line {line}, column {col}: integer "
+                                 f"literal above the coefficient budget of "
+                                 f"{MAX_COEFF_BITS} bits")
+            toks.append(_Token("num", value, *start))
             col += j - i
             i = j
             continue
@@ -145,6 +157,13 @@ MAX_NESTING = 100
 # Degree budget of parsed polynomials, checked before a power or product is
 # computed, so that a large exponent is a ParseError rather than a hang.
 MAX_POLY_DEGREE = 1000
+
+# Coefficient budget of parsed polynomials in bits, checked on integer
+# literals and, before a power or product is computed, on a bound of its
+# coefficients, so that a huge constant is a ParseError rather than a long
+# computation.  It must stay below 3 * 4300, Python's default digit limit of
+# int(str).
+MAX_COEFF_BITS = 10000
 
 
 class _Parser:
@@ -200,6 +219,17 @@ def _over_degree(t: _Token, what: str):
                       f"{what} above the degree budget of {MAX_POLY_DEGREE}")
 
 
+def _norm_bits(p) -> int:
+    """Bit length of the 1-norm of p, which bounds every coefficient of p and
+    is submultiplicative."""
+    return sum(map(abs, p)).bit_length()
+
+
+def _over_coeffs(t: _Token, what: str):
+    return ParseError(f"syntax error at line {t.line}, column {t.col}: {what} "
+                      f"coefficients above the coefficient budget of {MAX_COEFF_BITS} bits")
+
+
 def _parse_poly_term(p: _Parser):
     out = _parse_poly_factor(p)
     while p.peek().kind == "*":
@@ -207,6 +237,8 @@ def _parse_poly_term(p: _Parser):
         rhs = _parse_poly_factor(p)
         if ip.degree(out) + ip.degree(rhs) > MAX_POLY_DEGREE:
             raise _over_degree(star, "product degree")
+        if _norm_bits(out) + _norm_bits(rhs) > MAX_COEFF_BITS:
+            raise _over_coeffs(star, "product")
         out = ip.mul(out, rhs)
     return out
 
@@ -225,6 +257,8 @@ def _parse_poly_factor(p: _Parser):
             raise _over_degree(t, f"exponent {t.value}")
         if ip.degree(base) * t.value > MAX_POLY_DEGREE:
             raise _over_degree(caret, "power degree")
+        if _norm_bits(base) * t.value > MAX_COEFF_BITS:
+            raise _over_coeffs(caret, "power")
         return ip.power(base, t.value)
     return base
 

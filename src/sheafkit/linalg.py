@@ -1,17 +1,22 @@
 """Exact linear algebra over Z, Q and F_p.
 
 Scalars are plain ints (Z, residues mod p) or fractions.Fraction (Q); every
-matrix entry is kept as a reduced canonical representative.  Matrices built
-inside the package come from Matrix.from_entries, (i, j, x) triples with
-repeats summed; Matrix(ring, rows) normalizes every entry of dense data.
+matrix entry is kept as a reduced canonical representative.  A Matrix stores
+only its nonzero entries, one dict column -> entry per row: the coboundaries
+of derived sections are almost all zeros.  ``m.row(i)`` and ``m.col(j)``
+yield the nonzero (index, entry) pairs, and ``m.entries`` is a dense view
+for printing and for the transforms below.  Matrices built inside the
+package come from Matrix.from_entries, (i, j, x) triples with repeats
+summed; Matrix(ring, rows) normalizes every entry of dense data.
 
 Questions about invariants only - rank, invariant factors, cokernels and the
 homology of complexes - are answered by one sparse elimination without
-transforms (``_rank_and_factors``): H^n over a PID follows from the ranks of
-d_n and d_{n-1} and the invariant factors of d_{n-1}.  Smith normal form with
-transformation matrices (``snf``) is kept for the callers that need a
-certificate: kernel lattices (``kernel_basis``) and integer linear solving
-(``solve_right``).  Over Q and F_p it degenerates to rank normal form.
+transforms (``_rank_and_factors``) on a copy of the stored rows: H^n over a
+PID follows from the ranks of d_n and d_{n-1} and the invariant factors of
+d_{n-1}.  Smith normal form with transformation matrices (``snf``) works on
+a dense copy and is kept for the callers that need a certificate: kernel
+lattices (``kernel_basis``) and integer linear solving (``solve_right``).
+Over Q and F_p it degenerates to rank normal form.
 
 Complexes are cohomological: the differential d_n raises degree n -> n+1 and
 shifts follow C[k]^n = C^{n+k} with differential (-1)^k d.
@@ -178,25 +183,35 @@ def GF(p: int) -> ScalarRing:
 
 
 class Matrix:
-    """Immutable exact matrix over a ScalarRing.
+    """Immutable exact matrix over a ScalarRing, stored sparse.
 
     Represents a linear map on column vectors: an r x c matrix maps R^c -> R^r.
+    Row i is a dict column -> nonzero entry; row(i) and col(j) yield the
+    nonzero (index, entry) pairs and ``entries`` is the dense grid.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "_data", "_by_col")
 
     def __init__(self, ring: ScalarRing, entries, rows=None, cols=None):
-        self.ring = ring
-        ent = tuple(tuple(ring.normalize(x) for x in row) for row in entries)
+        ent = [[ring.normalize(x) for x in row] for row in entries]
         if rows is None:
             rows = len(ent)
         if cols is None:
             cols = len(ent[0]) if ent else 0
         if len(ent) != rows or any(len(r) != cols for r in ent):
             raise ValueError("ragged or mis-sized entry data")
-        self.rows = rows
-        self.cols = cols
-        self.entries = ent
+        self.ring, self.rows, self.cols = ring, rows, cols
+        self._data = tuple({j: x for j, x in enumerate(r) if x} for r in ent)
+        self._by_col = None
+
+    @classmethod
+    def _of(cls, ring, rows, cols, data):
+        """The matrix whose row dicts are data, taken as they are."""
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols = ring, rows, cols
+        m._data = tuple(data)
+        m._by_col = None
+        return m
 
     @classmethod
     def from_entries(cls, ring, rows, cols, entries):
@@ -206,19 +221,24 @@ class Matrix:
         The one construction path for matrices built inside the package: only
         the given values go through ring.normalize.
         """
-        z = ring.zero()
-        grid = [[z] * cols for _ in range(rows)]
+        data = [{} for _ in range(rows)]
+        norm = ring.normalize
+        cancelled = False
         for i, j, x in entries:
-            row = grid[i]
-            row[j] = ring.normalize(row[j] + x)
-        m = cls.__new__(cls)
-        m.ring, m.rows, m.cols = ring, rows, cols
-        m.entries = tuple(map(tuple, grid))
-        return m
+            if not 0 <= j < cols:
+                raise IndexError(f"column {j} outside a {rows}x{cols} matrix")
+            row = data[i]
+            y = row[j] = norm(row.get(j, 0) + x)
+            if not y:
+                cancelled = True
+        if cancelled:
+            data = [{j: x for j, x in row.items() if x} for row in data]
+        return cls._of(ring, rows, cols, data)
 
     @classmethod
     def zeros(cls, ring, rows, cols):
-        return cls.from_entries(ring, rows, cols, ())
+        # one shared empty row: rows are never mutated once stored
+        return cls._of(ring, rows, cols, ({},) * rows)
 
     @classmethod
     def identity(cls, ring, n):
@@ -227,85 +247,110 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside a {self.rows}x{self.cols} matrix")
+        x = self._data[i].get(j)
+        return self.ring.zero() if x is None else x
+
+    @property
+    def entries(self) -> tuple:
+        """The dense grid: a tuple of row tuples, zeros included."""
+        z = self.ring.zero()
+        out = []
+        for r in self._data:
+            row = [z] * self.cols
+            for j, x in r.items():
+                row[j] = x
+            out.append(tuple(row))
+        return tuple(out)
+
+    def row(self, i):
+        """The (column, entry) pairs of the nonzero entries of row i."""
+        return self._data[i].items()
+
+    def col(self, j):
+        """The (row, entry) pairs of the nonzero entries of column j."""
+        by_col = self._by_col
+        if by_col is None:
+            by_col = [[] for _ in range(self.cols)]
+            for i, r in enumerate(self._data):
+                for jj, x in r.items():
+                    by_col[jj].append((i, x))
+            self._by_col = by_col
+        return by_col[j]
 
     def nonzeros(self, di=0, dj=0):
         """The (i + di, j + dj, x) triples of the nonzero entries x."""
-        for i, row in enumerate(self.entries, di):
-            for j, x in enumerate(row, dj):
-                if x:
-                    yield i, j, x
+        for i, r in enumerate(self._data, di):
+            for j, x in r.items():
+                yield i, j + dj, x
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self._data == other._data)
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.entries))
+        return hash((self.ring, self.rows, self.cols,
+                     tuple(frozenset(r.items()) for r in self._data)))
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, {list(map(list, self.entries))})"
 
     def is_zero(self) -> bool:
-        return all(self.ring.is_zero(x) for row in self.entries for x in row)
+        return not any(self._data)
 
     def __add__(self, other):
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        R = self.ring
-        return Matrix(R, [[R.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)],
-                      self.rows, self.cols)
+        return Matrix.from_entries(self.ring, self.rows, self.cols,
+                                   chain(self.nonzeros(), other.nonzeros()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        R = self.ring
-        return Matrix(R, [[R.neg(a) for a in row] for row in self.entries],
-                      self.rows, self.cols)
+        return self.scale(-1)
 
     def scale(self, c):
-        R = self.ring
-        c = R.normalize(c)
-        return Matrix(R, [[R.mul(c, a) for a in row] for row in self.entries],
-                      self.rows, self.cols)
+        c = self.ring.normalize(c)
+        return Matrix.from_entries(self.ring, self.rows, self.cols,
+                                   ((i, j, c * x) for i, j, x in self.nonzeros()))
 
     def __matmul__(self, other):
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        R = self.ring
-        z = R.zero()
+        norm = self.ring.normalize
+        b = other._data
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(R.normalize(acc))
-            out.append(row)
-        return Matrix(R, out, self.rows, other.cols)
+        for row in self._data:
+            acc = {}
+            for k, x in row.items():
+                for j, y in b[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: w for j, v in acc.items() if (w := norm(v))})
+        return Matrix._of(self.ring, self.rows, other.cols, out)
 
     def transpose(self):
-        return Matrix(self.ring, list(zip(*self.entries)) if self.entries else [],
-                      self.cols, self.rows)
+        return Matrix.from_entries(self.ring, self.cols, self.rows,
+                                   ((j, i, x) for i, j, x in self.nonzeros()))
 
     def hstack(self, other):
         self._check(other)
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Matrix(self.ring,
-                      [list(a) + list(b) for a, b in zip(self.entries, other.entries)],
-                      self.rows, self.cols + other.cols)
+        return Matrix.from_entries(self.ring, self.rows, self.cols + other.cols,
+                                   chain(self.nonzeros(), other.nonzeros(0, self.cols)))
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(self.ring,
-                      [[self.entries[i][j] for j in col_idx] for i in row_idx],
-                      len(row_idx), len(col_idx))
+        at = {}
+        for b, j in enumerate(col_idx):
+            at.setdefault(j, []).append(b)
+        return Matrix.from_entries(self.ring, len(row_idx), len(col_idx),
+                                   ((a, b, x) for a, i in enumerate(row_idx)
+                                    for j, x in self.row(i) for b in at.get(j, ())))
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -320,8 +365,8 @@ def det(m: Matrix):
     if n == 0:
         return m.ring.one()
     R = m.ring
+    a = [list(r) for r in m.entries]
     if R.kind == "Z":
-        a = [list(r) for r in m.entries]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -338,7 +383,6 @@ def det(m: Matrix):
                     a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-    a = [[Fraction(x) if R.kind == "Q" else x for x in row] for row in m.entries]
     d = R.one()
     for k in range(n):
         piv = None
@@ -455,7 +499,7 @@ def _snf_int(m: Matrix):
 def _rank_normal_form(m: Matrix):
     R = m.ring
     rows, cols = m.rows, m.cols
-    a = [[R.normalize(x) for x in row] for row in m.entries]
+    a = [list(r) for r in m.entries]
     u = [[R.one() if i == j else R.zero() for j in range(rows)] for i in range(rows)]
     v = [[R.one() if i == j else R.zero() for j in range(cols)] for i in range(cols)]
     t = 0
@@ -507,9 +551,7 @@ def _rank_normal_form(m: Matrix):
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of ker(m); over Z, a basis of the full kernel lattice."""
     s, u, v = snf(m)
-    zero_cols = [j for j in range(m.cols)
-                 if j >= m.rows or m.ring.is_zero(s[j, j])]
-    return v.submatrix(range(m.cols), zero_cols)
+    return v.submatrix(range(m.cols), [j for j in range(m.cols) if not s.col(j)])
 
 
 def solve_right(a: Matrix, b: Matrix):
@@ -521,35 +563,29 @@ def solve_right(a: Matrix, b: Matrix):
     R = a.ring
     s, u, v = snf(a)
     ub = u @ b
-    rank = sum(1 for i in range(min(a.rows, a.cols)) if not R.is_zero(s[i, i]))
+    rank = sum(1 for _ in s.nonzeros())
     y = []
     for i in range(rank):
         d = s[i, i]
-        for j in range(b.cols):
-            if not R.divides(d, ub[i, j]):
+        for j, x in ub.row(i):
+            if not R.divides(d, x):
                 return None
-            y.append((i, j, R.exact_div(ub[i, j], d)))
-    for i in range(rank, a.rows):
-        for j in range(b.cols):
-            if not R.is_zero(ub[i, j]):
-                return None
+            y.append((i, j, R.exact_div(x, d)))
+    if any(ub.row(i) for i in range(rank, a.rows)):
+        return None
     return v @ Matrix.from_entries(R, a.cols, b.cols, y)
 
 
-def _sparse_rows(m: Matrix) -> list:
-    """Row i of m as a dict column -> nonzero entry."""
-    return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-
-
-def _rank_and_factors(R: ScalarRing, sparse_rows: list) -> tuple:
-    """(rank, invariant factors) of a matrix over R given by its sparse rows,
-    by one elimination without transforms; the rows are consumed.
+def _rank_and_factors(m: Matrix) -> tuple:
+    """(rank, invariant factors) of m by one elimination without transforms,
+    on a copy of its rows.
 
     Over Z the factors are the non-unit invariant factors d_1 | d_2 | ... of
     the matrix, positive; over a field the tuple is empty.
     """
+    R = m.ring
     mod = R.p if R.kind == "Fp" else None
-    rows = {i: r for i, r in enumerate(sparse_rows) if r}
+    rows = {i: dict(r) for i, r in enumerate(m._data) if r}
     cols = {}
     for i, r in rows.items():
         for j in r:
@@ -635,23 +671,8 @@ def _rank_and_factors(R: ScalarRing, sparse_rows: list) -> tuple:
     return len(diag), tuple(x for x in d if x != 1)
 
 
-def _sparse_product(R: ScalarRing, a_rows: list, b_rows: list) -> dict:
-    """a @ b over R from sparse rows of a and b, as row index -> dict
-    column -> nonzero entry, with zero rows left out."""
-    out = {}
-    for i, row in enumerate(a_rows):
-        acc = {}
-        for k, x in row.items():
-            for j, y in b_rows[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        acc = {j: w for j, v in acc.items() if (w := R.normalize(v))}
-        if acc:
-            out[i] = acc
-    return out
-
-
 def rank(m: Matrix) -> int:
-    return _rank_and_factors(m.ring, _sparse_rows(m))[0]
+    return _rank_and_factors(m)[0]
 
 
 @dataclass(frozen=True)
@@ -710,7 +731,7 @@ class K0Class:
 
 def cokernel_module(ring: ScalarRing, ambient_rank: int, relations: Matrix) -> FGModule:
     """R^ambient_rank / column span of relations, in invariant-factor form."""
-    rk, factors = _rank_and_factors(ring, _sparse_rows(relations))
+    rk, factors = _rank_and_factors(relations)
     return FGModule(ring, factors, ambient_rank - rk)
 
 
@@ -729,11 +750,7 @@ class FreeChainComplex:
             if r < 0:
                 raise ValueError(f"negative rank {r} in degree {n}")
         self.ranks = {n: r for n, r in ranks.items() if r > 0}
-        self.diffs = {}
-        for n, d in diffs.items():
-            if d.rows == 0 or d.cols == 0 or d.is_zero():
-                continue
-            self.diffs[n] = d
+        self.diffs = {n: d for n, d in diffs.items() if not d.is_zero()}
         # the degree window is enforced unconditionally: shifted or totalized
         # complexes must report overflow rather than truncate
         for n in self.ranks:
@@ -749,9 +766,8 @@ class FreeChainComplex:
             if d.cols != self.rank(n) or d.rows != self.rank(n + 1):
                 raise ValueError(f"d_{n} has shape {d.rows}x{d.cols}, "
                                  f"expected {self.rank(n + 1)}x{self.rank(n)}")
-        sparse = {n: _sparse_rows(d) for n, d in self.diffs.items()}
-        for n, rows in sparse.items():
-            if n + 1 in sparse and _sparse_product(self.ring, sparse[n + 1], rows):
+        for n, d in self.diffs.items():
+            if n + 1 in self.diffs and not (self.diffs[n + 1] @ d).is_zero():
                 raise ValueError(f"d_{n + 1} . d_{n} != 0")
 
     @classmethod
@@ -814,7 +830,7 @@ class FreeChainComplex:
     def __eq__(self, other):
         return (isinstance(other, FreeChainComplex) and self.ring == other.ring
                 and self.ranks == other.ranks
-                and {n: d for n, d in self.diffs.items()} == {n: d for n, d in other.diffs.items()})
+                and self.diffs == other.diffs)
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.ranks.items())),
@@ -835,11 +851,7 @@ class ChainMap:
             raise RingMismatch("chain map between different rings")
         self.source = source
         self.target = target
-        self.mats = {}
-        for n, m in mats.items():
-            if m.rows == 0 or m.cols == 0 or m.is_zero():
-                continue
-            self.mats[n] = m
+        self.mats = {n: m for n, m in mats.items() if not m.is_zero()}
         if check:
             self._validate()
 
@@ -847,17 +859,9 @@ class ChainMap:
         for n, m in self.mats.items():
             if m.cols != self.source.rank(n) or m.rows != self.target.rank(n):
                 raise ValueError(f"component {n} has wrong shape")
-        f, d_src, d_tgt = ({n: _sparse_rows(m) for n, m in mats.items()}
-                           for mats in (self.mats, self.source.diffs, self.target.diffs))
-
-        def product(a, b):
-            """a @ b in sparse form; a missing factor is a zero matrix."""
-            return {} if a is None or b is None else _sparse_product(self.source.ring, a, b)
-        degs = set(self.source.ranks) | set(self.target.ranks)
-        for n in degs:
-            lhs = product(d_tgt.get(n), f.get(n))
-            rhs = product(f.get(n + 1), d_src.get(n))
-            if lhs != rhs:
+        for n in set(self.source.ranks) | set(self.target.ranks):
+            if (self.target.diff(n) @ self.component(n)
+                    != self.component(n + 1) @ self.source.diff(n)):
                 raise ValueError(f"does not commute with d in degree {n}")
 
     @classmethod
@@ -894,10 +898,6 @@ class ChainMap:
         return ChainMap(self.source, self.target,
                         {n: -m for n, m in self.mats.items()}, check=False)
 
-    def shift(self, k: int) -> "ChainMap":
-        return ChainMap(self.source.shift(k), self.target.shift(k),
-                        {n - k: m for n, m in self.mats.items()}, check=False)
-
     def is_zero(self) -> bool:
         return not self.mats
 
@@ -916,11 +916,10 @@ def homology(c: FreeChainComplex) -> dict:
     the non-unit invariant factors of d_{n-1}, so each differential is
     eliminated once and no basis of a kernel or image is ever built.
     """
-    sparse = {n: _sparse_rows(d) for n, d in c.diffs.items()}
-    for n, rows in sparse.items():
-        if n + 1 in sparse and _sparse_product(c.ring, sparse[n + 1], rows):
+    for n, d in c.diffs.items():
+        if n + 1 in c.diffs and not (c.diffs[n + 1] @ d).is_zero():
             raise LinalgError("image does not lie in the kernel; d^2 != 0?")
-    invariants = {n: _rank_and_factors(c.ring, rows) for n, rows in sparse.items()}
+    invariants = {n: _rank_and_factors(d) for n, d in c.diffs.items()}
     out = {}
     for n in sorted(c.ranks):
         rk_out, _ = invariants.get(n, (0, ()))
@@ -1031,17 +1030,11 @@ def tensor_with_basis(c1: FreeChainComplex, c2: FreeChainComplex):
 
     def entries(n, lab):
         p, q, i, j = lab
-        d1 = c1.diff(p)
-        for i2 in range(c1.rank(p + 1)):
-            co = d1[i2, i]
-            if not R.is_zero(co):
-                yield (p + 1, q, i2, j), co
+        for i2, co in c1.diff(p).col(i):
+            yield (p + 1, q, i2, j), co
         sign = one if p % 2 == 0 else neg
-        d2 = c2.diff(q)
-        for j2 in range(c2.rank(q + 1)):
-            co = d2[j2, j]
-            if not R.is_zero(co):
-                yield (p, q + 1, i, j2), R.mul(sign, co)
+        for j2, co in c2.diff(q).col(j):
+            yield (p, q + 1, i, j2), R.mul(sign, co)
 
     return complex_from_basis(R, basis, entries)
 
@@ -1054,15 +1047,10 @@ def tensor_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 
     def entries(n, labels):
         for col, (p, q, i, j) in enumerate(labels):
-            fm, gm = f.component(p), g.component(q)
-            for i2 in range(fm.rows):
-                a = fm[i2, i]
-                if R.is_zero(a):
-                    continue
-                for j2 in range(gm.rows):
-                    b = gm[j2, j]
-                    if not R.is_zero(b):
-                        yield tgt_idx[(n, (p, q, i2, j2))], col, a * b
+            gcol = g.component(q).col(j)
+            for i2, a in f.component(p).col(i):
+                for j2, b in gcol:
+                    yield tgt_idx[(n, (p, q, i2, j2))], col, a * b
 
     mats = {n: Matrix.from_entries(R, tgt.rank(n), len(labels), entries(n, labels))
             for n, labels in _tensor_basis(f.source, g.source).items()}
@@ -1114,17 +1102,11 @@ def hom_complex(c1: FreeChainComplex, c2: FreeChainComplex):
 
     def entries(n, lab):
         t, i, j = lab
-        d2 = c2.diff(t + n)
-        for j2 in range(c2.rank(t + n + 1)):
-            co = d2[j2, j]
-            if not R.is_zero(co):
-                yield (t, i, j2), co
+        for j2, co in c2.diff(t + n).col(j):
+            yield (t, i, j2), co
         # -(-1)^n f . d_1 : component at source degree t-1 uses f at degree t
         sign = neg if n % 2 == 0 else one
-        d1 = c1.diff(t - 1)
-        for i2 in range(c1.rank(t - 1)):
-            co = d1[i, i2]
-            if not R.is_zero(co):
-                yield (t - 1, i2, j), R.mul(sign, co)
+        for i2, co in c1.diff(t - 1).row(i):
+            yield (t - 1, i2, j), R.mul(sign, co)
 
     return complex_from_basis(R, basis, entries)

@@ -135,10 +135,11 @@ class SheafComplex:
         return all(c.is_zero() for c in self.stalks.values())
 
     def shift(self, k: int) -> "SheafComplex":
-        return SheafComplex(self.space, self.ring,
-                            {p: c.shift(k) for p, c in self.stalks.items()},
-                            {e: g.shift(k) for e, g in self.gens.items()},
-                            check=False)
+        st = {p: c.shift(k) for p, c in self.stalks.items()}
+        gens = {(x, y): ChainMap(st[x], st[y], {n - k: m for n, m in g.mats.items()},
+                                 check=False)
+                for (x, y), g in self.gens.items()}
+        return SheafComplex(self.space, self.ring, st, gens, check=False)
 
     def direct_sum(self, other: "SheafComplex") -> "SheafComplex":
         if self.space != other.space or self.ring != other.ring:
@@ -301,15 +302,14 @@ def _relation_lift(a: Matrix, src: FGModule, tgt: FGModule):
     ks, kt = len(src.invariant_factors), len(tgt.invariant_factors)
     out = []
     for j, dj in enumerate(src.invariant_factors):
-        for i in range(a.rows):
-            val = R.mul(a[i, j], dj)
-            if i < kt:
-                di = tgt.invariant_factors[i]
-                if not R.divides(di, val):
-                    return None
-                out.append((i, j, R.exact_div(val, di)))
-            elif not R.is_zero(val):
+        for i, x in a.col(j):
+            if i >= kt:
                 return None  # torsion cannot map to the free part
+            val = R.mul(x, dj)
+            di = tgt.invariant_factors[i]
+            if not R.divides(di, val):
+                return None
+            out.append((i, j, R.exact_div(val, di)))
     return Matrix.from_entries(R, kt, ks, out)
 
 
@@ -394,21 +394,15 @@ def rgamma_labeled(k: SheafComplex):
         c, q, i = lab
         p = len(c) - 1
         sign_v = one if p % 2 == 0 else neg
-        d = k.stalks[c[-1]].diff(q)
-        for i2 in range(d.rows):
-            co = d[i2, i]
-            if not R.is_zero(co):
-                yield (c, q + 1, i2), R.mul(sign_v, co)
+        for i2, co in k.stalks[c[-1]].diff(q).col(i):
+            yield (c, q + 1, i2), R.mul(sign_v, co)
         for (c2, l) in faces.get(c, ()):  # c = face_l(c2), len(c2) = p + 2
             sign = one if l % 2 == 0 else neg
             if l < len(c2) - 1:
                 yield (c2, q, i), sign
             else:
-                rho = k.rho(c2[-2], c2[-1]).component(q)
-                for i2 in range(rho.rows):
-                    co = rho[i2, i]
-                    if not R.is_zero(co):
-                        yield (c2, q, i2), R.mul(sign, co)
+                for i2, co in k.rho(c2[-2], c2[-1]).component(q).col(i):
+                    yield (c2, q, i2), R.mul(sign, co)
 
     cx, index = complex_from_basis(R, basis, entries)
     labels = {n: tuple(lab) for n, lab in basis.items()}
@@ -582,9 +576,7 @@ def open_unit(k: SheafComplex, u):
             # singleton chains (c_0) carry the restriction rho(x, c_0)
             c, _, i = lab
             if len(c) == 1:
-                rho = k.rho(x, c[0]).component(n)
-                for j in range(rho.cols):
-                    yield j, rho[i, j]
+                yield from k.rho(x, c[0]).component(n).row(i)
 
         comps[x] = _label_map(k.stalks[x], l_sheaf.stalks[x], labels[x], entries)
     return l_sheaf, SheafMap(k, l_sheaf, comps, check=False)
@@ -673,32 +665,20 @@ def _hom_end_complex(k: SheafComplex, l: SheafComplex, up):
         b = l.stalks[c[-1]]
         sign_v = one if p % 2 == 0 else neg
         # internal hom differential: d_L . f - (-1)^q f . d_K
-        dB = b.diff(t + q)
-        for j2 in range(dB.rows):
-            co = dB[j2, j]
-            if not R.is_zero(co):
-                yield (c, t, i, j2), R.mul(sign_v, co)
+        for j2, co in b.diff(t + q).col(j):
+            yield (c, t, i, j2), R.mul(sign_v, co)
         sign_k = neg if q % 2 == 0 else one
-        dA = a.diff(t - 1)
-        for i2 in range(dA.cols):
-            co = dA[i, i2]
-            if not R.is_zero(co):
-                yield (c, t - 1, i2, j), R.mul(R.mul(sign_v, sign_k), co)
+        for i2, co in a.diff(t - 1).row(i):
+            yield (c, t - 1, i2, j), R.mul(R.mul(sign_v, sign_k), co)
         # end differential: faces of longer chains
         for (c2, pos) in faces.get(c, ()):
             sign = one if pos % 2 == 0 else neg
             if pos == 0:
-                rho = k.rho(c2[0], c2[1]).component(t)
-                for i2 in range(rho.cols):
-                    co = rho[i, i2]
-                    if not R.is_zero(co):
-                        yield (c2, t, i2, j), R.mul(sign, co)
+                for i2, co in k.rho(c2[0], c2[1]).component(t).row(i):
+                    yield (c2, t, i2, j), R.mul(sign, co)
             elif pos == len(c2) - 1:
-                rho = l.rho(c2[-2], c2[-1]).component(t + q)
-                for j2 in range(rho.rows):
-                    co = rho[j2, j]
-                    if not R.is_zero(co):
-                        yield (c2, t, i, j2), R.mul(sign, co)
+                for j2, co in l.rho(c2[-2], c2[-1]).component(t + q).col(j):
+                    yield (c2, t, i, j2), R.mul(sign, co)
             else:
                 yield (c2, t, i, j), sign
 
@@ -756,11 +736,8 @@ def evaluation_map(k: SheafComplex):
             for pos, (p_deg, q_deg, i0, jv) in pos_lab.items():
                 c, t, i, _ = kv_labels[x][q_deg][jv]
                 sign = 1 if (p_deg * (len(c) - 1)) % 2 == 0 else -1
-                rho = k.rho(x, c[-1]).component(p_deg)
-                for i2 in range(rho.rows):
-                    co = rho[i2, i0]
-                    if not R.is_zero(co):
-                        entries.append((hom_idx[x][(n, (c, t, i, i2))], pos, sign * co))
+                for i2, co in k.rho(x, c[-1]).component(p_deg).col(i0):
+                    entries.append((hom_idx[x][(n, (c, t, i, i2))], pos, sign * co))
             mats[n] = Matrix.from_entries(R, tgt.rank(n), src.rank(n), entries)
         comps[x] = ChainMap(src, tgt, mats, check=False)
     ev = SheafMap(tensor_sheaf, hom_kk, comps)
@@ -834,14 +811,14 @@ def triangle_is_exact(tri: Triangle) -> bool:
         if not degs:
             continue
         lo, hi = min(degs) - 1, max(degs) + 1
-        a1 = a.shift(1)
-        f1 = f.shift(1)
+        a1, b1 = a.shift(1), b.shift(1)
+        f1 = ChainMap(a1, b1, {n - 1: m for n, m in f.mats.items()}, check=False)
         for n in range(lo, hi + 1):
             if not _exact_at(a, n, f, b, n, g, c, n):
                 return False
             if not _exact_at(b, n, g, c, n, h, a1, n):
                 return False
-            if not _exact_at(c, n, h, a1, n, f1, b.shift(1), n):
+            if not _exact_at(c, n, h, a1, n, f1, b1, n):
                 return False
     return True
 

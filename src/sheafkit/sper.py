@@ -446,20 +446,6 @@ def cell_markers(roots) -> list:
     return out
 
 
-def set_algebra(op: str, *args) -> SperConstructible:
-    """Boolean algebra on canonical cell forms."""
-    if op == "union":
-        a, b = args
-        return a.union(b)
-    if op == "intersect":
-        a, b = args
-        return a.intersect(b)
-    if op == "complement":
-        (a,) = args
-        return a.complement()
-    raise SperError(f"unknown operation {op!r}")
-
-
 def closure(s: SperConstructible) -> SperConstructible:
     """Add to every included interval cell its finite endpoints (the cuts in
     the interval specialize to them); idempotent."""

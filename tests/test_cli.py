@@ -114,6 +114,35 @@ class TestDegreeBudget:
         parse_formula("t > 0 | (t^3)^333 > 0")
 
 
+class TestCoeffBudget:
+    answer = TestDegreeBudget.answer
+
+    def test_polynomial(self):
+        assert self.answer(["sper-roots", "--poly", "(2^1000)^1000"]) == (
+            "error: syntax error at line 1, column 9: power coefficients above "
+            "the coefficient budget of 10000 bits", 1)
+        assert self.answer(["sper-roots", "--poly", "(2^1000)^20*t - 1"]) == (
+            "error: syntax error at line 1, column 9: power coefficients above "
+            "the coefficient budget of 10000 bits", 1)
+        assert self.answer(["sper-roots", "--poly", "t - " + "7" * 5000]) == (
+            "error: syntax error at line 1, column 5: integer literal above "
+            "the coefficient budget of 10000 bits", 1)
+        with pytest.raises(ParseError, match="line 2, column 1: product coefficients above"):
+            parse_poly("((2^1000)^5 + 1)\n*((2^1000)^5 + 1)")
+        with pytest.raises(ParseError, match="column 1: integer literal above"):
+            parse_poly(str(2 ** 10000))
+        assert parse_poly(str(2 ** 10000 - 1)) == (2 ** 10000 - 1,)
+        assert parse_poly("0" * 5000 + "3*t") == (0, 3)
+        assert parse_poly("(t + 1)^1000 - 2^1000")[0] == 1 - 2 ** 1000
+
+    def test_formula(self):
+        assert self.answer(["sper-set", "--formula", "t > 0 & (3^600)^20*t - 1 < 0"]) == (
+            "error: syntax error at line 1, column 16: power coefficients above "
+            "the coefficient budget of 10000 bits", 1)
+        with pytest.raises(ParseError, match="column 5: integer literal above"):
+            parse_formula("t - " + "9" * 4000 + " > 0")
+
+
 class TestParseSpace:
     def test_round_trip_random(self):
         rng = Random(61)

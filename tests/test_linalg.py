@@ -6,7 +6,7 @@ import pytest
 from sheafkit.linalg import (
     ChainMap, DegreeOverflow, FGModule, FreeChainComplex, GF, LinalgError,
     Matrix, PRIME_LIMIT, QQ, RingMismatch, ScalarRing, ZZ, _is_prime,
-    _rank_and_factors, _sparse_rows, block_diagonal, cone, det, hom_complex, homology,
+    _rank_and_factors, block_diagonal, cone, det, hom_complex, homology,
     is_acyclic, k0_rank, kernel_basis, snf, solve_right, tensor_total,
     tor_amplitude,
 )
@@ -61,7 +61,7 @@ def change_ring(c, ring):
 
 
 def invariants(m):
-    return _rank_and_factors(m.ring, _sparse_rows(m))
+    return _rank_and_factors(m)
 
 
 class TestFromEntries:
@@ -112,6 +112,87 @@ class TestFromEntries:
         assert block_diagonal(Matrix.zeros(ZZ, 0, 2), b) == Matrix(ZZ, [[0, 0, 7, 0, 8]])
         assert block_diagonal(b, Matrix.zeros(ZZ, 2, 0)) == Matrix(ZZ, [[7, 0, 8], [0, 0, 0],
                                                                         [0, 0, 0]])
+
+
+def random_grid(rng, ring, rows, cols):
+    """A rows x cols list of lists over ring, about half zeros."""
+    def value():
+        x = rng.choice([0, 0, rng.randint(-9, 9)])
+        return ring.normalize(Fraction(x, rng.randint(1, 4)) if ring is QQ else x)
+    return [[value() for _ in range(cols)] for _ in range(rows)]
+
+
+def shuffled_matrix(rng, ring, grid, cols):
+    """grid as a Matrix built from its entries split in two summands and
+    shuffled, so that the stored rows fill in a random order."""
+    triples = []
+    for i, row in enumerate(grid):
+        for j, x in enumerate(row):
+            y = ring.normalize(rng.randint(-3, 3))
+            triples += [(i, j, x - y), (i, j, y)]
+    rng.shuffle(triples)
+    return Matrix.from_entries(ring, len(grid), cols, triples)
+
+
+class TestSparseStorage:
+    """Every operation of the sparse Matrix against list-of-lists arithmetic."""
+
+    @staticmethod
+    def check(ring, m, grid, cols):
+        rows = len(grid)
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m.entries == tuple(map(tuple, grid))
+        zero_type = type(ring.zero())
+        assert all(type(x) is zero_type for row in m.entries for x in row)
+        for i in range(rows):
+            assert sorted(m.row(i)) == [(j, x) for j, x in enumerate(grid[i]) if x]
+            for j in range(cols):
+                assert m[i, j] == grid[i][j] and type(m[i, j]) is zero_type
+        for j in range(cols):
+            assert list(m.col(j)) == [(i, grid[i][j]) for i in range(rows) if grid[i][j]]
+        assert sorted(m.nonzeros(2, 3)) == [(i + 2, j + 3, x) for i, row in enumerate(grid)
+                                            for j, x in enumerate(row) if x]
+        assert m.is_zero() == (not any(x for row in grid for x in row))
+
+    def test_matches_list_reference(self):
+        rng = Random(72)
+        empty_shapes = 0
+        for R in (ZZ, QQ, GF(2), GF(3)):
+            for _ in range(150):
+                rows, cols, inner = (rng.randint(0, 4) for _ in range(3))
+                ga = random_grid(rng, R, rows, inner)
+                gb = random_grid(rng, R, inner, cols)
+                gc = random_grid(rng, R, rows, inner)
+                a, b = shuffled_matrix(rng, R, ga, inner), shuffled_matrix(rng, R, gb, cols)
+                c = Matrix(R, gc, rows, inner)
+                self.check(R, a, ga, inner)
+                self.check(R, a @ b, [[R.normalize(sum(ga[i][k] * gb[k][j] for k in range(inner)))
+                                       for j in range(cols)] for i in range(rows)], cols)
+                self.check(R, a + c, [[R.normalize(x + y) for x, y in zip(r, s)]
+                                      for r, s in zip(ga, gc)], inner)
+                self.check(R, a - c, [[R.normalize(x - y) for x, y in zip(r, s)]
+                                      for r, s in zip(ga, gc)], inner)
+                k = rng.randint(-3, 3)
+                self.check(R, a.scale(k), [[R.normalize(k * x) for x in r] for r in ga], inner)
+                self.check(R, a.transpose(), [[ga[i][j] for i in range(rows)]
+                                              for j in range(inner)], rows)
+                self.check(R, a.hstack(c), [r + s for r, s in zip(ga, gc)], 2 * inner)
+                ridx = [rng.randrange(rows) for _ in range(rng.randint(0, 3))] if rows else []
+                cidx = [rng.randrange(inner) for _ in range(rng.randint(0, 3))] if inner else []
+                self.check(R, a.submatrix(ridx, cidx), [[ga[i][j] for j in cidx] for i in ridx],
+                           len(cidx))
+                same = Matrix(R, ga, rows, inner)
+                assert a == same and hash(a) == hash(same)
+                assert (a == c) == (ga == gc)
+                empty_shapes += rows == 0 or cols == 0 or inner == 0
+        assert empty_shapes >= 100
+
+    def test_column_outside_the_shape_is_rejected(self):
+        for j in (2, -1):
+            with pytest.raises(IndexError):
+                Matrix.from_entries(ZZ, 2, 2, [(0, j, 1)])
+            with pytest.raises(IndexError):
+                Matrix.identity(ZZ, 2)[0, j]
 
 
 class TestSNF:

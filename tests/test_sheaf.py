@@ -1,8 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 import time
 from random import Random
 
 import pytest
 
+import sheafkit
 from sheafkit.linalg import (
     ChainMap, FreeChainComplex, Matrix, ZZ, QQ, homology, is_acyclic,
 )
@@ -132,6 +137,37 @@ class TestRGamma:
                 continue
             bound = krull_dim(m) + max(tops)
             assert all(n <= bound for n in homology(rgamma(k)))
+
+    def test_size_ceiling_on_a_height_9_ladder(self):
+        """rgamma of rank 20635, whose largest coboundary is 5648 x 4312 with
+        0.14% of its entries nonzero; run in a child process so that its peak
+        RSS is measured alone."""
+        code = """if True:
+            import json, resource, time
+            from random import Random
+            from sheafkit.linalg import ZZ, homology
+            from sheafkit.randgen import random_sheaf
+            from sheafkit.sheaf import rgamma
+            from sheafkit.space import build_space
+            pts = [f"{c}{i}" for i in range(9) for c in "pq"]
+            covers = [(f"{c}{i}", f"{d}{i + 1}") for i in range(8) for c in "pq" for d in "pq"]
+            k = random_sheaf(Random(9), build_space(pts, covers), ZZ, max_pieces=3)
+            start = time.perf_counter()
+            c = rgamma(k)
+            h = homology(c)
+            print(json.dumps({"rank": c.total_rank(),
+                              "homology": {n: str(v) for n, v in h.items()},
+                              "seconds": time.perf_counter() - start,
+                              "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+        """
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sheafkit.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        got = json.loads(out.stdout)
+        assert got["rank"] == 20635
+        assert got["homology"] == {"1": "Z/3", "7": "Z"}
+        assert got["seconds"] < 6
+        assert got["rss_mb"] < 150
 
 
 class TestPullback:

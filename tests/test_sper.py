@@ -11,7 +11,7 @@ from sheafkit.sper import (
     AlgNumber, And, Atom, CellPoset, ConstantMap, Not, Or, PolyMap,
     SperConstructible, SperPoint, cell_poset, closure, defining_formula,
     from_formula, interior, is_closed_set, locate_cell, preimage_set,
-    pull_cons, push_cons, push_point, real_roots, refine_cells, set_algebra,
+    pull_cons, push_cons, push_point, real_roots, refine_cells,
     sign_at, transfer_cons, cell_samples, _fiber, _push_alg,
 )
 from sheafkit.intpoly import ZeroPolynomial
@@ -129,18 +129,17 @@ class TestFromFormula:
 class TestSetAlgebra:
     def test_involution(self):
         s = from_formula(Atom(T2M2, "<"))
-        assert set_algebra("complement",
-                           set_algebra("complement", s)) == s
+        assert s.complement().complement() == s
 
     def test_excluded_middle(self):
         s = from_formula(Atom(T3M2T, ">"))
-        assert set_algebra("union", s, s.complement()).is_whole()
-        assert set_algebra("intersect", s, s.complement()).is_empty()
+        assert s.union(s.complement()).is_whole()
+        assert s.intersect(s.complement()).is_empty()
 
     def test_intersection_example(self):
         s = from_formula(Atom(T2M2, "<"))
         t = from_formula(Atom((0, 1), ">"))
-        inter = set_algebra("intersect", s, t)
+        inter = s.intersect(t)
         # (0, sqrt2): roots {0, sqrt2}, only the middle interval in
         assert len(inter.roots) == 2
         assert inter.roots[0].compare(0) == 0
