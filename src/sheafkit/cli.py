@@ -19,13 +19,14 @@ Text formats:
 * spaces: "space NAME" / "points: a b c" / "covers: a<b b<c";
 * sheaves: "ring Z|Q|F p" / "space NAME" / per point
   "stalk x: deg d rank r; d_d = [[..],[..]]" / per cover
-  "gen x<y: deg d = [[..]]" with row-major matrices, rationals as p/q;
+  "gen x<y: deg d = [[..]]" with row-major matrices, rationals as p/q,
+  each numerator and denominator within MAX_COEFF_BITS;
   degrees lie in [-16, 16] and F p takes primes p below
   3317044064679887385961981 (about 3.3e24), where the deterministic
   primality test is exact;
 * maps: "map NAME" / "target NAME" / "points: ..." / "covers: ..." (the
   embedded target space) / "sends: a->x b->y";
-* constructible functions: "phi: s=1 eta=0".
+* constructible functions: "phi: s=1 eta=0", values within MAX_COEFF_BITS.
 
 Every command parses all of its inputs before computing anything, writes a
 byte-deterministic report, and exits 0 on success, 1 on a validation
@@ -105,14 +106,8 @@ def _tokenize(text, formula=False):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            # past MAX_COEFF_BITS // 3 significant digits a literal is over the
-            # budget, so int() is never asked for more digits than that
-            digits = text[i:j].lstrip("0") or "0"
-            if (len(digits) > MAX_COEFF_BITS // 3
-                    or (value := int(digits)).bit_length() > MAX_COEFF_BITS):
-                raise ParseError(f"syntax error at line {line}, column {col}: integer "
-                                 f"literal above the coefficient budget of "
-                                 f"{MAX_COEFF_BITS} bits")
+            value = _budget_int(text[i:j], f"syntax error at line {line}, column {col}: "
+                                           f"integer literal")
             toks.append(_Token("num", value, *start))
             col += j - i
             i = j
@@ -158,12 +153,31 @@ MAX_NESTING = 100
 # computed, so that a large exponent is a ParseError rather than a hang.
 MAX_POLY_DEGREE = 1000
 
-# Coefficient budget of parsed polynomials in bits, checked on integer
-# literals and, before a power or product is computed, on a bound of its
-# coefficients, so that a huge constant is a ParseError rather than a long
-# computation.  It must stay below 3 * 4300, Python's default digit limit of
+# Coefficient budget in bits, checked on integer literals of polynomials, on
+# numerators and denominators of sheaf matrix entries, on phi values and,
+# before a power or product is computed, on a bound of its coefficients, so
+# that a huge constant is a ParseError rather than a long computation.  It must stay below 3 * 4300, Python's default digit limit of
 # int(str).
 MAX_COEFF_BITS = 10000
+
+
+def _budget_int(s: str, what: str) -> int:
+    """int(s) for a literal within MAX_COEFF_BITS; ParseError "<what> above
+    the coefficient budget" otherwise.  Past MAX_COEFF_BITS // 3 significant
+    digits a decimal literal is over the budget, so int() is never asked for
+    more digits than that."""
+    body = s.strip()
+    sign = -1 if body[:1] == "-" else 1
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not digits.isdecimal():
+        value = int(s)  # a malformed literal raises int()'s ValueError
+    elif len(digits := digits.lstrip("0")) > MAX_COEFF_BITS // 3:
+        value = None
+    else:
+        value = sign * int(digits or "0")
+    if value is None or value.bit_length() > MAX_COEFF_BITS:
+        raise ParseError(f"{what} above the coefficient budget of {MAX_COEFF_BITS} bits")
+    return value
 
 
 class _Parser:
@@ -395,12 +409,13 @@ def space_to_text(name: str, m: FinSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_scalar(tok: str, ring: ScalarRing):
+def _parse_scalar(tok: str, ring: ScalarRing, idx: int):
+    what = f"line {idx}: scalar"
     try:
         if "/" in tok:
             num, den = tok.split("/", 1)
-            return ring.normalize(Fraction(int(num), int(den)))
-        return ring.normalize(int(tok))
+            return ring.normalize(Fraction(_budget_int(num, what), _budget_int(den, what)))
+        return ring.normalize(_budget_int(tok, what))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad scalar {tok!r}: {e}")
 
@@ -411,8 +426,8 @@ def _scalar_str(x) -> str:
     return str(int(x))
 
 
-def _parse_matrix(text: str, ring: ScalarRing):
-    """Parse row-major [[a,b],[c,d]]; [] is the empty matrix."""
+def _parse_matrix(text: str, ring: ScalarRing, idx: int):
+    """Parse row-major [[a,b],[c,d]] on line idx; [] is the empty matrix."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise ParseError(f"matrix literal must be bracketed, got {text!r}")
@@ -426,7 +441,7 @@ def _parse_matrix(text: str, ring: ScalarRing):
             cur = ""
         elif ch == "]":
             depth -= 1
-            rows.append([_parse_scalar(t, ring) for t in cur.split(",") if t.strip()])
+            rows.append([_parse_scalar(t, ring, idx) for t in cur.split(",") if t.strip()])
         elif depth == 1:
             cur += ch
         elif ch in ", \t":
@@ -501,7 +516,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
                 elif toks[0].startswith("d_"):
                     deg = _integer(toks[0][2:], idx)
                     _, _, mat = item.partition("=")
-                    rows = _parse_matrix(mat, ring)
+                    rows = _parse_matrix(mat, ring, idx)
                     if rows is not None:
                         diffs[pt][deg] = rows
                 else:
@@ -527,7 +542,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
                     raise ParseError(f"line {idx}: malformed gen item {item!r}")
                 deg = _integer(toks[1], idx)
                 _, _, mat = item.partition("=")
-                rows = _parse_matrix(mat, ring)
+                rows = _parse_matrix(mat, ring, idx)
                 if rows is not None:
                     gen_mats[(x, y)][deg] = rows
         else:
@@ -604,7 +619,7 @@ def parse_phi(text: str, m: FinSpec) -> ConsFunction:
         if pt not in set(m.points):
             raise ParseError(f"unknown point {pt!r}")
         try:
-            values[pt] = int(val)
+            values[pt] = _budget_int(val, f"value for {pt!r}")
         except ValueError:
             raise ParseError(f"value {val!r} for {pt!r} is not an integer")
     missing = set(m.points) - set(values)

@@ -7,8 +7,8 @@ primitive pseudo-remainders over Z, and the sign of a polynomial at a
 rational a/b is the sign of the integer b^deg * p(a/b).  Sturm counts in
 half-open intervals with rational endpoints, and bisection against those
 counts, isolate the real roots.  Defining polynomials of polynomial images
-of algebraic numbers are characteristic polynomials of multiplication
-operators, computed over Q with fractions.Fraction.
+of algebraic numbers are resultants over Z[t], Sylvester determinants by
+fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -279,10 +279,14 @@ def isolate_real_roots(p):
         return []
     seq = sturm_sequence(sf)
     bound = root_bound(sf)
+    left, right = -bound, bound
     out = []
 
     def count(a, b):
-        return count_roots_halfopen(seq, a, b)
+        # no root lies outside (left, right), so the variations there are
+        # those at the infinities, read off the leading coefficients
+        return count_roots_halfopen(seq, None if a == left else a,
+                                    None if b == right else b)
 
     def refine(lo, hi, n):
         # invariant: lo, hi are not roots, (lo, hi] = (lo, hi) holds n roots
@@ -305,85 +309,39 @@ def isolate_real_roots(p):
             refine(lo, mid, count(lo, mid))
             refine(mid, hi, count(mid, hi))
 
-    lo, hi = -bound, bound
-    while sign_at_rational(sf, lo) == 0:
-        lo -= 1
-    while sign_at_rational(sf, hi) == 0:
-        hi += 1
-    refine(lo, hi, count(lo, hi))
+    refine(left, right, count(left, right))
     out.sort(key=lambda e: e[1])
     return out
 
 
-# ---------------------------------------------------------------------------
-# exact linear algebra over Q for defining polynomials of images
-
-
-def companion(p):
-    """Companion matrix (over Q) of the monic normalization of p."""
-    n = degree(p)
-    if n < 1:
-        raise ZeroPolynomial("companion needs degree >= 1")
-    lc = Fraction(p[-1])
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        m[i][i - 1] = Fraction(1)
-    for i in range(n):
-        m[i][n - 1] = -Fraction(p[i]) / lc
-    return m
-
-
-def mat_poly(p, m):
-    """p evaluated at a square Fraction matrix."""
-    n = len(m)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    acc = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for c in p:
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += c * acc[i][j]
-        acc = _mat_mul(acc, m)
-    return out
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def charpoly(m):
-    """Characteristic polynomial det(t I - m) by Faddeev-LeVerrier, exact."""
-    n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [[Fraction(0)] * n for _ in range(n)]
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        for i in range(n):
-            mk[i][i] += c
-        mk = _mat_mul(m, mk)
-        tr = sum(mk[i][i] for i in range(n))
-        c = -tr / k
-        coeffs[n - k] = c
-    return tuple(coeffs)
-
-
-def clear_denominators(p) -> tuple:
-    """Integer multiple of a Fraction polynomial, primitive, positive lead."""
-    den = 1
-    for c in p:
-        f = Fraction(c)
-        den = den * f.denominator // int_gcd(den, f.denominator)
-    return primitive(normalize([int(Fraction(c) * den) for c in p]))
-
-
 def image_defining_poly(a_poly, p) -> tuple:
     """A squarefree integer polynomial vanishing on p(alpha) for every root
-    alpha of a_poly: the characteristic polynomial of multiplication by p
-    on Q[t]/(a_poly)."""
-    cp = charpoly(mat_poly(p, companion(a_poly)))
-    return squarefree(clear_denominators(cp))
+    alpha of a_poly: the resultant Res_s(a_poly(s), t - p(s)), which is
+    +-lc(a_poly)^deg(p) times the product of t - p(alpha) over the roots.
+
+    It is the determinant of the Sylvester matrix of the two polynomials in
+    s, whose entries lie in Z[t], by fraction-free (Bareiss) elimination:
+    each division by the previous pivot is exact in Z[t].  The determinant
+    has t-degree deg(a_poly) and is never zero, so a zero pivot always has a
+    nonzero entry below it; the sign of a row swap is dropped, since
+    squarefree() returns a positive leading coefficient anyway.
+    """
+    n, d = degree(a_poly), degree(p)
+    size = n + d
+    a = [constant(c) for c in a_poly]
+    b = [add(constant(-p[0]), X)] + [constant(-c) for c in p[1:]]
+    m = ([[()] * i + a + [()] * (d - 1 - i) for i in range(d)]
+         + [[()] * i + b + [()] * (n - 1 - i) for i in range(n)])
+    prev = (1,)
+    for k in range(size - 1):
+        if not m[k][k]:
+            i = next(i for i in range(k + 1, size) if m[i][k])
+            m[k], m[i] = m[i], m[k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = divexact(sub(mul(m[i][j], m[k][k]), mul(m[i][k], m[k][j])), prev)
+        prev = m[k][k]
+    return squarefree(m[-1][-1])
 
 
 def eval_interval(p, lo: Fraction, hi: Fraction):

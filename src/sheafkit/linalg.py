@@ -358,52 +358,30 @@ class Matrix:
 
 
 def det(m: Matrix):
-    """Exact determinant.  Bareiss over Z, Gaussian elimination over fields."""
+    """Exact determinant by fraction-free (Bareiss) elimination.  Every
+    division by the previous pivot is exact, so one loop serves Z and the
+    fields."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
+    R, n = m.ring, m.rows
     if n == 0:
-        return m.ring.one()
-    R = m.ring
+        return R.one()
     a = [list(r) for r in m.entries]
-    if R.kind == "Z":
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-    d = R.one()
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not R.is_zero(a[i][k]):
-                piv = i
-                break
-        if piv is None:
-            return R.zero()
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            d = R.neg(d)
-        d = R.mul(d, a[k][k])
-        inv = R.inv(a[k][k])
+    negate = False
+    prev = R.one()
+    for k in range(n - 1):
+        if R.is_zero(a[k][k]):
+            i = next((i for i in range(k + 1, n) if not R.is_zero(a[i][k])), None)
+            if i is None:
+                return R.zero()
+            a[k], a[i] = a[i], a[k]
+            negate = not negate
         for i in range(k + 1, n):
-            f = R.mul(a[i][k], inv)
-            if R.is_zero(f):
-                continue
-            for j in range(k, n):
-                a[i][j] = R.sub(a[i][j], R.mul(f, a[k][j]))
-    return d
+            for j in range(k + 1, n):
+                a[i][j] = R.exact_div(R.sub(R.mul(a[i][j], a[k][k]),
+                                            R.mul(a[i][k], a[k][j])), prev)
+        prev = a[k][k]
+    return R.neg(a[-1][-1]) if negate else a[-1][-1]
 
 
 def snf(m: Matrix):

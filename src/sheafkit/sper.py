@@ -11,11 +11,11 @@ can distinguish.
 
 Everything is exact: algebraic numbers are squarefree integer polynomials
 with isolating rational intervals, signs are decided by Sturm counts and
-gcds, and images under polynomial maps come from characteristic
-polynomials of multiplication operators.  Fibers need no such image
-polynomial: a root tau of b.poly(p(t)) maps to b exactly when an interval
-enclosure of p(tau), shrunk by refining tau, lands inside b's isolating
-interval rather than outside it.
+gcds, and images under polynomial maps come from image polynomials,
+resultants over Z[t] computed by Bareiss elimination.  Fibers need no
+such image polynomial: a root tau of b.poly(p(t)) maps to b exactly when
+an interval enclosure of p(tau), shrunk by refining tau, lands inside b's
+isolating interval rather than outside it.
 """
 
 from __future__ import annotations

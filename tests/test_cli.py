@@ -1,5 +1,7 @@
+import hashlib
 import json
 import time
+from math import isqrt
 from random import Random
 
 import pytest
@@ -11,6 +13,7 @@ from sheafkit.cli import (
 )
 from sheafkit.randgen import random_cons_function, random_poset, random_sheaf
 from sheafkit.linalg import QQ, GF, LinalgError
+from sheafkit.sper import cell_poset, from_formula
 
 
 SIERP = "space sierp\npoints: s eta\ncovers: s<eta\n"
@@ -203,6 +206,43 @@ class TestParseSheaf:
             parse_sheaf(bad, "sierp", m)
 
 
+class TestSheafAndPhiCoeffBudget:
+    answer = TestDegreeBudget.answer
+
+    def test_sheaf_scalar(self, tmp_path):
+        (tmp_path / "two.space").write_text("space two\npoints: a b\ncovers: a<b\n")
+
+        def cohomology(entry):
+            (tmp_path / "k.sheaf").write_text(
+                f"ring Q\nspace two\nstalk a: deg 0 rank 1; deg 1 rank 1; d_0 = [[{entry}]]\n")
+            return self.answer(["cohomology", "--space", str(tmp_path / "two.space"),
+                                "--sheaf", str(tmp_path / "k.sheaf")])
+
+        over = ("error: line 3: scalar above the coefficient budget of 10000 bits", 1)
+        assert cohomology("7" * 5000) == over
+        assert cohomology("7" * 4000) == over
+        assert cohomology("1/-" + "3" * 3500) == over
+        assert cohomology(str(2 ** 10000)) == over
+        assert cohomology(str(2 ** 10000 - 1))[1] == 0
+        assert cohomology("0" * 5000 + "3/" + "0" * 5000 + "2")[1] == 0
+        assert cohomology("1/0") == ("error: bad scalar '1/0': Fraction(1, 0)", 1)
+        _, m = parse_space(SIERP)
+        with pytest.raises(ParseError, match="^line 5: scalar above"):
+            parse_sheaf(CONST.replace("[[1]]", f"[[-{2 ** 10000}]]"), "sierp", m)
+
+    def test_phi_value(self, tmp_path):
+        (tmp_path / "sierp.space").write_text(SIERP)
+        assert self.answer(["realize", "--space", str(tmp_path / "sierp.space"),
+                            "--phi", "s=1 eta=" + "9" * 5000]) == (
+            "error: value for 'eta' above the coefficient budget of 10000 bits", 1)
+        _, m = parse_space(SIERP)
+        with pytest.raises(ParseError, match="^value for 's' above"):
+            parse_phi(f"s={-2 ** 10000} eta=0", m)
+        assert parse_phi(f"s={1 - 2 ** 10000} eta=0", m)("s") == 1 - 2 ** 10000
+        with pytest.raises(ParseError, match="^value 'x' for 's' is not an integer"):
+            parse_phi("s=x eta=0", m)
+
+
 class TestParsePhi:
     def test_round_trip_random(self):
         rng = Random(64)
@@ -230,6 +270,42 @@ class TestParseMap:
         with pytest.raises(Exception):
             parse_map("map f\ntarget c\npoints: x y\ncovers: x<y\n"
                       "sends: s->y eta->x\n", m)
+
+
+# sha256 of the report of `sper-roots --poly "(t+1)^1000 - 2^1000"` and of
+# the concatenated `sper-push` reports of push_golden_argvs(), both recorded
+# before image polynomials became resultants and before the Sturm counts at
+# the Cauchy bound were read off the leading coefficients
+ROOTS_1000_DIGEST = "17cb4c5cd4cbf9d6d95bd2d1b2ff5afd04cf1887cf12871b299e0870f8bf4d85"
+PUSH_DIGEST = "f6952e07f9b7c2c019fef34611e9dd318591c1854a3f333a1f698cc69b3a36b2"
+
+
+def push_golden_argvs():
+    """Seeded `sper-push` command lines: maps of degree 2-6, from degree 3 on
+    with at least one irrational real critical point, over formulas whose
+    quadratic atoms have irrational roots, with a random phi."""
+    rng = Random(83)
+    out = []
+    for i in range(40):
+        deg = 2 + i % 5
+        while True:
+            p = tuple(rng.randint(-3, 3) for _ in range(deg)) + (rng.choice((-2, -1, 1, 2)),)
+            crit = ip.isolate_real_roots(ip.deriv(p))
+            if deg == 2 or any(e[0] == "interval" for e in crit):
+                break
+        atoms = []
+        for _ in range(rng.randint(1, 2)):
+            while True:
+                q = (rng.randint(-6, 6), rng.randint(-4, 4), rng.choice((-3, -1, 1, 2)))
+                disc = q[1] ** 2 - 4 * q[0] * q[2]
+                if disc > 0 and isqrt(disc) ** 2 != disc:
+                    break
+            atoms.append(f"{ip.to_str(q)} {rng.choice(('<', '<=', '=', '!=', '>'))} 0")
+        formula = rng.choice((" & ", " | ")).join(atoms)
+        cp = cell_poset(from_formula(parse_formula(formula)))
+        phi = " ".join(f"{x}={rng.randint(-2, 2)}" for x in cp.space.points)
+        out.append(["sper-push", "--poly", ip.to_str(p), "--formula", formula, "--phi", phi])
+    return out
 
 
 class TestCommands:
@@ -297,6 +373,30 @@ class TestCommands:
                         "root(t^3 - 2*t, -3, -3/4)\n"
                         "root(t, -1, 1)\n"
                         "root(t^3 - 2*t, 3/4, 3)")
+
+    def test_sper_roots_with_a_huge_cauchy_bound(self):
+        # the Cauchy bound of the squarefree part is about 2^995, so any sign
+        # evaluation at it works on million-bit integers
+        start = time.perf_counter()
+        text, code = run(["sper-roots", "--poly", "(t+1)^1000 - 2^1000"])
+        assert time.perf_counter() - start < 2
+        assert code == 0 and text.startswith("roots: 2\n")
+        assert hashlib.sha256(text.encode()).hexdigest() == ROOTS_1000_DIGEST
+
+    def test_sper_push_golden_digest(self, monkeypatch):
+        calls = []
+        image = ip.image_defining_poly
+        monkeypatch.setattr(ip, "image_defining_poly",
+                            lambda a, p: calls.append(ip.degree(a)) or image(a, p))
+        h = hashlib.sha256()
+        for argv in push_golden_argvs():
+            text, code = run(argv)
+            assert code == 0
+            h.update(f"{argv}\n{text}\n".encode())
+        # irrational upstream roots and irrational critical points both ask
+        # for image polynomials
+        assert len(calls) >= 100 and max(calls) >= 4
+        assert h.hexdigest() == PUSH_DIGEST
 
     def test_parse_error_exit_code(self, tmp_path):
         (tmp_path / "s.space").write_text(SIERP)

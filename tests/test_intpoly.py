@@ -179,3 +179,30 @@ def _contains(sp, entry, a, b) -> bool:
             return lo < a < hi
         s, t = sp.refine_root(a, b, steps=1)
         a, b = Fraction(int(s.p), int(s.q)), Fraction(int(t.p), int(t.q))
+
+
+def sympy_image_poly(a, p):
+    """The squarefree primitive part of sympy's Res_s(a(s), t - p(s))."""
+    sympy = pytest.importorskip("sympy")
+    s, t = sympy.symbols("s t")
+    tp = t - sum(c * s ** i for i, c in enumerate(p))
+    res = sympy.resultant(sympy.Poly(list(reversed(a)), s), sympy.Poly(tp, s))
+    return ip.primitive(from_sympy(sympy.Poly(res, t).sqf_part()))
+
+
+class TestImageDefiningPoly:
+    def test_hand_worked(self):
+        # sqrt(2) and -sqrt(2) both square to 2
+        assert ip.image_defining_poly((-2, 0, 1), (0, 0, 1)) == (-2, 1)
+        # the golden ratio and its conjugate, roots of t^2 - t - 1, square to
+        # the roots of t^2 - 3t + 1 (their squares sum to 3 and multiply to 1)
+        assert ip.image_defining_poly((-1, -1, 1), (0, 0, 1)) == (1, -3, 1)
+        # a cube root of 2 under t^2 + 1: (t - 1)^3 = 4
+        assert ip.image_defining_poly((-2, 0, 0, 1), (1, 0, 1)) == (-5, 3, -3, 1)
+
+    def test_against_sympy_resultant(self):
+        rng = Random(8)
+        for _ in range(300):
+            a = random_poly(rng, rng.randint(2, 6))
+            p = random_poly(rng, rng.randint(1, 6))
+            assert ip.image_defining_poly(a, p) == sympy_image_poly(a, p)

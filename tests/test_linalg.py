@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -249,6 +250,42 @@ class TestSNF:
         s, u, v = snf(mf)
         assert (u @ mf @ v) == s
         assert [s[0, 0], s[1, 1]] == [1, 0]
+
+
+def permutation_det(m):
+    """The Leibniz expansion: the sum over permutations of signed products."""
+    R, n = m.ring, m.rows
+    total = R.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = R.one() if inversions % 2 == 0 else R.neg(R.one())
+        for i in range(n):
+            term = R.mul(term, m[i, perm[i]])
+        total = R.add(total, term)
+    return total
+
+
+class TestDet:
+    def test_matches_the_permutation_expansion(self):
+        rng = Random(91)
+        singular = 0
+        for _ in range(600):
+            ring = rng.choice((ZZ, QQ, GF(2), GF(3), GF(7)))
+            n = rng.randint(0, 6)
+            rows = [[0 if rng.random() < 0.4 else
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if ring is QQ
+                     else rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                rows[-1] = list(rows[0])
+            m = Matrix(ring, rows, n, n)
+            want, got = permutation_det(m), det(m)
+            assert got == want and type(got) is type(want)
+            singular += ring.is_zero(got)
+        assert singular >= 100
+
+    def test_non_square(self):
+        with pytest.raises(ValueError, match="non-square"):
+            det(Matrix.zeros(ZZ, 2, 3))
 
 
 class TestSolve:
