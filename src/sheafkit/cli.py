@@ -420,12 +420,6 @@ def _parse_scalar(tok: str, ring: ScalarRing, idx: int):
         raise ParseError(f"bad scalar {tok!r}: {e}")
 
 
-def _scalar_str(x) -> str:
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
-
-
 def _parse_matrix(text: str, ring: ScalarRing, idx: int):
     """Parse row-major [[a,b],[c,d]] on line idx; [] is the empty matrix."""
     s = text.strip()
@@ -459,8 +453,7 @@ def _parse_matrix(text: str, ring: ScalarRing, idx: int):
 
 
 def _matrix_str(m: Matrix) -> str:
-    return "[" + ",".join("[" + ",".join(_scalar_str(x) for x in row) + "]"
-                          for row in m.entries) + "]"
+    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in m.entries) + "]"
 
 
 def parse_ring(tokens) -> ScalarRing:
@@ -730,21 +723,17 @@ def cmd_decompose(args):
     name, m = parse_space(_read(args.space))
     k = parse_sheaf(_read(args.sheaf), name, m)
     pieces, _ = cell_decompose(k)
-    total = chi(k)
+    chis = [(pt, sum((-1) ** (n % 2) * r for n, r in c.ranks.items())) for pt, c in pieces]
     acc = ConsFunction.zero(m)
-    lines = []
-    for pt, c in pieces:
-        piece_chi = sum((-1) ** (n % 2) * r for n, r in c.ranks.items())
-        lines.append(f"piece {pt}: chi={piece_chi}")
+    for pt, piece_chi in chis:
         acc = acc + ConsFunction(m, {q: (piece_chi if q == pt else 0) for q in m.points})
-    ok = acc == total
-    lines.append(f"chi check: {'ok' if ok else 'FAILED'}")
+    ok = acc == chi(k)
     if args.json:
-        return json.dumps({"pieces": [{"point": str(pt),
-                                       "chi": sum((-1) ** (n % 2) * r
-                                                  for n, r in c.ranks.items())}
-                                      for pt, c in pieces],
+        return json.dumps({"pieces": [{"point": str(pt), "chi": piece_chi}
+                                      for pt, piece_chi in chis],
                            "chi_check": ok}, sort_keys=True), 0 if ok else 2
+    lines = [f"piece {pt}: chi={piece_chi}" for pt, piece_chi in chis]
+    lines.append(f"chi check: {'ok' if ok else 'FAILED'}")
     return "\n".join(lines), 0 if ok else 2
 
 

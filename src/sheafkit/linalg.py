@@ -205,12 +205,12 @@ class Matrix:
         self._by_col = None
 
     @classmethod
-    def _of(cls, ring, rows, cols, data):
+    def _of(cls, ring, rows, cols, data, by_col=None):
         """The matrix whose row dicts are data, taken as they are."""
         m = cls.__new__(cls)
         m.ring, m.rows, m.cols = ring, rows, cols
         m._data = tuple(data)
-        m._by_col = None
+        m._by_col = by_col
         return m
 
     @classmethod
@@ -238,7 +238,7 @@ class Matrix:
     @classmethod
     def zeros(cls, ring, rows, cols):
         # one shared empty row: rows are never mutated once stored
-        return cls._of(ring, rows, cols, ({},) * rows)
+        return cls._of(ring, rows, cols, ({},) * rows, {})
 
     @classmethod
     def identity(cls, ring, n):
@@ -269,15 +269,16 @@ class Matrix:
         return self._data[i].items()
 
     def col(self, j):
-        """The (row, entry) pairs of the nonzero entries of column j."""
+        """The (row, entry) pairs of the nonzero entries of column j; the
+        first call indexes the nonzero columns only, not all of them."""
         by_col = self._by_col
         if by_col is None:
-            by_col = [[] for _ in range(self.cols)]
+            by_col = {}
             for i, r in enumerate(self._data):
                 for jj, x in r.items():
-                    by_col[jj].append((i, x))
+                    by_col.setdefault(jj, []).append((i, x))
             self._by_col = by_col
-        return by_col[j]
+        return by_col.get(j, ())
 
     def nonzeros(self, di=0, dj=0):
         """The (i + di, j + dj, x) triples of the nonzero entries x."""

@@ -28,7 +28,10 @@ from .linalg import (
     block_diagonal, complex_from_basis, cone, homology, kernel_basis,
     solve_right, tensor_chain_maps, tensor_with_basis,
 )
-from .space import FinSpec, MonotoneMap, SpaceError, admissible_order, subspace, _key
+from .space import (
+    FinSpec, MonotoneMap, SpaceError, admissible_order, classify_subset,
+    fiber_product, subspace, _key,
+)
 
 
 class SheafError(Exception):
@@ -429,17 +432,23 @@ def pullback(f: MonotoneMap, k: SheafComplex) -> SheafComplex:
     return SheafComplex(f.source, k.ring, stalks, gens, check=False)
 
 
-def _pushforward_labeled(f: MonotoneMap, k: SheafComplex):
-    """Derived pushforward with the rgamma labels of every stalk.
+def _pushforward_labeled(f: MonotoneMap, k: SheafComplex, p: MonotoneMap | None = None):
+    """Derived pushforward pulled back along p (by default the identity of
+    the target of f), with the rgamma labels of every stalk.
 
-    Stalk at q is the derived-section complex of k over the preimage of the
-    minimal open of q; generization maps are the cochain restrictions.
+    Stalk at t is the derived-section complex of k over the preimage of the
+    minimal open of p(t); generization maps are the cochain restrictions, as
+    p is monotone and so the labels at y all occur at x for x < y.
     """
     if k.space != f.source:
         raise SheafError("sheaf does not live on the source of the map")
     s = f.target
+    if p is None:
+        p = MonotoneMap.identity(s)
+    pm = dict(p.mapping)
     return _restriction_sheaf(
-        s, k.ring, lambda q: rgamma_labeled(restrict(k, f.preimage(s.up_set(q)))))
+        p.source, k.ring,
+        lambda t: rgamma_labeled(restrict(k, f.preimage(s.up_set(pm[t])))))
 
 
 def _restriction_sheaf(m: FinSpec, ring: ScalarRing, local):
@@ -828,10 +837,12 @@ def triangle_is_exact(tri: Triangle) -> bool:
 
 
 def base_change_compare(f: MonotoneMap, p: MonotoneMap, k: SheafComplex):
-    """The comparison (pullback then pushforward) vs (pushforward then
-    pullback) for the Cartesian square on f and p.
+    """The comparison (pushforward then pullback) -> (pullback then
+    pushforward) for the Cartesian square on f and p.
 
     Returns (comparison SheafMap on the source of p, iso flag, defect cone).
+    The left side is built on the source of p directly: its stalk at t is
+    the derived sections of k over the preimage of the minimal open of p(t).
     Stalkwise the map is cochain restriction along the preimage inclusion,
     with chains that degenerate under projection sent to zero.
     """
@@ -839,17 +850,14 @@ def base_change_compare(f: MonotoneMap, p: MonotoneMap, k: SheafComplex):
         raise SpaceError("maps must share a target")
     if k.space != f.source:
         raise SheafError("sheaf must live on the source of f")
-    rf, rf_labels, rf_indexes = _pushforward_labeled(f, k)
-    lhs = pullback(p, rf)
-    from .space import fiber_product
-    w, pr_x, pr_t = fiber_product(f, p)
+    lhs, _, lhs_indexes = _pushforward_labeled(f, k, p)
+    _, pr_x, pr_t = fiber_product(f, p)
     rhs, rhs_labels, _ = _pushforward_labeled(pr_t, pullback(pr_x, k))
     prx = dict(pr_x.mapping)
-    pm = dict(p.mapping)
     one = k.ring.one()
     comps = {}
     for t in p.source.points:
-        src_idx = rf_indexes[pm[t]]
+        src_idx = lhs_indexes[t]
 
         def entries(n, lab):
             cw, q, i = lab
@@ -867,7 +875,6 @@ def base_change_compare(f: MonotoneMap, p: MonotoneMap, k: SheafComplex):
 def base_change_locus(f: MonotoneMap, k: SheafComplex):
     """Points of the target over which base change along the point inclusion
     is an isomorphism, with the open/closed classification of the locus."""
-    from .space import classify_subset
     s = f.target
     locus = set()
     for q in s.points:
@@ -914,27 +921,24 @@ def cell_decompose(k: SheafComplex):
     time along the reverse admissible order.
 
     Returns (pieces, triangles): pieces are the (point, stalk complex) pairs
-    with nonzero stalks; each triangle K_{j-1} -> K_j -> cone has cone
-    stalkwise equivalent to the extension by zero of the stalk at the point
-    added at step j.  Summing the pointwise Euler ranks of the pieces
-    recovers the Euler index of k.
+    with nonzero stalks, generic points first; triangles is a generator, to
+    be read once, that builds the triangle K_{j-1} -> K_j -> cone of step j
+    when it is read, its cone stalkwise equivalent to the extension by zero
+    of the stalk at the point added at step j.  Summing the pointwise Euler
+    ranks of the pieces recovers the Euler index of k.
     """
     m = k.space
-    order = [next(iter(s)) for s in admissible_order(m).strata]
-    generic_first = list(reversed(order))
-    triangles = []
-    pieces = []
-    prev = zero_sheaf(m, k.ring)
-    open_pts = set()
-    for pt in generic_first:
-        open_pts.add(pt)
-        cur = j_shriek(m, frozenset(open_pts), restrict(k, frozenset(open_pts)))
-        comps = {}
-        for x in open_pts - {pt}:
-            comps[x] = ChainMap.identity(prev.stalks[x])
-        phi = SheafMap(prev, cur, comps, check=False)
-        triangles.append(triangle_of(phi))
-        if not k.stalks[pt].is_zero():
-            pieces.append((pt, k.stalks[pt]))
-        prev = cur
-    return pieces, triangles
+    generic_first = [next(iter(s)) for s in reversed(admissible_order(m).strata)]
+    pieces = [(pt, k.stalks[pt]) for pt in generic_first if not k.stalks[pt].is_zero()]
+
+    def triangles():
+        prev = zero_sheaf(m, k.ring)
+        open_pts = frozenset()
+        for pt in generic_first:
+            open_pts |= {pt}
+            cur = j_shriek(m, open_pts, restrict(k, open_pts))
+            comps = {x: ChainMap.identity(prev.stalks[x]) for x in open_pts - {pt}}
+            yield triangle_of(SheafMap(prev, cur, comps, check=False))
+            prev = cur
+
+    return pieces, triangles()

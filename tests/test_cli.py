@@ -442,6 +442,17 @@ class TestCommands:
         assert (text, code) == (
             "internal invariant failure: image does not lie in the kernel; d^2 != 0?", 2)
 
+    def test_rank_100000_stalk(self, tmp_path):
+        # each of the 100000 labels reads a column of a zero differential, so
+        # indexing every column on each read would be quadratic
+        (tmp_path / "two.space").write_text("space two\npoints: a b\ncovers: a<b\n")
+        (tmp_path / "k.sheaf").write_text("ring Z\nspace two\nstalk a: deg 0 rank 100000\n")
+        start = time.perf_counter()
+        text, code = run(["cohomology", "--space", str(tmp_path / "two.space"),
+                          "--sheaf", str(tmp_path / "k.sheaf")])
+        assert time.perf_counter() - start < 10
+        assert (text, code) == ("H^0: Z^100000", 0)
+
     def test_large_prime_field_is_fast(self, tmp_path):
         start = time.perf_counter()
         text, code = self._cohomology(

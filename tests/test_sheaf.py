@@ -9,7 +9,7 @@ import pytest
 
 import sheafkit
 from sheafkit.linalg import (
-    ChainMap, FreeChainComplex, Matrix, ZZ, QQ, homology, is_acyclic,
+    GF, ChainMap, FreeChainComplex, Matrix, ZZ, QQ, homology, is_acyclic,
 )
 from sheafkit.randgen import (
     random_discrete_fiber_map, random_monotone_map, random_poset, random_sheaf,
@@ -511,6 +511,61 @@ class TestBaseChange:
         locus, _ = base_change_locus(j, zero_sheaf(sub, ZZ))
         assert locus == frozenset(m.points)
 
+    @staticmethod
+    def typed(m):
+        """The dense entries of m with their Python types."""
+        return (m.rows, m.cols, tuple(tuple((type(x), x) for x in row) for row in m.entries))
+
+    def assert_same_sheaf(self, a, b):
+        assert a.space == b.space and a.ring == b.ring
+        for p in a.space.points:
+            x, y = a.stalks[p], b.stalks[p]
+            assert x.ranks == y.ranks
+            assert {n: self.typed(d) for n, d in x.diffs.items()} == \
+                {n: self.typed(d) for n, d in y.diffs.items()}
+        for e in a.space.covers:
+            assert {n: self.typed(mm) for n, mm in a.gens[e].mats.items()} == \
+                {n: self.typed(mm) for n, mm in b.gens[e].mats.items()}
+
+    def test_left_side_is_the_pulled_back_pushforward(self):
+        rng = Random(36)
+        kinds = ("point", "open", "closed", "map")
+        non_injective = 0
+        for i in range(48):
+            ring = (ZZ, QQ, GF(2), GF(3))[i % 4]
+            x = random_poset(rng, 5)
+            s = random_poset(rng, 4)
+            f = random_monotone_map(rng, x, s)
+            k = random_sheaf(rng, x, ring, max_pieces=2)
+            kind = kinds[(i // 4) % 4]
+            if kind == "point":
+                _, p = subspace(s, {rng.choice(s.points)})
+            elif kind == "open":
+                _, p = subspace(s, s.up_set(rng.choice(s.points)))
+            elif kind == "closed":
+                _, p = subspace(s, s.down_set(rng.choice(s.points)))
+            else:  # not injective as soon as two points share an image
+                p = random_monotone_map(rng, random_poset(rng, 5, min_points=3), s)
+                non_injective += len({t for _, t in p.mapping}) < len(p.mapping)
+            cmp_map, _, _ = base_change_compare(f, p, k)
+            self.assert_same_sheaf(cmp_map.source, pullback(p, pushforward(f, k)))
+        assert non_injective >= 6
+
+    def test_two_section_builds_per_target_point(self, monkeypatch):
+        import sheafkit.sheaf as sh
+        calls = []
+        build = sh.rgamma_labeled
+        monkeypatch.setattr(sh, "rgamma_labeled", lambda k: calls.append(1) or build(k))
+        rng = Random(37)
+        for _ in range(6):
+            x = random_poset(rng, 5)
+            s = random_poset(rng, 5, min_points=3)
+            f = random_monotone_map(rng, x, s)
+            calls.clear()
+            base_change_locus(f, random_sheaf(rng, x))
+            # one build for the stalk of the pushforward, one for the fiber
+            assert len(calls) == 2 * len(s.points)
+
 
 class TestConservativity:
     def test_contrapositive_on_random_instances(self):
@@ -555,6 +610,26 @@ class TestCellDecompose:
             for tri, pt in zip(tris, reversed(order)):
                 assert same_stalk_homology(tri.c, skyscraper(m, pt, k.stalks[pt]))
                 assert triangle_is_exact(tri)
+
+    def test_decompose_builds_no_triangle(self, monkeypatch, tmp_path):
+        from sheafkit.cli import run, sheaf_to_text, space_to_text
+        rng = Random(38)
+        argvs = []
+        for i in range(8):
+            m = random_poset(rng, 5)
+            (tmp_path / f"{i}.space").write_text(space_to_text("sp", m))
+            (tmp_path / f"{i}.sheaf").write_text(sheaf_to_text(random_sheaf(rng, m), "sp"))
+            for extra in ([], ["--json"]):
+                argvs.append(["decompose", "--space", str(tmp_path / f"{i}.space"),
+                              "--sheaf", str(tmp_path / f"{i}.sheaf")] + extra)
+        reports = [run(argv) for argv in argvs]
+        assert all(code == 0 for _, code in reports)
+
+        def no_triangle(phi):
+            raise AssertionError("decompose built a triangle")
+
+        monkeypatch.setattr("sheafkit.sheaf.triangle_of", no_triangle)
+        assert [run(argv) for argv in argvs] == reports
 
 
 class TestRings:
