@@ -20,7 +20,9 @@ Text formats:
 * sheaves: "ring Z|Q|F p" / "space NAME" / per point
   "stalk x: deg d rank r; d_d = [[..],[..]]" / per cover
   "gen x<y: deg d = [[..]]" with row-major matrices, rationals as p/q,
-  each numerator and denominator within MAX_COEFF_BITS;
+  each numerator and denominator within MAX_COEFF_BITS, and the stalk
+  ranks of the whole file summing to at most MAX_STALK_RANK = 100000,
+  checked as the stalk lines are read, before any matrix is built;
   degrees lie in [-16, 16] and F p takes primes p below
   3317044064679887385961981 (about 3.3e24), where the deterministic
   primality test is exact;
@@ -159,6 +161,10 @@ MAX_POLY_DEGREE = 1000
 # that a huge constant is a ParseError rather than a long computation.  It must stay below 3 * 4300, Python's default digit limit of
 # int(str).
 MAX_COEFF_BITS = 10000
+
+# Budget on the sum of the stalk ranks of a sheaf file, so that a huge rank
+# is a ParseError rather than an allocation that exhausts memory.
+MAX_STALK_RANK = 100000
 
 
 def _budget_int(s: str, what: str) -> int:
@@ -481,6 +487,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
     ring = None
     declared_space = None
     ranks = {}   # point -> {deg: rank}
+    total_rank = 0  # sum of the positive ranks in `ranks`
     diffs = {}   # point -> {deg: rows}
     gen_mats = {}  # (x, y) -> {deg: rows}
     for idx, line in _content_lines(text):
@@ -505,7 +512,12 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
                 if toks[0] == "deg":
                     if len(toks) != 4 or toks[2] != "rank":
                         raise ParseError(f"line {idx}: malformed rank item {item!r}")
-                    ranks[pt][_integer(toks[1], idx)] = _integer(toks[3], idx)
+                    deg, rank = _integer(toks[1], idx), _integer(toks[3], idx)
+                    total_rank += max(rank, 0) - max(ranks[pt].get(deg, 0), 0)
+                    if total_rank > MAX_STALK_RANK:
+                        raise ParseError(f"line {idx}: stalk ranks above the rank "
+                                         f"budget of {MAX_STALK_RANK}")
+                    ranks[pt][deg] = rank
                 elif toks[0].startswith("d_"):
                     deg = _integer(toks[0][2:], idx)
                     _, _, mat = item.partition("=")

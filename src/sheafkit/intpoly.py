@@ -274,7 +274,11 @@ def isolate_real_roots(p):
     """
     if not p:
         raise ZeroPolynomial("cannot isolate roots of 0")
-    sf = squarefree(p)
+    return isolate_squarefree_roots(squarefree(p))
+
+
+def isolate_squarefree_roots(sf):
+    """isolate_real_roots of a polynomial given by its squarefree part sf."""
     if degree(sf) < 1:
         return []
     seq = sturm_sequence(sf)

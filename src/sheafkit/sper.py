@@ -12,8 +12,15 @@ can distinguish.
 Everything is exact: algebraic numbers are squarefree integer polynomials
 with isolating rational intervals, signs are decided by Sturm counts and
 gcds, and images under polynomial maps come from image polynomials,
-resultants over Z[t] computed by Bareiss elimination.  Fibers need no
-such image polynomial: a root tau of b.poly(p(t)) maps to b exactly when
+resultants over Z[t] computed by Bareiss elimination.
+
+Solution sets of formulas decide signs by provenance: merging the atoms'
+root lists records which atoms vanish at each root, so once the isolating
+intervals are disjoint every sign is read at a rational midpoint, off a
+leading term or from that record.  Fiber sums of the pushforward at a
+rational value y are Sturm counts of den(y) p - num(y) between the upstream
+roots, with no root of it isolated.  Fibers over an irrational b need no
+image polynomial either: a root tau of b.poly(p(t)) maps to b exactly when
 an interval enclosure of p(tau), shrunk by refining tau, lands inside b's
 isolating interval rather than outside it.
 """
@@ -23,6 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import intpoly as ip
 from .k0 import ConsFunction
@@ -221,7 +229,7 @@ def real_roots(f) -> list:
         raise ZeroPolynomial("real_roots of the zero polynomial")
     sf = ip.squarefree(f)
     out = []
-    for entry in ip.isolate_real_roots(f):
+    for entry in ip.isolate_squarefree_roots(sf):
         if entry[0] == "rational":
             out.append(AlgNumber.from_rational(entry[1]))
         else:
@@ -318,10 +326,17 @@ def _cell_of_sper_point(roots, pt: SperPoint) -> int:
 
 def merge_roots(a, b) -> list:
     """Sorted union of two sorted AlgNumber lists, without duplicates."""
+    return [r for r, _ in _merge_tagged([(r, 0) for r in a], [(r, 0) for r in b])]
+
+
+def _merge_tagged(a, b) -> list:
+    """Sorted union of two sorted lists of (AlgNumber, int bit set) pairs;
+    of two equal roots (decided exactly) the first is kept, with the union
+    of both bit sets."""
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
-        c = a[i].compare(b[j])
+        c = a[i][0].compare(b[j][0])
         if c < 0:
             out.append(a[i])
             i += 1
@@ -329,7 +344,7 @@ def merge_roots(a, b) -> list:
             out.append(b[j])
             j += 1
         else:
-            out.append(a[i])
+            out.append((a[i][0], a[i][1] | b[j][1]))
             i += 1
             j += 1
     out.extend(a[i:])
@@ -569,28 +584,52 @@ def cell_samples(roots):
     return roots, samples
 
 
-def _sign_at_sample(f, sample) -> int:
-    if isinstance(sample, AlgNumber):
-        return sign_at(f, SperPoint.alg(sample))
-    return ip.sign_at_rational(f, sample)
+def _sign_vector(f, bit: int, roots, tags) -> list:
+    """Signs of f on the 2k+1 cells of sorted roots with disjoint isolating
+    intervals, given every root of f among them; bit marks f in the bit set
+    tags[j] of the polynomials vanishing at roots[j]."""
+    k = len(roots)
+    if not f:
+        return [0] * (2 * k + 1)
+    lead = _sign_of_fraction(ip.lead(f))
+    out = [lead * (-1 if ip.degree(f) % 2 else 1)]
+    for j in range(k):
+        if j + 1 < k:
+            right = ip.sign_at_rational(f, (roots[j].hi + roots[j + 1].lo) / 2)
+        else:
+            right = lead
+        # f(r_j) != 0 and no root of f lies in (r_j, r_{j+1}), so f has
+        # one sign on [r_j, r_{j+1})
+        out.append(0 if tags[j] >> bit & 1 else right)
+        out.append(right)
+    return out
 
 
 def from_formula(phi) -> SperConstructible:
     """The solution set of a Boolean combination of sign conditions.
 
-    Roots of the atom polynomials cut the line into cells on which every
-    atom is sign-constant, so one sample per cell decides membership.
+    Signs by provenance: the roots of the distinct atom polynomials are
+    merged, each merged root tagged with the polynomials vanishing there
+    (the merge decides equality exactly).  Once the isolating intervals are
+    disjoint, every atom is sign-constant on each cell: on an interval cell
+    its sign is read at the rational midpoint between the neighbouring
+    intervals, or off the leading term on the two unbounded cells; at a root
+    it is 0 for the tagged polynomials and otherwise the sign on the
+    interval cell to the right.  The formula is evaluated per cell on this
+    table, with no sign evaluation at an algebraic point.
     """
     atoms = formula_atoms(phi)
-    roots = []
-    for a in atoms:
-        poly = ip.normalize(a.poly)
-        if poly and ip.degree(poly) >= 1:
-            roots = merge_roots(roots, real_roots(poly))
-    roots, samples = cell_samples(roots)
-    mask = []
-    for sample in samples:
-        mask.append(_eval_formula(phi, lambda f: _sign_at_sample(f, sample)))
+    polys = list(dict.fromkeys(ip.normalize(a.poly) for a in atoms))
+    tagged = []
+    for bit, f in enumerate(polys):
+        if ip.degree(f) >= 1:
+            tagged = _merge_tagged(tagged, [(r, 1 << bit) for r in real_roots(f)])
+    roots = refine_disjoint([r for r, _ in tagged])
+    tags = [t for _, t in tagged]
+    vectors = {f: _sign_vector(f, bit, roots, tags) for bit, f in enumerate(polys)}
+    signs = {a.poly: vectors[ip.normalize(a.poly)] for a in atoms}
+    mask = [_eval_formula(phi, lambda f: signs[f][pos])
+            for pos in range(2 * len(roots) + 1)]
     return SperConstructible(roots, mask)
 
 
@@ -680,8 +719,12 @@ class CellPoset:
     def point_at(self, pos: int):
         return self.cells[pos]
 
+    @cached_property
+    def markers(self) -> list:
+        return cell_markers(self.roots)
+
     def marker(self, pos: int) -> str:
-        return cell_markers(self.roots)[pos]
+        return self.markers[pos]
 
 
 def cell_poset(arg) -> CellPoset:
@@ -777,16 +820,37 @@ def preimage_set(p: PolyMap, s: SperConstructible) -> SperConstructible:
     return from_formula(substitute(defining_formula(s), p.poly))
 
 
-def _fiber(p: PolyMap, b) -> list:
-    """All t with p(t) = b, for b rational or algebraic; exact."""
-    if isinstance(b, AlgNumber) and b.is_rational():
-        b = b.as_rational()
-    if isinstance(b, (int, Fraction)):
-        b = Fraction(b)
-        h = ip.sub(ip.scale(p.poly, b.denominator), ip.constant(b.numerator))
-        return real_roots(h)
+def _fiber(p: PolyMap, b: AlgNumber) -> list:
+    """All t with p(t) = b, for an algebraic b; exact."""
     return [tau for tau in real_roots(ip.compose(b.poly, p.poly))
             if _lands_on(p, tau, b)]
+
+
+def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list,
+               y: Fraction) -> int:
+    """The sum of phi over the fiber of p at a rational y, by Sturm counts.
+
+    ups holds the roots of cells with pairwise disjoint isolating intervals
+    (lo, hi); each is refined in place until (lo, hi] holds no root of
+    h = den(y) p - num(y) other than itself.  The roots of h in an interval
+    cell are then those in (hi, lo'] between the neighbouring intervals, and
+    a root cell lies in the fiber exactly when h vanishes there.  No root of
+    h is isolated.
+    """
+    h = ip.squarefree(ip.sub(ip.scale(p.poly, y.denominator), ip.constant(y.numerator)))
+    seq = ip.sturm_sequence(h)
+    total = 0
+    left = None
+    for j, a in enumerate(ups):
+        hits = _vanishes_at(h, a)
+        if hits:
+            total += phi(cells.point_at(2 * j + 1))
+        while ip.count_roots_halfopen(seq, a.lo, a.hi) != hits:
+            a = a.refined()
+        ups[j] = a
+        total += phi(cells.point_at(2 * j)) * ip.count_roots_halfopen(seq, left, a.lo)
+        left = a.hi
+    return total + phi(cells.point_at(2 * len(ups))) * ip.count_roots_halfopen(seq, left, None)
 
 
 def _lands_on(p: PolyMap, tau: AlgNumber, b: AlgNumber) -> bool:
@@ -854,7 +918,10 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
     The downstream root set contains the images of the upstream roots and
     of the critical points of the map, which makes the fiber sums constant
     on the downstream cells; each interval cell is evaluated at three
-    rational samples and disagreements raise InconsistentSamples.
+    rational samples and disagreements raise InconsistentSamples.  Fiber
+    sums at rational values, samples and rational roots alike, come from
+    Sturm counts between the upstream roots (_fiber_sum); only at an
+    irrational downstream root is the fiber isolated (_fiber).
     """
     if phi.space != cells.space:
         raise SperError("function does not live on the given cell poset")
@@ -869,13 +936,15 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
     for q in downstream_polys:
         new_roots = merge_roots(new_roots, real_roots(q))
     out_cells = cell_poset(new_roots)
+    ups = refine_disjoint(cells.roots)
 
     def value_at(y) -> int:
-        total = 0
-        for tau in _fiber(p, y):
-            pos = locate_cell(cells.roots, tau)
-            total += phi(cells.point_at(pos))
-        return total
+        if isinstance(y, AlgNumber):
+            if not y.is_rational():
+                return sum(phi(cells.point_at(locate_cell(cells.roots, tau)))
+                           for tau in _fiber(p, y))
+            y = y.as_rational()
+        return _fiber_sum(p, phi, cells, ups, y)
 
     refined, samples = cell_samples(list(out_cells.roots))
     values = {}

@@ -8,7 +8,7 @@ import pytest
 
 import sheafkit.intpoly as ip
 from sheafkit.cli import (
-    ParseError, parse_formula, parse_map, parse_phi, parse_poly, parse_sheaf,
+    MAX_STALK_RANK, ParseError, parse_formula, parse_map, parse_phi, parse_poly, parse_sheaf,
     parse_space, run, sheaf_to_text, space_to_text,
 )
 from sheafkit.randgen import random_cons_function, random_poset, random_sheaf
@@ -278,6 +278,10 @@ class TestParseMap:
 # the Cauchy bound were read off the leading coefficients
 ROOTS_1000_DIGEST = "17cb4c5cd4cbf9d6d95bd2d1b2ff5afd04cf1887cf12871b299e0870f8bf4d85"
 PUSH_DIGEST = "f6952e07f9b7c2c019fef34611e9dd318591c1854a3f333a1f698cc69b3a36b2"
+HUGE_BOUND_DIGESTS = {
+    "sper-set": "70a9646360cc29334d00908e94dacf349dd328e2c6ef849c72966c8a32c28b09",
+    "sper-cells": "2f9475955db063a23469de9653b13a0388212ff11ca50d666c9163cf5663b4da",
+}
 
 
 def push_golden_argvs():
@@ -383,6 +387,16 @@ class TestCommands:
         assert code == 0 and text.startswith("roots: 2\n")
         assert hashlib.sha256(text.encode()).hexdigest() == ROOTS_1000_DIGEST
 
+    @pytest.mark.parametrize("command", sorted(HUGE_BOUND_DIGESTS))
+    def test_sper_set_and_cells_with_a_huge_cauchy_bound(self, command):
+        # signs on the unbounded cells come from leading terms, so nothing is
+        # evaluated near the Cauchy bound of about 2^995
+        start = time.perf_counter()
+        text, code = run([command, "--formula", "(t+1)^1000 - 2^1000 < 0"])
+        assert time.perf_counter() - start < 3
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == HUGE_BOUND_DIGESTS[command]
+
     def test_sper_push_golden_digest(self, monkeypatch):
         calls = []
         image = ip.image_defining_poly
@@ -452,6 +466,26 @@ class TestCommands:
                           "--sheaf", str(tmp_path / "k.sheaf")])
         assert time.perf_counter() - start < 10
         assert (text, code) == ("H^0: Z^100000", 0)
+
+    @pytest.mark.parametrize("stalks, line", [
+        ("stalk a: deg 0 rank 1000000000000\n", 3),
+        ("stalk a: deg 0 rank 60000\nstalk b: deg 0 rank 30000; deg 1 rank 10001\n", 4),
+    ])
+    def test_stalk_ranks_above_the_budget(self, tmp_path, stalks, line):
+        (tmp_path / "two.space").write_text("space two\npoints: a b\ncovers: a<b\n")
+        (tmp_path / "k.sheaf").write_text("ring Z\nspace two\n" + stalks)
+        start = time.perf_counter()
+        text, code = run(["cohomology", "--space", str(tmp_path / "two.space"),
+                          "--sheaf", str(tmp_path / "k.sheaf")])
+        assert time.perf_counter() - start < 1
+        assert (text, code) == (
+            f"error: line {line}: stalk ranks above the rank budget of {MAX_STALK_RANK}", 1)
+
+    def test_a_repeated_rank_item_counts_once(self):
+        _, m = parse_space("space two\npoints: a b\ncovers: a<b\n")
+        k = parse_sheaf("ring Z\nspace two\nstalk a: deg 0 rank 60000\n"
+                        "stalk a: deg 0 rank 60000\n", "two", m)
+        assert k.stalks["a"].rank(0) == 60000
 
     def test_large_prime_field_is_fast(self, tmp_path):
         start = time.perf_counter()

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 import sheafkit.intpoly as ip
+import sheafkit.sper as sper
 from sheafkit.k0 import ConsFunction
 from sheafkit.space import krull_dim
 from sheafkit.sper import (
@@ -56,6 +57,13 @@ class TestRealRoots:
     def test_repeated_roots_collapse(self):
         roots = real_roots(ip.mul((-1, 1), (-1, 1)))
         assert len(roots) == 1 and roots[0].compare(1) == 0
+
+    def test_one_squarefree_part_per_call(self, monkeypatch):
+        calls = []
+        squarefree = ip.squarefree
+        monkeypatch.setattr(ip, "squarefree", lambda p: calls.append(p) or squarefree(p))
+        roots = real_roots(ip.mul(T3M2T, T2M2))
+        assert len(roots) == 3 and len(calls) == 1
 
 
 class TestSignAt:
@@ -183,6 +191,14 @@ class TestClosureInterior:
 
 
 class TestCellPoset:
+    def test_markers_built_once(self, monkeypatch):
+        calls = []
+        markers = sper.cell_markers
+        monkeypatch.setattr(sper, "cell_markers", lambda r: calls.append(1) or markers(r))
+        cp = cell_poset(real_roots(quintic()) + real_roots(ip.mul(T2M2, (-3, 0, 1))))
+        assert [cp.marker(i) for i in range(len(cp.cells))] == markers(cp.roots)
+        assert len(cp.cells) == 19 and len(calls) == 1
+
     def test_single_root_fence(self):
         cp = cell_poset(real_roots((0, 1)))
         assert len(cp.cells) == 3
@@ -444,3 +460,133 @@ class TestAlgNumber:
     def test_str_format(self):
         sqrt2 = real_roots(T2M2)[1]
         assert str(sqrt2).startswith("root(t^2 - 2, ")
+
+
+# factors with rational, irrational and no real roots; products of them give
+# atoms that share roots
+SHARED_FACTORS = ((-1, 1), (1, 1), (-1, 2), (0, 1), T2M2, (-3, 0, 1),
+                  (-1, -1, 1), (1, 0, 1), (2, -3, 0, 1))
+RELOPS = ("<", "<=", "=", "!=", ">=", ">")
+
+
+def _product(rng, n):
+    f = (rng.choice((-2, -1, 1, 3)),)
+    for _ in range(n):
+        f = ip.mul(f, rng.choice(SHARED_FACTORS))
+    return f
+
+
+def _shared_root_formula(rng):
+    """A formula over f, g, f*g, 3f, -f, repeated atoms, a constant and 0."""
+    f, g = _product(rng, rng.randint(1, 2)), _product(rng, rng.randint(1, 2))
+    pool = (f, g, ip.mul(f, g), ip.scale(f, 3), ip.neg(f), f,
+            ip.constant(rng.randint(-2, 2)), ())
+
+    def tree(depth):
+        if depth == 0 or rng.random() < 0.35:
+            return Atom(rng.choice(pool), rng.choice(RELOPS))
+        kind = rng.random()
+        if kind < 0.2:
+            return Not(tree(depth - 1))
+        children = tuple(tree(depth - 1) for _ in range(rng.randint(2, 3)))
+        return And(children) if kind < 0.6 else Or(children)
+
+    return tree(3)
+
+
+def _formula_oracle(phi):
+    """from_formula by direct sign evaluation: sign_at at every root and
+    sign_at_rational at the interval samples."""
+    roots = []
+    for a in sper.formula_atoms(phi):
+        f = ip.normalize(a.poly)
+        if ip.degree(f) >= 1:
+            roots = sper.merge_roots(roots, real_roots(f))
+    roots, samples = cell_samples(roots)
+
+    def sign(f, x):
+        if isinstance(x, sper.AlgNumber):
+            return sign_at(f, SperPoint.alg(x))
+        return ip.sign_at_rational(f, x)
+
+    mask = [sper._eval_formula(phi, lambda f: sign(f, x)) for x in samples]
+    return SperConstructible(roots, mask)
+
+
+class TestSignsByProvenance:
+    def test_matches_direct_sign_evaluation(self):
+        rng = Random(101)
+        shared = 0
+        for _ in range(150):
+            phi = _shared_root_formula(rng)
+            got, want = from_formula(phi), _formula_oracle(phi)
+            assert got == want and str(got) == str(want)
+            shared += len(got.roots) < sum(
+                len(real_roots(a.poly)) for a in sper.formula_atoms(phi)
+                if ip.degree(a.poly) >= 1)
+        assert shared >= 60
+
+    def test_no_sign_evaluation_at_algebraic_points(self, monkeypatch):
+        rng = Random(103)
+        phis = [_shared_root_formula(rng) for _ in range(60)]
+        want = [str(from_formula(phi)) for phi in phis]
+
+        def forbidden(*args):
+            raise AssertionError("from_formula evaluated a sign at a point")
+
+        monkeypatch.setattr(sper, "sign_at", forbidden)
+        monkeypatch.setattr(sper, "_vanishes_at", forbidden)
+        assert [str(from_formula(phi)) for phi in phis] == want
+
+
+def _fiber_oracle(p, phi, cells, y):
+    h = ip.sub(ip.scale(p.poly, y.denominator), ip.constant(y.numerator))
+    return sum(phi(cells.point_at(locate_cell(cells.roots, tau))) for tau in real_roots(h))
+
+
+class TestFiberSumsBySturmCounts:
+    def test_matches_isolated_fibers(self):
+        rng = Random(107)
+        checked = 0
+        for _ in range(40):
+            deg = rng.randint(1, 6)
+            coeffs = [rng.randint(-3, 3) for _ in range(deg)] + [rng.choice((-2, -1, 1, 2))]
+            p = PolyMap(coeffs)
+            cp = cell_poset(from_formula(_shared_root_formula(rng)))
+            phi = ConsFunction(cp.space, {q: rng.randint(-2, 2) for q in cp.space.points})
+            ups = sper.refine_disjoint(cp.roots)
+            # images of rational upstream roots, where the fiber meets a
+            # root cell, and random rationals
+            ys = [ip.evaluate(p.poly, a.as_rational()) for a in cp.roots if a.is_rational()]
+            ys += [Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(4)]
+            for y in ys:
+                assert sper._fiber_sum(p, phi, cp, ups, y) == _fiber_oracle(p, phi, cp, y)
+                checked += 1
+            out, oc = push_cons(p, phi, cp)
+            _, samples = cell_samples(list(oc.roots))
+            for pos, y in enumerate(samples):
+                if isinstance(y, sper.AlgNumber):
+                    if not y.is_rational():
+                        continue
+                    y = y.as_rational()
+                assert out(oc.point_at(pos)) == _fiber_oracle(p, phi, cp, y)
+                checked += 1
+        assert checked >= 300
+
+    def test_rational_downstream_roots_isolate_no_fiber(self, monkeypatch):
+        # every image of +-sqrt 2, +-sqrt 3, 1/2 and the critical point 0 under
+        # t^2 is rational
+        cp = cell_poset(from_formula(Or((
+            And((Atom(T2M2, ">"), Atom((-3, 0, 1), "<"))), Atom((-1, 2), "=")))))
+        phi = ConsFunction(cp.space, {q: i - 3 for i, q in enumerate(cp.space.points)})
+        p = PolyMap((0, 0, 1))
+        out, oc = push_cons(p, phi, cp)
+        want = [(oc.marker(i), out(oc.point_at(i))) for i in range(len(oc.cells))]
+
+        def forbidden(*args):
+            raise AssertionError("a rational fiber was isolated")
+
+        monkeypatch.setattr(sper, "_fiber", forbidden)
+        out, oc = push_cons(p, phi, cp)
+        assert [(oc.marker(i), out(oc.point_at(i))) for i in range(len(oc.cells))] == want
+        assert len(want) == 9
