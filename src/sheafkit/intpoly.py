@@ -6,9 +6,11 @@ machinery is integer-only: Sturm sequences, gcds and exact division run on
 primitive pseudo-remainders over Z, and the sign of a polynomial at a
 rational a/b is the sign of the integer b^deg * p(a/b).  Sturm counts in
 half-open intervals with rational endpoints, and bisection against those
-counts, isolate the real roots.  Defining polynomials of polynomial images
-of algebraic numbers are resultants over Z[t], Sylvester determinants by
-fraction-free (Bareiss) elimination.
+counts, isolate the real roots.  The same sequences with p' q in place of
+p' answer Tarski queries: the sum of the signs of q over the roots of p in
+an interval, which gives the sign of q at an isolated root.  Defining
+polynomials of polynomial images of algebraic numbers are resultants over
+Z[t], Sylvester determinants by fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -193,16 +195,21 @@ def squarefree(p) -> tuple:
 # Sturm sequences and root counting
 
 
-def sturm_sequence(p):
-    """Sturm sequence of a squarefree polynomial over Z.
+def sturm_sequence(p, q=(1,)):
+    """The Sturm-Tarski sequence of p and q over Z.
 
-    The terms are p and p' divided by their contents, then the negated
+    The terms are p and p' q divided by their contents, then the negated
     pseudo-remainders made primitive.  Each term is a positive rational
     multiple of the corresponding term of the signed-remainder sequence
-    over Q, so every sign and every variation count is the same.
+    over Q, so every sign and every variation count is the same.  With
+    q = 1 this is the Sturm sequence of p, and count_roots_halfopen(seq, a,
+    b) counts the distinct roots of p in (a, b].  For any q it is the Tarski
+    query TaQ(q, p; a, b], the number of roots x of p in (a, b] with
+    q(x) > 0 minus the number with q(x) < 0, provided neither a nor b is a
+    root of p.
     """
     seq = [_shrink(p)]
-    d = deriv(p)
+    d = mul(deriv(p), q)
     if d:
         seq.append(_shrink(d))
         while True:

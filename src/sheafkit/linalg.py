@@ -66,10 +66,6 @@ class ScalarRing:
         elif self.p is not None:
             raise ValueError("p only makes sense for F_p")
 
-    @property
-    def is_field(self) -> bool:
-        return self.kind != "Z"
-
     def normalize(self, x):
         if self.kind == "Z":
             if type(x) is int:
@@ -780,9 +776,6 @@ class FreeChainComplex:
 
     def total_rank(self) -> int:
         return sum(self.ranks.values())
-
-    def min_degree(self):
-        return min(self.ranks) if self.ranks else None
 
     def max_degree(self):
         return max(self.ranks) if self.ranks else None

@@ -351,6 +351,16 @@ def restrict(k: SheafComplex, s) -> SheafComplex:
 # derived global sections
 
 
+def _col(m, j):
+    """Column j of a stored differential or component; None is zero."""
+    return () if m is None else m.col(j)
+
+
+def _row(m, i):
+    """Row i of a stored differential or component; None is zero."""
+    return () if m is None else m.row(i)
+
+
 def _chain_face_index(chains):
     """For each chain, the list of longer chains it is a face of.
 
@@ -397,14 +407,14 @@ def rgamma_labeled(k: SheafComplex):
         c, q, i = lab
         p = len(c) - 1
         sign_v = one if p % 2 == 0 else neg
-        for i2, co in k.stalks[c[-1]].diff(q).col(i):
+        for i2, co in _col(k.stalks[c[-1]].diffs.get(q), i):
             yield (c, q + 1, i2), R.mul(sign_v, co)
         for (c2, l) in faces.get(c, ()):  # c = face_l(c2), len(c2) = p + 2
             sign = one if l % 2 == 0 else neg
             if l < len(c2) - 1:
                 yield (c2, q, i), sign
             else:
-                for i2, co in k.rho(c2[-2], c2[-1]).component(q).col(i):
+                for i2, co in _col(k.rho(c2[-2], c2[-1]).mats.get(q), i):
                     yield (c2, q, i2), R.mul(sign, co)
 
     cx, index = complex_from_basis(R, basis, entries)
@@ -674,19 +684,19 @@ def _hom_end_complex(k: SheafComplex, l: SheafComplex, up):
         b = l.stalks[c[-1]]
         sign_v = one if p % 2 == 0 else neg
         # internal hom differential: d_L . f - (-1)^q f . d_K
-        for j2, co in b.diff(t + q).col(j):
+        for j2, co in _col(b.diffs.get(t + q), j):
             yield (c, t, i, j2), R.mul(sign_v, co)
         sign_k = neg if q % 2 == 0 else one
-        for i2, co in a.diff(t - 1).row(i):
+        for i2, co in _row(a.diffs.get(t - 1), i):
             yield (c, t - 1, i2, j), R.mul(R.mul(sign_v, sign_k), co)
         # end differential: faces of longer chains
         for (c2, pos) in faces.get(c, ()):
             sign = one if pos % 2 == 0 else neg
             if pos == 0:
-                for i2, co in k.rho(c2[0], c2[1]).component(t).row(i):
+                for i2, co in _row(k.rho(c2[0], c2[1]).mats.get(t), i):
                     yield (c2, t, i2, j), R.mul(sign, co)
             elif pos == len(c2) - 1:
-                for j2, co in l.rho(c2[-2], c2[-1]).component(t + q).col(j):
+                for j2, co in _col(l.rho(c2[-2], c2[-1]).mats.get(t + q), j):
                     yield (c2, t, i, j2), R.mul(sign, co)
             else:
                 yield (c2, t, i, j), sign

@@ -10,19 +10,22 @@ live inside their interval cell, which is as fine as constructible data
 can distinguish.
 
 Everything is exact: algebraic numbers are squarefree integer polynomials
-with isolating rational intervals, signs are decided by Sturm counts and
-gcds, and images under polynomial maps come from image polynomials,
-resultants over Z[t] computed by Bareiss elimination.
+with isolating rational intervals, and images under polynomial maps come
+from image polynomials, resultants over Z[t] computed by Bareiss
+elimination.  The one question asked at an algebraic number a is the sign
+of a polynomial f there, and it is one Tarski query: the Sturm-Tarski count
+of a.poly and f over the isolating interval, which holds exactly one root
+of a.poly.  Signs on cuts follow from the first derivative of f that does
+not vanish at the center.
 
 Solution sets of formulas decide signs by provenance: merging the atoms'
 root lists records which atoms vanish at each root, so once the isolating
 intervals are disjoint every sign is read at a rational midpoint, off a
-leading term or from that record.  Fiber sums of the pushforward at a
-rational value y are Sturm counts of den(y) p - num(y) between the upstream
-roots, with no root of it isolated.  Fibers over an irrational b need no
-image polynomial either: a root tau of b.poly(p(t)) maps to b exactly when
-an interval enclosure of p(tau), shrunk by refining tau, lands inside b's
-isolating interval rather than outside it.
+leading term or from that record.  Fiber sums of the pushforward at a value
+b are counts of the roots of b.poly(p(t)) between the upstream roots, with
+no root of it isolated: at a rational b all of them lie in the fiber, and at
+an irrational b a Tarski query of the sign of (p - b.lo)(b.hi - p) keeps
+those that p maps into b's isolating interval.
 """
 
 from __future__ import annotations
@@ -241,19 +244,21 @@ def _sign_of_fraction(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _vanishes_at(f, a: AlgNumber) -> bool:
-    """Whether f(alpha) = 0, by a gcd against the defining polynomial."""
-    f = ip.normalize(f)
-    if not f:
-        return True
-    g = ip.gcd(f, a.poly)
-    if ip.degree(g) < 1:
-        return False
-    return ip.count_roots_halfopen(ip.sturm_sequence(g), a.lo, a.hi) == 1
+def _sign_at_root(f, a: AlgNumber) -> int:
+    """The sign of f at a: the Tarski query of f at the roots of a.poly in
+    (a.lo, a.hi], exact since exactly one root lies there and neither end is
+    a root; a linear a.poly is evaluated directly."""
+    if a.is_rational():
+        return ip.sign_at_rational(f, a.as_rational())
+    return ip.count_roots_halfopen(ip.sturm_sequence(a.poly, f), a.lo, a.hi)
 
 
 def sign_at(f, x: SperPoint) -> int:
-    """The sign of the polynomial f at a point of the real spectrum."""
+    """The sign of the polynomial f at a point of the real spectrum.
+
+    On a cut it is the sign of f just beside the center: that of the first
+    derivative f^(k) not vanishing at the center, times (-1)^k on the left.
+    """
     f = ip.normalize(f)
     if not f:
         return 0
@@ -261,28 +266,11 @@ def sign_at(f, x: SperPoint) -> int:
         return _sign_of_fraction(ip.lead(f))
     if x.kind == "-inf":
         return _sign_of_fraction(ip.lead(f)) * (-1 if ip.degree(f) % 2 else 1)
-    a = x.center
-    if a.is_rational() and x.kind == "alg":
-        return ip.sign_at_rational(f, a.as_rational())
-    vanishes = _vanishes_at(f, a)
-    if x.kind == "alg" and vanishes:
-        return 0
-    if ip.degree(f) == 0:
-        return _sign_of_fraction(f[0])
-    sf = ip.squarefree(f)
-    seq = ip.sturm_sequence(sf)
-    want = 1 if vanishes else 0
-    while True:
-        if ip.count_roots_halfopen(seq, a.lo, a.hi) == want:
-            if x.kind in ("alg", "cut+"):
-                # no roots of f in (alpha, hi], so the sign at hi rules
-                return ip.sign_at_rational(f, a.hi)
-            s = ip.sign_at_rational(f, a.lo)
-            if s != 0:
-                return s
-        a = a.refined()
-        if a.is_rational() and x.kind == "alg":
-            return ip.sign_at_rational(f, a.as_rational())
+    s, k = _sign_at_root(f, x.center), 0
+    while not s and x.kind != "alg":
+        f, k = ip.deriv(f), k + 1
+        s = _sign_at_root(f, x.center)
+    return -s if x.kind == "cut-" and k % 2 else s
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +396,6 @@ class SperConstructible:
     def contains_value(self, x) -> bool:
         """Membership of an algebraic point given as AlgNumber or rational."""
         return self.mask[locate_cell(self.roots, x)]
-
-    def cell_count(self) -> int:
-        return len(self.mask)
 
     def membership_on(self, roots) -> list:
         """Membership of each cell of a refinement (roots must contain ours)."""
@@ -713,9 +698,6 @@ class CellPoset:
     space: FinSpec
     cells: tuple  # position -> point identifier
 
-    def position_of(self, name) -> int:
-        return self.cells.index(name)
-
     def point_at(self, pos: int):
         return self.cells[pos]
 
@@ -782,7 +764,7 @@ def _push_alg(p: PolyMap, a: AlgNumber) -> AlgNumber:
                 # is the image exactly this rational?
                 h = ip.sub(ip.scale(p.poly, endpoint.denominator),
                            ip.constant(endpoint.numerator))
-                if _vanishes_at(h, a):
+                if _sign_at_root(h, a) == 0:
                     return AlgNumber.from_rational(endpoint)
         if (ip.sign_at_rational(q, lo) != 0 and ip.sign_at_rational(q, hi) != 0
                 and ip.count_roots_halfopen(seq, lo, hi) == 1):
@@ -802,16 +784,11 @@ def push_point(p: PolyMap, x: SperPoint) -> SperPoint:
     center = _push_alg(p, x.center)
     if x.kind == "alg":
         return SperPoint.alg(center)
-    # sign of p(t) - p(alpha) on the cut side, by the first nonvanishing
-    # derivative at the center
-    k = 1
-    dk = ip.deriv(p.poly)
-    while _vanishes_at(dk, x.center):
-        dk = ip.deriv(dk)
-        k += 1
-    s = sign_at(dk, SperPoint.alg(x.center))
+    # p(t) - p(alpha) has the sign of p' just right of the center and the
+    # opposite sign just left of it
+    s = sign_at(ip.deriv(p.poly), x)
     if x.kind == "cut-":
-        s = s * (-1 if k % 2 else 1)
+        s = -s
     return SperPoint.cut_plus(center) if s > 0 else SperPoint.cut_minus(center)
 
 
@@ -820,55 +797,55 @@ def preimage_set(p: PolyMap, s: SperConstructible) -> SperConstructible:
     return from_formula(substitute(defining_formula(s), p.poly))
 
 
-def _fiber(p: PolyMap, b: AlgNumber) -> list:
-    """All t with p(t) = b, for an algebraic b; exact."""
-    return [tau for tau in real_roots(ip.compose(b.poly, p.poly))
-            if _lands_on(p, tau, b)]
+def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list, b) -> int:
+    """The sum of phi over the fiber of p at a value b, a rational or an
+    AlgNumber, by Sturm counts and Tarski queries.
 
-
-def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list,
-               y: Fraction) -> int:
-    """The sum of phi over the fiber of p at a rational y, by Sturm counts.
+    The fiber lies among the roots of h = b.poly(p(t)) made squarefree.  At
+    a rational b it is all of them.  Otherwise b is the only root of b.poly
+    in (b.lo, b.hi), whose ends are not roots, so the fiber is the set of
+    roots where w = (p - b.lo)(b.hi - p), cleared of denominators, is
+    positive, and w vanishes at no root of h.  So an interval holding N
+    roots of h, where the Tarski query of w is T, holds (N + T) / 2 points
+    of the fiber.
 
     ups holds the roots of cells with pairwise disjoint isolating intervals
-    (lo, hi); each is refined in place until (lo, hi] holds no root of
-    h = den(y) p - num(y) other than itself.  The roots of h in an interval
-    cell are then those in (hi, lo'] between the neighbouring intervals, and
-    a root cell lies in the fiber exactly when h vanishes there.  No root of
-    h is isolated.
+    (lo, hi); each is refined in place until (lo, hi] holds no root of h
+    other than itself and lo is no root of h, since a Tarski query needs
+    ends that are not roots.  A root cell then adds its value times the
+    count in (lo, hi], and an interval cell its value times the count
+    between the neighbouring intervals.  No root of h is isolated.
     """
-    h = ip.squarefree(ip.sub(ip.scale(p.poly, y.denominator), ip.constant(y.numerator)))
+    if not isinstance(b, AlgNumber):
+        b = AlgNumber.from_rational(b)
+    h = ip.squarefree(ip.compose(b.poly, p.poly))
     seq = ip.sturm_sequence(h)
+    tarski = None
+    if not b.is_rational():
+        lo, hi = b.lo, b.hi
+        w = ip.mul(ip.sub(ip.scale(p.poly, lo.denominator), ip.constant(lo.numerator)),
+                   ip.sub(ip.constant(hi.numerator), ip.scale(p.poly, hi.denominator)))
+        tarski = ip.sturm_sequence(h, w)
+
+    def count(x, y):
+        n = ip.count_roots_halfopen(seq, x, y)
+        if not n or tarski is None:
+            return n
+        return (n + ip.count_roots_halfopen(tarski, x, y)) // 2
+
     total = 0
     left = None
     for j, a in enumerate(ups):
-        hits = _vanishes_at(h, a)
-        if hits:
-            total += phi(cells.point_at(2 * j + 1))
-        while ip.count_roots_halfopen(seq, a.lo, a.hi) != hits:
+        hits = _sign_at_root(h, a) == 0
+        while (ip.count_roots_halfopen(seq, a.lo, a.hi) != hits
+               or ip.sign_at_rational(h, a.lo) == 0):
             a = a.refined()
         ups[j] = a
-        total += phi(cells.point_at(2 * j)) * ip.count_roots_halfopen(seq, left, a.lo)
+        total += phi(cells.point_at(2 * j)) * count(left, a.lo)
+        if hits:
+            total += phi(cells.point_at(2 * j + 1)) * count(a.lo, a.hi)
         left = a.hi
-    return total + phi(cells.point_at(2 * len(ups))) * ip.count_roots_halfopen(seq, left, None)
-
-
-def _lands_on(p: PolyMap, tau: AlgNumber, b: AlgNumber) -> bool:
-    """Whether p(tau) = b, given that b.poly vanishes at p(tau).
-
-    b is the only root of b.poly in its isolating interval and the endpoints
-    are not roots, so p(tau) = b exactly when p(tau) lies in that interval.
-    tau is refined until an interval enclosure of p(tau) falls inside or
-    outside it.
-    """
-    while not tau.is_rational():
-        m, M = ip.eval_interval(p.poly, tau.lo, tau.hi)
-        if b.lo <= m and M <= b.hi:
-            return True
-        if M <= b.lo or b.hi <= m:
-            return False
-        tau = tau.refined()
-    return b.lo < ip.evaluate(p.poly, tau.as_rational()) < b.hi
+    return total + phi(cells.point_at(2 * len(ups))) * count(left, None)
 
 
 def refine_cells(cells: CellPoset, extra_roots) -> CellPoset:
@@ -918,10 +895,10 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
     The downstream root set contains the images of the upstream roots and
     of the critical points of the map, which makes the fiber sums constant
     on the downstream cells; each interval cell is evaluated at three
-    rational samples and disagreements raise InconsistentSamples.  Fiber
-    sums at rational values, samples and rational roots alike, come from
-    Sturm counts between the upstream roots (_fiber_sum); only at an
-    irrational downstream root is the fiber isolated (_fiber).
+    rational samples and disagreements raise InconsistentSamples.  Every
+    fiber sum, at a rational sample or at a rational or irrational
+    downstream root, comes from Sturm counts and Tarski queries between the
+    upstream roots (_fiber_sum), with no fiber isolated.
     """
     if phi.space != cells.space:
         raise SperError("function does not live on the given cell poset")
@@ -937,20 +914,11 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
         new_roots = merge_roots(new_roots, real_roots(q))
     out_cells = cell_poset(new_roots)
     ups = refine_disjoint(cells.roots)
-
-    def value_at(y) -> int:
-        if isinstance(y, AlgNumber):
-            if not y.is_rational():
-                return sum(phi(cells.point_at(locate_cell(cells.roots, tau)))
-                           for tau in _fiber(p, y))
-            y = y.as_rational()
-        return _fiber_sum(p, phi, cells, ups, y)
-
     refined, samples = cell_samples(list(out_cells.roots))
     values = {}
     for pos, sample in enumerate(samples):
         if isinstance(sample, AlgNumber):
-            values[out_cells.point_at(pos)] = value_at(sample)
+            values[out_cells.point_at(pos)] = _fiber_sum(p, phi, cells, ups, sample)
             continue
         # interval cell: three rational samples must agree
         if not refined:
@@ -963,7 +931,7 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
             left = refined[pos // 2 - 1].hi
             right = refined[pos // 2].lo
             extras = [sample, (left + sample) / 2, (sample + right) / 2]
-        vals = [value_at(e) for e in extras]
+        vals = [_fiber_sum(p, phi, cells, ups, e) for e in extras]
         if len(set(vals)) != 1:
             raise InconsistentSamples(
                 f"cell {out_cells.marker(pos)} sampled values {vals}")

@@ -101,6 +101,55 @@ class TestSturmSequence:
             assert ip.count_real_roots(seq) == ip.count_real_roots(ref)
 
 
+def sign_at_isolated_root(q, sf, lo, hi) -> int:
+    """The sign of q at the one root of the squarefree sf in (lo, hi), whose
+    ends are not roots: 0 when gcd(sf, q) has a root there, otherwise the
+    sign of q at lo once bisection leaves no root of q in [lo, hi]."""
+    g = ip.gcd(sf, q)
+    if ip.degree(g) >= 1 and ip.count_roots_halfopen(ip.sturm_sequence(g), lo, hi) == 1:
+        return 0
+    qs = ip.sturm_sequence(ip.squarefree(q))
+    while ip.count_roots_halfopen(qs, lo, hi) or ip.sign_at_rational(q, lo) == 0:
+        mid = (lo + hi) / 2
+        s = ip.sign_at_rational(sf, mid)
+        if s == 0:
+            return sign(ip.evaluate(q, mid))
+        lo, hi = (mid, hi) if s == ip.sign_at_rational(sf, lo) else (lo, mid)
+    return ip.sign_at_rational(q, lo)
+
+
+class TestTarskiQuery:
+    def test_sums_signs_over_isolated_roots(self):
+        """TaQ(q, p) on the whole line and on each isolating interval equals
+        the sum of the signs of q over the roots of p there, for p of degree
+        up to 8, squarefree or not, and q sharing roots with p or not."""
+        rng = Random(9)
+        signs = {-1: 0, 0: 0, 1: 0}
+        for _ in range(300):
+            p = random_poly(rng, rng.randint(1, 6))
+            q = random_poly(rng, rng.randint(0, 6))
+            if rng.random() < 0.3:
+                f = random_poly(rng, rng.randint(1, 2), 6)
+                p, q = ip.mul(p, f), ip.mul(q, f)
+            sf = ip.squarefree(p)
+            seq = ip.sturm_sequence(p, q)
+            total = 0
+            for entry in ip.isolate_real_roots(p):
+                if entry[0] == "rational":
+                    s = sign(ip.evaluate(q, entry[1]))
+                else:
+                    s = sign_at_isolated_root(q, sf, entry[1], entry[2])
+                    assert ip.count_roots_halfopen(seq, entry[1], entry[2]) == s
+                total += s
+                signs[s] += 1
+            assert ip.count_roots_halfopen(seq, None, None) == total
+        assert min(signs.values()) >= 100
+
+    def test_unit_q_is_the_sturm_sequence(self):
+        for p in squarefree_polys(10, 100):
+            assert ip.sturm_sequence(p, (1,)) == ip.sturm_sequence(p)
+
+
 class TestSignAtRational:
     def test_matches_fraction_evaluation(self):
         rng = Random(3)

@@ -691,3 +691,23 @@ class TestCSheaf:
         with pytest.raises(Exception):
             CSheaf(m, ZZ, {"s": FGModule(ZZ, (2,), 0), "eta": FGModule(ZZ, (), 1)},
                    {("s", "eta"): Matrix(ZZ, [[1]])})
+
+
+class TestWideStalks:
+    def test_rgamma_builds_no_zero_matrix_per_label(self, monkeypatch):
+        # three rank-2000 stalks on a < b < c with zero generizations: the
+        # basis labels read the stored differentials and components, all
+        # absent, and build no zero matrix in their place
+        m = build_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        stalk = FreeChainComplex.free_module(ZZ, 2000, 0)
+        k = SheafComplex(m, ZZ, {x: stalk for x in m.points}, {})
+        zeros = Matrix.zeros.__func__
+        calls = []
+
+        def counting(cls, *args):
+            calls.append(args)
+            return zeros(cls, *args)
+
+        monkeypatch.setattr(Matrix, "zeros", classmethod(counting))
+        assert rgamma(k).ranks == {0: 2000 * 3, 1: 2000 * 3, 2: 2000}
+        assert len(calls) < 100

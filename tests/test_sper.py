@@ -13,7 +13,7 @@ from sheafkit.sper import (
     SperConstructible, SperPoint, cell_poset, closure, defining_formula,
     from_formula, interior, is_closed_set, locate_cell, preimage_set,
     pull_cons, push_cons, push_point, real_roots, refine_cells,
-    sign_at, transfer_cons, cell_samples, _fiber, _push_alg,
+    sign_at, transfer_cons, cell_samples, _push_alg,
 )
 from sheafkit.intpoly import ZeroPolynomial
 from sheafkit.sheaf import constant_sheaf, rgamma
@@ -349,9 +349,10 @@ class TestPushCons:
 
 class TestFiber:
     def test_matches_image_polynomial_filter(self):
-        """Fibers over irrational b found by interval refinement equal the
-        roots of b.poly(p(t)) whose image, built from an image polynomial,
-        compares equal to b."""
+        """Fiber sums over irrational b count exactly the roots of
+        b.poly(p(t)) whose image, built from an image polynomial, compares
+        equal to b: with phi = 2^i on the cell of the i-th root, the sum
+        names the roots in the fiber."""
         rng = Random(71)
         kept = dropped = 0
         for _ in range(200):
@@ -367,11 +368,26 @@ class TestFiber:
             p = PolyMap([rng.randint(-3, 3) for _ in range(rng.randint(1, top))]
                         + [rng.choice([-2, -1, 1, 2])])
             candidates = real_roots(ip.compose(b.poly, p.poly))
-            expected = [tau for tau in candidates if _push_alg(p, tau).compare(b) == 0]
-            assert [str(tau) for tau in _fiber(p, b)] == [str(tau) for tau in expected]
-            kept += len(expected)
-            dropped += len(candidates) - len(expected)
+            hit = [_push_alg(p, tau).compare(b) == 0 for tau in candidates]
+            cp = cell_poset(candidates)
+            phi = ConsFunction(cp.space, {cp.point_at(pos): 2 ** (pos // 2) if pos % 2 else 0
+                                          for pos in range(len(cp.cells))})
+            ups = sper.refine_disjoint(cp.roots)
+            assert sper._fiber_sum(p, phi, cp, ups, b) == sum(2 ** i for i, h in enumerate(hit) if h)
+            line = cell_poset([])
+            assert sper._fiber_sum(p, const_phi(line), line, [], b) == sum(hit)
+            kept += sum(hit)
+            dropped += len(hit) - sum(hit)
         assert kept >= 200 and dropped >= 200
+
+    def test_upstream_interval_starting_at_a_root_of_h(self):
+        # h = b.poly(4 - t) = (t - 1)(t - 2): its root 1, at the left end of
+        # the upstream interval (1, 3), maps to 3, outside b = 2
+        a = AlgNumber((-2, 1), 1, 3)
+        cp = cell_poset([a])
+        phi = ConsFunction(cp.space, {cp.point_at(pos): pos % 2 for pos in range(3)})
+        b = AlgNumber((6, -5, 1), Fraction(7, 4), Fraction(21, 8))
+        assert sper._fiber_sum(PolyMap((4, -1)), phi, cp, [a], b) == 1
 
     def test_degree_five_map_with_four_critical_points(self):
         p = PolyMap((1, 4, 0, -5, 0, 1))  # p' = 5t^4 - 15t^2 + 4
@@ -535,7 +551,7 @@ class TestSignsByProvenance:
             raise AssertionError("from_formula evaluated a sign at a point")
 
         monkeypatch.setattr(sper, "sign_at", forbidden)
-        monkeypatch.setattr(sper, "_vanishes_at", forbidden)
+        monkeypatch.setattr(sper, "_sign_at_root", forbidden)
         assert [str(from_formula(phi)) for phi in phis] == want
 
 
@@ -579,14 +595,90 @@ class TestFiberSumsBySturmCounts:
         cp = cell_poset(from_formula(Or((
             And((Atom(T2M2, ">"), Atom((-3, 0, 1), "<"))), Atom((-1, 2), "=")))))
         phi = ConsFunction(cp.space, {q: i - 3 for i, q in enumerate(cp.space.points)})
-        p = PolyMap((0, 0, 1))
-        out, oc = push_cons(p, phi, cp)
-        want = [(oc.marker(i), out(oc.point_at(i))) for i in range(len(oc.cells))]
+        _check_rational_roots(monkeypatch, PolyMap((0, 0, 1)), phi, cp,
+                              (0, Fraction(1, 4), 2, 3))
 
-        def forbidden(*args):
-            raise AssertionError("a rational fiber was isolated")
+    def test_rational_roots_of_a_nonlinear_image_polynomial(self, monkeypatch):
+        # the roots +-sqrt 2, +-sqrt 3 of t^4 - 5t^2 + 6 map under t^2 to the
+        # roots 2 and 3 of t^2 - 5t + 6, which real_roots keeps on intervals
+        cp = cell_poset(from_formula(Atom((6, 0, -5, 0, 1), "<")))
+        phi = ConsFunction(cp.space, {q: i - 2 for i, q in enumerate(cp.space.points)})
+        oc = _check_rational_roots(monkeypatch, PolyMap((0, 0, 1)), phi, cp, (0, 2, 3))
+        assert not all(r.is_rational() for r in oc.roots)
 
-        monkeypatch.setattr(sper, "_fiber", forbidden)
-        out, oc = push_cons(p, phi, cp)
-        assert [(oc.marker(i), out(oc.point_at(i))) for i in range(len(oc.cells))] == want
-        assert len(want) == 9
+
+def _check_rational_roots(monkeypatch, p, phi, cells, ys):
+    """Push phi with real_roots watched: only the roots of p' and of the
+    image polynomials of the upstream roots and critical points are
+    isolated, never a fiber; the downstream roots are the rationals ys and
+    the values there are the fiber sums of the oracle."""
+    real = sper.real_roots
+    seen = []
+
+    def watched(f):
+        seen.append(ip.normalize(f))
+        return real(f)
+
+    monkeypatch.setattr(sper, "real_roots", watched)
+    out, oc = push_cons(p, phi, cells)
+    dp = ip.deriv(p.poly)
+    assert seen == [dp] + [_push_alg(p, a).poly for a in list(cells.roots) + real(dp)]
+    assert [r.compare(y) for r, y in zip(oc.roots, ys)] == [0] * len(ys) == [0] * len(oc.roots)
+    assert [out(oc.point_at(2 * j + 1)) for j in range(len(ys))] == \
+        [_fiber_oracle(p, phi, cells, Fraction(y)) for y in ys]
+    return oc
+
+
+def _sign_by_refinement(f, x: SperPoint) -> int:
+    """The sign of f at an algebraic point or cut by a gcd test and interval
+    refinement: an independent oracle for sign_at."""
+    f = ip.normalize(f)
+    if not f:
+        return 0
+    a = x.center
+    if a.is_rational() and x.kind == "alg":
+        return ip.sign_at_rational(f, a.as_rational())
+    g = ip.gcd(f, a.poly)
+    vanishes = (ip.degree(g) >= 1
+                and ip.count_roots_halfopen(ip.sturm_sequence(g), a.lo, a.hi) == 1)
+    if x.kind == "alg" and vanishes:
+        return 0
+    if ip.degree(f) == 0:
+        return (f[0] > 0) - (f[0] < 0)
+    seq = ip.sturm_sequence(ip.squarefree(f))
+    while True:
+        if ip.count_roots_halfopen(seq, a.lo, a.hi) == vanishes:
+            if x.kind in ("alg", "cut+"):
+                # no root of f in (alpha, hi], so the sign at hi rules
+                return ip.sign_at_rational(f, a.hi)
+            s = ip.sign_at_rational(f, a.lo)
+            if s != 0:
+                return s
+        a = a.refined()
+        if a.is_rational() and x.kind == "alg":
+            return ip.sign_at_rational(f, a.as_rational())
+
+
+class TestSignAtByTarskiQueries:
+    def test_matches_refinement(self):
+        """sign_at at algebraic points and both cuts, against gcd tests and
+        interval refinement; f often vanishes at the center, to a higher
+        order too."""
+        rng = Random(109)
+        irrational = zeros = high_order = 0
+        for _ in range(150):
+            centers = real_roots(_product(rng, 2))
+            if not centers:
+                continue
+            center = rng.choice(centers)
+            f = _product(rng, rng.randint(0, 2))
+            if rng.random() < 0.5:
+                f = ip.mul(f, ip.power(center.poly, rng.randint(1, 3)))
+            for x in (SperPoint.alg(center), SperPoint.cut_minus(center),
+                      SperPoint.cut_plus(center)):
+                assert sign_at(f, x) == _sign_by_refinement(f, x)
+            irrational += not center.is_rational()
+            if sign_at(f, SperPoint.alg(center)) == 0:
+                zeros += 1
+                high_order += sign_at(ip.deriv(f), SperPoint.alg(center)) == 0
+        assert irrational >= 50 and zeros >= 50 and high_order >= 20

@@ -1,4 +1,5 @@
-"""The package imports only the standard library and itself."""
+"""The package imports only the standard library and itself, and defines
+nothing that no source, test or benchmark file names."""
 
 import ast
 import sys
@@ -22,3 +23,34 @@ def test_src_imports_only_the_standard_library():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def _names_used(path) -> set:
+    """Every Name, Attribute, import alias and string constant in a file."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update((node.name, node.asname))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_definition_is_referenced():
+    root = SRC.parent.parent
+    used = set()
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            used |= _names_used(path)
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in used):
+                unused.append(f"{path.name}: {node.name}")
+    assert unused == []
