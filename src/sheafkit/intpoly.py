@@ -207,8 +207,14 @@ def sturm_sequence(p, q=(1,)):
     query TaQ(q, p; a, b], the number of roots x of p in (a, b] with
     q(x) > 0 minus the number with q(x) < 0, provided neither a nor b is a
     root of p.
+
+    Only the signs of q at the roots of p count, so a q of degree at least
+    that of p is first replaced by its pseudo-remainder by p, a positive
+    multiple of its remainder over Q, which has those signs.
     """
     seq = [_shrink(p)]
+    if len(q) >= len(p) > 1:
+        q = _prem(q, p)
     d = mul(deriv(p), q)
     if d:
         seq.append(_shrink(d))

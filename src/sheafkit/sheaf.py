@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .linalg import (
     ChainMap, FGModule, FreeChainComplex, Matrix, RingMismatch, ScalarRing,
-    block_diagonal, complex_from_basis, cone, homology, kernel_basis,
+    block_diagonal, complex_from_basis, cone, homology, is_acyclic, kernel_basis,
     solve_right, tensor_chain_maps, tensor_with_basis,
 )
 from .space import (
@@ -378,6 +378,12 @@ def _chain_face_index(chains):
     return idx
 
 
+def _label_key(lab):
+    """The order of rgamma labels (chain, q, i) in a degree."""
+    c, q, i = lab
+    return len(c), tuple(_key(x) for x in c), q, i
+
+
 def rgamma_labeled(k: SheafComplex):
     """Derived sections as a labelled total complex.
 
@@ -400,7 +406,7 @@ def rgamma_labeled(k: SheafComplex):
             for i in range(r):
                 lab.append((c, q, i))
     for lab in basis.values():
-        lab.sort(key=lambda t: (len(t[0]), tuple(_key(x) for x in t[0]), t[1], t[2]))
+        lab.sort(key=_label_key)
     one, neg = R.one(), R.neg(R.one())
 
     def entries(n, lab):
@@ -448,7 +454,9 @@ def _pushforward_labeled(f: MonotoneMap, k: SheafComplex, p: MonotoneMap | None 
 
     Stalk at t is the derived-section complex of k over the preimage of the
     minimal open of p(t); generization maps are the cochain restrictions, as
-    p is monotone and so the labels at y all occur at x for x < y.
+    p is monotone and so the labels at y all occur at x for x < y.  The
+    sections of k are built once, and each stalk is the quotient of them to
+    the chains that start in the preimage (see ``_slice``).
     """
     if k.space != f.source:
         raise SheafError("sheaf does not live on the source of the map")
@@ -456,9 +464,47 @@ def _pushforward_labeled(f: MonotoneMap, k: SheafComplex, p: MonotoneMap | None 
     if p is None:
         p = MonotoneMap.identity(s)
     pm = dict(p.mapping)
-    return _restriction_sheaf(
-        p.source, k.ring,
-        lambda t: rgamma_labeled(restrict(k, f.preimage(s.up_set(pm[t])))))
+    whole = rgamma_labeled(k)
+    stalks = {q: _slice(whole, f.preimage(s.up_set(q))) for q in set(pm.values())}
+    del whole  # the slices hold no reference to it
+    return _restriction_sheaf(p.source, k.ring, lambda t: stalks[pm[t]])
+
+
+def _slice(whole, bottoms, tops=None):
+    """The part of whole = rgamma_labeled(k) on the chains c with c[0] in
+    bottoms and, if tops is given, c[-1] in tops, as (complex, labels,
+    index): the kept labels in their order, and the submatrices of the
+    differentials on them.  Degrees without a kept label are dropped.
+
+    For an open (up-set) U the chains with c[0] outside U form a
+    subcomplex, as a coface only adds points and so only lowers the bottom;
+    the quotient by it is rgamma_labeled(restrict(k, U)) label for label,
+    since the chains of U are exactly the chains that start in U.  Inside
+    that quotient, the chains with c[-1] in an open V span a subcomplex, as
+    a coface only raises the top: the kernel of restricting to the closed
+    complement of V.
+    """
+    cx, labels, _ = whole
+    kept = {}
+    for n, labs in labels.items():
+        pos = [a for a, (c, _, _) in enumerate(labs)
+               if c[0] in bottoms and (tops is None or c[-1] in tops)]
+        if pos:
+            kept[n] = pos
+    # rgamma_labeled lists a degree where its first label's chain occurs
+    order = sorted(kept, key=lambda n: _label_key(labels[n][kept[n][0]]))
+    out_labels = {n: tuple(labels[n][a] for a in kept[n]) for n in order}
+    index = {(n, lab): a for n, labs in out_labels.items() for a, lab in enumerate(labs)}
+    diffs = {}
+    for n in order:
+        d, rows = cx.diffs.get(n), kept.get(n + 1)
+        if d is not None and rows is not None:
+            cols = {b: a for a, b in enumerate(kept[n])}
+            diffs[n] = Matrix._of(cx.ring, len(rows), len(cols),
+                                  [{cols[j]: x for j, x in d.row(i) if j in cols}
+                                   for i in rows])
+    ranks = {n: len(kept[n]) for n in order}
+    return FreeChainComplex(cx.ring, ranks, diffs, check=False), out_labels, index
 
 
 def _restriction_sheaf(m: FinSpec, ring: ScalarRing, local):
@@ -884,13 +930,23 @@ def base_change_compare(f: MonotoneMap, p: MonotoneMap, k: SheafComplex):
 
 def base_change_locus(f: MonotoneMap, k: SheafComplex):
     """Points of the target over which base change along the point inclusion
-    is an isomorphism, with the open/closed classification of the locus."""
+    is an isomorphism, with the open/closed classification of the locus.
+
+    With X_q the preimage of the minimal open of q and V that of its other
+    points, the comparison at q restricts the sections over X_q onto those
+    over the closed fiber X_q - V.  The restriction is onto, with kernel the
+    sections of the extension by zero from V: the chains of X_q that end in
+    V (the localization triangle with sections taken).  So q is in the locus
+    exactly when that kernel is acyclic; it is one slice of the sections of
+    k, which are built once.
+    """
     s = f.target
+    whole = rgamma_labeled(k)
     locus = set()
     for q in s.points:
-        _, incl = subspace(s, {q})
-        _, iso, _ = base_change_compare(f, incl, k)
-        if iso:
+        up = s.up_set(q)
+        kernel, _, _ = _slice(whole, f.preimage(up), f.preimage(up - {q}))
+        if is_acyclic(kernel):
             locus.add(q)
     locus = frozenset(locus)
     return locus, classify_subset(s, locus)

@@ -816,12 +816,13 @@ def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list, b) ->
     count in (lo, hi], and an interval cell its value times the count
     between the neighbouring intervals.  No root of h is isolated.
     """
-    if not isinstance(b, AlgNumber):
-        b = AlgNumber.from_rational(b)
-    h = ip.squarefree(ip.compose(b.poly, p.poly))
+    if isinstance(b, AlgNumber):
+        h = ip.squarefree(ip.compose(b.poly, p.poly))
+    else:  # the roots of den p - num
+        h = ip.squarefree(ip.sub(ip.scale(p.poly, b.denominator), ip.constant(b.numerator)))
     seq = ip.sturm_sequence(h)
     tarski = None
-    if not b.is_rational():
+    if isinstance(b, AlgNumber) and not b.is_rational():
         lo, hi = b.lo, b.hi
         w = ip.mul(ip.sub(ip.scale(p.poly, lo.denominator), ip.constant(lo.numerator)),
                    ip.sub(ip.constant(hi.numerator), ip.scale(p.poly, hi.denominator)))

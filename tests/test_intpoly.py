@@ -145,6 +145,39 @@ class TestTarskiQuery:
             assert ip.count_roots_halfopen(seq, None, None) == total
         assert min(signs.values()) >= 100
 
+    def test_q_above_the_degree_of_p_with_negative_leading_coefficients(self):
+        """q of higher degree than p, either leading coefficient negative:
+        the query still sums the signs of q over the roots of p, and q enters
+        the sequence reduced modulo p, so the second term has degree below
+        2 deg p.  A multiple of p reduces to zero and counts nothing."""
+        rng = Random(10)
+        signs = {-1: 0, 0: 0, 1: 0}
+        for _ in range(200):
+            p = random_poly(rng, rng.randint(1, 5))
+            shared = random_poly(rng, rng.randint(1, 2), 6) if rng.random() < 0.4 else (1,)
+            p = ip.mul(p, shared)
+            if p[-1] > 0:
+                p = ip.neg(p)
+            q = ip.mul(random_poly(rng, ip.degree(p) + rng.randint(1, 4)), shared)
+            if rng.random() < 0.5:
+                q = ip.neg(q)
+            seq = ip.sturm_sequence(p, q)
+            assert len(seq) == 1 or ip.degree(seq[1]) < 2 * ip.degree(p)
+            sf = ip.squarefree(p)
+            total = 0
+            for entry in ip.isolate_real_roots(p):
+                if entry[0] == "rational":
+                    s = sign(ip.evaluate(q, entry[1]))
+                else:
+                    s = sign_at_isolated_root(q, sf, entry[1], entry[2])
+                    assert ip.count_roots_halfopen(seq, entry[1], entry[2]) == s
+                total += s
+                signs[s] += 1
+            assert ip.count_roots_halfopen(seq, None, None) == total
+        assert min(signs.values()) >= 50
+        p = (3, 0, -2)
+        assert ip.sturm_sequence(p, ip.mul(p, (1, -1, 5))) == [p]
+
     def test_unit_q_is_the_sturm_sequence(self):
         for p in squarefree_polys(10, 100):
             assert ip.sturm_sequence(p, (1,)) == ip.sturm_sequence(p)

@@ -22,7 +22,7 @@ from sheafkit.sheaf import (
     localization_triangle, open_unit, pullback, pushforward, restrict, rgamma,
     same_stalk_homology, sheaf_cone, sheaf_fiber,
     sheaf_is_acyclic, skyscraper, triangle_is_exact, triangle_of, unit_sheaf,
-    zero_sheaf,
+    zero_sheaf, _pushforward_labeled, _slice, rgamma_labeled,
 )
 from sheafkit.space import (
     MonotoneMap, build_space, fibers_discrete, krull_dim, subspace,
@@ -527,10 +527,13 @@ class TestBaseChange:
             assert {n: self.typed(mm) for n, mm in a.gens[e].mats.items()} == \
                 {n: self.typed(mm) for n, mm in b.gens[e].mats.items()}
 
-    def test_left_side_is_the_pulled_back_pushforward(self):
-        rng = Random(36)
+    @staticmethod
+    def base_change_cases(seed):
+        """48 seeded (f, k, p) over Z, Q, F_2 and F_3, p in turn a point, an
+        open or a closed inclusion, or a random map, which is not injective as
+        soon as two points share an image."""
+        rng = Random(seed)
         kinds = ("point", "open", "closed", "map")
-        non_injective = 0
         for i in range(48):
             ring = (ZZ, QQ, GF(2), GF(3))[i % 4]
             x = random_poset(rng, 5)
@@ -544,14 +547,19 @@ class TestBaseChange:
                 _, p = subspace(s, s.up_set(rng.choice(s.points)))
             elif kind == "closed":
                 _, p = subspace(s, s.down_set(rng.choice(s.points)))
-            else:  # not injective as soon as two points share an image
+            else:
                 p = random_monotone_map(rng, random_poset(rng, 5, min_points=3), s)
-                non_injective += len({t for _, t in p.mapping}) < len(p.mapping)
+            yield f, k, p
+
+    def test_left_side_is_the_pulled_back_pushforward(self):
+        non_injective = 0
+        for f, k, p in self.base_change_cases(36):
             cmp_map, _, _ = base_change_compare(f, p, k)
             self.assert_same_sheaf(cmp_map.source, pullback(p, pushforward(f, k)))
+            non_injective += len({t for _, t in p.mapping}) < len(p.mapping)
         assert non_injective >= 6
 
-    def test_two_section_builds_per_target_point(self, monkeypatch):
+    def test_one_section_build_per_locus_and_pushforward(self, monkeypatch):
         import sheafkit.sheaf as sh
         calls = []
         build = sh.rgamma_labeled
@@ -561,10 +569,78 @@ class TestBaseChange:
             x = random_poset(rng, 5)
             s = random_poset(rng, 5, min_points=3)
             f = random_monotone_map(rng, x, s)
+            k = random_sheaf(rng, x)
             calls.clear()
-            base_change_locus(f, random_sheaf(rng, x))
-            # one build for the stalk of the pushforward, one for the fiber
-            assert len(calls) == 2 * len(s.points)
+            base_change_locus(f, k)
+            # every point's test is a slice of the one build
+            assert len(calls) == 1
+            calls.clear()
+            pushforward(f, k)
+            assert len(calls) == 1
+
+    @staticmethod
+    def locus_by_comparison(f, k):
+        """The locus from base_change_compare along each point inclusion."""
+        s = f.target
+        return frozenset(q for q in s.points
+                         if base_change_compare(f, subspace(s, {q})[1], k)[1])
+
+    def test_locus_matches_the_comparison_maps(self):
+        rng = Random(38)
+        not_iso = 0
+        for i in range(1500):
+            ring = (ZZ, QQ, GF(2), GF(3))[i % 4]
+            x = random_poset(rng, 5)
+            s = random_poset(rng, 4, min_points=3)
+            f = random_monotone_map(rng, x, s)
+            k = random_sheaf(rng, x, ring, max_pieces=2)
+            locus, _ = base_change_locus(f, k)
+            assert locus == self.locus_by_comparison(f, k)
+            not_iso += len(s.points) - len(locus)
+        assert not_iso >= 500
+
+    def assert_same_labeled(self, got, want):
+        """Same complex, labels and index, in the same order and with the
+        same entry types."""
+        (cx, labels, index), (cx2, labels2, index2) = got, want
+        assert list(cx.ranks.items()) == list(cx2.ranks.items())
+        assert [(n, self.typed(d)) for n, d in cx.diffs.items()] == \
+            [(n, self.typed(d)) for n, d in cx2.diffs.items()]
+        assert list(labels.items()) == list(labels2.items())
+        assert list(index.items()) == list(index2.items())
+
+    def test_pushforward_stalks_are_the_restricted_sections(self):
+        for f, k, p in self.base_change_cases(39):
+            sheaf, labels, indexes = _pushforward_labeled(f, k, p)
+            for t, q in p.mapping:
+                want = rgamma_labeled(restrict(k, f.preimage(f.target.up_set(q))))
+                self.assert_same_labeled((sheaf.stalks[t], labels[t], indexes[t]), want)
+
+    def test_slice_drops_degrees_without_a_kept_label(self):
+        # degree 1 has the labels (s; q=1) and (s<eta; q=0), both starting at s
+        m = sierpinski()
+        k = SheafComplex(m, ZZ, {"s": FreeChainComplex.free_module(ZZ, 1, 1),
+                                 "eta": lam()}, {})
+        whole = rgamma_labeled(k)
+        assert set(whole[1]) == {0, 1}
+        got = _slice(whole, {"eta"})
+        assert set(got[1]) == {0} and got[0].ranks == {0: 1}
+        self.assert_same_labeled(got, rgamma_labeled(restrict(k, {"eta"})))
+        kernel = _slice(whole, m.points, {"eta"})
+        assert [lab for labs in kernel[1].values() for lab in labs] == \
+            [(("eta",), 0, 0), (("s", "eta"), 0, 0)]
+
+    def test_slice_lists_degrees_in_rgamma_order(self):
+        # the whole complex meets degree 1 first, at (a), and its slice to
+        # the open {b, c} meets degree 0 first, at (b)
+        m = build_space(["a", "b", "c"], [("b", "c")])
+        k = SheafComplex(m, ZZ, {"a": FreeChainComplex.free_module(ZZ, 1, 1),
+                                 "b": lam(), "c": lam()}, {})
+        whole = rgamma_labeled(k)
+        assert list(whole[1]) == [1, 0]
+        got = _slice(whole, {"b", "c"})
+        assert list(got[1]) == [0, 1]
+        self.assert_same_labeled(got, rgamma_labeled(restrict(k, {"b", "c"})))
 
 
 class TestConservativity:
