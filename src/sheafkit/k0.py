@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import FreeChainComplex, K0Class, k0_rank
-from .sheaf import SheafComplex, rgamma, skyscraper, zero_sheaf
+from .linalg import ZZ, FreeChainComplex, K0Class, k0_rank
+from .sheaf import SheafComplex, rgamma
 from .space import FinSpec, admissible_order, _key
 
 
@@ -89,19 +89,14 @@ def chi(k: SheafComplex) -> ConsFunction:
 def realize(phi: ConsFunction) -> SheafComplex:
     """A sheaf complex with the given Euler index, exactly.
 
-    Direct sum over points of a rank-|phi(x)| skyscraper on the singleton
-    stratum, placed in degree 0 for positive values and degree 1 for
-    negative ones (an odd shift flips the sign of the index).
+    The direct sum over points of a rank-|phi(x)| skyscraper on the
+    singleton stratum: the stalk at x is free of rank |phi(x)|, in degree 0
+    for positive values and degree 1 for negative ones (an odd shift flips
+    the sign of the index), and every generization map is zero.
     """
-    from .linalg import ZZ
-    out = zero_sheaf(phi.space, ZZ)
-    for p, v in phi.values:
-        if v == 0:
-            continue
-        deg = 0 if v > 0 else 1
-        piece = skyscraper(phi.space, p, FreeChainComplex.free_module(ZZ, abs(v), deg))
-        out = out.direct_sum(piece)
-    return out
+    stalks = {p: FreeChainComplex.free_module(ZZ, abs(v), 0 if v > 0 else 1)
+              for p, v in phi.values if v}
+    return SheafComplex(phi.space, ZZ, stalks, {}, check=False)
 
 
 def closed_support_decomposition(phi: ConsFunction):

@@ -12,7 +12,8 @@ the poset.  All functors below are computed exactly on this data:
 * derived tensor (stalkwise, stalks are already complexes of frees),
 * derived inner Hom via the homotopy-end complex over each up-set, which is
   the Hom against the two-sided bar resolution by the cell projectives
-  "free sheaf on an up-set" (Hom out of those is stalk evaluation),
+  "free sheaf on an up-set" (Hom out of those is stalk evaluation), each a
+  slice of one build over the whole space,
 * dualizability of an object via the chain-level evaluation map,
 * base-change comparison maps for Cartesian squares and their iso locus,
 * the filtration of a complex by extensions of its stalks over singleton
@@ -81,55 +82,46 @@ class SheafComplex:
             self._validate()
 
     def _validate(self):
+        """Rings, endpoints and path independence; every generization map
+        is a checked ChainMap already."""
         for p, c in self.stalks.items():
             if c.ring != self.ring:
                 raise RingMismatch(f"stalk at {p!r} over {c.ring}, expected {self.ring}")
         for (x, y), g in self.gens.items():
             if g.source != self.stalks[x] or g.target != self.stalks[y]:
                 raise SheafError(f"generization map at {x!r}<{y!r} has wrong endpoints")
-            g._validate()
-        self._validate_path_independence()
+        for x in self.space.points:
+            self._compose_from(x, check=True)
 
-    def _validate_path_independence(self):
-        """Compose each rho(x, z) once, through the first cover w < z, and
-        check every other cover into z against it; by induction along a
-        linear extension this compares all cover paths x -> z."""
-        m = self.space
-        below = {p: [] for p in m.points}
-        for (w, z) in m.covers:
-            below[z].append(w)
-        # w < z implies a smaller down-set, so this order is a linear extension
-        order = sorted(m.points, key=lambda p: len(m.down_set(p)))
-        for x in m.points:
-            up = m.up_set(x)
-            rho = {x: ChainMap.identity(self.stalks[x])}
-            for z in order:
-                if z == x or z not in up:
-                    continue
-                first, *others = [self.gens[(w, z)].compose(rho[w])
-                                  for w in below[z] if w in up]
-                for via in others:
-                    for n in set(via.mats) | set(first.mats):
-                        if via.component(n) != first.component(n):
-                            raise PathIndependenceViolation(
-                                f"two paths {x!r} -> {z!r} compose differently in degree {n}")
-                rho[z] = self._rho[(x, z)] = first
+    def _compose_from(self, x, check=False):
+        """Memoize rho(x, z) for every z above x, composed through the first
+        cover w < z inside the up-set of x.  With check, compare every other
+        cover into z against it; by induction along a linear extension this
+        compares all cover paths x -> z."""
+        rho = {x: ChainMap.identity(self.stalks[x])}
+        for (w, z) in self.space.covers_upward():
+            if w not in rho:  # w is not above x
+                continue
+            if z not in rho:
+                rho[z] = self._rho[(x, z)] = self.gens[(w, z)].compose(rho[w])
+            elif check:
+                via = self.gens[(w, z)].compose(rho[w])
+                for n in set(via.mats) | set(rho[z].mats):
+                    if via.component(n) != rho[z].component(n):
+                        raise PathIndependenceViolation(
+                            f"two paths {x!r} -> {z!r} compose differently in degree {n}")
 
     def rho(self, x, y) -> ChainMap:
         """The composite generization map along any cover path x <= y."""
         if x == y:
             return ChainMap.identity(self.stalks[x])
         got = self._rho.get((x, y))
-        if got is not None:
-            return got
-        if not self.space.le(x, y):
-            raise SheafError(f"{x!r} is not below {y!r}")
-        for (a, b) in self.space.covers:
-            if a == x and self.space.le(b, y):
-                got = self.rho(b, y).compose(self.gens[(x, b)])
-                self._rho[(x, y)] = got
-                return got
-        raise SheafError(f"no cover path {x!r} -> {y!r}")
+        if got is None:
+            if not self.space.le(x, y):
+                raise SheafError(f"{x!r} is not below {y!r}")
+            self._compose_from(x)
+            got = self._rho[(x, y)]
+        return got
 
     def stalk(self, x) -> FreeChainComplex:
         return self.stalks[x]
@@ -276,9 +268,8 @@ class CSheaf:
             b = _relation_lift(a, src, tgt)
             if b is None:
                 raise SheafError(f"matrix at {x!r}<{y!r} does not define a module map")
-            gens_cx[(x, y)] = ChainMap(stalk_cx[x], stalk_cx[y], {0: a, -1: b},
-                                       check=False)
-        return SheafComplex(self.space, self.ring, stalk_cx, gens_cx, check=True)
+            gens_cx[(x, y)] = ChainMap(stalk_cx[x], stalk_cx[y], {0: a, -1: b})
+        return SheafComplex(self.space, self.ring, stalk_cx, gens_cx)
 
     def as_complex(self) -> SheafComplex:
         """The presentation of this sheaf as a complex in degrees -1, 0."""
@@ -340,11 +331,10 @@ def unit_sheaf(m: FinSpec, ring: ScalarRing) -> SheafComplex:
 
 
 def restrict(k: SheafComplex, s) -> SheafComplex:
-    """k restricted to the induced poset on s (exact, stalks kept)."""
-    sub, _ = subspace(k.space, s)
-    stalks = {p: k.stalks[p] for p in sub.points}
-    gens = {(x, y): k.rho(x, y) for (x, y) in sub.covers}
-    return SheafComplex(sub, k.ring, stalks, gens, check=False)
+    """k restricted to the induced poset on s: the pullback along its
+    inclusion (exact, stalks kept)."""
+    _, incl = subspace(k.space, s)
+    return pullback(incl, k)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +369,10 @@ def _chain_face_index(chains):
 
 
 def _label_key(lab):
-    """The order of rgamma labels (chain, q, i) in a degree."""
-    c, q, i = lab
-    return len(c), tuple(_key(x) for x in c), q, i
+    """The order of labels (chain, *rest) in a degree: rgamma's (chain, q,
+    i) and the homotopy end's (chain, t, i, j)."""
+    c = lab[0]
+    return (len(c), tuple(_key(x) for x in c)) + lab[1:]
 
 
 def rgamma_labeled(k: SheafComplex):
@@ -471,28 +462,30 @@ def _pushforward_labeled(f: MonotoneMap, k: SheafComplex, p: MonotoneMap | None 
 
 
 def _slice(whole, bottoms, tops=None):
-    """The part of whole = rgamma_labeled(k) on the chains c with c[0] in
-    bottoms and, if tops is given, c[-1] in tops, as (complex, labels,
-    index): the kept labels in their order, and the submatrices of the
-    differentials on them.  Degrees without a kept label are dropped.
+    """The part of whole = rgamma_labeled(k) or _hom_end_complex(k, l) on
+    the labels (c, ...) with c[0] in bottoms and, if tops is given, c[-1]
+    in tops, as (complex, labels, index): the kept labels in their order,
+    and the submatrices of the differentials on them.  Degrees without a
+    kept label are dropped.
 
     For an open (up-set) U the chains with c[0] outside U form a
     subcomplex, as a coface only adds points and so only lowers the bottom;
-    the quotient by it is rgamma_labeled(restrict(k, U)) label for label,
-    since the chains of U are exactly the chains that start in U.  Inside
-    that quotient, the chains with c[-1] in an open V span a subcomplex, as
-    a coface only raises the top: the kernel of restricting to the closed
-    complement of V.
+    the quotient by it is the complex built on restrict(k, U) (and
+    restrict(l, U)) label for label, since the chains of U are exactly the
+    chains that start in U.  Inside that quotient, the chains with c[-1] in
+    an open V span a subcomplex, as a coface only raises the top: the
+    kernel of restricting to the closed complement of V.
     """
     cx, labels, _ = whole
     kept = {}
     for n, labs in labels.items():
-        pos = [a for a, (c, _, _) in enumerate(labs)
-               if c[0] in bottoms and (tops is None or c[-1] in tops)]
+        pos = [a for a, lab in enumerate(labs)
+               if lab[0][0] in bottoms and (tops is None or lab[0][-1] in tops)]
         if pos:
             kept[n] = pos
-    # rgamma_labeled lists a degree where its first label's chain occurs
-    order = sorted(kept, key=lambda n: _label_key(labels[n][kept[n][0]]))
+    # a build lists a degree where its first label occurs; two degrees that
+    # first occur at one chain and internal degree come in degree order
+    order = sorted(kept, key=lambda n: (_label_key(labels[n][kept[n][0]]), n))
     out_labels = {n: tuple(labels[n][a] for a in kept[n]) for n in order}
     index = {(n, lab): a for n, labs in out_labels.items() for a, lab in enumerate(labs)}
     diffs = {}
@@ -543,20 +536,23 @@ def pushforward(f: MonotoneMap, k: SheafComplex) -> SheafComplex:
     return sheaf
 
 
+def _extend_by_zero(m: FinSpec, s, k: SheafComplex) -> SheafComplex:
+    """k on the open or closed (so convex) s, zero elsewhere: the stalks of
+    k on s and its composites along the covers of m inside s.  k lives on
+    the subspace of s or on all of m."""
+    stalks = {x: k.stalks[x] for x in s}
+    gens = {(x, y): k.rho(x, y) for (x, y) in m.covers if x in s and y in s}
+    return SheafComplex(m, k.ring, stalks, gens, check=False)
+
+
 def j_shriek(m: FinSpec, u, k: SheafComplex) -> SheafComplex:
     """Extension by zero from an open subset; k must live on the subspace of u."""
     u = m.check_subset(u)
     if not m.is_open(u):
         raise NotOpen(f"{sorted(u, key=_key)} is not open")
-    sub, _ = subspace(m, u)
-    if k.space != sub:
+    if k.space != subspace(m, u)[0]:
         raise SheafError("sheaf does not live on the open subspace")
-    stalks = {x: k.stalks[x] for x in u}
-    gens = {}
-    for (x, y) in m.covers:
-        if x in u:  # y is in u too since u is an up-set
-            gens[(x, y)] = k.rho(x, y)
-    return SheafComplex(m, k.ring, stalks, gens, check=False)
+    return _extend_by_zero(m, u, k)
 
 
 def i_star(m: FinSpec, z, k: SheafComplex) -> SheafComplex:
@@ -569,15 +565,9 @@ def i_star(m: FinSpec, z, k: SheafComplex) -> SheafComplex:
     z = m.check_subset(z)
     if not m.is_closed(z):
         raise NotClosed(f"{sorted(z, key=_key)} is not closed")
-    sub, _ = subspace(m, z)
-    if k.space != sub:
+    if k.space != subspace(m, z)[0]:
         raise SheafError("sheaf does not live on the closed subspace")
-    stalks = {x: k.stalks[x] for x in z}
-    gens = {}
-    for (x, y) in m.covers:
-        if y in z:  # x is in z too since z is a down-set
-            gens[(x, y)] = k.rho(x, y)
-    return SheafComplex(m, k.ring, stalks, gens, check=False)
+    return _extend_by_zero(m, z, k)
 
 
 def sheaf_cone(phi: SheafMap):
@@ -618,13 +608,9 @@ def localization_triangle(k: SheafComplex, z) -> Triangle:
     if not m.is_closed(z):
         raise NotClosed(f"{sorted(z, key=_key)} is not closed")
     u = frozenset(m.points) - z
-    a = j_shriek(m, u, restrict(k, u))
-    comps = {}
-    for p in m.points:
-        if p in u:
-            comps[p] = ChainMap.identity(k.stalks[p])
-    phi = SheafMap(a, k, comps, check=False)
-    return triangle_of(phi)
+    a = _extend_by_zero(m, u, k)
+    comps = {p: ChainMap.identity(k.stalks[p]) for p in u}
+    return triangle_of(SheafMap(a, k, comps, check=False))
 
 
 def open_unit(k: SheafComplex, u):
@@ -633,8 +619,8 @@ def open_unit(k: SheafComplex, u):
     u = m.check_subset(u)
     if not m.is_open(u):
         raise NotOpen(f"{sorted(u, key=_key)} is not open")
-    sub, incl = subspace(m, u)
-    l_sheaf, labels, _ = _pushforward_labeled(incl, restrict(k, u))
+    _, incl = subspace(m, u)
+    l_sheaf, labels, _ = _pushforward_labeled(incl, pullback(incl, k))
     comps = {}
     for x in m.points:
         def entries(n, lab):
@@ -675,27 +661,34 @@ def i_upper_shriek(z, k: SheafComplex) -> SheafComplex:
 # tensor and hom
 
 
+def _derived_tensor_indexed(k: SheafComplex, l: SheafComplex):
+    """(derived tensor, the tensor index of every stalk)."""
+    if k.space != l.space or k.ring != l.ring:
+        raise SheafError("tensor needs matching space and ring")
+    stalks, indexes = {}, {}
+    for p in k.space.points:
+        stalks[p], indexes[p] = tensor_with_basis(k.stalks[p], l.stalks[p])
+    gens = {e: tensor_chain_maps(k.gens[e], l.gens[e]) for e in k.space.covers}
+    return SheafComplex(k.space, k.ring, stalks, gens, check=False), indexes
+
+
 def derived_tensor(k: SheafComplex, l: SheafComplex) -> SheafComplex:
     """Stalkwise total tensor; stalks are complexes of frees, so no further
     flat replacement is needed."""
-    if k.space != l.space or k.ring != l.ring:
-        raise SheafError("tensor needs matching space and ring")
-    stalks = {}
-    for p in k.space.points:
-        cx, _ = tensor_with_basis(k.stalks[p], l.stalks[p])
-        stalks[p] = cx
-    gens = {}
-    for e in k.space.covers:
-        gens[e] = tensor_chain_maps(k.gens[e], l.gens[e])
-    return SheafComplex(k.space, k.ring, stalks, gens, check=False)
+    sheaf, _ = _derived_tensor_indexed(k, l)
+    return sheaf
 
 
-def _hom_end_basis(k: SheafComplex, l: SheafComplex, chains):
-    """Basis labels (chain, t, i, j) of the homotopy-end complex.
+def _hom_end_complex(k: SheafComplex, l: SheafComplex):
+    """The homotopy-end complex of maps k -> l over the whole space.
 
-    The label stands for the matrix unit Hom(K_{c_0}^t, L_{c_top}^{t+q})
-    placed in total degree (len(chain) - 1) + q.
+    Degree-n basis labels are (chain, t, i, j): the label stands for the
+    matrix unit Hom(K_{c_0}^t, L_{c_top}^{t+q}) placed in total degree
+    (len(chain) - 1) + q = n.
     """
+    R = k.ring
+    chains = k.space.strict_chains()
+    faces = _chain_face_index(chains)
     basis = {}
     for c in chains:
         p = len(c) - 1
@@ -708,17 +701,7 @@ def _hom_end_basis(k: SheafComplex, l: SheafComplex, chains):
                     for j in range(rb):
                         lab.append((c, t, i, j))
     for lab in basis.values():
-        lab.sort(key=lambda x: (len(x[0]), tuple(_key(y) for y in x[0]), x[1], x[2], x[3]))
-    return basis
-
-
-def _hom_end_complex(k: SheafComplex, l: SheafComplex, up):
-    """The homotopy-end complex of maps k -> l over the up-set `up`."""
-    R = k.ring
-    sub, _ = subspace(k.space, up)
-    chains = sub.strict_chains()
-    faces = _chain_face_index(chains)
-    basis = _hom_end_basis(k, l, chains)
+        lab.sort(key=_label_key)
     one = R.one()
     neg = R.neg(one)
 
@@ -753,10 +736,15 @@ def _hom_end_complex(k: SheafComplex, l: SheafComplex, up):
 
 
 def _derived_hom_labeled(k: SheafComplex, l: SheafComplex):
+    """Derived inner Hom with the labels of every stalk.  The homotopy end
+    is built once over the whole space; the stalk at x is its quotient to
+    the chains that start in the up-set of x (see ``_slice``), which is the
+    homotopy end of the restrictions to that up-set label for label."""
     if k.space != l.space or k.ring != l.ring:
         raise SheafError("hom needs matching space and ring")
     m = k.space
-    return _restriction_sheaf(m, k.ring, lambda x: _hom_end_complex(k, l, m.up_set(x)))
+    whole = _hom_end_complex(k, l)
+    return _restriction_sheaf(m, k.ring, lambda x: _slice(whole, m.up_set(x)))
 
 
 def derived_hom(k: SheafComplex, l: SheafComplex) -> SheafComplex:
@@ -775,21 +763,12 @@ def evaluation_map(k: SheafComplex):
     """
     m = k.space
     R = k.ring
-    unit = unit_sheaf(m, R)
-    kv, kv_labels, _ = _derived_hom_labeled(k, unit)
+    kv, kv_labels, _ = _derived_hom_labeled(k, unit_sheaf(m, R))
     hom_kk, _, hom_idx = _derived_hom_labeled(k, k)
-    tensor_stalks = {}
-    tensor_indexes = {}
-    for p in m.points:
-        cx, idx = tensor_with_basis(k.stalks[p], kv.stalks[p])
-        tensor_stalks[p] = cx
-        tensor_indexes[p] = idx
-    gens = {e: tensor_chain_maps(k.gens[e], kv.gens[e]) for e in m.covers}
-    tensor_sheaf = SheafComplex(m, R, tensor_stalks, gens, check=False)
-
+    tensor_sheaf, tensor_indexes = _derived_tensor_indexed(k, kv)
     comps = {}
     for x in m.points:
-        src = tensor_stalks[x]
+        src = tensor_sheaf.stalks[x]
         tgt = hom_kk.stalks[x]
         # invert the tensor index to enumerate source labels per degree
         by_degree = {}
@@ -1002,7 +981,7 @@ def cell_decompose(k: SheafComplex):
         open_pts = frozenset()
         for pt in generic_first:
             open_pts |= {pt}
-            cur = j_shriek(m, open_pts, restrict(k, open_pts))
+            cur = _extend_by_zero(m, open_pts, k)
             comps = {x: ChainMap.identity(prev.stalks[x]) for x in open_pts - {pt}}
             yield triangle_of(SheafMap(prev, cur, comps, check=False))
             prev = cur

@@ -38,7 +38,7 @@ def _key(p):
 class FinSpec:
     """A finite poset regarded as a finite spectral space."""
 
-    __slots__ = ("points", "covers", "_up", "_down", "_chains")
+    __slots__ = ("points", "covers", "_up", "_down", "_chains", "_upward")
 
     def __init__(self, points, covers):
         pts = list(points)
@@ -68,6 +68,7 @@ class FinSpec:
         self._down = {p: frozenset(s) for p, s in down.items()}
         self.covers = tuple(sorted(self._hasse(), key=lambda e: (_key(e[0]), _key(e[1]))))
         self._chains = None
+        self._upward = None
 
     def _hasse(self):
         edges = []
@@ -125,6 +126,14 @@ class FinSpec:
         pts = self.points if within is None else sorted(within, key=_key)
         sub = set(pts)
         return [p for p in pts if not any(q != p and q in sub and self.le(q, p) for q in sub)]
+
+    def covers_upward(self):
+        """The covers (w, z) in a linear extension of their tops z, the
+        covers into one z in key order of w; built once."""
+        if self._upward is None:
+            # w < z implies a smaller down-set
+            self._upward = sorted(self.covers, key=lambda e: (len(self._down[e[1]]), _key(e[1])))
+        return self._upward
 
     def strict_chains(self):
         """All nonempty strict chains x_0 < ... < x_n, sorted by (length, keys)."""

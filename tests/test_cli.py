@@ -194,6 +194,34 @@ class TestParseSheaf:
             parse_sheaf(sheaf_text, "d", m)
         assert "bot" in str(e.value) and "top" in str(e.value)
 
+    def test_each_generization_map_is_checked_once(self, monkeypatch):
+        from sheafkit.linalg import ChainMap
+        calls = []
+        check = ChainMap._validate
+        monkeypatch.setattr(ChainMap, "_validate", lambda g: calls.append(1) or check(g))
+        rng = Random(64)
+        gens = missing = 0
+        for _ in range(30):
+            m = random_poset(rng, 6, min_points=4)
+            text = sheaf_to_text(random_sheaf(rng, m, max_pieces=3), "sp")
+            calls.clear()
+            parse_sheaf(text, "sp", m)
+            assert len(calls) == text.count("\ngen ")
+            gens += len(calls)
+            missing += len(m.covers) - len(calls)
+        assert gens >= 20 and missing >= 20
+
+    def test_non_commuting_gen_report(self, tmp_path):
+        (tmp_path / "d.space").write_text("space d\npoints: bot l\ncovers: bot<l\n")
+        (tmp_path / "d.sheaf").write_text(
+            "ring Z\nspace d\nstalk bot: deg 0 rank 1\n"
+            "stalk l: deg 0 rank 1; deg 1 rank 1; d_0 = [[1]]\n"
+            "gen bot<l: deg 0 = [[1]]\n")
+        for cmd in ("cohomology", "chi"):
+            assert run([cmd, "--space", str(tmp_path / "d.space"),
+                        "--sheaf", str(tmp_path / "d.sheaf")]) == (
+                "error: gen bot<l: does not commute with d in degree 0", 1)
+
     def test_wrong_space_name(self):
         _, m = parse_space(SIERP)
         with pytest.raises(ParseError):

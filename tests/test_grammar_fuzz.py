@@ -1,5 +1,6 @@
-"""Fuzzing of the space and map file grammars, which `pushforward` and
-`basechange` read.
+"""Fuzzing of the input grammars: the space and map files through
+`pushforward` and `basechange`, the sheaf file through `cohomology` and
+`chi`, and the constructible function through `realize`.
 
 Every input must give exit code 0, 1 or 2, a failure must be reported on
 one line that names it, and no input may take longer than a fixed bound.
@@ -39,11 +40,12 @@ def texts(size):
 # tokens near the grammar: valid names, separators and noise
 noise = st.one_of(st.sampled_from(["", "<", "->", "#", ":", "s<eta", "u->v", "é"]), texts(4))
 rarely = st.sampled_from([False] * 9 + [True])
+seldom = st.sampled_from([False] * 39 + [True])
 
 
-def names(alphabet):
-    """Mostly names from alphabet, sometimes noise."""
-    return rarely.flatmap(lambda r: noise if r else st.sampled_from(alphabet))
+def names(alphabet, odds=rarely):
+    """Mostly names from alphabet, sometimes (at the odds) noise."""
+    return odds.flatmap(lambda r: noise if r else st.sampled_from(alphabet))
 
 
 @st.composite
@@ -109,25 +111,27 @@ def map_case(draw):
     return SPACE, SHEAF, draw(mutated(lines))
 
 
-def run_commands(space, sheaf, map_):
-    """(report, exit code, seconds) of pushforward and of basechange on
-    the three files."""
+def run_commands(space, sheaf, map_, commands=("pushforward", "basechange"), extra=()):
+    """(report, exit code, seconds) of each command on the three files
+    (None leaves a file out) and the extra arguments."""
     with tempfile.TemporaryDirectory() as d:
-        argv = []
+        argv = list(extra)
         for flag, text in (("--space", space), ("--sheaf", sheaf), ("--map", map_)):
+            if text is None:
+                continue
             argv += [flag, os.path.join(d, flag[2:])]
             with open(argv[-1], "w", encoding="utf-8") as fh:
                 fh.write(text)
         out = []
-        for cmd in ("pushforward", "basechange"):
+        for cmd in commands:
             t0 = time.perf_counter()
             report, code = run([cmd] + argv)
             out.append((report, code, time.perf_counter() - t0))
         return out
 
 
-def check_commands(*files):
-    for report, code, seconds in run_commands(*files):
+def check_commands(*files, **how):
+    for report, code, seconds in run_commands(*files, **how):
         assert seconds < PER_INPUT_S
         assert code in (0, 1, 2)
         if code:
@@ -158,3 +162,110 @@ def test_space_grammar(case):
 @example((SPACE, SHEAF, MAP.replace("u<v", "u<v v<u")))
 def test_map_grammar(case):
     check_commands(*case)
+
+
+# The sheaf and phi grammars are fuzzed on a square, where two cover paths
+# lead from bot to top, so a drawn sheaf can break path independence.
+SQUARE = "space sq\npoints: bot l r top\ncovers: bot<l bot<r l<top r<top\n"
+SQUARE_POINTS = ["bot", "l", "r", "top"]
+SQUARE_COVERS = [("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")]
+SHEAF_COMMANDS = ("cohomology", "chi")
+
+
+def scalars():
+    return names(["0", "1", "-1", "2", "3"] * 2 + ["1/2"], seldom)
+
+
+@st.composite
+def matrix_literal(draw, rows, cols, diagonal=None):
+    """A rows x cols matrix literal, with diagonal on the diagonal and 0
+    elsewhere if given, random entries if not; sometimes of another shape
+    or ragged."""
+    if draw(seldom):
+        rows, cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    grid = [[(diagonal if i == j else "0") if diagonal else draw(scalars())
+             for j in range(cols)] for i in range(rows)]
+    if grid and draw(seldom):
+        grid[-1].append(draw(scalars()))
+    return "[" + ",".join("[" + ",".join(row) + "]" for row in grid) + "]"
+
+
+@st.composite
+def sheaf_case(draw):
+    """A sheaf file on the square: stalks of rank 1 or 2 in degree 0, some
+    with a differential into a rank-1 degree 1, and a generization matrix
+    in degree 0 on most covers.  The matrices are mostly one scalar on the
+    diagonal, so that the two paths from bot to top often agree."""
+    ranks = {p: draw(st.sampled_from([1, 1, 1, 2])) for p in SQUARE_POINTS}
+    diagonal = None if draw(rarely) else draw(scalars())
+    lines = [f"ring {draw(names(['Z', 'Q', 'F 2', 'F 3'], seldom))}",
+             f"space {draw(names(['sq'], seldom))}"]
+    for p in SQUARE_POINTS:
+        items = [f"deg {draw(names(['0'], seldom))} rank {draw(names([str(ranks[p])], seldom))}"]
+        if draw(seldom):
+            items += ["deg 1 rank 1", f"d_0 = {draw(matrix_literal(1, ranks[p]))}"]
+        lines.append(f"stalk {draw(names([p], seldom))}: " + "; ".join(items))
+    for x, y in SQUARE_COVERS:
+        if not draw(rarely):
+            mat = draw(matrix_literal(ranks[y], ranks[x], diagonal))
+            lines.append(f"gen {x}<{draw(names([y], seldom))}: "
+                         f"deg {draw(names(['0'], seldom))} = {mat}")
+    return SQUARE, draw(mutated(lines)), None
+
+
+SQUARE_SHEAF = ("ring Z\nspace sq\n"
+                + "".join(f"stalk {p}: deg 0 rank 1\n" for p in SQUARE_POINTS)
+                + "".join(f"gen {x}<{y}: deg 0 = [[1]]\n" for x, y in SQUARE_COVERS))
+
+
+def test_the_fixed_square_sheaf_is_valid():
+    assert [code for _, code, _ in run_commands(SQUARE, SQUARE_SHEAF, None,
+                                                commands=SHEAF_COMMANDS)] == [0, 0]
+
+
+@FUZZ
+@given(st.one_of(sheaf_case(), texts(60).map(lambda t: (SQUARE, t, None))))
+@example((SQUARE, SQUARE_SHEAF.replace("stalk l: deg 0 rank 1",
+                                       "stalk l: deg 0 rank 1; deg 1 rank 1; d_0 = [[1]]"),
+          None))
+@example((SQUARE, SQUARE_SHEAF.replace("bot<l: deg 0 = [[1]]", "bot<l: deg 0 = [[2]]"), None))
+@example((SQUARE, SQUARE_SHEAF.replace("stalk bot: deg 0 rank 1",
+                                       "stalk bot: deg 0 rank 100001"), None))
+@example((SQUARE, SQUARE_SHEAF.replace("gen bot<l", "gen l<bot"), None))
+@example((SQUARE, SQUARE_SHEAF.replace("[[1]]", "[[1,0]]", 1), None))
+@example((SQUARE, SQUARE_SHEAF.replace("ring Z", "ring F 4"), None))
+def test_sheaf_grammar(case):
+    check_commands(*case, commands=SHEAF_COMMANDS)
+
+
+@st.composite
+def phi_text(draw):
+    """point=value entries on the square, mostly one integer per point."""
+    entries = [f"{draw(names([p], seldom))}="
+               f"{draw(names([str(v) for v in range(-3, 4)], seldom))}"
+               for p in SQUARE_POINTS if not draw(rarely)]
+    if draw(rarely):
+        entries.append(draw(noise))
+    entries = draw(st.permutations(entries))
+    return draw(st.sampled_from(["phi: ", "phi:", ""])) + " ".join(entries)
+
+
+def check_realize(phi):
+    # --phi=TEXT, so that a text starting with a dash stays the value
+    check_commands(SQUARE, None, None, commands=("realize",), extra=[f"--phi={phi}"])
+
+
+def test_the_fixed_phi_is_valid():
+    assert [code for _, code, _ in run_commands(SQUARE, None, None, commands=("realize",),
+                                                extra=["--phi=bot=1 l=-2 r=0 top=3"])] == [0]
+
+
+@FUZZ
+@given(st.one_of(phi_text(), texts(40)))
+@example("bot=1 l=1.5 r=0 top=0")
+@example("bot=1 l=-2 r=0")
+@example("bot=1 l=-2 r=0 top=3 x=1")
+@example("bot=1 l=2 r=0 top=" + "9" * 4000)
+@example("phi: bot=1 l=2 r=0 top=-")
+def test_phi_grammar(phi):
+    check_realize(phi)

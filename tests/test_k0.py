@@ -10,7 +10,7 @@ from sheafkit.linalg import FreeChainComplex, ZZ, k0_rank
 from sheafkit.randgen import random_cons_function, random_poset, random_sheaf
 from sheafkit.sheaf import (
     cell_decompose, constant_sheaf, j_shriek, localization_triangle,
-    SheafMap, triangle_of, zero_sheaf,
+    SheafMap, skyscraper, triangle_of, zero_sheaf,
 )
 from sheafkit.space import build_space, classify_subset, subspace
 
@@ -82,6 +82,21 @@ class TestRealize:
             m = random_poset(rng, 4)
             phi = random_cons_function(rng, m, -3, 3)
             assert chi(realize(phi)) == phi
+
+    def test_equals_the_direct_sum_of_skyscrapers(self):
+        def fold(phi):
+            out = zero_sheaf(phi.space, ZZ)
+            for p, v in phi.values:
+                if v:
+                    c = FreeChainComplex.free_module(ZZ, abs(v), 0 if v > 0 else 1)
+                    out = out.direct_sum(skyscraper(phi.space, p, c))
+            return out
+
+        rng = Random(47)
+        for _ in range(200):
+            m = random_poset(rng, 5)
+            phi = random_cons_function(rng, m, -3, 3)
+            assert realize(phi) == fold(phi)
 
 
 class TestClosedSupportDecomposition:

@@ -22,7 +22,8 @@ from sheafkit.sheaf import (
     localization_triangle, open_unit, pullback, pushforward, restrict, rgamma,
     same_stalk_homology, sheaf_cone, sheaf_fiber,
     sheaf_is_acyclic, skyscraper, triangle_is_exact, triangle_of, unit_sheaf,
-    zero_sheaf, _pushforward_labeled, _slice, rgamma_labeled,
+    zero_sheaf, _derived_hom_labeled, _hom_end_complex, _pushforward_labeled, _slice,
+    rgamma_labeled,
 )
 from sheafkit.space import (
     MonotoneMap, build_space, fibers_discrete, krull_dim, subspace,
@@ -58,6 +59,22 @@ def open_extension(m, u, c=None):
 def closed_extension(m, z, c=None):
     sub, _ = subspace(m, z)
     return i_star(m, z, constant_sheaf(sub, c if c is not None else lam()))
+
+
+def typed(m):
+    """The dense entries of m with their Python types."""
+    return (m.rows, m.cols, tuple(tuple((type(x), x) for x in row) for row in m.entries))
+
+
+def assert_same_labeled(got, want):
+    """Same complex, labels and index, in the same order and with the same
+    entry types."""
+    (cx, labels, index), (cx2, labels2, index2) = got, want
+    assert list(cx.ranks.items()) == list(cx2.ranks.items())
+    assert [(n, typed(d)) for n, d in cx.diffs.items()] == \
+        [(n, typed(d)) for n, d in cx2.diffs.items()]
+    assert list(labels.items()) == list(labels2.items())
+    assert list(index.items()) == list(index2.items())
 
 
 class TestValidation:
@@ -141,9 +158,10 @@ class TestRGamma:
     def test_size_ceiling_on_a_height_9_ladder(self):
         """rgamma of rank 20635, whose largest coboundary is 5648 x 4312 with
         0.14% of its entries nonzero; run in a child process so that its peak
-        RSS is measured alone."""
+        RSS is measured alone.  The child reads its own VmHWM: ru_maxrss
+        keeps the high-water mark of the test process across fork and exec."""
         code = """if True:
-            import json, resource, time
+            import json, time
             from random import Random
             from sheafkit.linalg import ZZ, homology
             from sheafkit.randgen import random_sheaf
@@ -155,10 +173,13 @@ class TestRGamma:
             start = time.perf_counter()
             c = rgamma(k)
             h = homology(c)
+            seconds = time.perf_counter() - start
+            with open("/proc/self/status") as fh:
+                hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
             print(json.dumps({"rank": c.total_rank(),
                               "homology": {n: str(v) for n, v in h.items()},
-                              "seconds": time.perf_counter() - start,
-                              "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+                              "seconds": seconds,
+                              "rss_mb": hwm_kb / 1024}))
         """
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sheafkit.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -340,6 +361,22 @@ class TestLocalization:
                           for q in m.down_set(p))
             assert triangle_is_exact(localization_triangle(k, z))
 
+    def test_triangles_build_no_subspace(self, monkeypatch):
+        import sheafkit.sheaf as sh
+        rng = Random(46)
+        cases = []
+        for _ in range(10):
+            m = random_poset(rng, 5)
+            cases.append((random_sheaf(rng, m), m.down_set(rng.choice(m.points))))
+        calls = []
+        build = sh.subspace
+        monkeypatch.setattr(sh, "subspace", lambda *a: calls.append(1) or build(*a))
+        for k, z in cases:
+            assert triangle_is_exact(localization_triangle(k, z))
+            _, tris = cell_decompose(k)
+            assert all(triangle_is_exact(t) for t in tris)
+        assert calls == []
+
     def test_exactness_checker_detects_failure(self):
         # 0 -> K -> 0 is not exact at K unless K is acyclic
         from sheafkit.sheaf import Triangle
@@ -417,6 +454,53 @@ class TestDerivedHom:
         m = sierpinski()
         k = constant_sheaf(m, lam())
         assert sheaf_is_acyclic(derived_hom(k, zero_sheaf(m, ZZ)))
+
+    def test_one_end_complex_build_per_call(self, monkeypatch):
+        import sheafkit.sheaf as sh
+        calls = []
+        build = sh._hom_end_complex
+        monkeypatch.setattr(sh, "_hom_end_complex",
+                            lambda k, l: calls.append(1) or build(k, l))
+        rng = Random(44)
+        for _ in range(6):
+            m = random_poset(rng, 5, min_points=3)
+            k = random_sheaf(rng, m, max_pieces=1)
+            l = random_sheaf(rng, m, max_pieces=1)
+            calls.clear()
+            derived_hom(k, l)
+            # every stalk is a slice of the one build
+            assert len(calls) == 1
+            calls.clear()
+            evaluation_map(l)
+            assert len(calls) == 2
+
+    def test_stalks_are_the_end_complexes_of_the_restrictions(self):
+        rng = Random(45)
+        for i in range(24):
+            ring = (ZZ, QQ, GF(2), GF(3))[i % 4]
+            m = random_poset(rng, 5)
+            k = random_sheaf(rng, m, ring, max_pieces=2)
+            l = random_sheaf(rng, m, ring, max_pieces=2)
+            sheaf, labels, indexes = _derived_hom_labeled(k, l)
+            for x in m.points:
+                u = m.up_set(x)
+                want = _hom_end_complex(restrict(k, u), restrict(l, u))
+                assert_same_labeled((sheaf.stalks[x], labels[x], indexes[x]), want)
+
+    def test_slice_lists_degrees_in_build_order(self):
+        # the whole end complex meets degree 1 first, at (a), and its slice
+        # to the open {b} meets degrees 0 and 1 both at (b) with t = 0, so
+        # they come in degree order there
+        m = build_space(["a", "b"], [("a", "b")])
+        k = SheafComplex(m, ZZ, {"a": lam(), "b": lam()}, {})
+        l = SheafComplex(m, ZZ, {"a": FreeChainComplex.free_module(ZZ, 1, 1),
+                                 "b": FreeChainComplex.free_module(ZZ, 1, 0).direct_sum(
+                                     FreeChainComplex.free_module(ZZ, 1, 1))}, {})
+        whole = _hom_end_complex(k, l)
+        assert list(whole[1]) == [1, 0, 2]
+        got = _slice(whole, {"b"})
+        assert list(got[1]) == [0, 1]
+        assert_same_labeled(got, _hom_end_complex(restrict(k, {"b"}), restrict(l, {"b"})))
 
 
 class TestCrossRoutes:
@@ -511,21 +595,16 @@ class TestBaseChange:
         locus, _ = base_change_locus(j, zero_sheaf(sub, ZZ))
         assert locus == frozenset(m.points)
 
-    @staticmethod
-    def typed(m):
-        """The dense entries of m with their Python types."""
-        return (m.rows, m.cols, tuple(tuple((type(x), x) for x in row) for row in m.entries))
-
     def assert_same_sheaf(self, a, b):
         assert a.space == b.space and a.ring == b.ring
         for p in a.space.points:
             x, y = a.stalks[p], b.stalks[p]
             assert x.ranks == y.ranks
-            assert {n: self.typed(d) for n, d in x.diffs.items()} == \
-                {n: self.typed(d) for n, d in y.diffs.items()}
+            assert {n: typed(d) for n, d in x.diffs.items()} == \
+                {n: typed(d) for n, d in y.diffs.items()}
         for e in a.space.covers:
-            assert {n: self.typed(mm) for n, mm in a.gens[e].mats.items()} == \
-                {n: self.typed(mm) for n, mm in b.gens[e].mats.items()}
+            assert {n: typed(mm) for n, mm in a.gens[e].mats.items()} == \
+                {n: typed(mm) for n, mm in b.gens[e].mats.items()}
 
     @staticmethod
     def base_change_cases(seed):
@@ -599,22 +678,12 @@ class TestBaseChange:
             not_iso += len(s.points) - len(locus)
         assert not_iso >= 500
 
-    def assert_same_labeled(self, got, want):
-        """Same complex, labels and index, in the same order and with the
-        same entry types."""
-        (cx, labels, index), (cx2, labels2, index2) = got, want
-        assert list(cx.ranks.items()) == list(cx2.ranks.items())
-        assert [(n, self.typed(d)) for n, d in cx.diffs.items()] == \
-            [(n, self.typed(d)) for n, d in cx2.diffs.items()]
-        assert list(labels.items()) == list(labels2.items())
-        assert list(index.items()) == list(index2.items())
-
     def test_pushforward_stalks_are_the_restricted_sections(self):
         for f, k, p in self.base_change_cases(39):
             sheaf, labels, indexes = _pushforward_labeled(f, k, p)
             for t, q in p.mapping:
                 want = rgamma_labeled(restrict(k, f.preimage(f.target.up_set(q))))
-                self.assert_same_labeled((sheaf.stalks[t], labels[t], indexes[t]), want)
+                assert_same_labeled((sheaf.stalks[t], labels[t], indexes[t]), want)
 
     def test_slice_drops_degrees_without_a_kept_label(self):
         # degree 1 has the labels (s; q=1) and (s<eta; q=0), both starting at s
@@ -625,7 +694,7 @@ class TestBaseChange:
         assert set(whole[1]) == {0, 1}
         got = _slice(whole, {"eta"})
         assert set(got[1]) == {0} and got[0].ranks == {0: 1}
-        self.assert_same_labeled(got, rgamma_labeled(restrict(k, {"eta"})))
+        assert_same_labeled(got, rgamma_labeled(restrict(k, {"eta"})))
         kernel = _slice(whole, m.points, {"eta"})
         assert [lab for labs in kernel[1].values() for lab in labs] == \
             [(("eta",), 0, 0), (("s", "eta"), 0, 0)]
@@ -640,7 +709,7 @@ class TestBaseChange:
         assert list(whole[1]) == [1, 0]
         got = _slice(whole, {"b", "c"})
         assert list(got[1]) == [0, 1]
-        self.assert_same_labeled(got, rgamma_labeled(restrict(k, {"b", "c"})))
+        assert_same_labeled(got, rgamma_labeled(restrict(k, {"b", "c"})))
 
 
 class TestConservativity:
