@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -86,64 +87,48 @@ class _Token:
         return f"{self.kind}({self.value!r})"
 
 
-_RELOPS = ("<=", ">=", "!=", "<", ">", "=")
+def _token_pattern(relops, ops):
+    """One match per token, blanks before it included; the groups, tried in
+    order: 1 a line break, 2 a digit run, 3 t, 4 a relation, 5 an operator,
+    6 the end of the text, 7 any other character.  \\s and \\d match exactly
+    the characters of str.isspace and str.isdecimal."""
+    return re.compile(rf"[^\S\n]*(?:(\n)|(\d+)|(t)|({relops})|([{ops}])|(\Z)|(.))", re.S)
+
+
+_POLY_TOKEN = _token_pattern("(?!)", r"-+*^()")
+_FORMULA_TOKEN = _token_pattern("<=|>=|!=|[<>=]", r"-+*^()&|!")
 
 
 def _tokenize(text, formula=False):
     toks = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start = (line, col)
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
+    line, line_start, n = 1, 0, len(text)
+    for m in (_FORMULA_TOKEN if formula else _POLY_TOKEN).finditer(text):
+        k = m.lastindex
+        i = m.start(k)
+        col = i - line_start + 1
+        if k == 5:
+            toks.append(_Token(m.group(5), m.group(5), line, col))
+        elif k == 2 or k == 7 and text[i].isdigit():
+            # a digit run also takes the str.isdigit characters \d misses,
+            # which int() then rejects
+            j = m.end()
+            while j < n and text[j].isdigit():
                 j += 1
-            value = _budget_int(text[i:j], f"syntax error at line {line}, column {col}: "
-                                           f"integer literal")
-            toks.append(_Token("num", value, *start))
-            col += j - i
-            i = j
-            continue
-        if ch == "t":
-            toks.append(_Token("t", "t", *start))
-            i += 1
-            col += 1
-            continue
-        if formula:
-            two = text[i:i + 2]
-            if two in ("<=", ">=", "!="):
-                toks.append(_Token("relop", two, *start))
-                i += 2
-                col += 2
-                continue
-            if ch in "<>=":
-                toks.append(_Token("relop", ch, *start))
-                i += 1
-                col += 1
-                continue
-            if ch in "&|!":
-                toks.append(_Token(ch, ch, *start))
-                i += 1
-                col += 1
-                continue
-        if ch in "+-*^()":
-            toks.append(_Token(ch, ch, *start))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"syntax error at line {line}, column {col}: "
-                         f"unexpected character {ch!r}")
-    toks.append(_Token("end", None, line, col))
+            lit = text[i:j]
+            # a literal of under 100 decimal digits is within the budget
+            value = int(lit) if len(lit) < 100 and lit.isdecimal() else _budget_int(
+                lit, f"syntax error at line {line}, column {col}: integer literal")
+            toks.append(_Token("num", value, line, col))
+        elif k == 3:
+            toks.append(_Token("t", "t", line, col))
+        elif k == 4:
+            toks.append(_Token("relop", m.group(4), line, col))
+        elif k == 1:
+            line, line_start = line + 1, i + 1
+        elif k == 7:
+            raise ParseError(f"syntax error at line {line}, column {col}: "
+                             f"unexpected character {text[i]!r}")
+    toks.append(_Token("end", None, line, n - line_start + 1))
     return toks
 
 
@@ -854,10 +839,19 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParseError, for the
+    one-line error report, where argparse would print its usage and message
+    to stderr and exit; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 @cache
 def build_arg_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after."""
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="sheafkit",
         description="constructible sheaf complexes on finite spectral spaces "
                     "and the real spectrum of the affine line")
@@ -923,14 +917,12 @@ _REPORT_PREFIX = {1: "error", 2: "internal invariant failure"}
 
 def run(argv):
     """Dispatch a command line; returns (report text, exit code)."""
-    ap = build_arg_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        # argparse uses 2 for usage errors; that is a validation failure here
-        code = int(e.code or 0)
-        return "", (1 if code == 2 else code)
-    try:
+        try:
+            args = build_arg_parser().parse_args(argv)
+        except SystemExit as e:
+            # only --help exits here: usage errors raise ParseError
+            return "", int(e.code or 0)
         return args.fn(args)
     except _HANDLED as e:
         code = next(code for cls, code in _EXIT_CODES if isinstance(e, cls))

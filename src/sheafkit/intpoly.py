@@ -6,7 +6,9 @@ machinery is integer-only: Sturm sequences, gcds and exact division run on
 primitive pseudo-remainders over Z, and the sign of a polynomial at a
 rational a/b is the sign of the integer b^deg * p(a/b).  Sturm counts in
 half-open intervals with rational endpoints, and bisection against those
-counts, isolate the real roots.  The same sequences with p' q in place of
+counts, isolate the real roots; the bisection keeps its endpoints as integer
+numerators over one denominator and evaluates the Sturm sequence once per
+split.  The same sequences with p' q in place of
 p' answer Tarski queries: the sum of the signs of q over the roots of p in
 an interval, which gives the sign of q at an isolated root.  Defining
 polynomials of polynomial images of algebraic numbers are resultants over
@@ -16,7 +18,7 @@ Z[t], Sylvester determinants by fraction-free (Bareiss) elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd
 
 
 class ZeroPolynomial(Exception):
@@ -226,10 +228,11 @@ def sturm_sequence(p, q=(1,)):
     return seq
 
 
-def sign_at_rational(p, x) -> int:
-    """The sign of p at a rational x = a/b: the sign of b^deg * p(a/b),
-    computed by homogeneous integer Horner; x may be int or Fraction."""
-    a, b = x.numerator, x.denominator
+def sign_at_rational(p, x, d=1) -> int:
+    """The sign of p at the rational x / d, for x an int or Fraction and d a
+    positive int: with x / d = a/b, the sign of b^deg * p(a/b), computed by
+    homogeneous integer Horner.  Integer endpoints a/d pass x = a."""
+    a, b = x.numerator, x.denominator * d
     acc = 0
     bk = 1
     for c in reversed(p):
@@ -247,8 +250,9 @@ def _variations(signs) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
 
 
-def variations_at(seq, x) -> int:
-    return _variations([sign_at_rational(q, x) for q in seq])
+def variations_at(seq, x, d=1) -> int:
+    """Sign variations of seq at the rational x / d, as in sign_at_rational."""
+    return _variations([sign_at_rational(q, x, d) for q in seq])
 
 
 def variations_at_neg_inf(seq) -> int:
@@ -287,47 +291,57 @@ def isolate_real_roots(p):
     """
     if not p:
         raise ZeroPolynomial("cannot isolate roots of 0")
-    return isolate_squarefree_roots(squarefree(p))
+    return [("rational", Fraction(e[1], e[2])) if e[0] == "rational"
+            else ("interval", Fraction(e[1], e[3]), Fraction(e[2], e[3]))
+            for e in isolate_squarefree_roots(squarefree(p))]
 
 
 def isolate_squarefree_roots(sf):
-    """isolate_real_roots of a polynomial given by its squarefree part sf."""
+    """The real roots of a squarefree sf, sorted, with integer endpoints:
+    ('rational', m, d) for a root m/d and ('interval', a, b, d) for an
+    interval (a/d, b/d) with non-root ends holding exactly one root; d > 0.
+
+    Bisection of the root bound (-B, B) against Sturm counts.  Each
+    interval carries the sign variations V of the Sturm sequence at its
+    ends, so a split evaluates the sequence once, at the midpoint m: the
+    left half (lo, m] holds V(lo) - V(m) roots and the right half the rest.
+    All ends at one depth share one denominator, that of B times 2^depth.
+    """
     if degree(sf) < 1:
         return []
     seq = sturm_sequence(sf)
     bound = root_bound(sf)
-    left, right = -bound, bound
     out = []
 
-    def count(a, b):
-        # no root lies outside (left, right), so the variations there are
-        # those at the infinities, read off the leading coefficients
-        return count_roots_halfopen(seq, None if a == left else a,
-                                    None if b == right else b)
-
-    def refine(lo, hi, n):
-        # invariant: lo, hi are not roots, (lo, hi] = (lo, hi) holds n roots
-        if n == 0:
+    def refine(a, b, d, va, vb):
+        # neither a/d nor b/d is a root; (a/d, b/d) holds va - vb roots
+        if va == vb:
             return
-        if n == 1:
-            out.append(("interval", lo, hi))
+        if va - vb == 1:
+            out.append(("interval", a, b, d))
             return
-        mid = (lo + hi) / 2
-        if sign_at_rational(sf, mid) == 0:
-            out.append(("rational", mid))
-            # shrink around mid until the point is isolated away
-            eps = (hi - lo) / 4
-            while count(mid - eps, mid + eps) != 1 or sign_at_rational(sf, mid - eps) == 0 \
-                    or sign_at_rational(sf, mid + eps) == 0:
-                eps /= 2
-            refine(lo, mid - eps, count(lo, mid - eps))
-            refine(mid + eps, hi, count(mid + eps, hi))
-        else:
-            refine(lo, mid, count(lo, mid))
-            refine(mid, hi, count(mid, hi))
+        m = a + b
+        if sign_at_rational(sf, m, 2 * d):
+            vm = variations_at(seq, m, 2 * d)
+            refine(2 * a, m, 2 * d, va, vm)
+            refine(m, 2 * b, 2 * d, vm, vb)
+            return
+        # the midpoint m/2d is a root: over the denominator 4d it is 2m/4d,
+        # and the radius e/4d starts at a quarter of the width and halves
+        # until it isolates the midpoint with non-root ends
+        a, b, m, e, d = 4 * a, 4 * b, 2 * m, b - a, 4 * d
+        while True:
+            vl, vr = variations_at(seq, m - e, d), variations_at(seq, m + e, d)
+            if (vl - vr == 1 and sign_at_rational(sf, m - e, d)
+                    and sign_at_rational(sf, m + e, d)):
+                break
+            a, b, m, d = 2 * a, 2 * b, 2 * m, 2 * d
+        refine(a, m - e, d, va, vl)
+        out.append(("rational", m, d))
+        refine(m + e, b, d, vr, vb)
 
-    refine(left, right, count(left, right))
-    out.sort(key=lambda e: e[1])
+    refine(-bound.numerator, bound.numerator, bound.denominator,
+           variations_at_neg_inf(seq), variations_at_pos_inf(seq))
     return out
 
 
@@ -361,23 +375,20 @@ def image_defining_poly(a_poly, p) -> tuple:
     return squarefree(m[-1][-1])
 
 
-def eval_interval(p, lo: Fraction, hi: Fraction):
-    """Rational bounds [m, M] enclosing p([lo, hi]) by interval Horner.
+def eval_interval(p, a, b, d):
+    """Integer bounds (m, M, D) with [m/D, M/D] enclosing p([a/d, b/d]) by
+    interval Horner, for a <= b and d > 0; D = d^deg p.
 
-    With lo = a/d and hi = b/d over a common denominator d, the bounds after
-    k coefficients are kept multiplied by d^(k-1), so every step is integer.
+    The bounds after k coefficients are kept multiplied by d^(k-1), so every
+    step is integer.
     """
-    d = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
     m = M = 0
     dk = 1
     for c in reversed(p):
         cands = (m * a, m * b, M * a, M * b)
         m, M = min(cands) + c * dk, max(cands) + c * dk
         dk *= d
-    den = d ** max(len(p) - 1, 0)
-    return Fraction(m, den), Fraction(M, den)
+    return m, M, d ** max(len(p) - 1, 0)
 
 
 # ---------------------------------------------------------------------------

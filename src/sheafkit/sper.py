@@ -10,7 +10,11 @@ live inside their interval cell, which is as fine as constructible data
 can distinguish.
 
 Everything is exact: algebraic numbers are squarefree integer polynomials
-with isolating rational intervals, and images under polynomial maps come
+with isolating rational intervals, whose endpoints are integer numerators
+over one denominator, compared by cross-multiplying.  Halving an interval
+is deterministic, so every number keeps its halving once made, and the
+comparisons of root merges, refine_disjoint, fiber sums and images of
+points reuse each other's refinements.  Images under polynomial maps come
 from image polynomials, resultants over Z[t] computed by Bareiss
 elimination.  The one question asked at an algebraic number a is the sign
 of a polynomial f there, and it is one Tarski query: the Sturm-Tarski count
@@ -34,6 +38,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import intpoly as ip
 from .k0 import ConsFunction
@@ -55,87 +60,146 @@ class InconsistentSamples(SperError):
 
 class AlgNumber:
     """A real algebraic number: squarefree defining polynomial plus an
-    isolating open rational interval with non-root endpoints."""
+    isolating open rational interval (lo, hi) with non-root endpoints.
 
-    __slots__ = ("poly", "lo", "hi")
+    The endpoints are integer numerators over one positive denominator,
+    lo = _a/_d and hi = _b/_d.  Halving doubles the denominator, so it is
+    the starting one times a power of two (times four more after a midpoint
+    turns out to be the root), and the interval tests cross-multiply.  The
+    Fractions lo and hi are built only when read.
 
-    def __init__(self, poly, lo, hi, check=True):
+    refined() is deterministic, so a number keeps its one-step refinement
+    once made (_next): a halving made by one comparison is a lookup for
+    every later comparison or refinement of the same number, and a number
+    holds the chain of its refinements for as long as it lives.  The sign
+    of poly at lo is the same along the chain and is read once (_slo, 0
+    until read).
+    """
+
+    __slots__ = ("poly", "_a", "_b", "_d", "_slo", "_next")
+
+    def __init__(self, poly, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        d = lcm(lo.denominator, hi.denominator)
         self.poly = tuple(poly)
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-        if check:
-            if ip.degree(self.poly) < 1:
-                raise SperError("defining polynomial must be nonconstant")
-            if ip.degree(ip.gcd(self.poly, ip.deriv(self.poly))) != 0:
-                raise SperError("defining polynomial is not squarefree")
-            if not self.lo < self.hi:
-                raise SperError("empty isolating interval")
-            if (ip.sign_at_rational(self.poly, self.lo) == 0
-                    or ip.sign_at_rational(self.poly, self.hi) == 0):
-                raise SperError("interval endpoints must not be roots")
-            seq = ip.sturm_sequence(self.poly)
-            if ip.count_roots_halfopen(seq, self.lo, self.hi) != 1:
-                raise SperError("interval does not isolate exactly one root")
+        self._a = lo.numerator * (d // lo.denominator)
+        self._b = hi.numerator * (d // hi.denominator)
+        self._d = d
+        self._slo = 0
+        self._next = None
+        if ip.degree(self.poly) < 1:
+            raise SperError("defining polynomial must be nonconstant")
+        if ip.degree(ip.gcd(self.poly, ip.deriv(self.poly))) != 0:
+            raise SperError("defining polynomial is not squarefree")
+        if not lo < hi:
+            raise SperError("empty isolating interval")
+        if (ip.sign_at_rational(self.poly, lo) == 0
+                or ip.sign_at_rational(self.poly, hi) == 0):
+            raise SperError("interval endpoints must not be roots")
+        if self.count(ip.sturm_sequence(self.poly)) != 1:
+            raise SperError("interval does not isolate exactly one root")
+
+    @classmethod
+    def _of(cls, poly, a, b, d, slo=0) -> "AlgNumber":
+        """The number isolated by (a/d, b/d), unchecked; slo is the sign of
+        poly at a/d, or 0 if not yet read."""
+        x = object.__new__(cls)
+        x.poly, x._a, x._b, x._d, x._slo, x._next = poly, a, b, d, slo, None
+        return x
 
     @classmethod
     def from_rational(cls, r) -> "AlgNumber":
-        r = Fraction(r)
-        poly = ip.primitive((-r.numerator, r.denominator))
-        return cls(poly, r - 1, r + 1, check=False)
+        # a linear polynomial with positive leading coefficient is
+        # negative left of its root
+        n, d = r.numerator, r.denominator
+        return cls._of(ip.primitive((-n, d)), n - d, n + d, d, -1)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def is_rational(self) -> bool:
         return ip.degree(self.poly) == 1
 
+    def _ratio(self):
+        """(n, d) with d > 0 and n/d the root of a linear poly."""
+        c0, c1 = self.poly
+        return (-c0, c1) if c1 > 0 else (c0, -c1)
+
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise SperError("not represented by a linear polynomial")
-        return Fraction(-self.poly[0], self.poly[1])
+        return Fraction(*self._ratio())
+
+    def count(self, seq) -> int:
+        """The Sturm count of seq over the isolating interval (lo, hi]."""
+        return ip.variations_at(seq, self._a, self._d) - ip.variations_at(seq, self._b, self._d)
 
     def refined(self) -> "AlgNumber":
         """Halve the isolating interval (exact rational detection included).
 
         The root is simple and the only one in the interval, so the
         polynomial changes sign across it and nowhere else in the interval:
-        the half whose endpoints differ in sign keeps it.
+        the half whose endpoints differ in sign keeps it.  A midpoint that
+        is the root gives its linear polynomial, over the middle half.
         """
-        mid = (self.lo + self.hi) / 2
-        s = ip.sign_at_rational(self.poly, mid)
-        if s == 0:
-            poly = ip.primitive((-mid.numerator, mid.denominator))
-            return AlgNumber(poly, (self.lo + mid) / 2, (mid + self.hi) / 2,
-                             check=False)
-        if s != ip.sign_at_rational(self.poly, self.lo):
-            return AlgNumber(self.poly, self.lo, mid, check=False)
-        return AlgNumber(self.poly, mid, self.hi, check=False)
+        nxt = self._next
+        if nxt is None:
+            poly, a, b, d = self.poly, self._a, self._b, self._d
+            m = a + b
+            s = ip.sign_at_rational(poly, m, 2 * d)
+            if s == 0:
+                nxt = AlgNumber._of(ip.primitive((-m, 2 * d)), 2 * a + m, m + 2 * b, 4 * d, -1)
+            else:
+                slo = self._slo or ip.sign_at_rational(poly, a, d)
+                self._slo = slo
+                if s != slo:
+                    nxt = AlgNumber._of(poly, 2 * a, m, 2 * d, slo)
+                else:
+                    nxt = AlgNumber._of(poly, m, 2 * b, 2 * d, slo)
+            self._next = nxt
+        return nxt
+
+    def _compare_rational(self, n, d) -> int:
+        """compare against n/d, d > 0."""
+        if self.is_rational():
+            rn, rd = self._ratio()
+            return _sign_of_fraction(rn * d - n * rd)
+        me = self
+        if me._a * d < n * me._d < me._b * d:
+            if ip.sign_at_rational(self.poly, n, d) == 0:
+                return 0
+            while me._a * d < n * me._d < me._b * d:
+                me = me.refined()
+        return -1 if me._b * d <= n * me._d else 1
 
     def compare(self, other) -> int:
         """-1, 0 or 1 against another AlgNumber or a rational."""
         if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            if self.is_rational():
-                v = self.as_rational()
-                return (v > r) - (v < r)
-            if self.lo < r < self.hi and ip.sign_at_rational(self.poly, r) == 0:
-                return 0
-            me = self
-            while me.lo < r < me.hi:
-                me = me.refined()
-            return -1 if me.hi <= r else 1
+            return self._compare_rational(other.numerator, other.denominator)
         if not isinstance(other, AlgNumber):
             raise TypeError(f"cannot compare with {type(other).__name__}")
         if other.is_rational():
-            return self.compare(other.as_rational())
+            return self._compare_rational(*other._ratio())
         if self.is_rational():
-            return -other.compare(self.as_rational())
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo < hi:
-            g = ip.gcd(self.poly, other.poly)
-            if ip.degree(g) >= 1 and ip.count_roots_halfopen(ip.sturm_sequence(g), lo, hi) == 1:
-                return 0
+            return -other._compare_rational(*self._ratio())
         a, b = self, other
-        while not (a.hi <= b.lo or b.hi <= a.lo):
+        # the intervals overlap: a.lo < b.hi and b.lo < a.hi
+        if a._a * b._d < b._b * a._d and b._a * a._d < a._b * b._d:
+            g = ip.gcd(a.poly, b.poly)
+            if ip.degree(g) >= 1:
+                lo = a if a._a * b._d >= b._a * a._d else b
+                hi = a if a._b * b._d <= b._b * a._d else b
+                seq = ip.sturm_sequence(g)
+                if ip.variations_at(seq, lo._a, lo._d) - ip.variations_at(seq, hi._b, hi._d) == 1:
+                    return 0
+        while a._b * b._d > b._a * a._d and b._b * a._d > a._a * b._d:
             a, b = a.refined(), b.refined()
-        return -1 if a.hi <= b.lo else 1
+        return -1 if a._b * b._d <= b._a * a._d else 1
 
     def __eq__(self, other):
         if isinstance(other, (AlgNumber, int, Fraction)):
@@ -234,9 +298,9 @@ def real_roots(f) -> list:
     out = []
     for entry in ip.isolate_squarefree_roots(sf):
         if entry[0] == "rational":
-            out.append(AlgNumber.from_rational(entry[1]))
+            out.append(AlgNumber.from_rational(Fraction(entry[1], entry[2])))
         else:
-            out.append(AlgNumber(sf, entry[1], entry[2], check=False))
+            out.append(AlgNumber._of(sf, *entry[1:]))
     return out
 
 
@@ -249,8 +313,8 @@ def _sign_at_root(f, a: AlgNumber) -> int:
     (a.lo, a.hi], exact since exactly one root lies there and neither end is
     a root; a linear a.poly is evaluated directly."""
     if a.is_rational():
-        return ip.sign_at_rational(f, a.as_rational())
-    return ip.count_roots_halfopen(ip.sturm_sequence(a.poly, f), a.lo, a.hi)
+        return ip.sign_at_rational(f, *a._ratio())
+    return a.count(ip.sturm_sequence(a.poly, f))
 
 
 def sign_at(f, x: SperPoint) -> int:
@@ -547,10 +611,17 @@ def refine_disjoint(roots) -> list:
     """Refined copies of sorted roots with pairwise disjoint intervals."""
     roots = list(roots)
     for i in range(len(roots) - 1):
-        while roots[i].hi > roots[i + 1].lo:
-            roots[i] = roots[i].refined()
-            roots[i + 1] = roots[i + 1].refined()
+        a, b = roots[i], roots[i + 1]
+        while a._b * b._d > b._a * a._d:
+            a, b = a.refined(), b.refined()
+        roots[i], roots[i + 1] = a, b
     return roots
+
+
+def _gap_midpoints(roots) -> list:
+    """(n, d), d > 0, with n/d midway between each two neighbouring roots'
+    disjoint isolating intervals."""
+    return [(a._b * b._d + b._a * a._d, 2 * a._d * b._d) for a, b in zip(roots, roots[1:])]
 
 
 def cell_samples(roots):
@@ -560,27 +631,25 @@ def cell_samples(roots):
         return [], [Fraction(0)]
     roots = refine_disjoint(roots)
     samples = [roots[0].lo]
-    for j, r in enumerate(roots):
-        samples.append(r)
-        if j + 1 < len(roots):
-            samples.append((r.hi + roots[j + 1].lo) / 2)
-        else:
-            samples.append(r.hi)
+    for r, mid in zip(roots, _gap_midpoints(roots)):
+        samples += [r, Fraction(*mid)]
+    samples += [roots[-1], roots[-1].hi]
     return roots, samples
 
 
-def _sign_vector(f, bit: int, roots, tags) -> list:
-    """Signs of f on the 2k+1 cells of sorted roots with disjoint isolating
-    intervals, given every root of f among them; bit marks f in the bit set
-    tags[j] of the polynomials vanishing at roots[j]."""
-    k = len(roots)
+def _sign_vector(f, bit: int, mids, tags) -> list:
+    """Signs of f on the 2k+1 cells of k sorted roots with disjoint
+    isolating intervals, given every root of f among them and the k - 1
+    _gap_midpoints between the intervals; bit marks f in the bit set
+    tags[j] of the polynomials vanishing at the j-th root."""
+    k = len(tags)
     if not f:
         return [0] * (2 * k + 1)
     lead = _sign_of_fraction(ip.lead(f))
     out = [lead * (-1 if ip.degree(f) % 2 else 1)]
     for j in range(k):
         if j + 1 < k:
-            right = ip.sign_at_rational(f, (roots[j].hi + roots[j + 1].lo) / 2)
+            right = ip.sign_at_rational(f, *mids[j])
         else:
             right = lead
         # f(r_j) != 0 and no root of f lies in (r_j, r_{j+1}), so f has
@@ -611,7 +680,8 @@ def from_formula(phi) -> SperConstructible:
             tagged = _merge_tagged(tagged, [(r, 1 << bit) for r in real_roots(f)])
     roots = refine_disjoint([r for r, _ in tagged])
     tags = [t for _, t in tagged]
-    vectors = {f: _sign_vector(f, bit, roots, tags) for bit, f in enumerate(polys)}
+    mids = _gap_midpoints(roots)
+    vectors = {f: _sign_vector(f, bit, mids, tags) for bit, f in enumerate(polys)}
     signs = {a.poly: vectors[ip.normalize(a.poly)] for a in atoms}
     mask = [_eval_formula(phi, lambda f: signs[f][pos])
             for pos in range(2 * len(roots) + 1)]
@@ -758,17 +828,14 @@ def _push_alg(p: PolyMap, a: AlgNumber) -> AlgNumber:
     while True:
         if a.is_rational():
             return AlgNumber.from_rational(ip.evaluate(p.poly, a.as_rational()))
-        lo, hi = ip.eval_interval(p.poly, a.lo, a.hi)
-        for endpoint in (lo, hi):
-            if ip.sign_at_rational(q, endpoint) == 0:
-                # is the image exactly this rational?
-                h = ip.sub(ip.scale(p.poly, endpoint.denominator),
-                           ip.constant(endpoint.numerator))
-                if _sign_at_root(h, a) == 0:
-                    return AlgNumber.from_rational(endpoint)
-        if (ip.sign_at_rational(q, lo) != 0 and ip.sign_at_rational(q, hi) != 0
-                and ip.count_roots_halfopen(seq, lo, hi) == 1):
-            return AlgNumber(q, lo, hi, check=False)
+        lo, hi, d = ip.eval_interval(p.poly, a._a, a._b, a._d)
+        signs = ip.sign_at_rational(q, lo, d), ip.sign_at_rational(q, hi, d)
+        for end, sign in zip((lo, hi), signs):
+            # is the image exactly this rational?
+            if sign == 0 and _sign_at_root(ip.sub(ip.scale(p.poly, d), ip.constant(end)), a) == 0:
+                return AlgNumber.from_rational(Fraction(end, d))
+        if all(signs) and ip.variations_at(seq, lo, d) - ip.variations_at(seq, hi, d) == 1:
+            return AlgNumber._of(q, lo, hi, d)
         a = a.refined()
 
 
@@ -823,30 +890,36 @@ def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list, b) ->
     seq = ip.sturm_sequence(h)
     tarski = None
     if isinstance(b, AlgNumber) and not b.is_rational():
-        lo, hi = b.lo, b.hi
-        w = ip.mul(ip.sub(ip.scale(p.poly, lo.denominator), ip.constant(lo.numerator)),
-                   ip.sub(ip.constant(hi.numerator), ip.scale(p.poly, hi.denominator)))
+        w = ip.mul(ip.sub(ip.scale(p.poly, b._d), ip.constant(b._a)),
+                   ip.sub(ip.constant(b._b), ip.scale(p.poly, b._d)))
         tarski = ip.sturm_sequence(h, w)
 
+    def variations(s, end):
+        # end: (n, d) for n/d, or -1 / 1 for -inf / +inf
+        if end == -1:
+            return ip.variations_at_neg_inf(s)
+        if end == 1:
+            return ip.variations_at_pos_inf(s)
+        return ip.variations_at(s, *end)
+
     def count(x, y):
-        n = ip.count_roots_halfopen(seq, x, y)
+        n = variations(seq, x) - variations(seq, y)
         if not n or tarski is None:
             return n
-        return (n + ip.count_roots_halfopen(tarski, x, y)) // 2
+        return (n + variations(tarski, x) - variations(tarski, y)) // 2
 
     total = 0
-    left = None
+    left = -1
     for j, a in enumerate(ups):
         hits = _sign_at_root(h, a) == 0
-        while (ip.count_roots_halfopen(seq, a.lo, a.hi) != hits
-               or ip.sign_at_rational(h, a.lo) == 0):
+        while a.count(seq) != hits or ip.sign_at_rational(h, a._a, a._d) == 0:
             a = a.refined()
         ups[j] = a
-        total += phi(cells.point_at(2 * j)) * count(left, a.lo)
+        total += phi(cells.point_at(2 * j)) * count(left, (a._a, a._d))
         if hits:
-            total += phi(cells.point_at(2 * j + 1)) * count(a.lo, a.hi)
-        left = a.hi
-    return total + phi(cells.point_at(2 * len(ups))) * count(left, None)
+            total += phi(cells.point_at(2 * j + 1)) * count((a._a, a._d), (a._b, a._d))
+        left = (a._b, a._d)
+    return total + phi(cells.point_at(2 * len(ups))) * count(left, 1)
 
 
 def refine_cells(cells: CellPoset, extra_roots) -> CellPoset:

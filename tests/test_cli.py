@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from math import isqrt
 from random import Random
@@ -425,6 +428,25 @@ class TestCommands:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == HUGE_BOUND_DIGESTS[command]
 
+    def test_huge_bound_cells_within_a_memory_ceiling(self):
+        # kept refinements live as long as their roots; the peak resident set
+        # (VmHWM) of a fresh interpreter running the huge-bound cell
+        # decomposition stays under 40 MB (about 24 MB when this bound was
+        # set).  It is read in the child, from /proc/self/status: a child's
+        # ru_maxrss starts from the peak of the process that forked it.
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("VmHWM is read from /proc/self/status")
+        code = ("from sheafkit.cli import run\n"
+                "text, code = run(['sper-cells', '--formula', '(t+1)^1000 - 2^1000 < 0'])\n"
+                "assert code == 0\n"
+                "print(next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+                "           if line.startswith('VmHWM:')))\n")
+        src = os.path.dirname(os.path.dirname(ip.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert int(out.stdout) < 40 * 1024
+
     def test_sper_push_golden_digest(self, monkeypatch):
         calls = []
         image = ip.image_defining_poly
@@ -578,3 +600,26 @@ class TestCommands:
         text, code = run(["selftest", "--seed", "1"])
         assert code == 0
         assert text.splitlines()[-1].endswith("0 fail")
+
+
+class TestUsageErrors:
+    """Usage errors get the one-line report and exit 1, with nothing on
+    stderr; --help still prints the help and exits 0."""
+
+    def test_one_line_report(self, tmp_path, capsys):
+        space = tmp_path / "s.space"
+        space.write_text(SIERP)
+        assert run(["realize", "--space", str(space), "--phi", "-x"]) == (
+            "error: argument --phi: expected one argument", 1)
+        assert run(["sper-roots", "--poly", "t", "--bogus"]) == (
+            "error: unrecognized arguments: --bogus", 1)
+        assert run(["sper-roots"]) == (
+            "error: the following arguments are required: --poly", 1)
+        text, code = run(["no-such-command"])
+        assert code == 1 and text.startswith("error: argument command: invalid choice")
+        assert "\n" not in text
+        assert capsys.readouterr().err == ""
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["sper-roots", "--help"]) == ("", 0)
+        assert "--poly" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Fuzzing of the input grammars: the space and map files through
 `pushforward` and `basechange`, the sheaf file through `cohomology` and
-`chi`, and the constructible function through `realize`.
+`chi`, the constructible function through `realize`, polynomials through
+`sper-roots` and formulas through `sper-set` and `sper-cells`.
 
 Every input must give exit code 0, 1 or 2, a failure must be reported on
 one line that names it, and no input may take longer than a fixed bound.
@@ -14,7 +15,8 @@ import time
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sheafkit.cli import run
+from sheafkit.cli import ParseError, parse_formula, parse_poly, run
+from sheafkit.intpoly import degree
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None,
                 suppress_health_check=list(HealthCheck))
@@ -269,3 +271,153 @@ def test_the_fixed_phi_is_valid():
 @example("phi: bot=1 l=2 r=0 top=-")
 def test_phi_grammar(phi):
     check_realize(phi)
+
+
+# Polynomials and formulas are drawn near the grammar: literals, t, the
+# operators, powers and parentheses, with noise characters and tokens
+# sometimes put in.  Drawn polynomials are kept to degree 16, where every
+# command answers in milliseconds; the degree budget and huge Cauchy bounds
+# are explicit examples.  A huge-bound root next to another root is left
+# out: separating the two takes about a thousand halvings of an interval as
+# wide as the bound, each on integers of about a million bits, and minutes.
+MAX_FUZZ_DEGREE = 16
+
+
+def literals():
+    """Mostly 0-99; seldom a long literal, one past the coefficient budget,
+    or one with leading zeros."""
+    return seldom.flatmap(lambda r: st.sampled_from(["10" * 20, "9" * 3400, "007"]) if r
+                          else st.integers(0, 99).map(str))
+
+
+def exponents():
+    """Mostly 0-4; seldom 10, an exponent past the degree budget, or
+    no literal at all."""
+    return seldom.flatmap(lambda r: st.sampled_from(["10", "1001", "t", "-1", ""]) if r
+                          else st.integers(0, 4).map(str))
+
+
+@st.composite
+def poly_text(draw, depth=2):
+    """A sum of up to three products of up to two factors; a factor is a
+    literal, t, a parenthesized sum (depth permitting) or a negated factor,
+    sometimes raised to a power."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 2))):
+            kind = draw(st.sampled_from(["num", "t", "t", "paren", "neg"] if depth else ["num", "t"]))
+            if kind == "num":
+                f = draw(literals())
+            elif kind == "t":
+                f = "t"
+            elif kind == "paren":
+                f = f"({draw(poly_text(depth - 1))})"
+            else:
+                f = "-" + draw(st.sampled_from(["t", "2", "(t - 1)"]))
+            if draw(rarely):
+                f += "^" + draw(exponents())
+            factors.append(f)
+        terms.append(draw(st.sampled_from(["*", " * ", "*"])).join(factors))
+    text = terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from([" + ", " - ", "+", "-"])) + term
+    return draw(noisy(text))
+
+
+@st.composite
+def noisy(draw, text):
+    """text, sometimes with a character put in, dropped or replaced."""
+    if draw(rarely):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["put", "drop", "replace"]))
+        c = draw(st.one_of(st.sampled_from(list("()^*+-t0 \n<=&|!")), texts(1)))
+        text = text[:i] + (c if kind != "drop" else "") + text[i + (kind != "put"):]
+    return text
+
+
+@st.composite
+def formula_text(draw, depth=2):
+    """Atoms "poly relop 0" joined by & and |, sometimes negated or
+    parenthesized."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth and draw(rarely):
+            part = f"({draw(formula_text(depth - 1))})"
+        else:
+            rhs = draw(names(["0"], seldom))
+            part = f"{draw(poly_text(1))} {draw(names(['<', '<=', '=', '!=', '>=', '>'], seldom))} {rhs}"
+        if draw(rarely):
+            part = "!" + (part if part.startswith("(") else f"({part})")
+        parts.append(part)
+    text = parts[0]
+    for part in parts[1:]:
+        text += draw(st.sampled_from([" & ", " | ", "&", "|"])) + part
+    return draw(noisy(text))
+
+
+def small(parse):
+    """Whether text is kept: it fails to parse, or every polynomial it
+    parses to has degree at most MAX_FUZZ_DEGREE."""
+    def keep(text):
+        try:
+            polys = parse(text)
+        except (ParseError, ValueError):
+            return True
+        return all(degree(q) <= MAX_FUZZ_DEGREE for q in polys)
+    return keep
+
+
+def formula_polys(phi):
+    if hasattr(phi, "poly"):
+        return [phi.poly]
+    if hasattr(phi, "child"):
+        return formula_polys(phi.child)
+    return [q for c in phi.children for q in formula_polys(c)]
+
+
+HUGE = "(t+1)^1000 - 2^1000"
+
+
+def check_text(commands, flag, text):
+    """Each command on the text, given as one argument --flag=TEXT or, for a
+    text that does not start with a dash, as two."""
+    argv = [f"--{flag}={text}"] if text.startswith("-") else [f"--{flag}", text]
+    for cmd in commands:
+        t0 = time.perf_counter()
+        report, code = run([cmd] + argv)
+        assert time.perf_counter() - t0 < PER_INPUT_S
+        assert code in (0, 1, 2)
+        if code:
+            assert "\n" not in report and report.startswith(PREFIXES[code])
+
+
+def test_the_fixed_poly_and_formula_are_valid():
+    assert run(["sper-roots", "--poly", "t^3 - 2*t"])[1] == 0
+    assert [run([cmd, "--formula", "t^2 - 2 < 0 & !(t = 0)"])[1]
+            for cmd in ("sper-set", "sper-cells")] == [0, 0]
+
+
+@FUZZ
+@given(st.one_of(poly_text(), texts(40)).filter(small(lambda t: [parse_poly(t)])))
+@example(HUGE)
+@example("t^1001")
+@example("(t^2 + 1)^500 * t^2")
+@example("-t^2 + 2")
+@example("(((t)))^3 - 2*t")
+@example("t\n+ 1 $")
+@example("t²")
+def test_poly_grammar(text):
+    check_text(("sper-roots",), "poly", text)
+
+
+@FUZZ
+@given(st.one_of(formula_text(), texts(40)).filter(
+    small(lambda t: formula_polys(parse_formula(t)))))
+@example(f"{HUGE} < 0")
+@example("t^2 - 2 < 0 & t^2 - 3 > 1")
+@example("!(t - 1 = 0) | (t^2 < 0")
+@example("-t^3 + t > 0")
+@example("(" * 101 + "t > 0" + ")" * 101)
+def test_formula_grammar(text):
+    check_text(("sper-set", "sper-cells"), "formula", text)
