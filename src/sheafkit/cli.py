@@ -114,10 +114,8 @@ def _tokenize(text, formula=False):
             j = m.end()
             while j < n and text[j].isdigit():
                 j += 1
-            lit = text[i:j]
-            # a literal of under 100 decimal digits is within the budget
-            value = int(lit) if len(lit) < 100 and lit.isdecimal() else _budget_int(
-                lit, f"syntax error at line {line}, column {col}: integer literal")
+            value = _budget_int(text[i:j], f"syntax error at line {line}, "
+                                f"column {col}: integer literal")
             toks.append(_Token("num", value, line, col))
         elif k == 3:
             toks.append(_Token("t", "t", line, col))

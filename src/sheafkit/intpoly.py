@@ -263,10 +263,11 @@ def variations_at_pos_inf(seq) -> int:
     return _variations([_sign(q[-1]) if q else 0 for q in seq])
 
 
-def count_roots_halfopen(seq, a, b) -> int:
-    """Number of roots in (a, b]; a, b rational or None for the infinities."""
-    va = variations_at_neg_inf(seq) if a is None else variations_at(seq, a)
-    vb = variations_at_pos_inf(seq) if b is None else variations_at(seq, b)
+def count_roots_halfopen(seq, a, b, d=1) -> int:
+    """Number of roots in (a / d, b / d]; a, b rational or None for the
+    infinities, d a positive int as in sign_at_rational."""
+    va = variations_at_neg_inf(seq) if a is None else variations_at(seq, a, d)
+    vb = variations_at_pos_inf(seq) if b is None else variations_at(seq, b, d)
     return va - vb
 
 

@@ -137,7 +137,7 @@ class AlgNumber:
 
     def count(self, seq) -> int:
         """The Sturm count of seq over the isolating interval (lo, hi]."""
-        return ip.variations_at(seq, self._a, self._d) - ip.variations_at(seq, self._b, self._d)
+        return ip.count_roots_halfopen(seq, self._a, self._b, self._d)
 
     def refined(self) -> "AlgNumber":
         """Halve the isolating interval (exact rational detection included).
@@ -195,7 +195,7 @@ class AlgNumber:
                 lo = a if a._a * b._d >= b._a * a._d else b
                 hi = a if a._b * b._d <= b._b * a._d else b
                 seq = ip.sturm_sequence(g)
-                if ip.variations_at(seq, lo._a, lo._d) - ip.variations_at(seq, hi._b, hi._d) == 1:
+                if ip.count_roots_halfopen(seq, lo._a * hi._d, hi._b * lo._d, lo._d * hi._d) == 1:
                     return 0
         while a._b * b._d > b._a * a._d and b._b * a._d > a._a * b._d:
             a, b = a.refined(), b.refined()
@@ -834,7 +834,7 @@ def _push_alg(p: PolyMap, a: AlgNumber) -> AlgNumber:
             # is the image exactly this rational?
             if sign == 0 and _sign_at_root(ip.sub(ip.scale(p.poly, d), ip.constant(end)), a) == 0:
                 return AlgNumber.from_rational(Fraction(end, d))
-        if all(signs) and ip.variations_at(seq, lo, d) - ip.variations_at(seq, hi, d) == 1:
+        if all(signs) and ip.count_roots_halfopen(seq, lo, hi, d) == 1:
             return AlgNumber._of(q, lo, hi, d)
         a = a.refined()
 
@@ -894,32 +894,24 @@ def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list, b) ->
                    ip.sub(ip.constant(b._b), ip.scale(p.poly, b._d)))
         tarski = ip.sturm_sequence(h, w)
 
-    def variations(s, end):
-        # end: (n, d) for n/d, or -1 / 1 for -inf / +inf
-        if end == -1:
-            return ip.variations_at_neg_inf(s)
-        if end == 1:
-            return ip.variations_at_pos_inf(s)
-        return ip.variations_at(s, *end)
-
     def count(x, y):
-        n = variations(seq, x) - variations(seq, y)
+        n = ip.count_roots_halfopen(seq, x, y)
         if not n or tarski is None:
             return n
-        return (n + variations(tarski, x) - variations(tarski, y)) // 2
+        return (n + ip.count_roots_halfopen(tarski, x, y)) // 2
 
     total = 0
-    left = -1
+    left = None
     for j, a in enumerate(ups):
         hits = _sign_at_root(h, a) == 0
         while a.count(seq) != hits or ip.sign_at_rational(h, a._a, a._d) == 0:
             a = a.refined()
         ups[j] = a
-        total += phi(cells.point_at(2 * j)) * count(left, (a._a, a._d))
+        total += phi(cells.point_at(2 * j)) * count(left, a.lo)
         if hits:
-            total += phi(cells.point_at(2 * j + 1)) * count((a._a, a._d), (a._b, a._d))
-        left = (a._b, a._d)
-    return total + phi(cells.point_at(2 * len(ups))) * count(left, 1)
+            total += phi(cells.point_at(2 * j + 1)) * count(a.lo, a.hi)
+        left = a.hi
+    return total + phi(cells.point_at(2 * len(ups))) * count(left, None)
 
 
 def refine_cells(cells: CellPoset, extra_roots) -> CellPoset:
