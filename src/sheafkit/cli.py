@@ -49,7 +49,7 @@ from . import intpoly as ip
 from .k0 import ConsFunction, ConsFunctionError, chi, realize
 from .linalg import (
     ChainMap, DegreeOverflow, FGModule, FreeChainComplex, LinalgError, Matrix,
-    ScalarRing, ZZ, QQ, GF, homology,
+    ScalarRing, ZZ, QQ, GF, homology, k0_rank,
 )
 from .sheaf import (
     SheafComplex, base_change_locus, cell_decompose, pushforward, rgamma,
@@ -718,7 +718,7 @@ def cmd_decompose(args):
     name, m = parse_space(_read(args.space))
     k = parse_sheaf(_read(args.sheaf), name, m)
     pieces, _ = cell_decompose(k)
-    chis = [(pt, sum((-1) ** (n % 2) * r for n, r in c.ranks.items())) for pt, c in pieces]
+    chis = [(pt, k0_rank(c).value) for pt, c in pieces]
     acc = ConsFunction.zero(m)
     for pt, piece_chi in chis:
         acc = acc + ConsFunction(m, {q: (piece_chi if q == pt else 0) for q in m.points})

@@ -19,7 +19,9 @@ lattices (``kernel_basis``) and integer linear solving (``solve_right``).
 Over Q and F_p it degenerates to rank normal form.
 
 Complexes are cohomological: the differential d_n raises degree n -> n+1 and
-shifts follow C[k]^n = C^{n+k} with differential (-1)^k d.
+shifts follow C[k]^n = C^{n+k} with differential (-1)^k d.  The total
+tensor complex is built here; the Hom complex of two complexes is the
+homotopy end of ``sheafkit.sheaf`` on a one-point space.
 """
 
 from __future__ import annotations
@@ -1044,41 +1046,3 @@ def tor_amplitude(c: FreeChainComplex):
     if h[a].invariant_factors:
         a -= 1
     return (a, b)
-
-
-def hom_basis(c1: FreeChainComplex, c2: FreeChainComplex):
-    """Ordered basis labels (t, i, j) of the Hom complex per degree.
-
-    Degree-n part is prod_t Hom(c1^t, c2^{t+n}); label (t, i, j) is the matrix
-    unit sending basis vector i of c1^t to basis vector j of c2^{t+n}.
-    """
-    basis = {}
-    for t, r1 in sorted(c1.ranks.items()):
-        for s, r2 in sorted(c2.ranks.items()):
-            lab = basis.setdefault(s - t, [])
-            for i in range(r1):
-                for j in range(r2):
-                    lab.append((t, i, j))
-    for lab in basis.values():
-        lab.sort()
-    return basis
-
-
-def hom_complex(c1: FreeChainComplex, c2: FreeChainComplex):
-    """Total Hom complex with d(f) = d_2 . f - (-1)^n f . d_1."""
-    if c1.ring != c2.ring:
-        raise RingMismatch("hom over different rings")
-    R = c1.ring
-    basis = hom_basis(c1, c2)
-    one, neg = R.one(), R.neg(R.one())
-
-    def entries(n, lab):
-        t, i, j = lab
-        for j2, co in c2.diff(t + n).col(j):
-            yield (t, i, j2), co
-        # -(-1)^n f . d_1 : component at source degree t-1 uses f at degree t
-        sign = neg if n % 2 == 0 else one
-        for i2, co in c1.diff(t - 1).row(i):
-            yield (t - 1, i2, j), R.mul(sign, co)
-
-    return complex_from_basis(R, basis, entries)

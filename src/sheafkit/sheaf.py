@@ -6,14 +6,16 @@ generization chain map along every cover relation, path-independent across
 the poset.  All functors below are computed exactly on this data:
 
 * derived global sections via the normalized chain cochain complex over
-  strict chains of the poset (bounded by the Krull dimension),
+  strict chains of the poset (bounded by the Krull dimension), built by the
+  one labelled-complex builder that also builds the homotopy end below,
 * pullback, derived pushforward, extension by zero from opens and closeds,
 * localization triangles with mapping-cone certificates,
 * derived tensor (stalkwise, stalks are already complexes of frees),
 * derived inner Hom via the homotopy-end complex over each up-set, which is
   the Hom against the two-sided bar resolution by the cell projectives
   "free sheaf on an up-set" (Hom out of those is stalk evaluation), each a
-  slice of one build over the whole space,
+  slice of one build over the whole space; on a one-point space it is the
+  Hom complex of two complexes,
 * dualizability of an object via the chain-level evaluation map,
 * base-change comparison maps for Cartesian squares and their iso locus,
 * the filtration of a complex by extensions of its stalks over singleton
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from .linalg import (
     ChainMap, FGModule, FreeChainComplex, Matrix, RingMismatch, ScalarRing,
     block_diagonal, complex_from_basis, cone, homology, is_acyclic, kernel_basis,
-    solve_right, tensor_chain_maps, tensor_with_basis,
+    solve_right, tensor_chain_maps, tensor_total, _tensor_basis,
 )
 from .space import (
     FinSpec, MonotoneMap, SpaceError, admissible_order, classify_subset,
@@ -130,7 +132,10 @@ class SheafComplex:
         return all(c.is_zero() for c in self.stalks.values())
 
     def shift(self, k: int) -> "SheafComplex":
-        st = {p: c.shift(k) for p, c in self.stalks.items()}
+        return self._shifted(k, {p: c.shift(k) for p, c in self.stalks.items()})
+
+    def _shifted(self, k: int, st: dict) -> "SheafComplex":
+        """self[k] on the given stalks st, each the shift by k of self's."""
         gens = {(x, y): ChainMap(st[x], st[y], {n - k: m for n, m in g.mats.items()},
                                  check=False)
                 for (x, y), g in self.gens.items()}
@@ -351,28 +356,35 @@ def _row(m, i):
     return () if m is None else m.row(i)
 
 
-def _chain_face_index(chains):
-    """For each chain, the list of longer chains it is a face of.
-
-    Returns dict face -> list of (chain, dropped_position).
-    """
-    idx = {}
-    chain_set = set(chains)
-    for c in chains:
-        if len(c) < 2:
-            continue
-        for l in range(len(c)):
-            face = c[:l] + c[l + 1:]
-            if face in chain_set:
-                idx.setdefault(face, []).append((c, l))
-    return idx
-
-
 def _label_key(lab):
     """The order of labels (chain, *rest) in a degree: rgamma's (chain, q,
     i) and the homotopy end's (chain, t, i, j)."""
     c = lab[0]
     return (len(c), tuple(_key(x) for x in c)) + lab[1:]
+
+
+def _chain_complex(m: FinSpec, R: ScalarRing, cells, entries):
+    """The total complex of a double complex over the strict chains of m,
+    as (complex, labels, index).
+
+    cells(c) yields (q, labels) for chain c: its labels (c, ...) in total
+    degree len(c) - 1 + q, in increasing order.  entries(n, lab, cofaces)
+    yields the (label, coefficient) pairs of the differential of lab in
+    degree n + 1, where cofaces lists the (longer chain, dropped position)
+    pairs that have lab's chain as a face.  Chains come in (length, keys)
+    order, so each degree's labels are in ``_label_key`` order.
+    """
+    basis, faces = {}, {}
+    for c in m.strict_chains():
+        p = len(c) - 1
+        for q, labs in cells(c):
+            basis.setdefault(p + q, []).extend(labs)
+        if p:  # dropping any point of a strict chain leaves a strict chain
+            for l in range(p + 1):
+                faces.setdefault(c[:l] + c[l + 1:], []).append((c, l))
+    cx, index = complex_from_basis(
+        R, basis, lambda n, lab: entries(n, lab, faces.get(lab[0], ())))
+    return cx, {n: tuple(labs) for n, labs in basis.items()}, index
 
 
 def rgamma_labeled(k: SheafComplex):
@@ -384,29 +396,20 @@ def rgamma_labeled(k: SheafComplex):
     the alternating chain-drop faces (the last one through the generization
     map of the dropped top) with the stalk differentials.
     """
-    m = k.space
     R = k.ring
-    chains = m.strict_chains()
-    faces = _chain_face_index(chains)
-    basis = {}
-    for c in chains:
-        p = len(c) - 1
-        top = c[-1]
-        for q, r in sorted(k.stalks[top].ranks.items()):
-            lab = basis.setdefault(p + q, [])
-            for i in range(r):
-                lab.append((c, q, i))
-    for lab in basis.values():
-        lab.sort(key=_label_key)
     one, neg = R.one(), R.neg(R.one())
 
-    def entries(n, lab):
+    def cells(c):
+        for q, r in sorted(k.stalks[c[-1]].ranks.items()):
+            yield q, [(c, q, i) for i in range(r)]
+
+    def entries(n, lab, cofaces):
         c, q, i = lab
         p = len(c) - 1
         sign_v = one if p % 2 == 0 else neg
         for i2, co in _col(k.stalks[c[-1]].diffs.get(q), i):
             yield (c, q + 1, i2), R.mul(sign_v, co)
-        for (c2, l) in faces.get(c, ()):  # c = face_l(c2), len(c2) = p + 2
+        for (c2, l) in cofaces:  # c = face_l(c2), len(c2) = p + 2
             sign = one if l % 2 == 0 else neg
             if l < len(c2) - 1:
                 yield (c2, q, i), sign
@@ -414,9 +417,7 @@ def rgamma_labeled(k: SheafComplex):
                 for i2, co in _col(k.rho(c2[-2], c2[-1]).mats.get(q), i):
                     yield (c2, q, i2), R.mul(sign, co)
 
-    cx, index = complex_from_basis(R, basis, entries)
-    labels = {n: tuple(lab) for n, lab in basis.items()}
-    return cx, labels, index
+    return _chain_complex(k.space, R, cells, entries)
 
 
 def rgamma(k: SheafComplex) -> FreeChainComplex:
@@ -591,7 +592,9 @@ def sheaf_cone(phi: SheafMap):
         gens[(x, y)] = ChainMap(stalks[x], stalks[y], mats, check=False)
     cn_sheaf = SheafComplex(src.space, src.ring, stalks, gens, check=False)
     include = SheafMap(tgt, cn_sheaf, incs, check=False)
-    project = SheafMap(cn_sheaf, src.shift(1), projs, check=False)
+    # cone already built each stalk's shift A[1] as its projection's target
+    shifted = src._shifted(1, {p: pr.target for p, pr in projs.items()})
+    project = SheafMap(cn_sheaf, shifted, projs, check=False)
     return cn_sheaf, include, project
 
 
@@ -661,22 +664,14 @@ def i_upper_shriek(z, k: SheafComplex) -> SheafComplex:
 # tensor and hom
 
 
-def _derived_tensor_indexed(k: SheafComplex, l: SheafComplex):
-    """(derived tensor, the tensor index of every stalk)."""
-    if k.space != l.space or k.ring != l.ring:
-        raise SheafError("tensor needs matching space and ring")
-    stalks, indexes = {}, {}
-    for p in k.space.points:
-        stalks[p], indexes[p] = tensor_with_basis(k.stalks[p], l.stalks[p])
-    gens = {e: tensor_chain_maps(k.gens[e], l.gens[e]) for e in k.space.covers}
-    return SheafComplex(k.space, k.ring, stalks, gens, check=False), indexes
-
-
 def derived_tensor(k: SheafComplex, l: SheafComplex) -> SheafComplex:
     """Stalkwise total tensor; stalks are complexes of frees, so no further
     flat replacement is needed."""
-    sheaf, _ = _derived_tensor_indexed(k, l)
-    return sheaf
+    if k.space != l.space or k.ring != l.ring:
+        raise SheafError("tensor needs matching space and ring")
+    stalks = {p: tensor_total(k.stalks[p], l.stalks[p]) for p in k.space.points}
+    gens = {e: tensor_chain_maps(k.gens[e], l.gens[e]) for e in k.space.covers}
+    return SheafComplex(k.space, k.ring, stalks, gens, check=False)
 
 
 def _hom_end_complex(k: SheafComplex, l: SheafComplex):
@@ -684,28 +679,20 @@ def _hom_end_complex(k: SheafComplex, l: SheafComplex):
 
     Degree-n basis labels are (chain, t, i, j): the label stands for the
     matrix unit Hom(K_{c_0}^t, L_{c_top}^{t+q}) placed in total degree
-    (len(chain) - 1) + q = n.
+    (len(chain) - 1) + q = n.  On a one-point space it is the Hom complex
+    of the two stalks, d(f) = d_L . f - (-1)^n f . d_K.
     """
     R = k.ring
-    chains = k.space.strict_chains()
-    faces = _chain_face_index(chains)
-    basis = {}
-    for c in chains:
-        p = len(c) - 1
-        a = k.stalks[c[0]]
-        b = l.stalks[c[-1]]
-        for t, ra in sorted(a.ranks.items()):
-            for s, rb in sorted(b.ranks.items()):
-                lab = basis.setdefault(p + (s - t), [])
-                for i in range(ra):
-                    for j in range(rb):
-                        lab.append((c, t, i, j))
-    for lab in basis.values():
-        lab.sort(key=_label_key)
     one = R.one()
     neg = R.neg(one)
 
-    def entries(n, lab):
+    def cells(c):
+        a, b = k.stalks[c[0]].ranks, l.stalks[c[-1]].ranks
+        for t, ra in sorted(a.items()):
+            for s, rb in sorted(b.items()):
+                yield s - t, [(c, t, i, j) for i in range(ra) for j in range(rb)]
+
+    def entries(n, lab, cofaces):
         c, t, i, j = lab
         p = len(c) - 1
         q = n - p
@@ -719,7 +706,7 @@ def _hom_end_complex(k: SheafComplex, l: SheafComplex):
         for i2, co in _row(a.diffs.get(t - 1), i):
             yield (c, t - 1, i2, j), R.mul(R.mul(sign_v, sign_k), co)
         # end differential: faces of longer chains
-        for (c2, pos) in faces.get(c, ()):
+        for (c2, pos) in cofaces:
             sign = one if pos % 2 == 0 else neg
             if pos == 0:
                 for i2, co in _row(k.rho(c2[0], c2[1]).mats.get(t), i):
@@ -730,9 +717,7 @@ def _hom_end_complex(k: SheafComplex, l: SheafComplex):
             else:
                 yield (c2, t, i, j), sign
 
-    cx, index = complex_from_basis(R, basis, entries)
-    labels = {n: tuple(lab) for n, lab in basis.items()}
-    return cx, labels, index
+    return _chain_complex(k.space, R, cells, entries)
 
 
 def _derived_hom_labeled(k: SheafComplex, l: SheafComplex):
@@ -765,19 +750,15 @@ def evaluation_map(k: SheafComplex):
     R = k.ring
     kv, kv_labels, _ = _derived_hom_labeled(k, unit_sheaf(m, R))
     hom_kk, _, hom_idx = _derived_hom_labeled(k, k)
-    tensor_sheaf, tensor_indexes = _derived_tensor_indexed(k, kv)
+    tensor_sheaf = derived_tensor(k, kv)
     comps = {}
     for x in m.points:
         src = tensor_sheaf.stalks[x]
         tgt = hom_kk.stalks[x]
-        # invert the tensor index to enumerate source labels per degree
-        by_degree = {}
-        for (n, lab), pos in tensor_indexes[x].items():
-            by_degree.setdefault(n, {})[pos] = lab
         mats = {}
-        for n, pos_lab in by_degree.items():
+        for n, labs in _tensor_basis(k.stalks[x], kv.stalks[x]).items():
             entries = []
-            for pos, (p_deg, q_deg, i0, jv) in pos_lab.items():
+            for pos, (p_deg, q_deg, i0, jv) in enumerate(labs):
                 c, t, i, _ = kv_labels[x][q_deg][jv]
                 sign = 1 if (p_deg * (len(c) - 1)) % 2 == 0 else -1
                 for i2, co in k.rho(x, c[-1]).component(p_deg).col(i0):
@@ -855,7 +836,7 @@ def triangle_is_exact(tri: Triangle) -> bool:
         if not degs:
             continue
         lo, hi = min(degs) - 1, max(degs) + 1
-        a1, b1 = a.shift(1), b.shift(1)
+        a1, b1 = tri.h.target.stalks[p], b.shift(1)
         f1 = ChainMap(a1, b1, {n - 1: m for n, m in f.mats.items()}, check=False)
         for n in range(lo, hi + 1):
             if not _exact_at(a, n, f, b, n, g, c, n):

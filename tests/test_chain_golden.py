@@ -12,14 +12,14 @@ F_2 and F_3, against a digest recorded from the dense-matrix implementation.
 import hashlib
 from random import Random
 
-from sheafkit.linalg import GF, QQ, ZZ, hom_complex, tensor_chain_maps
+from sheafkit.linalg import GF, QQ, ZZ, tensor_chain_maps
 from sheafkit.randgen import random_monotone_map, random_poset, random_sheaf
 from sheafkit.sheaf import (
-    base_change_compare, compose_pushforward_compare, derived_hom,
-    derived_tensor, evaluation_map, i_upper_shriek, localization_triangle,
-    open_unit,
+    SheafComplex, base_change_compare, compose_pushforward_compare,
+    derived_hom, derived_tensor, evaluation_map, i_upper_shriek,
+    localization_triangle, open_unit, _hom_end_complex,
 )
-from sheafkit.space import subspace
+from sheafkit.space import build_space, subspace
 
 GOLDEN = "2421bc326837c2e95ea2a407e5d6b93111026daab0f1d999aa64398b92d90f3f"
 
@@ -82,7 +82,10 @@ def chain_level_digest():
         z = m.down_set(rng.choice(m.points))
         out.sheaf(i_upper_shriek(z, k))
         x = rng.choice(m.points)
-        cx, _ = hom_complex(k.stalks[x], l.stalks[x])
+        # the Hom complex of two stalks is the homotopy end on one point
+        pt = build_space(["x"], [])
+        cx, _, _ = _hom_end_complex(SheafComplex(pt, ring, {"x": k.stalks[x]}, {}),
+                                    SheafComplex(pt, ring, {"x": l.stalks[x]}, {}))
         out.complex(cx)
         for e in m.covers:
             out.chain_map(tensor_chain_maps(k.gens[e], l.gens[e]))

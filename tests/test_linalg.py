@@ -7,12 +7,12 @@ import pytest
 from sheafkit.linalg import (
     ChainMap, DegreeOverflow, FGModule, FreeChainComplex, GF, LinalgError,
     Matrix, PRIME_LIMIT, QQ, RingMismatch, ScalarRing, ZZ, _is_prime,
-    _rank_and_factors, block_diagonal, cone, det, hom_complex, homology,
+    _rank_and_factors, block_diagonal, cone, det, homology,
     is_acyclic, k0_rank, kernel_basis, snf, solve_right, tensor_total,
     tor_amplitude,
 )
 from sheafkit.randgen import random_poset, random_sheaf
-from sheafkit.sheaf import rgamma
+from sheafkit.sheaf import SheafComplex, _hom_end_complex, rgamma
 from sheafkit.space import build_space
 
 
@@ -595,7 +595,10 @@ class TestHomComplex:
     def test_dual_of_two_term(self):
         c = two_term(ZZ, 2, 0)  # degrees 0, 1
         unit = FreeChainComplex.free_module(ZZ, 1, 0)
-        d, _ = hom_complex(c, unit)
+        # the Hom complex of two complexes is the homotopy end on one point
+        pt = build_space(["x"], [])
+        d, _, _ = _hom_end_complex(SheafComplex(pt, ZZ, {"x": c}, {}),
+                                   SheafComplex(pt, ZZ, {"x": unit}, {}))
         # dual lives in degrees -1, 0 with the transposed differential
         assert d.rank(-1) == 1 and d.rank(0) == 1
         h = homology(d)

@@ -22,11 +22,11 @@ from sheafkit.sheaf import (
     localization_triangle, open_unit, pullback, pushforward, restrict, rgamma,
     same_stalk_homology, sheaf_cone, sheaf_fiber,
     sheaf_is_acyclic, skyscraper, triangle_is_exact, triangle_of, unit_sheaf,
-    zero_sheaf, _derived_hom_labeled, _hom_end_complex, _pushforward_labeled, _slice,
-    rgamma_labeled,
+    zero_sheaf, _derived_hom_labeled, _hom_end_complex, _label_key, _pushforward_labeled,
+    _slice, rgamma_labeled,
 )
 from sheafkit.space import (
-    MonotoneMap, build_space, fibers_discrete, krull_dim, subspace,
+    MonotoneMap, build_space, fibers_discrete, krull_dim, subspace, _key,
 )
 
 
@@ -189,6 +189,27 @@ class TestRGamma:
         assert got["homology"] == {"1": "Z/3", "7": "Z"}
         assert got["seconds"] < 6
         assert got["rss_mb"] < 150
+
+
+class TestLabelOrder:
+    """Sections and the homotopy end list each degree's labels in
+    ``_label_key`` order without sorting them: strict_chains comes in
+    (length, keys) order and each chain yields its labels in increasing
+    order.  ``_slice`` orders its degrees by that key."""
+
+    def test_labels_come_in_label_key_order(self):
+        rng = Random(61)
+        for seed in range(48):
+            ring = (ZZ, QQ, GF(2), GF(3))[seed % 4]
+            m = random_poset(rng, 5)
+            chains = m.strict_chains()
+            assert list(chains) == sorted(
+                chains, key=lambda c: (len(c), tuple(_key(x) for x in c)))
+            k = random_sheaf(rng, m, ring, max_pieces=3)
+            l = random_sheaf(rng, m, ring, max_pieces=2)
+            for _, labels, _ in (rgamma_labeled(k), _hom_end_complex(k, l)):
+                for labs in labels.values():
+                    assert list(labs) == sorted(labs, key=_label_key)
 
 
 class TestPullback:
