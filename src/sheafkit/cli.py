@@ -58,7 +58,7 @@ from .sheaf import (
 from .space import FinSpec, MonotoneMap, SpaceError, build_space, krull_dim
 from .sper import (
     And, Atom, Not, Or, PolyMap, SperError, InconsistentSamples,
-    cell_poset, from_formula, push_cons, real_roots,
+    cell_markers, cell_poset, from_formula, push_cons, real_roots,
 )
 
 
@@ -762,7 +762,6 @@ def cmd_sper_roots(args):
 
 def cmd_sper_set(args):
     s = from_formula(parse_formula(args.formula))
-    from .sper import cell_markers
     markers = cell_markers(s.roots)
     if args.json:
         return json.dumps({"cells": [{"cell": mk, "in": bool(b)}

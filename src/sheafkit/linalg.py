@@ -16,7 +16,9 @@ PID follows from the ranks of d_n and d_{n-1} and the invariant factors of
 d_{n-1}.  Smith normal form with transformation matrices (``snf``) works on
 a dense copy and is kept for the callers that need a certificate: kernel
 lattices (``kernel_basis``) and integer linear solving (``solve_right``).
-Over Q and F_p it degenerates to rank normal form.
+One loop serves every ring: its pivot is the first entry of least absolute
+value over Z and the first nonzero entry over Q and F_p, where it
+degenerates to rank normal form.
 
 Complexes are cohomological: the differential d_n raises degree n -> n+1 and
 shifts follow C[k]^n = C^{n+k} with differential (-1)^k d.  The total
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 
 # Degree window for all chain complexes; operations that would leave it raise
@@ -389,136 +391,61 @@ def snf(m: Matrix):
     u, v are invertible over the ring and s is diagonal with d_1 | d_2 | ...
     (nonnegative over Z).  Over Q and F_p this is rank normal form with unit
     diagonal entries.
+
+    One dense loop serves every ring.  The pivot p is the first entry of
+    least absolute value in row-major order, and the search stops at a unit:
+    over Z the least |x|, over a field the first nonzero entry.  The unit c
+    normalizes p: its sign over Z, 1/p over a field.  Rows and columns are
+    cleared by the quotient x // p over Z and x * c over a field; over a
+    field the clearing is exact, so the retry and the divisibility fix never
+    fire.  A finished pivot row is scaled by c.
     """
-    if m.ring.kind == "Z":
-        return _snf_int(m)
-    return _rank_normal_form(m)
-
-
-def _snf_int(m: Matrix):
-    rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    t = 0
-    while t < min(rows, cols):
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        pivot = a[t][t]
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t] != 0:
-                q = a[i][t] // pivot
-                if q:
-                    for j in range(t, cols):
-                        a[i][j] -= q * a[t][j]
-                    for j in range(rows):
-                        u[i][j] -= q * u[t][j]
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if a[t][j] != 0:
-                q = a[t][j] // pivot
-                if q:
-                    for i in range(rows):
-                        a[i][j] -= q * a[i][t]
-                    for i in range(cols):
-                        v[i][j] -= q * v[i][t]
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot row/col clear; enforce divisibility into the rest
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % pivot != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(cols):
-                a[t][j] += a[bad][j]
-            for j in range(rows):
-                u[t][j] += u[bad][j]
-            continue
-        t += 1
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            for j in range(cols):
-                a[i][j] = -a[i][j]
-            for j in range(rows):
-                u[i][j] = -u[i][j]
-    R = m.ring
-    return (Matrix(R, a, rows, cols),
-            Matrix(R, u, rows, rows),
-            Matrix(R, v, cols, cols))
-
-
-def _rank_normal_form(m: Matrix):
-    R = m.ring
-    rows, cols = m.rows, m.cols
+    R, rows, cols = m.ring, m.rows, m.cols
+    norm, field = R.normalize, R.kind != "Z"
     a = [list(r) for r in m.entries]
     u = [[R.one() if i == j else R.zero() for j in range(rows)] for i in range(rows)]
     v = [[R.one() if i == j else R.zero() for j in range(cols)] for i in range(cols)]
     t = 0
     while t < min(rows, cols):
         piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if not R.is_zero(a[i][j]):
-                    piv = (i, j)
+        for i, j in product(range(t, rows), range(t, cols)):
+            x = a[i][j]
+            if x and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
+                piv = (i, j)
+                if R.is_unit(x):
                     break
-            if piv:
-                break
         if piv is None:
             break
         pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        inv = R.inv(a[t][t])
-        for j in range(cols):
-            a[t][j] = R.mul(a[t][j], inv)
-        for j in range(rows):
-            u[t][j] = R.mul(u[t][j], inv)
-        for i in range(rows):
-            if i != t and not R.is_zero(a[i][t]):
-                f = a[i][t]
-                for j in range(cols):
-                    a[i][j] = R.sub(a[i][j], R.mul(f, a[t][j]))
-                for j in range(rows):
-                    u[i][j] = R.sub(u[i][j], R.mul(f, u[t][j]))
-        for j in range(cols):
-            if j != t and not R.is_zero(a[t][j]):
-                f = a[t][j]
-                for i in range(rows):
-                    a[i][j] = R.sub(a[i][j], R.mul(f, a[i][t]))
-                for i in range(cols):
-                    v[i][j] = R.sub(v[i][j], R.mul(f, v[i][t]))
+        a[t], a[pi] = a[pi], a[t]
+        u[t], u[pi] = u[pi], u[t]
+        for row in chain(a, v):
+            row[t], row[pj] = row[pj], row[t]
+        p = a[t][t]
+        c = R.inv(p) if field else (-1 if p < 0 else 1)
+        dirty = False
+        for i in range(t + 1, rows):
+            q = norm(a[i][t] * c) if field else a[i][t] // p
+            if q:
+                a[i] = [norm(x - q * y) for x, y in zip(a[i], a[t])]
+                u[i] = [norm(x - q * y) for x, y in zip(u[i], u[t])]
+            dirty = dirty or a[i][t] != 0
+        for j in range(t + 1, cols):
+            q = norm(a[t][j] * c) if field else a[t][j] // p
+            if q:
+                for row in chain(a, v):
+                    row[j] = norm(row[j] - q * row[t])
+            dirty = dirty or a[t][j] != 0
+        if dirty:
+            continue
+        bad = next((i for i in range(t + 1, rows)
+                    if not all(R.divides(p, x) for x in a[i][t + 1:])), None)
+        if bad is not None:
+            a[t] = [norm(x + y) for x, y in zip(a[t], a[bad])]
+            u[t] = [norm(x + y) for x, y in zip(u[t], u[bad])]
+            continue
+        a[t] = [norm(c * x) for x in a[t]]
+        u[t] = [norm(c * x) for x in u[t]]
         t += 1
     return (Matrix(R, a, rows, cols),
             Matrix(R, u, rows, rows),

@@ -1,8 +1,9 @@
 """Seeded invariant suites behind the selftest command.
 
-Each suite runs a batch of randomized checks and reports (name, passes,
-failures); the command exits nonzero when anything fails.  The batch sizes
-are chosen so the whole battery stays well under a minute.
+Each suite is a check of one randomized instance, drawn from the stream it
+is given, and a batch size; ``run_suites`` runs every batch and counts the
+passes and failures, and the command exits nonzero when anything fails.
+The batch sizes are chosen so the whole battery stays well under a minute.
 """
 
 from __future__ import annotations
@@ -27,115 +28,77 @@ from .sper import (
 )
 
 
-def _suite_snf(rng: Random, n: int):
-    npass = nfail = 0
-    for _ in range(n):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = Matrix(ZZ, [[rng.randint(-20, 20) for _ in range(cols)]
-                        for _ in range(rows)])
-        s, u, v = snf(m)
-        ok = (u @ m @ v) == s and det(u) in (1, -1) and det(v) in (1, -1)
-        diag = [s[i, i] for i in range(min(rows, cols))]
-        for a, b in zip(diag, diag[1:]):
-            if a == 0 and b != 0:
-                ok = False
-            if a != 0 and b % a != 0:
-                ok = False
-        npass, nfail = npass + ok, nfail + (not ok)
-    return "snf", npass, nfail
+def _check_snf(rng: Random) -> bool:
+    """u @ m @ v = s for a random integer matrix m, with u and v unimodular
+    and s diagonal with d_1 | d_2 | ... (zeros last)."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    m = Matrix(ZZ, [[rng.randint(-20, 20) for _ in range(cols)]
+                    for _ in range(rows)])
+    s, u, v = snf(m)
+    diag = [s[i, i] for i in range(min(rows, cols))]
+    return ((u @ m @ v) == s and det(u) in (1, -1) and det(v) in (1, -1)
+            and all(i == j for i, j, _ in s.nonzeros())
+            and all(b == 0 if a == 0 else b % a == 0
+                    for a, b in zip(diag, diag[1:])))
 
 
-def _suite_cohomological_dimension(rng: Random, n: int):
-    npass = nfail = 0
-    for _ in range(n):
-        m = random_poset(rng, 6)
-        k = random_sheaf(rng, m)
-        tops = [c.max_degree() for c in k.stalks.values() if not c.is_zero()]
-        top = max(tops) if tops else 0
-        bound = krull_dim(m) + top if m.points else 0
-        ok = all(deg <= bound for deg in homology(rgamma(k)))
-        npass, nfail = npass + ok, nfail + (not ok)
-    return "cohomological-dimension", npass, nfail
+def _check_cohomological_dimension(rng: Random) -> bool:
+    m = random_poset(rng, 6)
+    k = random_sheaf(rng, m)
+    tops = [c.max_degree() for c in k.stalks.values() if not c.is_zero()]
+    top = max(tops) if tops else 0
+    bound = krull_dim(m) + top if m.points else 0
+    return all(deg <= bound for deg in homology(rgamma(k)))
 
 
-def _suite_localization(rng: Random, n: int):
-    npass = nfail = 0
-    for _ in range(n):
-        m = random_poset(rng, 5)
-        k = random_sheaf(rng, m)
-        z = frozenset(q for p in m.points if rng.random() < 0.5
-                      for q in m.down_set(p))
-        ok = triangle_is_exact(localization_triangle(k, z))
-        npass, nfail = npass + ok, nfail + (not ok)
-    return "localization", npass, nfail
+def _check_localization(rng: Random) -> bool:
+    m = random_poset(rng, 5)
+    k = random_sheaf(rng, m)
+    z = frozenset(q for p in m.points if rng.random() < 0.5
+                  for q in m.down_set(p))
+    return triangle_is_exact(localization_triangle(k, z))
 
 
-def _suite_chi_realize(rng: Random, n: int):
-    npass = nfail = 0
-    for _ in range(n):
-        m = random_poset(rng, 4)
-        phi = random_cons_function(rng, m)
-        ok = chi(realize(phi)) == phi
-        parts = closed_support_decomposition(phi)
-        acc = ConsFunction.zero(m)
-        for z, c in parts:
-            ok = ok and classify_subset(m, z)["closed"]
-            acc = acc + ConsFunction.indicator(m, z).scale(c)
-        ok = ok and acc == phi
-        npass, nfail = npass + ok, nfail + (not ok)
-    return "chi-realize", npass, nfail
+def _check_chi_realize(rng: Random) -> bool:
+    m = random_poset(rng, 4)
+    phi = random_cons_function(rng, m)
+    ok = chi(realize(phi)) == phi
+    acc = ConsFunction.zero(m)
+    for z, c in closed_support_decomposition(phi):
+        ok = ok and classify_subset(m, z)["closed"]
+        acc = acc + ConsFunction.indicator(m, z).scale(c)
+    return ok and acc == phi
 
 
-def _suite_factorization(rng: Random, n: int):
-    npass = nfail = 0
-    for _ in range(n):
-        m = random_poset(rng, 4)
-        k = random_sheaf(rng, m)
-        ok = global_euler(k).value == global_euler(realize(chi(k))).value
-        pieces, _ = cell_decompose(k)
-        total = sum(k0_rank(c).value for _, c in pieces)
-        ok = ok and total == sum(v for _, v in chi(k).values)
-        npass, nfail = npass + ok, nfail + (not ok)
-    return "euler-factorization", npass, nfail
+def _check_factorization(rng: Random) -> bool:
+    m = random_poset(rng, 4)
+    k = random_sheaf(rng, m)
+    ok = global_euler(k).value == global_euler(realize(chi(k))).value
+    pieces, _ = cell_decompose(k)
+    total = sum(k0_rank(c).value for _, c in pieces)
+    return ok and total == sum(v for _, v in chi(k).values)
 
 
-def _suite_open_base_change(rng: Random, n: int):
-    npass = nfail = 0
-    for _ in range(n):
-        s = random_poset(rng, 4)
-        x = random_poset(rng, 4)
-        f = random_monotone_map(rng, x, s)
-        k = random_sheaf(rng, x, max_pieces=1)
-        opens = [u for u in _some_opens(rng, s)]
-        u = rng.choice(opens)
-        _, incl = subspace(s, u)
-        _, iso, _ = base_change_compare(f, incl, k)
-        npass, nfail = npass + iso, nfail + (not iso)
-    return "open-base-change", npass, nfail
+def _check_open_base_change(rng: Random) -> bool:
+    s = random_poset(rng, 4)
+    x = random_poset(rng, 4)
+    f = random_monotone_map(rng, x, s)
+    k = random_sheaf(rng, x, max_pieces=1)
+    u = rng.choice([frozenset(s.points)] + [s.up_set(p) for p in s.points])
+    _, incl = subspace(s, u)
+    return base_change_compare(f, incl, k)[1]
 
 
-def _some_opens(rng: Random, m):
-    out = [frozenset(m.points)]
-    for p in m.points:
-        out.append(m.up_set(p))
-    return out
-
-
-def _suite_conservativity(rng: Random, n: int):
-    npass = nfail = 0
-    done = 0
-    while done < n:
+def _check_conservativity(rng: Random) -> bool:
+    """Draws until f has discrete fibers and the sheaf is not acyclic."""
+    while True:
         tgt = random_poset(rng, 4)
         f = random_discrete_fiber_map(rng, tgt)
         if not fibers_discrete(f):
             continue
         k = random_sheaf(rng, f.source)
-        if sheaf_is_acyclic(k):
-            continue
-        done += 1
-        ok = not sheaf_is_acyclic(pushforward(f, k))
-        npass, nfail = npass + ok, nfail + (not ok)
-    return "conservativity", npass, nfail
+        if not sheaf_is_acyclic(k):
+            return not sheaf_is_acyclic(pushforward(f, k))
 
 
 def _random_formula(rng: Random, depth: int = 2):
@@ -153,52 +116,48 @@ def _random_formula(rng: Random, depth: int = 2):
     return Not(_random_formula(rng, depth - 1))
 
 
-def _suite_sper_boolean(rng: Random, n: int):
-    npass = nfail = 0
-    for _ in range(n):
-        a = _random_formula(rng)
-        b = _random_formula(rng)
-        sa, sb = from_formula(a), from_formula(b)
-        ok = from_formula(And((a, b))) == sa.intersect(sb)
-        ok = ok and from_formula(Or((a, b))) == sa.union(sb)
-        ok = ok and from_formula(Not(a)) == sa.complement()
-        npass, nfail = npass + ok, nfail + (not ok)
-    return "sper-boolean", npass, nfail
+def _check_sper_boolean(rng: Random) -> bool:
+    a = _random_formula(rng)
+    b = _random_formula(rng)
+    sa, sb = from_formula(a), from_formula(b)
+    return (from_formula(And((a, b))) == sa.intersect(sb)
+            and from_formula(Or((a, b))) == sa.union(sb)
+            and from_formula(Not(a)) == sa.complement())
 
 
-def _suite_sign_multiplicativity(rng: Random, n: int):
-    npass = nfail = 0
-    for _ in range(n):
-        f = ip.normalize([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
-        g = ip.normalize([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
-        pts = [SperPoint.neg_inf(), SperPoint.pos_inf(),
-               SperPoint.alg(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))]
-        probe = ip.normalize([rng.randint(-3, 3) for _ in range(3)])
-        if ip.degree(probe) >= 1:
-            for r in real_roots(probe):
-                pts.extend([SperPoint.alg(r), SperPoint.cut_minus(r),
-                            SperPoint.cut_plus(r)])
-        ok = all(sign_at(ip.mul(f, g), x) == sign_at(f, x) * sign_at(g, x)
-                 for x in pts)
-        npass, nfail = npass + ok, nfail + (not ok)
-    return "sign-multiplicativity", npass, nfail
+def _check_sign_multiplicativity(rng: Random) -> bool:
+    f = ip.normalize([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
+    g = ip.normalize([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
+    pts = [SperPoint.neg_inf(), SperPoint.pos_inf(),
+           SperPoint.alg(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))]
+    probe = ip.normalize([rng.randint(-3, 3) for _ in range(3)])
+    if ip.degree(probe) >= 1:
+        for r in real_roots(probe):
+            pts.extend([SperPoint.alg(r), SperPoint.cut_minus(r),
+                        SperPoint.cut_plus(r)])
+    return all(sign_at(ip.mul(f, g), x) == sign_at(f, x) * sign_at(g, x)
+               for x in pts)
+
+
+_SUITES = (
+    ("snf", _check_snf, 500),
+    ("cohomological-dimension", _check_cohomological_dimension, 60),
+    ("localization", _check_localization, 40),
+    ("chi-realize", _check_chi_realize, 60),
+    ("euler-factorization", _check_factorization, 30),
+    ("open-base-change", _check_open_base_change, 30),
+    ("conservativity", _check_conservativity, 30),
+    ("sper-boolean", _check_sper_boolean, 25),
+    ("sign-multiplicativity", _check_sign_multiplicativity, 40),
+)
 
 
 def run_suites(seed: int = 0):
-    """Run every suite with its own deterministic stream; returns a list of
-    (name, passes, failures)."""
+    """Run every suite's batch with its own deterministic stream; returns a
+    list of (name, passes, failures)."""
     out = []
-    suites = [
-        (_suite_snf, 500),
-        (_suite_cohomological_dimension, 60),
-        (_suite_localization, 40),
-        (_suite_chi_realize, 60),
-        (_suite_factorization, 30),
-        (_suite_open_base_change, 30),
-        (_suite_conservativity, 30),
-        (_suite_sper_boolean, 25),
-        (_suite_sign_multiplicativity, 40),
-    ]
-    for i, (fn, n) in enumerate(suites):
-        out.append(fn(Random(seed * 1000003 + i), n))
+    for i, (name, check, n) in enumerate(_SUITES):
+        rng = Random(seed * 1000003 + i)
+        npass = sum(bool(check(rng)) for _ in range(n))
+        out.append((name, npass, n - npass))
     return out

@@ -601,6 +601,20 @@ class TestCommands:
         assert code == 0
         assert text.splitlines()[-1].endswith("0 fail")
 
+    def test_selftest_seed_0_report(self):
+        assert run(["selftest", "--seed", "0"]) == ("\n".join([
+            "snf: 500 pass, 0 fail",
+            "cohomological-dimension: 60 pass, 0 fail",
+            "localization: 40 pass, 0 fail",
+            "chi-realize: 60 pass, 0 fail",
+            "euler-factorization: 30 pass, 0 fail",
+            "open-base-change: 30 pass, 0 fail",
+            "conservativity: 30 pass, 0 fail",
+            "sper-boolean: 25 pass, 0 fail",
+            "sign-multiplicativity: 40 pass, 0 fail",
+            "total: 815 pass, 0 fail",
+        ]), 0)
+
 
 class TestUsageErrors:
     """Usage errors get the one-line report and exit 1, with nothing on

@@ -8,10 +8,11 @@ from sheafkit.linalg import (
     ChainMap, DegreeOverflow, FGModule, FreeChainComplex, GF, LinalgError,
     Matrix, PRIME_LIMIT, QQ, RingMismatch, ScalarRing, ZZ, _is_prime,
     _rank_and_factors, block_diagonal, cone, det, homology,
-    is_acyclic, k0_rank, kernel_basis, snf, solve_right, tensor_total,
+    is_acyclic, k0_rank, kernel_basis, rank, snf, solve_right, tensor_total,
     tor_amplitude,
 )
 from sheafkit.randgen import random_poset, random_sheaf
+from sheafkit.selftest import _check_snf
 from sheafkit.sheaf import SheafComplex, _hom_end_complex, rgamma
 from sheafkit.space import build_space
 
@@ -225,21 +226,7 @@ class TestSNF:
 
     def test_random_decomposition(self):
         rng = Random(2024)
-        for _ in range(500):
-            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-            m = Matrix(ZZ, [[rng.randint(-20, 20) for _ in range(cols)]
-                            for _ in range(rows)])
-            s, u, v = snf(m)
-            assert (u @ m @ v) == s
-            assert det(u) in (1, -1) and det(v) in (1, -1)
-            diag = [s[i, i] for i in range(min(rows, cols))]
-            for i in range(len(diag)):
-                for j in range(i + 1, min(rows, cols)):
-                    assert s[i, j] == 0 and s[j, i] == 0
-            for a, b in zip(diag, diag[1:]):
-                assert not (a == 0 and b != 0)
-                if a != 0:
-                    assert b % a == 0
+        assert [i for i in range(500) if not _check_snf(rng)] == []
 
     def test_field_rank_normal_form(self):
         m = Matrix(QQ, [[Fraction(1, 2), 3], [2, 12]])
@@ -250,6 +237,27 @@ class TestSNF:
         s, u, v = snf(mf)
         assert (u @ mf @ v) == s
         assert [s[0, 0], s[1, 1]] == [1, 0]
+
+    @pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(7)], ids=str)
+    def test_random_field_rank_normal_form(self, ring):
+        """Over a field s is diag(1, ..., 1, 0, ...), zero off the diagonal,
+        and u, v are invertible."""
+        rng = Random(31)
+        if ring == QQ:
+            draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        else:
+            draw = lambda: rng.randrange(ring.p)
+        for _ in range(300):
+            rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+            m = Matrix(ring, [[draw() if rng.random() < 0.6 else 0
+                               for _ in range(cols)] for _ in range(rows)],
+                       rows, cols)
+            s, u, v = snf(m)
+            assert (u @ m @ v) == s
+            r = rank(m)
+            assert s == Matrix.from_entries(ring, rows, cols,
+                                            ((i, i, 1) for i in range(r)))
+            assert det(u) != 0 and det(v) != 0
 
 
 def permutation_det(m):
