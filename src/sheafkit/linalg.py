@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from math import gcd
 
 # Degree window for all chain complexes; operations that would leave it raise
@@ -401,55 +401,73 @@ def snf(m: Matrix):
     fire.  A finished pivot row is scaled by c.
     """
     R, rows, cols = m.ring, m.rows, m.cols
-    norm, field = R.normalize, R.kind != "Z"
-    a = [list(r) for r in m.entries]
-    u = [[R.one() if i == j else R.zero() for j in range(rows)] for i in range(rows)]
-    v = [[R.one() if i == j else R.zero() for j in range(cols)] for i in range(cols)]
+    norm, field, zero, one = R.normalize, R.kind != "Z", R.zero(), R.one()
+    # Row i of a is row i of m followed by row i of u, so one update does a
+    # row operation on both; vt holds the columns of v.  Rows from t on are
+    # zero before column t and rows above t are zero from column t on, so
+    # row operations start at column t and column operations at row t.
+    a = [[*r] + [one if i == j else zero for j in range(rows)]
+         for i, r in enumerate(m.entries)]
+    vt = [[one if i == j else zero for j in range(cols)] for i in range(cols)]
     t = 0
     while t < min(rows, cols):
-        piv = None
-        for i, j in product(range(t, rows), range(t, cols)):
-            x = a[i][j]
-            if x and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
-                piv = (i, j)
-                if R.is_unit(x):
-                    break
+        piv = best = None
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x and (piv is None or abs(x) < best):
+                    piv, best = (i, j), abs(x)
+                    if R.is_unit(x):
+                        break
+            else:
+                continue
+            break
         if piv is None:
             break
         pi, pj = piv
         a[t], a[pi] = a[pi], a[t]
-        u[t], u[pi] = u[pi], u[t]
-        for row in chain(a, v):
-            row[t], row[pj] = row[pj], row[t]
+        vt[t], vt[pj] = vt[pj], vt[t]
+        if pj != t:
+            for row in a[t:]:
+                row[t], row[pj] = row[pj], row[t]
         p = a[t][t]
         c = R.inv(p) if field else (-1 if p < 0 else 1)
         dirty = False
         for i in range(t + 1, rows):
-            q = norm(a[i][t] * c) if field else a[i][t] // p
-            if q:
-                a[i] = [norm(x - q * y) for x, y in zip(a[i], a[t])]
-                u[i] = [norm(x - q * y) for x, y in zip(u[i], u[t])]
-            dirty = dirty or a[i][t] != 0
+            if a[i][t]:
+                q = norm(a[i][t] * c) if field else a[i][t] // p
+                if q:
+                    a[i][t:] = [norm(x - q * y) if y else x
+                                for x, y in zip(a[i][t:], a[t][t:])]
+                dirty = dirty or a[i][t] != 0
         for j in range(t + 1, cols):
-            q = norm(a[t][j] * c) if field else a[t][j] // p
-            if q:
-                for row in chain(a, v):
-                    row[j] = norm(row[j] - q * row[t])
-            dirty = dirty or a[t][j] != 0
+            if a[t][j]:
+                q = norm(a[t][j] * c) if field else a[t][j] // p
+                if q:
+                    for row in a[t:]:
+                        if row[t]:
+                            row[j] = norm(row[j] - q * row[t])
+                    vt[j] = [norm(x - q * y) if y else x for x, y in zip(vt[j], vt[t])]
+                dirty = dirty or a[t][j] != 0
         if dirty:
             continue
-        bad = next((i for i in range(t + 1, rows)
-                    if not all(R.divides(p, x) for x in a[i][t + 1:])), None)
+        bad = None if R.is_unit(p) else next(
+            (i for i in range(t + 1, rows)
+             if any(x and not R.divides(p, x) for x in a[i][t + 1:cols])), None)
         if bad is not None:
-            a[t] = [norm(x + y) for x, y in zip(a[t], a[bad])]
-            u[t] = [norm(x + y) for x, y in zip(u[t], u[bad])]
+            a[t][t:] = [norm(x + y) for x, y in zip(a[t][t:], a[bad][t:])]
             continue
-        a[t] = [norm(c * x) for x in a[t]]
-        u[t] = [norm(c * x) for x in u[t]]
+        if c != 1:
+            a[t][t:] = [norm(c * x) for x in a[t][t:]]
         t += 1
-    return (Matrix(R, a, rows, cols),
-            Matrix(R, u, rows, rows),
-            Matrix(R, v, cols, cols))
+
+    def done(grid, n, k):  # every entry is normalized already
+        return Matrix._of(R, n, k, ({j: x for j, x in enumerate(r) if x} for r in grid))
+
+    return (done((r[:cols] for r in a), rows, cols),
+            done((r[cols:] for r in a), rows, rows),
+            done(zip(*vt), cols, cols))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
