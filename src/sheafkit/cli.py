@@ -473,6 +473,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
     total_rank = 0  # sum of the positive ranks in `ranks`
     diffs = {}   # point -> {deg: rows}
     gen_mats = {}  # (x, y) -> {deg: rows}
+    points, covers = set(m.points), set(m.covers)
     for idx, line in _content_lines(text):
         if line.startswith("ring "):
             ring = parse_ring(line.split()[1:])
@@ -483,7 +484,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
                 raise ParseError(f"line {idx}: 'ring' must come before stalk data")
             head, _, rest = line[len("stalk "):].partition(":")
             pt = head.strip()
-            if pt not in set(m.points):
+            if pt not in points:
                 raise ParseError(f"line {idx}: unknown point {pt!r}")
             ranks.setdefault(pt, {})
             diffs.setdefault(pt, {})
@@ -517,7 +518,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
             if "<" not in head:
                 raise ParseError(f"line {idx}: gen needs a cover like x<y")
             x, y = head.split("<", 1)
-            if (x, y) not in set(m.covers):
+            if (x, y) not in covers:
                 raise ParseError(f"line {idx}: {x!r}<{y!r} is not a cover relation "
                                  f"of space {space_name!r}")
             gen_mats.setdefault((x, y), {})
@@ -600,17 +601,18 @@ def parse_phi(text: str, m: FinSpec) -> ConsFunction:
     if body.startswith("phi:"):
         body = body[len("phi:"):]
     values = {}
+    points = set(m.points)
     for tok in body.split():
         if "=" not in tok:
             raise ParseError(f"constructible function entry {tok!r} must be point=value")
         pt, val = tok.split("=", 1)
-        if pt not in set(m.points):
+        if pt not in points:
             raise ParseError(f"unknown point {pt!r}")
         try:
             values[pt] = _budget_int(val, f"value for {pt!r}")
         except ValueError:
             raise ParseError(f"value {val!r} for {pt!r} is not an integer")
-    missing = set(m.points) - set(values)
+    missing = points - set(values)
     if missing:
         raise ParseError(f"missing values for {sorted(missing, key=str)}")
     return ConsFunction(m, values)

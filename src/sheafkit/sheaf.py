@@ -373,13 +373,19 @@ def _chain_complex(m: FinSpec, R: ScalarRing, cells, entries):
     degree n + 1, where cofaces lists the (longer chain, dropped position)
     pairs that have lab's chain as a face.  Chains come in (length, keys)
     order, so each degree's labels are in ``_label_key`` order.
+
+    Only a chain with labels is listed as a coface: an entry into a chain
+    without labels would have no target, so ``entries`` finds none there
+    (for sections its top stalk is zero, for the end its bottom or top).
     """
     basis, faces = {}, {}
     for c in m.strict_chains():
         p = len(c) - 1
+        labelled = False
         for q, labs in cells(c):
             basis.setdefault(p + q, []).extend(labs)
-        if p:  # dropping any point of a strict chain leaves a strict chain
+            labelled = labelled or bool(labs)
+        if p and labelled:  # dropping any point of a strict chain leaves a strict chain
             for l in range(p + 1):
                 faces.setdefault(c[:l] + c[l + 1:], []).append((c, l))
     cx, index = complex_from_basis(

@@ -136,22 +136,20 @@ class FinSpec:
         return self._upward
 
     def strict_chains(self):
-        """All nonempty strict chains x_0 < ... < x_n, sorted by (length, keys)."""
+        """All nonempty strict chains x_0 < ... < x_n, in (length, keys) order.
+
+        Built one length at a time: the chains of length n + 1 extend those
+        of length n, each in order, by the points above its top in key
+        order.  Two chains with different prefixes compare by their prefixes,
+        so a sorted level extends to a sorted level and no sort is needed."""
         if self._chains is None:
-            chains = []
             strictly_above = {p: sorted((q for q in self._up[p] if q != p), key=_key)
                               for p in self.points}
-
-            def extend(chain):
-                chains.append(tuple(chain))
-                for q in strictly_above[chain[-1]]:
-                    chain.append(q)
-                    extend(chain)
-                    chain.pop()
-
-            for p in self.points:
-                extend([p])
-            chains.sort(key=lambda c: (len(c), tuple(_key(x) for x in c)))
+            level = [(p,) for p in self.points]
+            chains = []
+            while level:
+                chains += level
+                level = [c + (q,) for c in level for q in strictly_above[c[-1]]]
             self._chains = tuple(chains)
         return self._chains
 
@@ -300,10 +298,17 @@ def classify_subset(m: FinSpec, s) -> dict:
 
 
 def krull_dim(m: FinSpec):
-    """Length of the longest strict chain; -inf for the empty space."""
+    """Length of the longest strict chain; -inf for the empty space.
+
+    A longest chain is saturated, so it climbs covers: the height of z is
+    one more than the greatest height of a point it covers, read in one
+    pass over the covers in a linear extension of their tops."""
     if m.is_empty():
         return -math.inf
-    return max(len(c) for c in m.strict_chains()) - 1
+    height = dict.fromkeys(m.points, 0)
+    for w, z in m.covers_upward():
+        height[z] = max(height[z], height[w] + 1)
+    return max(height.values())
 
 
 def fiber_product(f: MonotoneMap, p: MonotoneMap):

@@ -8,11 +8,14 @@ from random import Random
 import pytest
 
 import sheafkit
+import sheafkit.sheaf
 from sheafkit.linalg import (
-    GF, ChainMap, FreeChainComplex, Matrix, ZZ, QQ, homology, is_acyclic,
+    GF, ChainMap, FreeChainComplex, Matrix, ZZ, QQ, complex_from_basis, homology,
+    is_acyclic,
 )
 from sheafkit.randgen import (
-    random_discrete_fiber_map, random_monotone_map, random_poset, random_sheaf,
+    random_complex, random_discrete_fiber_map, random_monotone_map, random_poset,
+    random_sheaf,
 )
 from sheafkit.sheaf import (
     NotClosed, NotOpen, PathIndependenceViolation, SheafComplex, SheafMap,
@@ -190,6 +193,41 @@ class TestRGamma:
         assert got["seconds"] < 6
         assert got["rss_mb"] < 150
 
+    def test_size_ceiling_on_a_height_10_ladder(self):
+        """rgamma of rank 20005 over 59048 strict chains, of which 19844 have
+        a top with a nonzero stalk.  Only those are listed as cofaces, which
+        keeps the child's peak RSS near 52 MB; the memory bound lies below
+        the 74 MB of listing all 59048."""
+        code = """if True:
+            import json, time
+            from random import Random
+            from sheafkit.linalg import ZZ, homology
+            from sheafkit.randgen import random_sheaf
+            from sheafkit.sheaf import rgamma
+            from sheafkit.space import build_space
+            pts = [f"{c}{i}" for i in range(10) for c in "pq"]
+            covers = [(f"{c}{i}", f"{d}{i + 1}") for i in range(9) for c in "pq" for d in "pq"]
+            k = random_sheaf(Random(9), build_space(pts, covers), ZZ, max_pieces=3)
+            start = time.perf_counter()
+            c = rgamma(k)
+            h = homology(c)
+            seconds = time.perf_counter() - start
+            with open("/proc/self/status") as fh:
+                hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+            print(json.dumps({"rank": c.total_rank(),
+                              "homology": {n: str(v) for n, v in h.items()},
+                              "seconds": seconds,
+                              "rss_mb": hwm_kb / 1024}))
+        """
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sheafkit.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        got = json.loads(out.stdout)
+        assert got["rank"] == 20005
+        assert got["homology"] == {"1": "Z/3", "9": "Z"}
+        assert got["seconds"] < 8
+        assert got["rss_mb"] < 64
+
 
 class TestLabelOrder:
     """Sections and the homotopy end list each degree's labels in
@@ -210,6 +248,53 @@ class TestLabelOrder:
             for _, labels, _ in (rgamma_labeled(k), _hom_end_complex(k, l)):
                 for labs in labels.values():
                     assert list(labs) == sorted(labs, key=_label_key)
+
+
+def reference_chain_complex(m, R, cells, entries):
+    """The labelled-complex builder that lists every strict chain as a
+    coface of each of its faces, whether or not the chain has labels."""
+    basis, faces = {}, {}
+    for c in m.strict_chains():
+        p = len(c) - 1
+        for q, labs in cells(c):
+            basis.setdefault(p + q, []).extend(labs)
+        if p:
+            for l in range(p + 1):
+                faces.setdefault(c[:l] + c[l + 1:], []).append((c, l))
+    cx, index = complex_from_basis(
+        R, basis, lambda n, lab: entries(n, lab, faces.get(lab[0], ())))
+    return cx, {n: tuple(labs) for n, labs in basis.items()}, index
+
+
+class TestCofacesWithLabels:
+    """Listing only the chains with labels as cofaces changes no label, no
+    index and no matrix of sections or of the homotopy end."""
+
+    @staticmethod
+    def sparse_sheaf(rng, m, ring):
+        x = rng.choice(m.points)
+        kind = rng.randrange(3)
+        if kind == 0:
+            return skyscraper(m, x, random_complex(rng, ring, max_pieces=1, conjugate=False))
+        if kind == 1:
+            u = m.up_set(x)
+            sub, _ = subspace(m, u)
+            c = random_complex(rng, ring, max_pieces=1, conjugate=False)
+            return j_shriek(m, u, constant_sheaf(sub, c))
+        return random_sheaf(rng, m, ring, max_pieces=2)
+
+    def test_against_the_builder_that_faces_every_chain(self, monkeypatch):
+        rng = Random(83)
+        for seed in range(64):
+            ring = (ZZ, QQ, GF(2), GF(3))[seed % 4]
+            m = random_poset(rng, 6, min_points=2)
+            k = self.sparse_sheaf(rng, m, ring)
+            l = self.sparse_sheaf(rng, m, ring)
+            got = rgamma_labeled(k), _hom_end_complex(k, l), _hom_end_complex(l, k)
+            with monkeypatch.context() as mp:
+                mp.setattr(sheafkit.sheaf, "_chain_complex", reference_chain_complex)
+                want = rgamma_labeled(k), _hom_end_complex(k, l), _hom_end_complex(l, k)
+            assert got == want
 
 
 class TestPullback:

@@ -1,5 +1,6 @@
 import math
-from itertools import product
+import time
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -8,7 +9,7 @@ from sheafkit.randgen import random_monotone_map, random_poset
 from sheafkit.space import (
     CycleDetected, DuplicatePoint, MonotoneMap, Stratification,
     UnknownPoint, admissible_order, build_space, classify_subset,
-    fiber_product, fibers_discrete, krull_dim, subspace,
+    fiber_product, fibers_discrete, krull_dim, subspace, _key,
 )
 
 
@@ -90,6 +91,77 @@ class TestKrullDim:
         chain = build_space(list("wxyz"), [("w", "x"), ("x", "y"), ("y", "z")])
         assert krull_dim(chain) == 3
         assert krull_dim(build_space([], [])) == -math.inf
+
+    def test_height_20_ladder_without_its_chains(self):
+        # the ladder has 3^20 - 1 strict chains; the covers alone give its height
+        m = ladder(20)
+        start = time.perf_counter()
+        assert krull_dim(m) == 19
+        assert time.perf_counter() - start < 0.5
+
+    def test_equals_the_longest_strict_chain(self):
+        rng = Random(44)
+        for _ in range(60):
+            m = shuffled_poset(rng, 8, rng.choice((0.2, 0.35, 0.6)))
+            assert krull_dim(m) == max(len(c) for c in m.strict_chains()) - 1
+
+
+def ladder(height):
+    """Width-2 ladder: two points per level, each below both points above."""
+    pts = [f"{c}{i}" for i in range(height) for c in "pq"]
+    covers = [(f"{c}{i}", f"{d}{i + 1}")
+              for i in range(height - 1) for c in "pq" for d in "pq"]
+    return build_space(pts, covers)
+
+
+def shuffled_poset(rng, max_points, edge_prob):
+    """A random poset with its points renamed at random, so that its order
+    need not follow the key order of the names."""
+    m = random_poset(rng, max_points, edge_prob=edge_prob)
+    names = list(m.points)
+    rng.shuffle(names)
+    rename = dict(zip(m.points, names))
+    return build_space(names, [(rename[x], rename[y]) for x, y in m.covers])
+
+
+def chains_oracle(m):
+    """Every totally ordered subset of the key-sorted points, listed from
+    its least point up, sorted by (length, keys)."""
+    pts = sorted(m.points, key=_key)
+    chains = []
+    for n in range(1, len(pts) + 1):
+        for s in combinations(pts, n):
+            if all(m.le(x, y) or m.le(y, x) for x, y in combinations(s, 2)):
+                chains.append(tuple(sorted(s, key=lambda x: len(m.down_set(x)))))
+    return tuple(sorted(chains, key=lambda c: (len(c), tuple(_key(x) for x in c))))
+
+
+class TestStrictChains:
+    """strict_chains against a brute-force enumeration of its subsets."""
+
+    def test_random_posets(self):
+        rng = Random(71)
+        for _ in range(80):
+            m = shuffled_poset(rng, 7, rng.choice((0.2, 0.35, 0.6, 0.9)))
+            assert m.strict_chains() == chains_oracle(m)
+
+    def test_ladders(self):
+        for height in range(1, 9):
+            m = ladder(height)
+            assert m.strict_chains() == chains_oracle(m)
+            assert len(m.strict_chains()) == 3 ** height - 1
+
+    def test_fiber_product_with_tuple_points(self):
+        pt = build_space(["*"], [])
+        f = MonotoneMap.constant(pseudo_circle(), pt, "*")
+        p = MonotoneMap.constant(sierpinski(), pt, "*")
+        w, _, _ = fiber_product(f, p)
+        assert len(w.points) == 8 and all(isinstance(x, tuple) for x in w.points)
+        assert w.strict_chains() == chains_oracle(w)
+
+    def test_empty_space(self):
+        m = build_space([], [])
+        assert m.strict_chains() == chains_oracle(m) == ()
 
 
 class TestFiberProduct:
