@@ -41,7 +41,6 @@ import argparse
 import json
 import re
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
@@ -175,18 +174,15 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    @contextmanager
-    def nested(self):
-        """One nesting level opened at the current token."""
+    def enter(self):
+        """Take the token that opens one nesting level; the caller closes
+        the level with depth -= 1 once the nested part is parsed."""
         if self.depth == MAX_NESTING:
             t = self.peek()
             raise _TooDeep(f"syntax error at line {t.line}, column {t.col}: "
                            f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
-        try:
-            yield
-        finally:
-            self.depth -= 1
+        self.pos += 1
 
     def peek(self):
         return self.toks[self.pos]
@@ -275,15 +271,16 @@ def _parse_poly_atom(p: _Parser):
         p.next()
         return ip.X
     if t.kind == "-":
-        with p.nested():
-            p.next()
-            return ip.neg(_parse_poly_factor(p))
+        p.enter()
+        out = ip.neg(_parse_poly_factor(p))
+        p.depth -= 1
+        return out
     if t.kind == "(":
-        with p.nested():
-            p.next()
-            inner = _parse_poly_expr(p)
-            p.expect(")")
-            return inner
+        p.enter()
+        inner = _parse_poly_expr(p)
+        p.expect(")")
+        p.depth -= 1
+        return inner
     p.fail("expected a polynomial")
 
 
@@ -313,25 +310,26 @@ def _parse_formula_conj(p: _Parser):
 
 def _parse_formula_unary(p: _Parser):
     if p.peek().kind == "!":
-        with p.nested():
-            p.next()
-            return Not(_parse_formula_unary(p))
+        p.enter()
+        out = Not(_parse_formula_unary(p))
+        p.depth -= 1
+        return out
     return _parse_formula_primary(p)
 
 
 def _parse_formula_primary(p: _Parser):
     if p.peek().kind == "(":
-        saved = p.pos
+        saved = p.pos, p.depth
         try:
-            with p.nested():
-                p.next()
-                inner = _parse_formula_disj(p)
-                p.expect(")")
-                return inner
+            p.enter()
+            inner = _parse_formula_disj(p)
+            p.expect(")")
+            p.depth -= 1
+            return inner
         except _TooDeep:
             raise
         except ParseError:
-            p.pos = saved
+            p.pos, p.depth = saved
     return _parse_formula_atom(p)
 
 

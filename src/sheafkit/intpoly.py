@@ -4,9 +4,12 @@ A polynomial is a tuple of int coefficients from the constant term up, with
 no trailing zeros; the zero polynomial is the empty tuple.  The root
 machinery is integer-only: Sturm sequences, gcds and exact division run on
 primitive pseudo-remainders over Z, and the sign of a polynomial at a
-rational a/b is the sign of the integer b^deg * p(a/b).  Sturm counts in
-half-open intervals with rational endpoints, and bisection against those
-counts, isolate the real roots; the bisection keeps its endpoints as integer
+rational a/b is the sign of the integer b^deg * p(a/b).  One remainder
+sequence per polynomial gives both its squarefree part and the Sturm
+sequence of that part, since the last term of the Sturm sequence of p is
+gcd(p, p') up to a constant; a second sequence is built only for a p with a
+repeated factor.  Sturm counts in half-open intervals with rational
+endpoints, and bisection against those counts, isolate the real roots; the bisection keeps its endpoints as integer
 numerators over one denominator and evaluates the Sturm sequence once per
 split.  The same sequences with p' q in place of
 p' answer Tarski queries: the sum of the signs of q over the roots of p in
@@ -81,9 +84,14 @@ def scale(p, c) -> tuple:
 
 
 def power(p, k: int) -> tuple:
+    """p^k by repeated squaring."""
     out = (1,)
-    for _ in range(k):
-        out = mul(out, p)
+    while k:
+        if k & 1:
+            out = mul(out, p)
+        k >>= 1
+        if k:
+            p = mul(p, p)
     return out
 
 
@@ -181,18 +189,6 @@ def divexact(p, q) -> tuple:
     return normalize(quo)
 
 
-def squarefree(p) -> tuple:
-    """The squarefree primitive part (same real roots, all simple)."""
-    if not p:
-        raise ZeroPolynomial("squarefree part of 0")
-    if degree(p) == 0:
-        return (1,)
-    g = gcd(p, deriv(p))
-    if degree(g) == 0:
-        return primitive(p)
-    return primitive(divexact(primitive(p), g))
-
-
 # ---------------------------------------------------------------------------
 # Sturm sequences and root counting
 
@@ -228,6 +224,27 @@ def sturm_sequence(p, q=(1,)):
     return seq
 
 
+def squarefree_sturm(p):
+    """(sf, seq): the squarefree primitive part sf of p (same real roots, all
+    simple) and a Sturm sequence seq of sf, from one remainder sequence.
+
+    The last term of the Sturm sequence of p is gcd(p, p') up to a constant
+    factor.  If it is constant, p is squarefree, sf is primitive(p) and the
+    sequence of p serves for sf: each of its terms is the same positive
+    multiple of the corresponding term for sf, or minus it, so every
+    variation count agrees.  Otherwise sf is primitive(p) over that gcd,
+    and its own sequence is built; the sequence of p is never used for
+    counting then, since all its terms vanish at a multiple root.
+    """
+    if not p:
+        raise ZeroPolynomial("squarefree part of 0")
+    seq = sturm_sequence(p)
+    if degree(seq[-1]) == 0:
+        return primitive(p), seq
+    sf = divexact(primitive(p), primitive(seq[-1]))
+    return sf, sturm_sequence(sf)
+
+
 def sign_at_rational(p, x, d=1) -> int:
     """The sign of p at the rational x / d, for x an int or Fraction and d a
     positive int: with x / d = a/b, the sign of b^deg * p(a/b), computed by
@@ -253,6 +270,13 @@ def _variations(signs) -> int:
 def variations_at(seq, x, d=1) -> int:
     """Sign variations of seq at the rational x / d, as in sign_at_rational."""
     return _variations([sign_at_rational(q, x, d) for q in seq])
+
+
+def nonroot_variations(seq, x, d=1):
+    """Sign variations of seq at x / d, or None if x / d is a root of its
+    first term: one evaluation of seq answers both."""
+    signs = [sign_at_rational(q, x, d) for q in seq]
+    return _variations(signs) if signs[0] else None
 
 
 def variations_at_neg_inf(seq) -> int:
@@ -294,11 +318,12 @@ def isolate_real_roots(p):
         raise ZeroPolynomial("cannot isolate roots of 0")
     return [("rational", Fraction(e[1], e[2])) if e[0] == "rational"
             else ("interval", Fraction(e[1], e[3]), Fraction(e[2], e[3]))
-            for e in isolate_squarefree_roots(squarefree(p))]
+            for e in isolate_squarefree_roots(*squarefree_sturm(p))]
 
 
-def isolate_squarefree_roots(sf):
-    """The real roots of a squarefree sf, sorted, with integer endpoints:
+def isolate_squarefree_roots(sf, seq):
+    """The real roots of a squarefree sf with Sturm sequence seq (as from
+    squarefree_sturm), sorted, with integer endpoints:
     ('rational', m, d) for a root m/d and ('interval', a, b, d) for an
     interval (a/d, b/d) with non-root ends holding exactly one root; d > 0.
 
@@ -310,7 +335,6 @@ def isolate_squarefree_roots(sf):
     """
     if degree(sf) < 1:
         return []
-    seq = sturm_sequence(sf)
     bound = root_bound(sf)
     out = []
 
@@ -322,8 +346,8 @@ def isolate_squarefree_roots(sf):
             out.append(("interval", a, b, d))
             return
         m = a + b
-        if sign_at_rational(sf, m, 2 * d):
-            vm = variations_at(seq, m, 2 * d)
+        vm = nonroot_variations(seq, m, 2 * d)
+        if vm is not None:
             refine(2 * a, m, 2 * d, va, vm)
             refine(m, 2 * b, 2 * d, vm, vb)
             return
@@ -332,9 +356,8 @@ def isolate_squarefree_roots(sf):
         # until it isolates the midpoint with non-root ends
         a, b, m, e, d = 4 * a, 4 * b, 2 * m, b - a, 4 * d
         while True:
-            vl, vr = variations_at(seq, m - e, d), variations_at(seq, m + e, d)
-            if (vl - vr == 1 and sign_at_rational(sf, m - e, d)
-                    and sign_at_rational(sf, m + e, d)):
+            vl, vr = nonroot_variations(seq, m - e, d), nonroot_variations(seq, m + e, d)
+            if vl is not None and vr is not None and vl - vr == 1:
                 break
             a, b, m, d = 2 * a, 2 * b, 2 * m, 2 * d
         refine(a, m - e, d, va, vl)
@@ -346,17 +369,19 @@ def isolate_squarefree_roots(sf):
     return out
 
 
-def image_defining_poly(a_poly, p) -> tuple:
-    """A squarefree integer polynomial vanishing on p(alpha) for every root
-    alpha of a_poly: the resultant Res_s(a_poly(s), t - p(s)), which is
-    +-lc(a_poly)^deg(p) times the product of t - p(alpha) over the roots.
+def image_defining_poly(a_poly, p):
+    """(q, seq): a squarefree integer polynomial q vanishing on p(alpha) for
+    every root alpha of a_poly, and its Sturm sequence, as from
+    squarefree_sturm.  q is the squarefree part of the resultant
+    Res_s(a_poly(s), t - p(s)), which is +-lc(a_poly)^deg(p) times the
+    product of t - p(alpha) over the roots.
 
     It is the determinant of the Sylvester matrix of the two polynomials in
     s, whose entries lie in Z[t], by fraction-free (Bareiss) elimination:
     each division by the previous pivot is exact in Z[t].  The determinant
     has t-degree deg(a_poly) and is never zero, so a zero pivot always has a
     nonzero entry below it; the sign of a row swap is dropped, since
-    squarefree() returns a positive leading coefficient anyway.
+    squarefree_sturm() returns a positive leading coefficient anyway.
     """
     n, d = degree(a_poly), degree(p)
     size = n + d
@@ -373,7 +398,7 @@ def image_defining_poly(a_poly, p) -> tuple:
             for j in range(k + 1, size):
                 m[i][j] = divexact(sub(mul(m[i][j], m[k][k]), mul(m[i][k], m[k][j])), prev)
         prev = m[k][k]
-    return squarefree(m[-1][-1])
+    return squarefree_sturm(m[-1][-1])
 
 
 def eval_interval(p, a, b, d):

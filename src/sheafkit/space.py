@@ -9,7 +9,7 @@ up-set of x.  Continuous maps correspond to monotone maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class SpaceError(Exception):
@@ -202,16 +202,18 @@ class MonotoneMap:
     source: FinSpec
     target: FinSpec
     mapping: tuple  # sorted tuple of (point, image) pairs
+    _images: dict = field(compare=False, repr=False)  # the mapping as a dict
 
     def __init__(self, source, target, mapping):
         items = dict(mapping)
-        missing = set(source.points) - set(items)
+        points, targets = set(source.points), set(target.points)
+        missing = points.difference(items)
         if missing:
             raise SpaceError(f"map not total: missing {sorted(missing, key=_key)}")
         for x, fx in items.items():
-            if x not in set(source.points):
+            if x not in points:
                 raise UnknownPoint(f"unknown source point {x!r}")
-            if fx not in set(target.points):
+            if fx not in targets:
                 raise UnknownPoint(f"unknown target point {fx!r}")
         for x, y in source.covers:
             if not target.le(items[x], items[y]):
@@ -220,9 +222,10 @@ class MonotoneMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "mapping",
                            tuple(sorted(items.items(), key=lambda kv: _key(kv[0]))))
+        object.__setattr__(self, "_images", items)
 
     def __call__(self, x):
-        return dict(self.mapping)[x]
+        return self._images[x]
 
     @classmethod
     def identity(cls, m: FinSpec):
@@ -236,9 +239,8 @@ class MonotoneMap:
         """self after other."""
         if other.target != self.source:
             raise SpaceError("composition mismatch")
-        f = dict(self.mapping)
         return MonotoneMap(other.source, self.target,
-                           [(x, f[y]) for x, y in other.mapping])
+                           [(x, self(y)) for x, y in other.mapping])
 
     def preimage(self, s) -> frozenset:
         s = self.target.check_subset(s)

@@ -25,11 +25,15 @@ not vanish at the center.
 Solution sets of formulas decide signs by provenance: merging the atoms'
 root lists records which atoms vanish at each root, so once the isolating
 intervals are disjoint every sign is read at a rational midpoint, off a
-leading term or from that record.  Fiber sums of the pushforward at a value
-b are counts of the roots of b.poly(p(t)) between the upstream roots, with
-no root of it isolated: at a rational b all of them lie in the fiber, and at
-an irrational b a Tarski query of the sign of (p - b.lo)(b.hi - p) keeps
-those that p maps into b's isolating interval.
+leading term or from that record.  The pushforward builds one image
+polynomial and its Sturm sequence per distinct upstream polynomial, shared
+by all the roots of that polynomial.  Fiber sums at a value b are counts of
+the roots of b.poly(p(t)) between the upstream roots, with no root of it
+isolated: at a rational b all of them lie in the fiber, and at an
+irrational b a Tarski query of the sign of (p - b.lo)(b.hi - p) keeps those
+that p maps into b's isolating interval.  The fiber sums read their hits,
+the upstream roots where b.poly(p(t)) vanishes, off the images of those
+roots, with no Tarski query of b.poly(p(t)).
 """
 
 from __future__ import annotations
@@ -89,14 +93,17 @@ class AlgNumber:
         self._next = None
         if ip.degree(self.poly) < 1:
             raise SperError("defining polynomial must be nonconstant")
-        if ip.degree(ip.gcd(self.poly, ip.deriv(self.poly))) != 0:
+        # the last term of the Sturm sequence is gcd(poly, poly') up to a
+        # constant factor
+        seq = ip.sturm_sequence(self.poly)
+        if ip.degree(seq[-1]) != 0:
             raise SperError("defining polynomial is not squarefree")
         if not lo < hi:
             raise SperError("empty isolating interval")
         if (ip.sign_at_rational(self.poly, lo) == 0
                 or ip.sign_at_rational(self.poly, hi) == 0):
             raise SperError("interval endpoints must not be roots")
-        if self.count(ip.sturm_sequence(self.poly)) != 1:
+        if self.count(seq) != 1:
             raise SperError("interval does not isolate exactly one root")
 
     @classmethod
@@ -190,7 +197,7 @@ class AlgNumber:
         a, b = self, other
         # the intervals overlap: a.lo < b.hi and b.lo < a.hi
         if a._a * b._d < b._b * a._d and b._a * a._d < a._b * b._d:
-            g = ip.gcd(a.poly, b.poly)
+            g = a.poly if a.poly == b.poly else ip.gcd(a.poly, b.poly)
             if ip.degree(g) >= 1:
                 lo = a if a._a * b._d >= b._a * a._d else b
                 hi = a if a._b * b._d <= b._b * a._d else b
@@ -294,14 +301,9 @@ def real_roots(f) -> list:
     f = ip.normalize(f)
     if not f:
         raise ZeroPolynomial("real_roots of the zero polynomial")
-    sf = ip.squarefree(f)
-    out = []
-    for entry in ip.isolate_squarefree_roots(sf):
-        if entry[0] == "rational":
-            out.append(AlgNumber.from_rational(Fraction(entry[1], entry[2])))
-        else:
-            out.append(AlgNumber._of(sf, *entry[1:]))
-    return out
+    sf, seq = ip.squarefree_sturm(f)
+    return [AlgNumber.from_rational(Fraction(e[1], e[2])) if e[0] == "rational"
+            else AlgNumber._of(sf, *e[1:]) for e in ip.isolate_squarefree_roots(sf, seq)]
 
 
 def _sign_of_fraction(x) -> int:
@@ -820,11 +822,17 @@ class PolyMap:
         return ip.to_str(self.poly)
 
 
-def _push_alg(p: PolyMap, a: AlgNumber) -> AlgNumber:
+def _push_alg(p: PolyMap, a: AlgNumber, image_polys: dict) -> AlgNumber:
+    """The image p(a).  image_polys maps defining polynomials to their image
+    polynomials under p with Sturm sequences; a missing one is computed and
+    added, so the roots of one polynomial share it for as long as the
+    caller keeps the dict."""
     if a.is_rational():
         return AlgNumber.from_rational(ip.evaluate(p.poly, a.as_rational()))
-    q = ip.image_defining_poly(a.poly, p.poly)
-    seq = ip.sturm_sequence(q)
+    pair = image_polys.get(a.poly)
+    if pair is None:
+        pair = image_polys[a.poly] = ip.image_defining_poly(a.poly, p.poly)
+    q, seq = pair
     while True:
         if a.is_rational():
             return AlgNumber.from_rational(ip.evaluate(p.poly, a.as_rational()))
@@ -848,7 +856,7 @@ def push_point(p: PolyMap, x: SperPoint) -> SperPoint:
     if x.kind == "-inf":
         s = lead_sign * (-1 if d % 2 else 1)
         return SperPoint.pos_inf() if s > 0 else SperPoint.neg_inf()
-    center = _push_alg(p, x.center)
+    center = _push_alg(p, x.center, {})
     if x.kind == "alg":
         return SperPoint.alg(center)
     # p(t) - p(alpha) has the sign of p' just right of the center and the
@@ -864,7 +872,20 @@ def preimage_set(p: PolyMap, s: SperConstructible) -> SperConstructible:
     return from_formula(substitute(defining_formula(s), p.poly))
 
 
-def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list, b) -> int:
+def _fiber_poly_vanishes(y: AlgNumber, b) -> bool:
+    """Whether the polynomial whose roots hold the fiber at b, b.poly(p(t))
+    or den(b) p - num(b), vanishes at an upstream root a with image
+    y = p(a).  At a rational b that is y = b.  At an irrational b it is
+    b.poly(y) = 0, which holds for y = b and for every other root of
+    b.poly: true when y.poly is b.poly, and otherwise one Tarski query of
+    y.poly."""
+    if not isinstance(b, AlgNumber) or b.is_rational():
+        return y.compare(b) == 0
+    return y.poly == b.poly or _sign_at_root(b.poly, y) == 0
+
+
+def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list,
+               images: list, b) -> int:
     """The sum of phi over the fiber of p at a value b, a rational or an
     AlgNumber, by Sturm counts and Tarski queries.
 
@@ -877,41 +898,49 @@ def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list, b) ->
     of the fiber.
 
     ups holds the roots of cells with pairwise disjoint isolating intervals
-    (lo, hi); each is refined in place until (lo, hi] holds no root of h
-    other than itself and lo is no root of h, since a Tarski query needs
-    ends that are not roots.  A root cell then adds its value times the
-    count in (lo, hi], and an interval cell its value times the count
-    between the neighbouring intervals.  No root of h is isolated.
+    (lo, hi), and images holds the images of those roots under p, which
+    tell whether h vanishes there (_fiber_poly_vanishes).  Each root a is
+    refined in place until (lo, hi] holds no root of h other than a and lo
+    is no root of h, since a Tarski query needs ends that are not roots.  A
+    root cell then adds its value times the count in (lo, hi], and an
+    interval cell its value times the count between the neighbouring
+    intervals.  The Sturm (and Tarski) sequence of h is evaluated once at
+    each end, and no root of h is isolated.
     """
     if isinstance(b, AlgNumber):
-        h = ip.squarefree(ip.compose(b.poly, p.poly))
+        h, seq = ip.squarefree_sturm(ip.compose(b.poly, p.poly))
     else:  # the roots of den p - num
-        h = ip.squarefree(ip.sub(ip.scale(p.poly, b.denominator), ip.constant(b.numerator)))
-    seq = ip.sturm_sequence(h)
+        h, seq = ip.squarefree_sturm(ip.sub(ip.scale(p.poly, b.denominator),
+                                            ip.constant(b.numerator)))
     tarski = None
     if isinstance(b, AlgNumber) and not b.is_rational():
         w = ip.mul(ip.sub(ip.scale(p.poly, b._d), ip.constant(b._a)),
                    ip.sub(ip.constant(b._b), ip.scale(p.poly, b._d)))
         tarski = ip.sturm_sequence(h, w)
-
-    def count(x, y):
-        n = ip.count_roots_halfopen(seq, x, y)
-        if not n or tarski is None:
-            return n
-        return (n + ip.count_roots_halfopen(tarski, x, y)) // 2
-
-    total = 0
-    left = None
-    for j, a in enumerate(ups):
-        hits = _sign_at_root(h, a) == 0
-        while a.count(seq) != hits or ip.sign_at_rational(h, a._a, a._d) == 0:
+    # the Sturm variations at -inf, lo_1, hi_1, ..., lo_k, hi_k, +inf: cell i
+    # of cells lies between the i-th and the next
+    ends, vs = [], [ip.variations_at_neg_inf(seq)]
+    for j, (a, y) in enumerate(zip(ups, images)):
+        hit = _fiber_poly_vanishes(y, b)
+        while True:
+            vlo = ip.nonroot_variations(seq, a._a, a._d)
+            vhi = ip.variations_at(seq, a._b, a._d)
+            if vlo is not None and vlo - vhi == hit:
+                break
             a = a.refined()
         ups[j] = a
-        total += phi(cells.point_at(2 * j)) * count(left, a.lo)
-        if hits:
-            total += phi(cells.point_at(2 * j + 1)) * count(a.lo, a.hi)
-        left = a.hi
-    return total + phi(cells.point_at(2 * len(ups))) * count(left, None)
+        ends += [(a._a, a._d), (a._b, a._d)]
+        vs += [vlo, vhi]
+    vs.append(ip.variations_at_pos_inf(seq))
+    counts = [u - v for u, v in zip(vs, vs[1:])]
+    if tarski is not None:
+        # Tarski queries only at the ends of cells that hold a root of h
+        ts = ([ip.variations_at_neg_inf(tarski)]
+              + [ip.variations_at(tarski, *e) if counts[k] or counts[k + 1] else 0
+                 for k, e in enumerate(ends)]
+              + [ip.variations_at_pos_inf(tarski)])
+        counts = [(n + ts[k] - ts[k + 1]) // 2 if n else 0 for k, n in enumerate(counts)]
+    return sum(phi(cells.point_at(k)) * n for k, n in enumerate(counts) if n)
 
 
 def refine_cells(cells: CellPoset, extra_roots) -> CellPoset:
@@ -946,9 +975,10 @@ def pull_cons(p: PolyMap, psi: ConsFunction, cells: CellPoset):
 
     refined, samples = cell_samples(list(up_cells.roots))
     values = {}
+    image_polys = {}
     for pos, sample in enumerate(samples):
         if isinstance(sample, AlgNumber):
-            img = _push_alg(p, sample)
+            img = _push_alg(p, sample, image_polys)
         else:
             img = ip.evaluate(p.poly, sample)
         values[up_cells.point_at(pos)] = psi_at(img)
@@ -960,23 +990,24 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
 
     The downstream root set contains the images of the upstream roots and
     of the critical points of the map, which makes the fiber sums constant
-    on the downstream cells; each interval cell is evaluated at three
-    rational samples and disagreements raise InconsistentSamples.  Every
-    fiber sum, at a rational sample or at a rational or irrational
-    downstream root, comes from Sturm counts and Tarski queries between the
-    upstream roots (_fiber_sum), with no fiber isolated.
+    on the downstream cells: the roots of their image polynomials, one per
+    distinct defining polynomial and isolated once each, with the images of
+    the upstream roots kept for the fiber sums.  Each interval cell is
+    evaluated at three rational samples and disagreements raise
+    InconsistentSamples.  Every fiber sum, at a rational sample or at a
+    rational or irrational downstream root, comes from Sturm counts and
+    Tarski queries between the upstream roots (_fiber_sum), with no fiber
+    isolated.
     """
     if phi.space != cells.space:
         raise SperError("function does not live on the given cell poset")
-    downstream_polys = []
-    for a in cells.roots:
-        downstream_polys.append(_push_alg(p, a).poly)
+    image_polys = {}
+    images = [_push_alg(p, a, image_polys) for a in cells.roots]
     dp = ip.deriv(p.poly)
-    if ip.degree(dp) >= 1:
-        for c in real_roots(dp):
-            downstream_polys.append(_push_alg(p, c).poly)
+    crit = real_roots(dp) if ip.degree(dp) >= 1 else []
+    crit_images = [_push_alg(p, c, image_polys) for c in crit]
     new_roots = []
-    for q in downstream_polys:
+    for q in dict.fromkeys(y.poly for y in images + crit_images):
         new_roots = merge_roots(new_roots, real_roots(q))
     out_cells = cell_poset(new_roots)
     ups = refine_disjoint(cells.roots)
@@ -984,7 +1015,7 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
     values = {}
     for pos, sample in enumerate(samples):
         if isinstance(sample, AlgNumber):
-            values[out_cells.point_at(pos)] = _fiber_sum(p, phi, cells, ups, sample)
+            values[out_cells.point_at(pos)] = _fiber_sum(p, phi, cells, ups, images, sample)
             continue
         # interval cell: three rational samples must agree
         if not refined:
@@ -997,7 +1028,7 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
             left = refined[pos // 2 - 1].hi
             right = refined[pos // 2].lo
             extras = [sample, (left + sample) / 2, (sample + right) / 2]
-        vals = [_fiber_sum(p, phi, cells, ups, e) for e in extras]
+        vals = [_fiber_sum(p, phi, cells, ups, images, e) for e in extras]
         if len(set(vals)) != 1:
             raise InconsistentSamples(
                 f"cell {out_cells.marker(pos)} sampled values {vals}")

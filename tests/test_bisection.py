@@ -127,7 +127,7 @@ def seeded_polys(seed, count):
             else:
                 f = tuple(rng.randint(-5, 5) for _ in range(rng.randint(2, 3))) + (rng.choice((1, 2, 3)),)
             p = ip.mul(p, f)
-        yield ip.squarefree(p)
+        yield ip.squarefree_sturm(p)[0]
 
 
 def seeded_roots(seed, count):
@@ -155,7 +155,7 @@ class TestAgainstFractionHalving:
     def test_isolation_gives_the_same_intervals(self):
         hits = 0
         for sf in seeded_polys(1, 250):
-            new = ip.isolate_squarefree_roots(sf)
+            new = ip.isolate_squarefree_roots(sf, ip.sturm_sequence(sf))
             old, _ = frac_isolate(sf)
             assert as_fractions(new) == old
             assert ip.isolate_real_roots(sf) == old
@@ -252,14 +252,17 @@ class TestOneSturmEvaluationPerBisection:
         # them within 0.004 of +-sqrt 2, so no midpoint is a root and the
         # Fraction isolation bisects 21 times, with four Sturm sequence
         # evaluations at each split (two counts of two ends); the integer
-        # isolation evaluates the sequence once per split, 21 times in all
+        # isolation evaluates the sequence once per split, 21 times in all,
+        # and reads whether the midpoint is a root off its first term, with
+        # no other evaluation of a polynomial
         sf = ip.mul(ip.mul((-2, 0, 1), (-3, 0, 1)), (-201, 0, 100))
         old, splits = frac_isolate(sf)
         assert splits == 21
+        seq = ip.sturm_sequence(sf)
         calls = []
-        variations_at = ip.variations_at
-        monkeypatch.setattr(ip, "variations_at",
-                            lambda seq, x, d=1: calls.append(x) or variations_at(seq, x, d))
-        new = ip.isolate_squarefree_roots(sf)
+        sign_at_rational = ip.sign_at_rational
+        monkeypatch.setattr(ip, "sign_at_rational",
+                            lambda p, x, d=1: calls.append(x) or sign_at_rational(p, x, d))
+        new = ip.isolate_squarefree_roots(sf, seq)
         assert as_fractions(new) == old and len(new) == 6
-        assert len(calls) == splits
+        assert len(calls) == splits * len(seq)

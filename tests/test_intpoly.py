@@ -47,12 +47,19 @@ def random_poly(rng: Random, degree: int, bound: int = 20) -> tuple:
     return tuple(coeffs) + (rng.choice([-1, 1]) * rng.randint(1, bound),)
 
 
+def squarefree_by_gcd(p) -> tuple:
+    """The squarefree part in two steps, an oracle for squarefree_sturm:
+    gcd(p, p') by its own remainder sequence, then exact division."""
+    g = ip.gcd(p, ip.deriv(p))
+    return ip.primitive(p) if ip.degree(g) == 0 else ip.divexact(ip.primitive(p), g)
+
+
 def squarefree_polys(seed: int, count: int) -> list:
     """Seeded squarefree polynomials of degree 1-12."""
     rng = Random(seed)
     out = []
     while len(out) < count:
-        sf = ip.squarefree(random_poly(rng, rng.randint(1, 12)))
+        sf = squarefree_by_gcd(random_poly(rng, rng.randint(1, 12)))
         if 1 <= ip.degree(sf) <= 12:
             out.append(sf if rng.random() < 0.5 else ip.scale(sf, rng.choice([-3, -1, 2])))
     return out
@@ -108,7 +115,7 @@ def sign_at_isolated_root(q, sf, lo, hi) -> int:
     g = ip.gcd(sf, q)
     if ip.degree(g) >= 1 and ip.count_roots_halfopen(ip.sturm_sequence(g), lo, hi) == 1:
         return 0
-    qs = ip.sturm_sequence(ip.squarefree(q))
+    qs = ip.sturm_sequence(squarefree_by_gcd(q))
     while ip.count_roots_halfopen(qs, lo, hi) or ip.sign_at_rational(q, lo) == 0:
         mid = (lo + hi) / 2
         s = ip.sign_at_rational(sf, mid)
@@ -116,6 +123,32 @@ def sign_at_isolated_root(q, sf, lo, hi) -> int:
             return sign(ip.evaluate(q, mid))
         lo, hi = (mid, hi) if s == ip.sign_at_rational(sf, lo) else (lo, mid)
     return ip.sign_at_rational(q, lo)
+
+
+class TestSquarefreeSturm:
+    def test_matches_the_two_step_path(self):
+        """One remainder sequence gives the squarefree part and a Sturm
+        sequence with the same variation counts as the sequence built from
+        the two-step squarefree part, for p with repeated factors, a content
+        and either leading sign."""
+        rng = Random(12)
+        repeated = 0
+        for _ in range(300):
+            p = random_poly(rng, rng.randint(0, 8))
+            if rng.random() < 0.5:
+                f = random_poly(rng, rng.randint(1, 2), 6)
+                p = ip.mul(p, ip.power(f, rng.randint(2, 3)))
+            p = ip.scale(p, rng.choice((1, 1, -1, 2, -6)))
+            sf, seq = ip.squarefree_sturm(p)
+            ref = squarefree_by_gcd(p)
+            ref_seq = ip.sturm_sequence(ref)
+            assert sf == ref
+            assert ip.variations_at_neg_inf(seq) == ip.variations_at_neg_inf(ref_seq)
+            assert ip.variations_at_pos_inf(seq) == ip.variations_at_pos_inf(ref_seq)
+            for x in [random_rational(rng) for _ in range(6)]:
+                assert ip.variations_at(seq, x) == ip.variations_at(ref_seq, x)
+            repeated += sf != ip.primitive(p)
+        assert repeated >= 100
 
 
 class TestTarskiQuery:
@@ -131,7 +164,7 @@ class TestTarskiQuery:
             if rng.random() < 0.3:
                 f = random_poly(rng, rng.randint(1, 2), 6)
                 p, q = ip.mul(p, f), ip.mul(q, f)
-            sf = ip.squarefree(p)
+            sf = squarefree_by_gcd(p)
             seq = ip.sturm_sequence(p, q)
             total = 0
             for entry in ip.isolate_real_roots(p):
@@ -163,7 +196,7 @@ class TestTarskiQuery:
                 q = ip.neg(q)
             seq = ip.sturm_sequence(p, q)
             assert len(seq) == 1 or ip.degree(seq[1]) < 2 * ip.degree(p)
-            sf = ip.squarefree(p)
+            sf = squarefree_by_gcd(p)
             total = 0
             for entry in ip.isolate_real_roots(p):
                 if entry[0] == "rational":
@@ -215,6 +248,18 @@ class TestExactDivision:
             ip.divexact((1, 1), (1, 2))
 
 
+class TestPower:
+    def test_repeated_squaring_matches_repeated_products(self):
+        rng = Random(13)
+        for _ in range(60):
+            p = random_poly(rng, rng.randint(0, 3), 5)
+            want = (1,)
+            for k in range(13):
+                assert ip.power(p, k) == want
+                want = ip.mul(want, p)
+        assert ip.power((), 0) == (1,) and ip.power((), 3) == ()
+
+
 class TestAgainstSympy:
     def test_gcd_and_squarefree_part(self):
         rng = Random(5)
@@ -225,7 +270,7 @@ class TestAgainstSympy:
             sp, sq = to_sympy(p), to_sympy(q)
             assert ip.gcd(p, q) == ip.primitive(from_sympy(sp.gcd(sq)))
             if ip.degree(p) >= 1:
-                assert ip.squarefree(p) == ip.primitive(from_sympy(sp.sqf_part()))
+                assert ip.squarefree_sturm(p)[0] == ip.primitive(from_sympy(sp.sqf_part()))
 
     def test_isolation_matches_poly_intervals(self):
         rng = Random(6)
@@ -275,16 +320,18 @@ def sympy_image_poly(a, p):
 class TestImageDefiningPoly:
     def test_hand_worked(self):
         # sqrt(2) and -sqrt(2) both square to 2
-        assert ip.image_defining_poly((-2, 0, 1), (0, 0, 1)) == (-2, 1)
+        assert ip.image_defining_poly((-2, 0, 1), (0, 0, 1))[0] == (-2, 1)
         # the golden ratio and its conjugate, roots of t^2 - t - 1, square to
         # the roots of t^2 - 3t + 1 (their squares sum to 3 and multiply to 1)
-        assert ip.image_defining_poly((-1, -1, 1), (0, 0, 1)) == (1, -3, 1)
+        assert ip.image_defining_poly((-1, -1, 1), (0, 0, 1))[0] == (1, -3, 1)
         # a cube root of 2 under t^2 + 1: (t - 1)^3 = 4
-        assert ip.image_defining_poly((-2, 0, 0, 1), (1, 0, 1)) == (-5, 3, -3, 1)
+        assert ip.image_defining_poly((-2, 0, 0, 1), (1, 0, 1))[0] == (-5, 3, -3, 1)
 
     def test_against_sympy_resultant(self):
         rng = Random(8)
         for _ in range(300):
             a = random_poly(rng, rng.randint(2, 6))
             p = random_poly(rng, rng.randint(1, 6))
-            assert ip.image_defining_poly(a, p) == sympy_image_poly(a, p)
+            q, seq = ip.image_defining_poly(a, p)
+            assert q == sympy_image_poly(a, p)
+            assert ip.count_real_roots(seq) == ip.count_real_roots(ip.sturm_sequence(q))

@@ -59,11 +59,18 @@ class TestRealRoots:
         assert len(roots) == 1 and roots[0].compare(1) == 0
 
     def test_one_squarefree_part_per_call(self, monkeypatch):
-        calls = []
-        squarefree = ip.squarefree
-        monkeypatch.setattr(ip, "squarefree", lambda p: calls.append(p) or squarefree(p))
+        # the Sturm sequence of f gives its squarefree part, with no gcd: a
+        # squarefree f needs no other sequence, t (t^2 - 2)^2 one more
+        gcds, seqs = [], []
+        gcd, sturm = ip.gcd, ip.sturm_sequence
+        monkeypatch.setattr(ip, "gcd", lambda p, q: gcds.append(p) or gcd(p, q))
+        monkeypatch.setattr(ip, "sturm_sequence",
+                            lambda p, q=(1,): seqs.append(p) or sturm(p, q))
+        assert len(real_roots(T3M2T)) == 3 and len(seqs) == 1
+        del seqs[:]
         roots = real_roots(ip.mul(T3M2T, T2M2))
-        assert len(roots) == 3 and len(calls) == 1
+        assert len(roots) == 3 and seqs == [ip.mul(T3M2T, T2M2), T3M2T]
+        assert gcds == []
 
 
 class TestSignAt:
@@ -368,14 +375,16 @@ class TestFiber:
             p = PolyMap([rng.randint(-3, 3) for _ in range(rng.randint(1, top))]
                         + [rng.choice([-2, -1, 1, 2])])
             candidates = real_roots(ip.compose(b.poly, p.poly))
-            hit = [_push_alg(p, tau).compare(b) == 0 for tau in candidates]
+            images = [_push_alg(p, tau, {}) for tau in candidates]
+            hit = [y.compare(b) == 0 for y in images]
             cp = cell_poset(candidates)
             phi = ConsFunction(cp.space, {cp.point_at(pos): 2 ** (pos // 2) if pos % 2 else 0
                                           for pos in range(len(cp.cells))})
             ups = sper.refine_disjoint(cp.roots)
-            assert sper._fiber_sum(p, phi, cp, ups, b) == sum(2 ** i for i, h in enumerate(hit) if h)
+            assert sper._fiber_sum(p, phi, cp, ups, images, b) == \
+                sum(2 ** i for i, h in enumerate(hit) if h)
             line = cell_poset([])
-            assert sper._fiber_sum(p, const_phi(line), line, [], b) == sum(hit)
+            assert sper._fiber_sum(p, const_phi(line), line, [], [], b) == sum(hit)
             kept += sum(hit)
             dropped += len(hit) - sum(hit)
         assert kept >= 200 and dropped >= 200
@@ -387,7 +396,8 @@ class TestFiber:
         cp = cell_poset([a])
         phi = ConsFunction(cp.space, {cp.point_at(pos): pos % 2 for pos in range(3)})
         b = AlgNumber((6, -5, 1), Fraction(7, 4), Fraction(21, 8))
-        assert sper._fiber_sum(PolyMap((4, -1)), phi, cp, [a], b) == 1
+        p = PolyMap((4, -1))
+        assert sper._fiber_sum(p, phi, cp, [a], [_push_alg(p, a, {})], b) == 1
 
     def test_degree_five_map_with_four_critical_points(self):
         p = PolyMap((1, 4, 0, -5, 0, 1))  # p' = 5t^4 - 15t^2 + 4
@@ -405,6 +415,88 @@ class TestFiber:
             c = samples[pos]
             h = ip.sub(ip.scale(p.poly, c.denominator), (c.numerator,))
             assert out(oc.point_at(pos)) == len(real_roots(h))
+
+
+# t^5 - 5t^3 + 4t + 1 maps sqrt 2 to 1 - 2 sqrt 2 and -sqrt 2 to 1 + 2 sqrt 2,
+# the two roots of t^2 - 2t - 7
+CONJUGATES = PolyMap((1, 4, 0, -5, 0, 1))
+
+
+def _alg_fiber_oracle(p, phi, cells, b):
+    """phi summed over the roots of b.poly(p(t)) whose image is b."""
+    return sum(phi(cells.point_at(locate_cell(cells.roots, tau)))
+               for tau in real_roots(ip.compose(b.poly, p.poly))
+               if _push_alg(p, tau, {}).compare(b) == 0)
+
+
+class TestHitsReadOffImages:
+    def test_upstream_root_mapped_to_a_conjugate(self):
+        """h = b.poly(p(t)) vanishes at -sqrt 2 although p(-sqrt 2) is not
+        b: it is the other root of b.poly, and the Tarski query of w drops
+        it from the fiber.  Comparing the image with b alone would call it
+        no root of h, and refining its interval until it holds no root of h
+        would never end."""
+        minus, plus = real_roots(T2M2)
+        b = real_roots((-7, -2, 1))[0]
+        assert b.compare(Fraction(-2)) > 0 > b.compare(Fraction(-1))
+        y = _push_alg(CONJUGATES, minus, {})
+        assert y.poly == b.poly and y.compare(b) > 0
+        assert sign_at(ip.compose(b.poly, CONJUGATES.poly), SperPoint.alg(minus)) == 0
+        assert sper._fiber_poly_vanishes(y, b)
+        # the roots +-sqrt 2 of (t^2 - 2)(t^3 - 1) have another image
+        # polynomial than b, and 1 maps to 1
+        for roots in ([minus], [minus, plus], real_roots(ip.mul(T2M2, (-1, 0, 0, 1)))):
+            cp = cell_poset(roots)
+            phi = ConsFunction(cp.space, {cp.point_at(pos): 3 ** pos for pos in range(len(cp.cells))})
+            images = [_push_alg(CONJUGATES, a, {}) for a in cp.roots]
+            assert [sper._fiber_poly_vanishes(y, b) for y in images] == \
+                [a.compare(1) != 0 for a in cp.roots]
+            got = sper._fiber_sum(CONJUGATES, phi, cp, sper.refine_disjoint(cp.roots), images, b)
+            assert got == _alg_fiber_oracle(CONJUGATES, phi, cp, b)
+
+    def test_matches_the_tarski_query_of_h(self):
+        """On TestFiber-style maps and values, rational or not, the decision
+        read off the image agrees with the sign of h at the upstream root,
+        for roots of h, of a factor of h and of unrelated polynomials."""
+        rng = Random(73)
+        seen = dict.fromkeys(("rational hit", "rational miss", "image b", "conjugate",
+                              "shared factor", "irrational miss"), 0)
+        for _ in range(150):
+            k = rng.choice((2, 3, 5, 6, 7))
+            base = (-k, 0, 1)
+            top = 3
+            if rng.random() < 0.3:
+                b = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+                if rng.random() < 0.5:
+                    b = AlgNumber.from_rational(b)
+            else:
+                q = base
+                if rng.random() < 0.4:
+                    q, top = ip.mul(q, (rng.randint(-3, 3), rng.choice([-2, -1, 1, 2]))), 1
+                b = rng.choice([r for r in real_roots(q) if sign_at(base, SperPoint.alg(r)) == 0])
+            p = PolyMap([rng.randint(-3, 3) for _ in range(rng.randint(1, top))]
+                        + [rng.choice([-2, -1, 1, 2])])
+            if isinstance(b, Fraction):
+                h = ip.sub(ip.scale(p.poly, b.denominator), ip.constant(b.numerator))
+            else:
+                h = ip.compose(b.poly, p.poly)
+            ups = real_roots(h) + real_roots(_product(rng, 2))
+            if not isinstance(b, Fraction) and not b.is_rational():
+                ups += real_roots(ip.compose(base, p.poly))
+            image_polys = {}
+            for a in ups:
+                y = _push_alg(p, a, image_polys)
+                hit = sper._fiber_poly_vanishes(y, b)
+                assert hit == (sper._sign_at_root(h, a) == 0)
+                if isinstance(b, Fraction) or b.is_rational():
+                    seen["rational hit" if hit else "rational miss"] += 1
+                elif not hit:
+                    seen["irrational miss"] += 1
+                elif y.poly != b.poly:
+                    seen["shared factor"] += 1
+                else:
+                    seen["image b" if y.compare(b) == 0 else "conjugate"] += 1
+        assert min(seen.values()) >= 30, seen
 
 
 def _probes(cells_a, cells_b):
@@ -571,12 +663,13 @@ class TestFiberSumsBySturmCounts:
             cp = cell_poset(from_formula(_shared_root_formula(rng)))
             phi = ConsFunction(cp.space, {q: rng.randint(-2, 2) for q in cp.space.points})
             ups = sper.refine_disjoint(cp.roots)
+            images = [_push_alg(p, a, {}) for a in cp.roots]
             # images of rational upstream roots, where the fiber meets a
             # root cell, and random rationals
             ys = [ip.evaluate(p.poly, a.as_rational()) for a in cp.roots if a.is_rational()]
             ys += [Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(4)]
             for y in ys:
-                assert sper._fiber_sum(p, phi, cp, ups, y) == _fiber_oracle(p, phi, cp, y)
+                assert sper._fiber_sum(p, phi, cp, ups, images, y) == _fiber_oracle(p, phi, cp, y)
                 checked += 1
             out, oc = push_cons(p, phi, cp)
             _, samples = cell_samples(list(oc.roots))
@@ -622,7 +715,8 @@ def _check_rational_roots(monkeypatch, p, phi, cells, ys):
     monkeypatch.setattr(sper, "real_roots", watched)
     out, oc = push_cons(p, phi, cells)
     dp = ip.deriv(p.poly)
-    assert seen == [dp] + [_push_alg(p, a).poly for a in list(cells.roots) + real(dp)]
+    images = [_push_alg(p, a, {}).poly for a in list(cells.roots) + real(dp)]
+    assert seen == [dp] + list(dict.fromkeys(images))
     assert [r.compare(y) for r, y in zip(oc.roots, ys)] == [0] * len(ys) == [0] * len(oc.roots)
     assert [out(oc.point_at(2 * j + 1)) for j in range(len(ys))] == \
         [_fiber_oracle(p, phi, cells, Fraction(y)) for y in ys]
@@ -645,7 +739,8 @@ def _sign_by_refinement(f, x: SperPoint) -> int:
         return 0
     if ip.degree(f) == 0:
         return (f[0] > 0) - (f[0] < 0)
-    seq = ip.sturm_sequence(ip.squarefree(f))
+    g = ip.gcd(f, ip.deriv(f))
+    seq = ip.sturm_sequence(ip.divexact(ip.primitive(f), g) if ip.degree(g) else f)
     while True:
         if ip.count_roots_halfopen(seq, a.lo, a.hi) == vanishes:
             if x.kind in ("alg", "cut+"):
