@@ -45,10 +45,10 @@ from fractions import Fraction
 from functools import cache
 
 from . import intpoly as ip
-from .k0 import ConsFunction, ConsFunctionError, chi, realize
+from .k0 import ConsFunction, ConsFunctionError, chi, piece_indices, realize
 from .linalg import (
     ChainMap, DegreeOverflow, FGModule, FreeChainComplex, LinalgError, Matrix,
-    ScalarRing, ZZ, QQ, GF, homology, k0_rank,
+    ScalarRing, ZZ, QQ, GF, homology,
 )
 from .sheaf import (
     SheafComplex, base_change_locus, cell_decompose, pushforward, rgamma,
@@ -365,29 +365,42 @@ def _content_lines(text: str):
             yield idx, line
 
 
-def parse_space(text: str):
-    """Parse a space file; returns (name, FinSpec)."""
-    name = None
-    points = None
-    covers = []
-    for idx, line in _content_lines(text):
-        if line.startswith("space "):
-            name = line.split(None, 1)[1].strip()
-        elif line.startswith("points:"):
-            points = line[len("points:"):].split()
+class _SpaceLines:
+    """The 'points:' and 'covers:' lines of a space or map file."""
+
+    def __init__(self):
+        self.points = None
+        self.covers = []
+
+    def read(self, idx: int, line: str) -> bool:
+        """Take in a 'points:' or 'covers:' line; False for any other line."""
+        if line.startswith("points:"):
+            self.points = line[len("points:"):].split()
         elif line.startswith("covers:"):
             for tok in line[len("covers:"):].split():
                 if "<" not in tok:
                     raise ParseError(f"line {idx}: cover {tok!r} must look like a<b")
                 x, y = tok.split("<", 1)
-                covers.append((x, y))
+                self.covers.append((x, y))
         else:
+            return False
+        return True
+
+
+def parse_space(text: str):
+    """Parse a space file; returns (name, FinSpec)."""
+    name = None
+    spec = _SpaceLines()
+    for idx, line in _content_lines(text):
+        if line.startswith("space "):
+            name = line.split(None, 1)[1].strip()
+        elif not spec.read(idx, line):
             raise ParseError(f"line {idx}: unrecognized directive {line!r}")
     if name is None:
         raise ParseError("missing 'space NAME' line")
-    if points is None:
+    if spec.points is None:
         raise ParseError("missing 'points:' line")
-    return name, build_space(points, covers)
+    return name, build_space(spec.points, spec.covers)
 
 
 def space_to_text(name: str, m: FinSpec) -> str:
@@ -437,6 +450,13 @@ def _parse_matrix(text: str, ring: ScalarRing, idx: int):
     if any(len(r) != ncols for r in rows):
         raise ParseError(f"ragged matrix literal {text!r}")
     return rows
+
+
+def _shaped(ring: ScalarRing, rows, nrows: int, ncols: int, what: str) -> Matrix:
+    """The parsed rows as an nrows x ncols matrix; what names it in the error."""
+    if len(rows) != nrows or (rows and len(rows[0]) != ncols):
+        raise ParseError(f"{what} must be {nrows}x{ncols}")
+    return Matrix(ring, rows, nrows, ncols)
 
 
 def _matrix_str(m: Matrix) -> str:
@@ -544,11 +564,8 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
         rk = ranks.get(pt, {})
         dd = {}
         for deg, rows in diffs.get(pt, {}).items():
-            want_rows, want_cols = rk.get(deg + 1, 0), rk.get(deg, 0)
-            if len(rows) != want_rows or (rows and len(rows[0]) != want_cols):
-                raise ParseError(
-                    f"stalk {pt!r}: d_{deg} must be {want_rows}x{want_cols}")
-            dd[deg] = Matrix(ring, rows, want_rows, want_cols)
+            dd[deg] = _shaped(ring, rows, rk.get(deg + 1, 0), rk.get(deg, 0),
+                              f"stalk {pt!r}: d_{deg}")
         try:
             stalks[pt] = FreeChainComplex(ring, rk, dd)
         except (ValueError, DegreeOverflow) as e:
@@ -557,12 +574,8 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
     for (x, y), per_deg in gen_mats.items():
         mats = {}
         for deg, rows in per_deg.items():
-            want_rows = stalks[y].rank(deg)
-            want_cols = stalks[x].rank(deg)
-            if len(rows) != want_rows or (rows and len(rows[0]) != want_cols):
-                raise ParseError(
-                    f"gen {x}<{y}: deg {deg} matrix must be {want_rows}x{want_cols}")
-            mats[deg] = Matrix(ring, rows, want_rows, want_cols)
+            mats[deg] = _shaped(ring, rows, stalks[y].rank(deg), stalks[x].rank(deg),
+                                f"gen {x}<{y}: deg {deg} matrix")
         try:
             gens[(x, y)] = ChainMap(stalks[x], stalks[y], mats)
         except ValueError as e:
@@ -620,36 +633,27 @@ def parse_map(text: str, source: FinSpec):
     """Parse a map file (with its embedded target space) against a source."""
     name = None
     tgt_name = None
-    points = None
-    covers = []
+    spec = _SpaceLines()
     sends = {}
     for idx, line in _content_lines(text):
         if line.startswith("map "):
             name = line.split(None, 1)[1].strip()
         elif line.startswith("target "):
             tgt_name = line.split(None, 1)[1].strip()
-        elif line.startswith("points:"):
-            points = line[len("points:"):].split()
-        elif line.startswith("covers:"):
-            for tok in line[len("covers:"):].split():
-                if "<" not in tok:
-                    raise ParseError(f"line {idx}: cover {tok!r} must look like a<b")
-                x, y = tok.split("<", 1)
-                covers.append((x, y))
         elif line.startswith("sends:"):
             for tok in line[len("sends:"):].split():
                 if "->" not in tok:
                     raise ParseError(f"line {idx}: assignment {tok!r} must look like a->x")
                 x, y = tok.split("->", 1)
                 sends[x] = y
-        else:
+        elif not spec.read(idx, line):
             raise ParseError(f"line {idx}: unrecognized directive {line!r}")
     if name is None:
         raise ParseError("missing 'map NAME' line")
-    if tgt_name is None or points is None:
+    if tgt_name is None or spec.points is None:
         raise ParseError("map file must declare its target space "
                          "(target/points/covers lines)")
-    target = build_space(points, covers)
+    target = build_space(spec.points, spec.covers)
     return name, tgt_name, MonotoneMap(source, target, list(sends.items()))
 
 
@@ -675,16 +679,19 @@ def _phi_json(phi: ConsFunction):
     return {str(p): v for p, v in phi.values}
 
 
-def cmd_cohomology(args):
+def _load_sheaf(args) -> SheafComplex:
+    """The sheaf file of args, parsed against its space file."""
     name, m = parse_space(_read(args.space))
-    k = parse_sheaf(_read(args.sheaf), name, m)
-    return _report_cohomology(k, args.json), 0
+    return parse_sheaf(_read(args.sheaf), name, m)
+
+
+def cmd_cohomology(args):
+    return _report_cohomology(_load_sheaf(args), args.json), 0
 
 
 def cmd_pushforward(args):
-    name, m = parse_space(_read(args.space))
-    k = parse_sheaf(_read(args.sheaf), name, m)
-    _, tgt_name, f = parse_map(_read(args.map), m)
+    k = _load_sheaf(args)
+    _, tgt_name, f = parse_map(_read(args.map), k.space)
     out = pushforward(f, k)
     if args.json:
         stalk = {str(p): {str(n): _module_json(mod)
@@ -695,9 +702,7 @@ def cmd_pushforward(args):
 
 
 def cmd_chi(args):
-    name, m = parse_space(_read(args.space))
-    k = parse_sheaf(_read(args.sheaf), name, m)
-    phi = chi(k)
+    phi = chi(_load_sheaf(args))
     if args.json:
         return json.dumps({"chi": _phi_json(phi)}, sort_keys=True), 0
     return str(phi), 0
@@ -715,14 +720,9 @@ def cmd_realize(args):
 
 
 def cmd_decompose(args):
-    name, m = parse_space(_read(args.space))
-    k = parse_sheaf(_read(args.sheaf), name, m)
+    k = _load_sheaf(args)
     pieces, _ = cell_decompose(k)
-    chis = [(pt, k0_rank(c).value) for pt, c in pieces]
-    acc = ConsFunction.zero(m)
-    for pt, piece_chi in chis:
-        acc = acc + ConsFunction(m, {q: (piece_chi if q == pt else 0) for q in m.points})
-    ok = acc == chi(k)
+    chis, ok = piece_indices(k, pieces)
     if args.json:
         return json.dumps({"pieces": [{"point": str(pt), "chi": piece_chi}
                                       for pt, piece_chi in chis],
@@ -733,9 +733,8 @@ def cmd_decompose(args):
 
 
 def cmd_basechange(args):
-    name, m = parse_space(_read(args.space))
-    k = parse_sheaf(_read(args.sheaf), name, m)
-    _, _, f = parse_map(_read(args.map), m)
+    k = _load_sheaf(args)
+    _, _, f = parse_map(_read(args.map), k.space)
     # here the sheaf lives on the source of f: the space file is the source
     locus, flags = base_change_locus(f, k)
     verdicts = {q: (q in locus) for q in f.target.points}

@@ -74,9 +74,6 @@ class ConsFunction:
     def is_zero(self) -> bool:
         return all(v == 0 for _, v in self.values)
 
-    def support(self) -> frozenset:
-        return frozenset(p for p, v in self.values if v != 0)
-
     def __str__(self):
         return "phi: " + " ".join(f"{p}={v}" for p, v in self.values)
 
@@ -84,6 +81,17 @@ class ConsFunction:
 def chi(k: SheafComplex) -> ConsFunction:
     """The pointwise Euler index: the K0 rank of every stalk complex."""
     return ConsFunction(k.space, {p: k0_rank(c).value for p, c in k.stalks.items()})
+
+
+def piece_indices(k: SheafComplex, pieces):
+    """The Euler rank of each (point, stalk complex) piece of a cell
+    decomposition of k, as (point, rank) pairs, and whether the ranks,
+    placed at their points, sum to chi(k)."""
+    ranks = [(pt, k0_rank(c).value) for pt, c in pieces]
+    acc = dict.fromkeys(k.space.points, 0)
+    for pt, v in ranks:
+        acc[pt] += v
+    return ranks, ConsFunction(k.space, acc) == chi(k)
 
 
 def realize(phi: ConsFunction) -> SheafComplex:

@@ -715,9 +715,6 @@ class FreeChainComplex:
             return d
         return Matrix.zeros(self.ring, self.rank(n + 1), self.rank(n))
 
-    def degrees(self):
-        return sorted(self.ranks)
-
     def is_zero(self) -> bool:
         return not self.ranks
 

@@ -63,7 +63,9 @@ def random_complex(rng: Random, ring: ScalarRing = ZZ, max_pieces: int = 3,
     return out
 
 
-def conjugate_complex(rng: Random, c: FreeChainComplex):
+def _conjugated(rng: Random, c: FreeChainComplex):
+    """c after a random unimodular change of basis t_n in every degree n,
+    with the (t_n, t_n^-1) pairs by degree."""
     ts = {n: random_unimodular(rng, c.ring, r) for n, r in c.ranks.items()}
     diffs = {}
     for n in c.ranks:
@@ -72,21 +74,19 @@ def conjugate_complex(rng: Random, c: FreeChainComplex):
         t_next, _ = ts[n + 1]
         _, tinv = ts[n]
         diffs[n] = t_next @ c.diff(n) @ tinv
-    return FreeChainComplex(c.ring, dict(c.ranks), diffs, check=False)
+    return FreeChainComplex(c.ring, dict(c.ranks), diffs, check=False), ts
+
+
+def conjugate_complex(rng: Random, c: FreeChainComplex):
+    return _conjugated(rng, c)[0]
 
 
 def conjugate_sheaf(rng: Random, k: SheafComplex) -> SheafComplex:
-    ts = {}
+    """Each stalk conjugated in turn, and each generization map by the
+    changes of basis of its two stalks."""
+    stalks, ts = {}, {}
     for p, c in k.stalks.items():
-        ts[p] = {n: random_unimodular(rng, k.ring, r) for n, r in c.ranks.items()}
-    stalks = {}
-    for p, c in k.stalks.items():
-        diffs = {}
-        for n in c.ranks:
-            if c.rank(n + 1) == 0:
-                continue
-            diffs[n] = ts[p][n + 1][0] @ c.diff(n) @ ts[p][n][1]
-        stalks[p] = FreeChainComplex(k.ring, dict(c.ranks), diffs, check=False)
+        stalks[p], ts[p] = _conjugated(rng, c)
     gens = {}
     for (x, y), g in k.gens.items():
         mats = {}

@@ -125,9 +125,6 @@ class SheafComplex:
             got = self._rho[(x, y)]
         return got
 
-    def stalk(self, x) -> FreeChainComplex:
-        return self.stalks[x]
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.stalks.values())
 

@@ -232,7 +232,8 @@ class SperPoint:
 
     kind is one of "alg" (a closed algebraic point), "cut-" / "cut+" (the
     orderings placing t infinitesimally left / right of the center, which
-    specialize to it), "-inf" and "+inf" (closed ends).
+    specialize to it), "-inf" and "+inf" (closed ends).  A rational center
+    is stored as an AlgNumber.
     """
 
     kind: str
@@ -243,23 +244,19 @@ class SperPoint:
             raise SperError(f"unknown point kind {self.kind!r}")
         if self.kind in ("alg", "cut-", "cut+") and self.center is None:
             raise SperError("this kind of point needs a center")
+        if isinstance(self.center, (int, Fraction)):
+            object.__setattr__(self, "center", AlgNumber.from_rational(self.center))
 
     @classmethod
     def alg(cls, a):
-        if isinstance(a, (int, Fraction)):
-            a = AlgNumber.from_rational(a)
         return cls("alg", a)
 
     @classmethod
     def cut_minus(cls, a):
-        if isinstance(a, (int, Fraction)):
-            a = AlgNumber.from_rational(a)
         return cls("cut-", a)
 
     @classmethod
     def cut_plus(cls, a):
-        if isinstance(a, (int, Fraction)):
-            a = AlgNumber.from_rational(a)
         return cls("cut+", a)
 
     @classmethod
@@ -426,29 +423,24 @@ class SperConstructible:
 
     __slots__ = ("roots", "mask")
 
-    def __init__(self, roots, mask, normalize=True):
+    def __init__(self, roots, mask):
         roots = list(roots)
         mask = list(mask)
         if len(mask) != 2 * len(roots) + 1:
             raise SperError("mask length must be 2k+1")
-        if normalize:
-            j = 0
-            while j < len(roots):
-                if mask[2 * j] == mask[2 * j + 1] == mask[2 * j + 2]:
-                    del roots[j]
-                    del mask[2 * j + 1:2 * j + 3]
-                else:
-                    j += 1
+        j = 0
+        while j < len(roots):
+            if mask[2 * j] == mask[2 * j + 1] == mask[2 * j + 2]:
+                del roots[j]
+                del mask[2 * j + 1:2 * j + 3]
+            else:
+                j += 1
         self.roots = tuple(roots)
         self.mask = tuple(bool(b) for b in mask)
 
     @classmethod
     def whole(cls) -> "SperConstructible":
-        return cls((), (True,), normalize=False)
-
-    @classmethod
-    def empty(cls) -> "SperConstructible":
-        return cls((), (False,), normalize=False)
+        return cls((), (True,))
 
     def is_empty(self) -> bool:
         return not any(self.mask)
@@ -469,8 +461,7 @@ class SperConstructible:
                 for pos in range(2 * len(roots) + 1)]
 
     def complement(self) -> "SperConstructible":
-        return SperConstructible(self.roots, tuple(not b for b in self.mask),
-                                 normalize=False)
+        return SperConstructible(self.roots, tuple(not b for b in self.mask))
 
     def union(self, other: "SperConstructible") -> "SperConstructible":
         return self._combine(other, operator.or_)
@@ -696,25 +687,17 @@ def _rational_atom(r: Fraction, op: str) -> Atom:
     return Atom((-r.numerator, r.denominator), op)
 
 
-def _atom_gt_root(r: AlgNumber):
-    """A formula for t > r."""
+def _atom_beyond_root(r: AlgNumber, side: int):
+    """A formula for t > r (side 1) or t < r (side -1): past the far end of
+    r's interval, or past the near end with r.poly signed as just past r."""
+    op = ">" if side > 0 else "<"
     if r.is_rational():
-        return _rational_atom(r.as_rational(), ">")
-    sigma = sign_at(r.poly, SperPoint.cut_plus(r))
+        return _rational_atom(r.as_rational(), op)
+    near, far = (r.lo, r.hi) if side > 0 else (r.hi, r.lo)
+    sigma = sign_at(r.poly, SperPoint("cut+" if side > 0 else "cut-", r))
     return Or((
-        _rational_atom(r.hi, ">="),
-        And((_rational_atom(r.lo, ">"), Atom(ip.scale(r.poly, sigma), ">"))),
-    ))
-
-
-def _atom_lt_root(r: AlgNumber):
-    """A formula for t < r."""
-    if r.is_rational():
-        return _rational_atom(r.as_rational(), "<")
-    sigma = sign_at(r.poly, SperPoint.cut_minus(r))
-    return Or((
-        _rational_atom(r.lo, "<="),
-        And((_rational_atom(r.hi, "<"), Atom(ip.scale(r.poly, sigma), ">"))),
+        _rational_atom(far, op + "="),
+        And((_rational_atom(near, op), Atom(ip.scale(r.poly, sigma), ">"))),
     ))
 
 
@@ -746,9 +729,9 @@ def defining_formula(s: SperConstructible):
             continue
         conds = []
         if pos > 0:
-            conds.append(_atom_gt_root(roots[pos // 2 - 1]))
+            conds.append(_atom_beyond_root(roots[pos // 2 - 1], 1))
         if pos < 2 * k:
-            conds.append(_atom_lt_root(roots[pos // 2]))
+            conds.append(_atom_beyond_root(roots[pos // 2], -1))
         pieces.append(And(tuple(conds)) if len(conds) > 1 else conds[0])
     return Or(tuple(pieces)) if len(pieces) > 1 else pieces[0]
 

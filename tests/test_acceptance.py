@@ -8,19 +8,15 @@ verdict lines.
 from random import Random
 
 import sheafkit.intpoly as ip
-from sheafkit.k0 import ConsFunction, chi, global_euler, realize
-from sheafkit.linalg import (
-    FreeChainComplex, Matrix, ZZ, homology, k0_rank, snf,
+from sheafkit.k0 import ConsFunction
+from sheafkit.linalg import FreeChainComplex, Matrix, ZZ, homology, snf
+from sheafkit.randgen import random_monotone_map, random_poset, random_sheaf
+from sheafkit.selftest import (
+    _check_chi_realize, _check_conservativity, _check_factorization, _check_snf,
 )
-from sheafkit.randgen import (
-    random_cons_function, random_discrete_fiber_map, random_monotone_map,
-    random_poset, random_sheaf,
-)
-from sheafkit.selftest import _check_snf
 from sheafkit.sheaf import (
-    base_change_compare, base_change_locus, cell_decompose, constant_sheaf,
-    localization_triangle, pushforward, rgamma, sheaf_is_acyclic,
-    triangle_is_exact,
+    base_change_compare, base_change_locus, constant_sheaf,
+    localization_triangle, rgamma, triangle_is_exact,
 )
 from sheafkit.space import build_space, krull_dim, subspace
 from sheafkit.sper import (
@@ -79,33 +75,14 @@ def test_criterion_3_localization_exactness():
 
 def test_criterion_4_euler_index_isomorphism():
     rng = Random(103)
-    failures = 0
-    for _ in range(200):
-        m = random_poset(rng, 4)
-        phi = random_cons_function(rng, m, -3, 3)
-        if chi(realize(phi)) != phi:
-            failures += 1
-    for _ in range(100):
-        m = random_poset(rng, 4)
-        k = random_sheaf(rng, m)
-        pieces, _ = cell_decompose(k)
-        acc = ConsFunction.zero(m)
-        for pt, c in pieces:
-            v = k0_rank(c).value
-            acc = acc + ConsFunction(m, {q: v if q == pt else 0 for q in m.points})
-        if acc != chi(k):
-            failures += 1
+    failures = sum(not _check_chi_realize(rng) for _ in range(200))
+    failures += sum(not _check_factorization(rng) for _ in range(100))
     _verdict(4, "index realization and cell decomposition bookkeeping", failures == 0)
 
 
 def test_criterion_5_additive_invariant_factorization():
     rng = Random(104)
-    failures = 0
-    for _ in range(100):
-        m = random_poset(rng, 4)
-        k = random_sheaf(rng, m)
-        if global_euler(k).value != global_euler(realize(chi(k))).value:
-            failures += 1
+    failures = sum(not _check_factorization(rng) for _ in range(100))
     _verdict(5, "Euler characteristic factors through the index", failures == 0)
 
 
@@ -136,17 +113,7 @@ def test_criterion_6_base_change():
 
 def test_criterion_7_conservativity():
     rng = Random(106)
-    failures = 0
-    done = 0
-    while done < 200:
-        tgt = random_poset(rng, 4)
-        f = random_discrete_fiber_map(rng, tgt)
-        k = random_sheaf(rng, f.source)
-        if sheaf_is_acyclic(k):
-            continue
-        done += 1
-        if sheaf_is_acyclic(pushforward(f, k)):
-            failures += 1
+    failures = sum(not _check_conservativity(rng) for _ in range(200))
     _verdict(7, "discrete-fiber pushforward is conservative, 200 instances",
              failures == 0)
 
