@@ -19,7 +19,9 @@ Text formats:
 * spaces: "space NAME" / "points: a b c" / "covers: a<b b<c";
 * sheaves: "ring Z|Q|F p" / "space NAME" / per point
   "stalk x: deg d rank r; d_d = [[..],[..]]" / per cover
-  "gen x<y: deg d = [[..]]" with row-major matrices, rationals as p/q,
+  "gen x<y: deg d = [[..]]" with row-major matrices (one outer bracket
+  holding one bracket per row, entries separated by commas; "[]" is the
+  empty matrix, and no other bracket may appear), rationals as p/q,
   each numerator and denominator within MAX_COEFF_BITS, and the stalk
   ranks of the whole file summing to at most MAX_STALK_RANK = 100000,
   checked as the stalk lines are read, before any matrix is built;
@@ -421,28 +423,28 @@ def _parse_scalar(tok: str, ring: ScalarRing, idx: int):
 
 
 def _parse_matrix(text: str, ring: ScalarRing, idx: int):
-    """Parse row-major [[a,b],[c,d]] on line idx; [] is the empty matrix."""
+    """Parse row-major [[a,b],[c,d]] on line idx; [] is the empty matrix.
+
+    One outer bracket holds the rows, one bracket each: a "[" inside a row
+    or a "]" outside one is an error."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise ParseError(f"matrix literal must be bracketed, got {text!r}")
     body = s[1:-1].strip()
     rows = []
-    depth = 0
+    in_row = False
     cur = ""
     for ch in body:
-        if ch == "[":
-            depth += 1
-            cur = ""
-        elif ch == "]":
-            depth -= 1
-            rows.append([_parse_scalar(t, ring, idx) for t in cur.split(",") if t.strip()])
-        elif depth == 1:
+        if in_row and ch not in "[]":
             cur += ch
-        elif ch in ", \t":
-            continue
-        elif depth == 0:
+        elif ch == "[" and not in_row:
+            in_row, cur = True, ""
+        elif ch == "]" and in_row:
+            in_row = False
+            rows.append([_parse_scalar(t, ring, idx) for t in cur.split(",") if t.strip()])
+        elif in_row or ch not in ", \t":
             raise ParseError(f"unexpected {ch!r} in matrix literal")
-    if depth != 0:
+    if in_row:
         raise ParseError(f"unbalanced brackets in matrix literal {text!r}")
     if not rows:
         return None

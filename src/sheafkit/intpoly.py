@@ -295,10 +295,6 @@ def count_roots_halfopen(seq, a, b, d=1) -> int:
     return va - vb
 
 
-def count_real_roots(seq) -> int:
-    return variations_at_neg_inf(seq) - variations_at_pos_inf(seq)
-
-
 def root_bound(p) -> Fraction:
     """Cauchy bound: every real root lies in (-B, B)."""
     if degree(p) < 1:

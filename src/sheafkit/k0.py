@@ -10,7 +10,7 @@ of indicators of closed subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import ZZ, FreeChainComplex, K0Class, k0_rank
 from .sheaf import SheafComplex, rgamma
@@ -27,6 +27,7 @@ class ConsFunction:
 
     space: FinSpec
     values: tuple  # sorted tuple of (point, int) pairs, total on points
+    _at: dict = field(compare=False, repr=False)  # the values as a dict
 
     def __init__(self, space: FinSpec, values):
         vals = dict(values)
@@ -40,9 +41,10 @@ class ConsFunction:
         object.__setattr__(self, "values",
                            tuple(sorted(((p, int(v)) for p, v in vals.items()),
                                         key=lambda kv: _key(kv[0]))))
+        object.__setattr__(self, "_at", dict(self.values))
 
     def __call__(self, p) -> int:
-        return dict(self.values)[p]
+        return self._at[p]
 
     @classmethod
     def zero(cls, space: FinSpec) -> "ConsFunction":
@@ -56,8 +58,8 @@ class ConsFunction:
     def _binop(self, other, op):
         if self.space != other.space:
             raise ConsFunctionError("carriers differ")
-        a, b = dict(self.values), dict(other.values)
-        return ConsFunction(self.space, {p: op(a[p], b[p]) for p in a})
+        b = other._at
+        return ConsFunction(self.space, {p: op(x, b[p]) for p, x in self.values})
 
     def __add__(self, other):
         return self._binop(other, lambda x, y: x + y)

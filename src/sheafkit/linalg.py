@@ -9,16 +9,19 @@ for printing and for the transforms below.  Matrices built inside the
 package come from Matrix.from_entries, (i, j, x) triples with repeats
 summed; Matrix(ring, rows) normalizes every entry of dense data.
 
-Questions about invariants only - rank, invariant factors, cokernels and the
-homology of complexes - are answered by one sparse elimination without
-transforms (``_rank_and_factors``) on a copy of the stored rows: H^n over a
-PID follows from the ranks of d_n and d_{n-1} and the invariant factors of
-d_{n-1}.  Smith normal form with transformation matrices (``snf``) works on
-a dense copy and is kept for the callers that need a certificate: kernel
-lattices (``kernel_basis``) and integer linear solving (``solve_right``).
-One loop serves every ring: its pivot is the first entry of least absolute
-value over Z and the first nonzero entry over Q and F_p, where it
-degenerates to rank normal form.
+Questions about invariants only - rank, invariant factors and the homology
+of complexes - are answered by one sparse elimination without transforms
+(``_rank_and_factors``) on a copy of the stored rows: H^n over a PID follows
+from the ranks of d_n and d_{n-1} and the invariant factors of d_{n-1}.
+Smith normal form with transformation matrices (``snf``) works on a dense
+copy and is kept for the callers that need a certificate: kernel lattices
+(``kernel_basis``) and integer linear solving (``solve_right``).  Both
+eliminations share their rules, each in one loop for every ring: the pivot
+is the first entry of least absolute value, the search stopping at a unit
+(over Q and F_p, the first nonzero entry); rows and columns are cleared by
+quotients; and a non-unit pivot is kept only once it divides every
+remaining entry, so the invariant factors come out as d_1 | d_2 | ... with
+no pass over the diagonal.  Over a field this is rank normal form.
 
 Complexes are cohomological: the differential d_n raises degree n -> n+1 and
 shifts follow C[k]^n = C^{n+k} with differential (-1)^k d.  The total
@@ -31,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 
 # Degree window for all chain complexes; operations that would leave it raise
 # DegreeOverflow instead of truncating.
@@ -502,10 +504,17 @@ def _rank_and_factors(m: Matrix) -> tuple:
     """(rank, invariant factors) of m by one elimination without transforms,
     on a copy of its rows.
 
-    Over Z the factors are the non-unit invariant factors d_1 | d_2 | ... of
-    the matrix, positive; over a field the tuple is empty.
+    The factors are the non-unit invariant factors d_1 | d_2 | ... of m,
+    positive; over a field the tuple is empty.  The rules are those of
+    ``snf``: the pivot p is the first entry of least absolute value in row
+    order, the search stopping at a unit; its column is cleared with the
+    quotients x // p over Z and x * p^-1 over a field.  A non-unit pivot
+    whose row and column are clear is kept only if it divides every
+    remaining entry; otherwise the row of an entry it does not divide is
+    added into the pivot row and the step repeats.
     """
     R = m.ring
+    field = R.kind != "Z"
     mod = R.p if R.kind == "Fp" else None
     rows = {i: dict(r) for i, r in enumerate(m._data) if r}
     cols = {}
@@ -530,71 +539,56 @@ def _rank_and_factors(m: Matrix) -> tuple:
         if not r:
             del rows[i]
 
-    def drop_row(i):
-        for j in rows.pop(i):
-            cols[j].discard(i)
-
-    if R.kind != "Z":
-        rank = 0
-        while rows:
-            pi, prow = next(iter(rows.items()))
-            pj, p = next(iter(prow.items()))
-            inv = R.inv(p)
-            for i in list(cols[pj]):
-                if i != pi:
-                    add_multiple(i, -rows[i][pj] * inv, prow)
-            drop_row(pi)
-            rank += 1
-        return rank, ()
-
-    diag = []
+    rank, factors = 0, []
     while rows:
-        # pivot: an entry of least absolute value, taking the first unit seen
         best = None
         for i, r in rows.items():
             for j, x in r.items():
                 if best is None or abs(x) < best:
                     best, pi, pj = abs(x), i, j
-                    if best == 1:
+                    if field or best == 1:
                         break
-            if best == 1:
-                break
+            else:
+                continue
+            break
         prow = rows[pi]
         p = prow[pj]
+        c = R.inv(p) if field else None
         # clear the pivot column by row operations; remainders are smaller
         # than the pivot, so a dirty pass ends with a smaller pivot next time
         for i in list(cols[pj]):
             if i != pi:
-                add_multiple(i, -(rows[i][pj] // p), prow)
+                x = rows[i][pj]
+                add_multiple(i, -(x * c if field else x // p), prow)
         if len(cols[pj]) > 1:
             continue
-        # the column is clear, so column operations touch the pivot row only
-        dirty = False
-        for j in list(prow):
-            if j != pj:
-                v = prow[j] % p
-                if v:
-                    prow[j] = v
-                    dirty = True
-                else:
-                    del prow[j]
-                    cols[j].discard(pi)
-        if dirty:
-            continue
-        drop_row(pi)
-        diag.append(abs(p))
-    # diag(d_1, ..., d_r) is equivalent to m; pairwise gcd/lcm puts it in
-    # invariant-factor form (units go first and are dropped)
-    d = [x for x in diag if x != 1]
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
-    return len(diag), tuple(x for x in d if x != 1)
-
-
-def rank(m: Matrix) -> int:
-    return _rank_and_factors(m)[0]
+        # the column is clear, so column operations touch the pivot row
+        # only: they clear it for a unit pivot and leave x % p otherwise
+        if not (field or best == 1):
+            dirty = False
+            for j in list(prow):
+                if j != pj:
+                    v = prow[j] % p
+                    if v:
+                        prow[j] = v
+                        dirty = True
+                    else:
+                        del prow[j]
+                        cols[j].discard(pi)
+            if dirty:
+                continue
+            # divisibility: once p divides what is left, every later pivot
+            # is a multiple of it
+            bad = next((r for i, r in rows.items()
+                        if i != pi and any(x % p for x in r.values())), None)
+            if bad is not None:
+                add_multiple(pi, 1, bad)
+                continue
+            factors.append(best)
+        for j in rows.pop(pi):
+            cols[j].discard(pi)
+        rank += 1
+    return rank, tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -649,12 +643,6 @@ class K0Class:
 
     def __neg__(self):
         return K0Class(-self.value)
-
-
-def cokernel_module(ring: ScalarRing, ambient_rank: int, relations: Matrix) -> FGModule:
-    """R^ambient_rank / column span of relations, in invariant-factor form."""
-    rk, factors = _rank_and_factors(relations)
-    return FGModule(ring, factors, ambient_rank - rk)
 
 
 class FreeChainComplex:

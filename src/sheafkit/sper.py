@@ -451,10 +451,6 @@ class SperConstructible:
     def contains(self, pt: SperPoint) -> bool:
         return self.mask[_cell_of_sper_point(self.roots, pt)]
 
-    def contains_value(self, x) -> bool:
-        """Membership of an algebraic point given as AlgNumber or rational."""
-        return self.mask[locate_cell(self.roots, x)]
-
     def membership_on(self, roots) -> list:
         """Membership of each cell of a refinement (roots must contain ours)."""
         return [self.mask[_coarse_cell(self.roots, roots, pos)]

@@ -498,6 +498,16 @@ class TestCommands:
         assert code == 1
         assert text.startswith("error: ") and "degree 20" in text
 
+    @pytest.mark.parametrize("stalk, bracket", [
+        # a bracket inside a row
+        ("stalk s: deg 1 rank 2; d_0 = [[[1]]]", "["),
+        # a bracket outside a row
+        ("stalk s: deg 0 rank 1; deg 1 rank 2; d_0 = [[1]][]", "]"),
+    ])
+    def test_stray_bracket_in_matrix_is_an_error(self, tmp_path, stalk, bracket):
+        text, code = self._cohomology(tmp_path, f"ring Z\nspace sierp\n{stalk}\n")
+        assert (text, code) == (f"error: unexpected {bracket!r} in matrix literal", 1)
+
     def test_truncated_gen_item_is_an_error(self, tmp_path):
         text, code = self._cohomology(tmp_path, CONST + "gen s<eta: deg 0 = [[1]]; deg\n")
         assert code == 1 and text.startswith("error: ")

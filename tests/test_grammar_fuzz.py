@@ -235,6 +235,11 @@ def test_the_fixed_square_sheaf_is_valid():
 @example((SQUARE, SQUARE_SHEAF.replace("gen bot<l", "gen l<bot"), None))
 @example((SQUARE, SQUARE_SHEAF.replace("[[1]]", "[[1,0]]", 1), None))
 @example((SQUARE, SQUARE_SHEAF.replace("ring Z", "ring F 4"), None))
+@example((SQUARE, SQUARE_SHEAF.replace("stalk l: deg 0 rank 1",
+                                       "stalk l: deg 1 rank 2; d_0 = [[[1]]]"), None))
+@example((SQUARE, SQUARE_SHEAF.replace("stalk l: deg 0 rank 1",
+                                       "stalk l: deg 0 rank 1; deg 1 rank 2; d_0 = [[1]][]"),
+          None))
 def test_sheaf_grammar(case):
     check_commands(*case, commands=SHEAF_COMMANDS)
 

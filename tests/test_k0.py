@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -177,3 +178,14 @@ class TestConsFunctionType:
         assert a * b == ConsFunction(m, {"s": -1, "eta": 6})
         assert a - b == ConsFunction(m, {"s": 2, "eta": -1})
         assert str(a) == "phi: eta=2 s=1"
+
+    def test_linear_on_a_2000_point_antichain(self):
+        # calls read one dict kept with the values
+        m = build_space([f"p{i}" for i in range(2000)], [])
+        f = ConsFunction(m, {p: i for i, p in enumerate(m.points)})
+        start = time.perf_counter()
+        assert all(f(p) == i for i, p in enumerate(m.points))
+        assert time.perf_counter() - start < 0.05
+        g = f + f
+        assert g == ConsFunction(m, {p: 2 * i for i, p in enumerate(m.points)})
+        assert hash(g) == hash(f.scale(2)) and "_at" not in repr(f)

@@ -8,7 +8,7 @@ from sheafkit.linalg import (
     ChainMap, DegreeOverflow, FGModule, FreeChainComplex, GF, LinalgError,
     Matrix, PRIME_LIMIT, QQ, RingMismatch, ScalarRing, ZZ, _is_prime,
     _rank_and_factors, block_diagonal, cone, det, homology,
-    is_acyclic, k0_rank, kernel_basis, rank, snf, solve_right, tensor_total,
+    is_acyclic, k0_rank, kernel_basis, snf, solve_right, tensor_total,
     tor_amplitude,
 )
 from sheafkit.randgen import random_poset, random_sheaf
@@ -254,7 +254,7 @@ class TestSNF:
                        rows, cols)
             s, u, v = snf(m)
             assert (u @ m @ v) == s
-            r = rank(m)
+            r = _rank_and_factors(m)[0]
             assert s == Matrix.from_entries(ring, rows, cols,
                                             ((i, i, 1) for i in range(r)))
             assert det(u) != 0 and det(v) != 0
@@ -394,10 +394,15 @@ class TestRankAndFactors:
         assert invariants(Matrix.zeros(ZZ, 2, 3)) == (0, ())
         assert invariants(Matrix(GF(5), [[2, 1], [4, 2]])) == (1, ())
         assert invariants(Matrix(QQ, [[Fraction(1, 2), 3], [2, 12]])) == (1, ())
+        # each non-unit pivot must divide what is left: 4 and 6 give 2 and 12
+        assert invariants(Matrix(ZZ, [[4, 0, 0], [0, 6, 0], [0, 0, 10]])) == (3, (2, 2, 60))
+        assert invariants(Matrix(QQ, [[Fraction(2, 3), 0, 4], [1, 1, 6],
+                                      [Fraction(5, 3), 1, 10]])) == (2, ())
+        assert invariants(Matrix(GF(7), [[3, 5, 1], [6, 3, 2], [0, 1, 4]])) == (2, ())
 
     def test_matches_snf(self):
         rng = Random(12)
-        for ring in (ZZ, QQ, GF(2), GF(3)):
+        for ring in (ZZ, QQ, GF(2), GF(3), GF(7)):
             for _ in range(200):
                 rows, cols, inner = (rng.randint(1, 6) for _ in range(3))
                 a = Matrix(ring, [[rng.randint(-5, 5) for _ in range(inner)]

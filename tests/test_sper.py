@@ -294,7 +294,8 @@ class TestPreimage:
             p = PolyMap(coeffs)
             pre = preimage_set(p, s)
             for q in [Fraction(n, 2) for n in range(-8, 9)]:
-                assert pre.contains_value(q) == s.contains_value(ip.evaluate(p.poly, q))
+                assert (pre.contains(SperPoint.alg(q))
+                        == s.contains(SperPoint.alg(ip.evaluate(p.poly, q))))
 
 
 def const_phi(cp: CellPoset, value=1) -> ConsFunction:
