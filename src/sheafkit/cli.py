@@ -419,7 +419,7 @@ def _parse_scalar(tok: str, ring: ScalarRing, idx: int):
             return ring.normalize(Fraction(_budget_int(num, what), _budget_int(den, what)))
         return ring.normalize(_budget_int(tok, what))
     except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad scalar {tok!r}: {e}")
+        raise ParseError(f"line {idx}: bad scalar {tok!r}: {e}")
 
 
 def _parse_matrix(text: str, ring: ScalarRing, idx: int):
@@ -429,7 +429,7 @@ def _parse_matrix(text: str, ring: ScalarRing, idx: int):
     or a "]" outside one is an error."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise ParseError(f"matrix literal must be bracketed, got {text!r}")
+        raise ParseError(f"line {idx}: matrix literal must be bracketed, got {text!r}")
     body = s[1:-1].strip()
     rows = []
     in_row = False
@@ -443,14 +443,14 @@ def _parse_matrix(text: str, ring: ScalarRing, idx: int):
             in_row = False
             rows.append([_parse_scalar(t, ring, idx) for t in cur.split(",") if t.strip()])
         elif in_row or ch not in ", \t":
-            raise ParseError(f"unexpected {ch!r} in matrix literal")
+            raise ParseError(f"line {idx}: unexpected {ch!r} in matrix literal")
     if in_row:
-        raise ParseError(f"unbalanced brackets in matrix literal {text!r}")
+        raise ParseError(f"line {idx}: unbalanced brackets in matrix literal {text!r}")
     if not rows:
         return None
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
-        raise ParseError(f"ragged matrix literal {text!r}")
+        raise ParseError(f"line {idx}: ragged matrix literal {text!r}")
     return rows
 
 
@@ -462,7 +462,13 @@ def _shaped(ring: ScalarRing, rows, nrows: int, ncols: int, what: str) -> Matrix
 
 
 def _matrix_str(m: Matrix) -> str:
-    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in m.entries) + "]"
+    rows = []
+    for i in range(m.rows):
+        row = ["0"] * m.cols
+        for j, x in m.row(i):
+            row[j] = str(x)
+        rows.append("[" + ",".join(row) + "]")
+    return "[" + ",".join(rows) + "]"
 
 
 def parse_ring(tokens) -> ScalarRing:
@@ -491,8 +497,9 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
     declared_space = None
     ranks = {}   # point -> {deg: rank}
     total_rank = 0  # sum of the positive ranks in `ranks`
-    diffs = {}   # point -> {deg: rows}
-    gen_mats = {}  # (x, y) -> {deg: rows}
+    diffs = {}   # point -> {deg: (line, rows)}
+    gen_mats = {}  # (x, y) -> {deg: (line, rows)}
+    first_line = {}  # point or cover -> the line of its first item
     points, covers = set(m.points), set(m.covers)
     for idx, line in _content_lines(text):
         if line.startswith("ring "):
@@ -508,6 +515,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
                 raise ParseError(f"line {idx}: unknown point {pt!r}")
             ranks.setdefault(pt, {})
             diffs.setdefault(pt, {})
+            first_line.setdefault(pt, idx)
             for item in rest.split(";"):
                 item = item.strip()
                 if not item:
@@ -527,7 +535,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
                     _, _, mat = item.partition("=")
                     rows = _parse_matrix(mat, ring, idx)
                     if rows is not None:
-                        diffs[pt][deg] = rows
+                        diffs[pt][deg] = idx, rows
                 else:
                     raise ParseError(f"line {idx}: malformed stalk item {item!r}")
         elif line.startswith("gen "):
@@ -542,6 +550,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
                 raise ParseError(f"line {idx}: {x!r}<{y!r} is not a cover relation "
                                  f"of space {space_name!r}")
             gen_mats.setdefault((x, y), {})
+            first_line.setdefault((x, y), idx)
             for item in rest.split(";"):
                 item = item.strip()
                 if not item:
@@ -553,7 +562,7 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
                 _, _, mat = item.partition("=")
                 rows = _parse_matrix(mat, ring, idx)
                 if rows is not None:
-                    gen_mats[(x, y)][deg] = rows
+                    gen_mats[(x, y)][deg] = idx, rows
         else:
             raise ParseError(f"line {idx}: unrecognized directive {line!r}")
     if ring is None:
@@ -565,23 +574,23 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
     for pt in m.points:
         rk = ranks.get(pt, {})
         dd = {}
-        for deg, rows in diffs.get(pt, {}).items():
+        for deg, (idx, rows) in diffs.get(pt, {}).items():
             dd[deg] = _shaped(ring, rows, rk.get(deg + 1, 0), rk.get(deg, 0),
-                              f"stalk {pt!r}: d_{deg}")
+                              f"line {idx}: stalk {pt!r}: d_{deg}")
         try:
             stalks[pt] = FreeChainComplex(ring, rk, dd)
         except (ValueError, DegreeOverflow) as e:
-            raise ParseError(f"stalk {pt!r}: {e}")
+            raise ParseError(f"line {first_line[pt]}: stalk {pt!r}: {e}")
     gens = {}
     for (x, y), per_deg in gen_mats.items():
         mats = {}
-        for deg, rows in per_deg.items():
+        for deg, (idx, rows) in per_deg.items():
             mats[deg] = _shaped(ring, rows, stalks[y].rank(deg), stalks[x].rank(deg),
-                                f"gen {x}<{y}: deg {deg} matrix")
+                                f"line {idx}: gen {x}<{y}: deg {deg} matrix")
         try:
             gens[(x, y)] = ChainMap(stalks[x], stalks[y], mats)
         except ValueError as e:
-            raise ParseError(f"gen {x}<{y}: {e}")
+            raise ParseError(f"line {first_line[(x, y)]}: gen {x}<{y}: {e}")
     return SheafComplex(m, ring, stalks, gens)
 
 

@@ -3,7 +3,10 @@
 A sheaf complex is stored by its stalks: one free chain complex per point
 (the sections over the minimal open up-set of the point) together with a
 generization chain map along every cover relation, path-independent across
-the poset.  All functors below are computed exactly on this data:
+the poset.  The composite along x <= y is built only when asked for, through
+one chosen cover path, and validation composes only the composites its
+path comparisons need.  All functors below are computed exactly on this
+data:
 
 * derived global sections via the normalized chain cochain complex over
   strict chains of the poset (bounded by the Krull dimension), built by the
@@ -56,9 +59,11 @@ class PathIndependenceViolation(SheafError):
 class SheafComplex:
     """A bounded complex of constructible sheaves given by stalk data.
 
-    Values are immutable after construction; the only internal mutation is
-    an idempotent memo of composite generization maps, whose entries are
-    deterministic, so concurrent readers never observe different results.
+    Values are immutable after construction.  The composite generization
+    map along x <= y is built on demand by rho and kept in a memo that
+    starts out holding the generization map of every cover; the memo is the
+    only internal mutation, idempotent with deterministic entries, so
+    concurrent readers never observe different results.
     """
 
     __slots__ = ("space", "ring", "stalks", "gens", "_rho")
@@ -79,50 +84,66 @@ class SheafComplex:
             if g is None:
                 g = ChainMap.zero(self.stalks[x], self.stalks[y])
             self.gens[(x, y)] = g
-        self._rho = {}
+        self._rho = dict(self.gens)
         if check:
             self._validate()
 
     def _validate(self):
         """Rings, endpoints and path independence; every generization map
-        is a checked ChainMap already."""
+        is a checked ChainMap already.
+
+        For each x, every cover (w, z) inside the up-set of x that is not
+        the first one into z in covers_upward order, through which rho(x, z)
+        is composed, must carry rho(x, w) to rho(x, z).  By induction along
+        a linear extension this compares all cover paths x -> z, and only
+        the composites these compares need are ever built."""
         for p, c in self.stalks.items():
             if c.ring != self.ring:
                 raise RingMismatch(f"stalk at {p!r} over {c.ring}, expected {self.ring}")
         for (x, y), g in self.gens.items():
             if g.source != self.stalks[x] or g.target != self.stalks[y]:
                 raise SheafError(f"generization map at {x!r}<{y!r} has wrong endpoints")
+        covers = self.space.covers_upward()
         for x in self.space.points:
-            self._compose_from(x, check=True)
-
-    def _compose_from(self, x, check=False):
-        """Memoize rho(x, z) for every z above x, composed through the first
-        cover w < z inside the up-set of x.  With check, compare every other
-        cover into z against it; by induction along a linear extension this
-        compares all cover paths x -> z."""
-        rho = {x: ChainMap.identity(self.stalks[x])}
-        for (w, z) in self.space.covers_upward():
-            if w not in rho:  # w is not above x
-                continue
-            if z not in rho:
-                rho[z] = self._rho[(x, z)] = self.gens[(w, z)].compose(rho[w])
-            elif check:
-                via = self.gens[(w, z)].compose(rho[w])
-                for n in set(via.mats) | set(rho[z].mats):
-                    if via.component(n) != rho[z].component(n):
+            up = self.space.up_set(x)
+            reached = set()
+            for (w, z) in covers:
+                if w not in up:
+                    continue
+                if z not in reached:
+                    reached.add(z)
+                    continue
+                via = self.gens[(w, z)].compose(self.rho(x, w)).mats
+                want = self.rho(x, z).mats
+                for n in set(via) | set(want):
+                    if via.get(n) != want.get(n):
                         raise PathIndependenceViolation(
                             f"two paths {x!r} -> {z!r} compose differently in degree {n}")
 
     def rho(self, x, y) -> ChainMap:
-        """The composite generization map along any cover path x <= y."""
-        if x == y:
-            return ChainMap.identity(self.stalks[x])
+        """The composite generization map along any cover path x <= y: the
+        identity when x == y, gens[(x, y)] itself for a cover, and otherwise
+        gens[(w, y)] after rho(x, w) for the first point w that y covers
+        inside the up-set of x, in covers_upward order."""
         got = self._rho.get((x, y))
-        if got is None:
-            if not self.space.le(x, y):
-                raise SheafError(f"{x!r} is not below {y!r}")
-            self._compose_from(x)
-            got = self._rho[(x, y)]
+        if got is not None:
+            return got
+        if x == y:
+            got = self._rho[(x, x)] = ChainMap.identity(self.stalks[x])
+            return got
+        up = self.space.up_set(x)
+        if y not in up:
+            raise SheafError(f"{x!r} is not below {y!r}")
+        # walk down to a known composite; every cover out of x is known
+        path = []
+        z = y
+        while (x, z) not in self._rho:
+            w = next(w for w in self.space.lower_covers(z) if w in up)
+            path.append((w, z))
+            z = w
+        got = self._rho[(x, z)]
+        for w, z in reversed(path):
+            got = self._rho[(x, z)] = self.gens[(w, z)].compose(got)
         return got
 
     def is_zero(self) -> bool:

@@ -38,7 +38,7 @@ def _key(p):
 class FinSpec:
     """A finite poset regarded as a finite spectral space."""
 
-    __slots__ = ("points", "covers", "_up", "_down", "_chains", "_upward")
+    __slots__ = ("points", "covers", "_up", "_down", "_chains", "_upward", "_lower")
 
     def __init__(self, points, covers):
         pts = list(points)
@@ -69,6 +69,7 @@ class FinSpec:
         self.covers = tuple(sorted(self._hasse(), key=lambda e: (_key(e[0]), _key(e[1]))))
         self._chains = None
         self._upward = None
+        self._lower = None
 
     def _hasse(self):
         edges = []
@@ -134,6 +135,16 @@ class FinSpec:
             # w < z implies a smaller down-set
             self._upward = sorted(self.covers, key=lambda e: (len(self._down[e[1]]), _key(e[1])))
         return self._upward
+
+    def lower_covers(self, z) -> list:
+        """The points that z covers, in the order of covers_upward; built
+        once for every z."""
+        if self._lower is None:
+            lower = {p: [] for p in self.points}
+            for w, y in self.covers_upward():
+                lower[y].append(w)
+            self._lower = lower
+        return self._lower[z]
 
     def strict_chains(self):
         """All nonempty strict chains x_0 < ... < x_n, in (length, keys) order.

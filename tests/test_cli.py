@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import isqrt
 from random import Random
 
@@ -12,10 +13,13 @@ import pytest
 import sheafkit.intpoly as ip
 from sheafkit.cli import (
     MAX_STALK_RANK, ParseError, parse_formula, parse_map, parse_phi, parse_poly, parse_sheaf,
-    parse_space, run, sheaf_to_text, space_to_text,
+    parse_space, run, sheaf_to_text, space_to_text, _matrix_str,
 )
-from sheafkit.randgen import random_cons_function, random_poset, random_sheaf
-from sheafkit.linalg import QQ, GF, LinalgError
+from sheafkit.randgen import (
+    random_cons_function, random_monotone_map, random_poset, random_sheaf,
+)
+from sheafkit.linalg import QQ, GF, ZZ, ChainMap, LinalgError, Matrix
+from sheafkit.sheaf import SheafComplex
 from sheafkit.sper import cell_poset, from_formula
 
 
@@ -223,7 +227,7 @@ class TestParseSheaf:
         for cmd in ("cohomology", "chi"):
             assert run([cmd, "--space", str(tmp_path / "d.space"),
                         "--sheaf", str(tmp_path / "d.sheaf")]) == (
-                "error: gen bot<l: does not commute with d in degree 0", 1)
+                "error: line 5: gen bot<l: does not commute with d in degree 0", 1)
 
     def test_wrong_space_name(self):
         _, m = parse_space(SIERP)
@@ -256,7 +260,7 @@ class TestSheafAndPhiCoeffBudget:
         assert cohomology(str(2 ** 10000)) == over
         assert cohomology(str(2 ** 10000 - 1))[1] == 0
         assert cohomology("0" * 5000 + "3/" + "0" * 5000 + "2")[1] == 0
-        assert cohomology("1/0") == ("error: bad scalar '1/0': Fraction(1, 0)", 1)
+        assert cohomology("1/0") == ("error: line 3: bad scalar '1/0': Fraction(1, 0)", 1)
         _, m = parse_space(SIERP)
         with pytest.raises(ParseError, match="^line 5: scalar above"):
             parse_sheaf(CONST.replace("[[1]]", f"[[-{2 ** 10000}]]"), "sierp", m)
@@ -506,7 +510,7 @@ class TestCommands:
     ])
     def test_stray_bracket_in_matrix_is_an_error(self, tmp_path, stalk, bracket):
         text, code = self._cohomology(tmp_path, f"ring Z\nspace sierp\n{stalk}\n")
-        assert (text, code) == (f"error: unexpected {bracket!r} in matrix literal", 1)
+        assert (text, code) == (f"error: line 3: unexpected {bracket!r} in matrix literal", 1)
 
     def test_truncated_gen_item_is_an_error(self, tmp_path):
         text, code = self._cohomology(tmp_path, CONST + "gen s<eta: deg 0 = [[1]]; deg\n")
@@ -652,3 +656,215 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["sper-roots", "--help"]) == ("", 0)
         assert "--poly" in capsys.readouterr().out
+
+
+class TestErrorsNameTheirLine:
+    """Matrix-literal and construction errors of a sheaf file name the line
+    of their item, or the first line of their point or cover."""
+
+    HEAD = "ring Z\nspace sierp\n"
+
+    @pytest.mark.parametrize("body, message", [
+        # matrix literals and scalars: the line of the literal
+        ("stalk s: deg 0 rank 1\nstalk eta: d_0 = 1\n",
+         "line 4: matrix literal must be bracketed, got ' 1'"),
+        ("stalk s: deg 0 rank 1\nstalk eta: d_0 = [[1]\n",
+         "line 4: unbalanced brackets in matrix literal ' [[1]'"),
+        ("\nstalk s: d_0 = [[1],[1,2]]\n",
+         "line 4: ragged matrix literal ' [[1],[1,2]]'"),
+        ("stalk s: d_0 = [[x]]\n",
+         "line 3: bad scalar 'x': invalid literal for int() with base 10: 'x'"),
+        # a matrix of the wrong shape: the line of its item
+        ("stalk s: deg 0 rank 1\nstalk s: d_0 = [[1]]\n",
+         "line 4: stalk 's': d_0 must be 0x1"),
+        ("stalk s: deg 0 rank 1\nstalk eta: deg 0 rank 1\n"
+         "gen s<eta: deg 1 = []\ngen s<eta: deg 0 = [[1,2]]\n",
+         "line 6: gen s<eta: deg 0 matrix must be 1x1"),
+        # a stalk or a generization map that fails its own check: the
+        # first line of its point or cover
+        ("stalk s: deg 0 rank 1; deg 1 rank 1; deg 2 rank 1\n"
+         "stalk eta: deg 0 rank 1\nstalk s: d_0 = [[1]]; d_1 = [[1]]\n",
+         "line 3: stalk 's': d_1 . d_0 != 0"),
+        ("stalk eta: deg 0 rank 1\n# the bottom point\nstalk s: deg 0 rank -1\n",
+         "line 5: stalk 's': negative rank -1 in degree 0"),
+        ("stalk s: deg 20 rank 1\n",
+         "line 3: stalk 's': degree 20 outside [-16, 16]"),
+        ("stalk s: deg 0 rank 1\nstalk eta: deg 0 rank 1; deg 1 rank 1\n"
+         "gen s<eta: deg 1 = []\nstalk eta: d_0 = [[1]]\ngen s<eta: deg 0 = [[1]]\n",
+         "line 5: gen s<eta: does not commute with d in degree 0"),
+    ])
+    def test_message(self, body, message):
+        _, m = parse_space(SIERP)
+        with pytest.raises(ParseError) as e:
+            parse_sheaf(self.HEAD + body, "sierp", m)
+        assert str(e.value) == message
+
+
+def dense_matrix_str(m):
+    """The report text of m from its dense grid, zeros included."""
+    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in m.entries) + "]"
+
+
+class TestMatrixStr:
+    def test_sparse_rows_against_the_dense_grid(self):
+        rng = Random(4417)
+        draws = {ZZ: lambda: rng.randint(-9, 9),
+                 QQ: lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                 GF(7): lambda: rng.randint(-9, 9)}
+        shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 5), (5, 1)]
+        texts = []
+        zero_lines = 0  # nonzero matrices with a zero row and a zero column
+        for ring, draw in draws.items():
+            for _ in range(60):
+                rows, cols = rng.choice(shapes) if rng.random() < 0.3 else (
+                    rng.randint(1, 7), rng.randint(1, 7))
+                density = rng.choice((0.15, 0.5, 1.0))
+                # about a third keep one row and one column empty
+                blank_i, blank_j = ((rng.randrange(rows or 1), rng.randrange(cols or 1))
+                                    if rng.random() < 1 / 3 else (-1, -1))
+                entries = [(i, j, draw()) for i in range(rows) for j in range(cols)
+                           if rng.random() < density and blank_i != i and blank_j != j]
+                m = Matrix.from_entries(ring, rows, cols, entries)
+                assert _matrix_str(m) == dense_matrix_str(m)
+                texts.append(_matrix_str(m))
+                zero_lines += (not m.is_zero() and not all(m.row(i) for i in range(rows))
+                               and not all(m.col(j) for j in range(cols)))
+        joined = "".join(texts)
+        assert "-" in joined and "/" in joined and zero_lines >= 20
+        assert "[]" in texts and "[[],[],[],[]]" in texts and "[[0,0,0,0,0]]" in texts
+
+    def test_small_examples(self):
+        assert _matrix_str(Matrix.zeros(ZZ, 0, 3)) == "[]"
+        assert _matrix_str(Matrix.zeros(ZZ, 2, 0)) == "[[],[]]"
+        assert _matrix_str(Matrix(QQ, [[0, Fraction(-1, 2)], [0, 0]])) == "[[0,-1/2],[0,0]]"
+        assert _matrix_str(Matrix(GF(7), [[-1, 0, 8]])) == "[[6,0,1]]"
+
+
+# sha256 of the text and JSON reports of pushforward_golden_argvs(),
+# recorded while composite generization maps were still built from the
+# identity and every report matrix was printed from its dense grid
+PUSHFORWARD_DIGEST = "ee33438cb99aca80fcda5eee5bedb8ef76454741cf3e5856975ebf6a7a5ff82e"
+
+
+def _gauged(rng, k):
+    """k with its generization map along x<y scaled by s_y / s_x for random
+    units s_p: again a sheaf, with negative entries over Z and fractions
+    over Q."""
+    ring = k.ring
+    units = {ZZ: (-1, 1), QQ: tuple(Fraction(a, b) for a in (-3, -1, 2, 5) for b in (1, 2, 7)),
+             GF(7): tuple(range(1, 7))}[ring]
+    s = {p: ring.normalize(rng.choice(units)) for p in k.space.points}
+    gens = {(x, y): ChainMap(g.source, g.target,
+                             {n: m.scale(ring.mul(s[y], ring.inv(s[x])))
+                              for n, m in g.mats.items()}, check=False)
+            for (x, y), g in k.gens.items()}
+    return SheafComplex(k.space, ring, k.stalks, gens)
+
+
+def pushforward_golden_argvs(tmp_path):
+    """Seeded pushforward command lines, text and JSON, over Z, Q and F_7,
+    on sheaves with generization maps scaled pointwise by units."""
+    rng = Random("pushforward-golden")
+    for i in range(36):
+        ring = (ZZ, QQ, GF(7))[i % 3]
+        m = random_poset(rng, 6, min_points=2, edge_prob=0.5)
+        k = _gauged(rng, random_sheaf(rng, m, ring, max_pieces=3))
+        f = random_monotone_map(rng, m, random_poset(rng, 4))
+        t = f.target
+        files = {"space": space_to_text("src", m), "sheaf": sheaf_to_text(k, "src"),
+                 "map": "\n".join([
+                     "map f", "target tgt", "points: " + " ".join(t.points),
+                     "covers: " + " ".join(f"{x}<{y}" for x, y in t.covers),
+                     "sends: " + " ".join(f"{x}->{y}" for x, y in f.mapping)]) + "\n"}
+        args = ["pushforward"]
+        for opt, text in files.items():
+            path = tmp_path / f"{i}.{opt}"
+            path.write_text(text)
+            args += [f"--{opt}", str(path)]
+        yield args
+        yield args + ["--json"]
+
+
+def test_pushforward_golden_digest(tmp_path):
+    h = hashlib.sha256()
+    fractions = 0
+    for argv in pushforward_golden_argvs(tmp_path):
+        text, code = run(argv)
+        assert code == 0
+        fractions += "/" in text
+        h.update(f"{argv[-1] == '--json'}\n{text}\n".encode())
+    assert fractions >= 5
+    assert h.hexdigest() == PUSHFORWARD_DIGEST
+
+
+LADDER_8_SPACE = "\n".join([
+    "space ladder",
+    "points: " + " ".join(f"{c}{i}" for i in range(8) for c in "pq"),
+    "covers: " + " ".join(f"{c}{i}<{d}{i + 1}" for i in range(7) for c in "pq" for d in "pq"),
+]) + "\n"
+# random_sheaf(Random(0), ladder of height 8, ZZ, max_pieces=3)
+LADDER_8_SHEAF = """ring Z
+space ladder
+stalk p0: deg 0 rank 2; deg 1 rank 2; d_0 = [[2,-2],[5,-4]]
+stalk p1: deg 0 rank 1; deg 1 rank 1; d_0 = [[2]]
+stalk p2: deg 0 rank 1; deg 1 rank 1; d_0 = [[2]]
+stalk p3: deg 0 rank 1; deg 1 rank 1; d_0 = [[2]]
+stalk p4: deg 0 rank 1; deg 1 rank 1; d_0 = [[2]]
+stalk q0: deg 0 rank 2; deg 1 rank 2; d_0 = [[11,-19],[3,-5]]
+stalk q1: deg 0 rank 2; deg 1 rank 2; d_0 = [[18,26],[-16,-23]]
+stalk q2: deg 0 rank 1; deg 1 rank 1; d_0 = [[2]]
+stalk q3: deg 0 rank 1; deg 1 rank 1; d_0 = [[2]]
+stalk q4: deg 0 rank 1; deg 1 rank 1; d_0 = [[2]]
+stalk q5: deg 0 rank 1; deg 1 rank 1; d_0 = [[2]]
+gen p0<p1: deg 0 = [[2,-1]]; deg 1 = [[-3,2]]
+gen p0<q1: deg 0 = [[-4,-3],[3,2]]; deg 1 = [[-7,4],[5,-3]]
+gen p1<p2: deg 0 = [[1]]; deg 1 = [[1]]
+gen p1<q2: deg 0 = [[1]]; deg 1 = [[1]]
+gen p2<p3: deg 0 = [[1]]; deg 1 = [[1]]
+gen p2<q3: deg 0 = [[1]]; deg 1 = [[1]]
+gen p3<p4: deg 0 = [[1]]; deg 1 = [[1]]
+gen p3<q4: deg 0 = [[1]]; deg 1 = [[1]]
+gen p4<q5: deg 0 = [[1]]; deg 1 = [[1]]
+gen q0<p1: deg 0 = [[1,-2]]; deg 1 = [[1,-3]]
+gen q0<q1: deg 0 = [[13,-36],[-9,25]]; deg 1 = [[-3,11],[1,-4]]
+gen q1<p2: deg 0 = [[7,10]]; deg 1 = [[-1,-2]]
+gen q1<q2: deg 0 = [[7,10]]; deg 1 = [[-1,-2]]
+gen q2<p3: deg 0 = [[1]]; deg 1 = [[1]]
+gen q2<q3: deg 0 = [[1]]; deg 1 = [[1]]
+gen q3<p4: deg 0 = [[1]]; deg 1 = [[1]]
+gen q3<q4: deg 0 = [[1]]; deg 1 = [[1]]
+gen q4<q5: deg 0 = [[1]]; deg 1 = [[1]]
+"""
+# the map that sends both points of level i to c_i on the chain c0 < ... < c7
+LEVEL_MAP = "\n".join([
+    "map level", "target chain",
+    "points: " + " ".join(f"c{i}" for i in range(8)),
+    "covers: " + " ".join(f"c{i}<c{i + 1}" for i in range(7)),
+    "sends: " + " ".join(f"{c}{i}->c{i}" for i in range(8) for c in "pq"),
+]) + "\n"
+
+
+def test_pushforward_work_counts(tmp_path, monkeypatch):
+    """Parsing, validating and pushing forward the ladder sheaf builds no
+    identity matrix, and composes and multiplies only nonzero components.
+    Building each composite from the identity and multiplying zero
+    placeholders made 196 compositions, 316 products and 22 identities."""
+    calls = {"compose": 0, "__matmul__": 0, "identity": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ChainMap, "compose", counted("compose", ChainMap.compose))
+    monkeypatch.setattr(Matrix, "__matmul__", counted("__matmul__", Matrix.__matmul__))
+    monkeypatch.setattr(Matrix, "identity", staticmethod(counted("identity", Matrix.identity)))
+    files = {"space": LADDER_8_SPACE, "sheaf": LADDER_8_SHEAF, "map": LEVEL_MAP}
+    argv = ["pushforward"]
+    for opt, text in files.items():
+        (tmp_path / opt).write_text(text)
+        argv += [f"--{opt}", str(tmp_path / opt)]
+    text, code = run(argv)
+    assert code == 0 and text.startswith("ring Z\nspace chain\nstalk c0: deg 0 rank 14")
+    assert calls == {"compose": 168, "__matmul__": 164, "identity": 0}

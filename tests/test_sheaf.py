@@ -41,6 +41,14 @@ def ladder(height):
     return build_space(pts, covers)
 
 
+def fan(width, height):
+    """x below width chains of height points each, all below z: x < a1 <
+    ... < a<height> < z, x < b1 < ... < z, and so on."""
+    chains = [[f"{c}{i}" for i in range(1, height + 1)] for c in "abcdefgh"[:width]]
+    covers = [(x, y) for ch in chains for x, y in zip(["x"] + ch, ch + ["z"])]
+    return build_space(["x", "z"] + [p for ch in chains for p in ch], covers)
+
+
 def sierpinski():
     return build_space(["s", "eta"], [("s", "eta")])
 
@@ -80,6 +88,27 @@ def assert_same_labeled(got, want):
     assert list(index.items()) == list(index2.items())
 
 
+def _exhaustive_walk(k):
+    """Every composite rho(x, z), each x's composed from the identity
+    through the first cover into z inside the up-set of x, and the first
+    error of comparing every other cover into z against it, or None."""
+    rho = {}
+    for x in k.space.points:
+        walk = {x: ChainMap.identity(k.stalks[x])}
+        for (w, z) in k.space.covers_upward():
+            if w not in walk:
+                continue
+            via = k.gens[(w, z)].compose(walk[w])
+            if z not in walk:
+                walk[z] = via
+                continue
+            for n in set(via.mats) | set(walk[z].mats):
+                if via.component(n) != walk[z].component(n):
+                    return rho, f"two paths {x!r} -> {z!r} compose differently in degree {n}"
+        rho.update(((x, z), f) for z, f in walk.items())
+    return rho, None
+
+
 class TestValidation:
     def test_path_independence_violation(self):
         # two cover paths bottom -> top must compose equally
@@ -115,6 +144,76 @@ class TestValidation:
             sign = (-1) ** (height - 1)
             assert k.rho("p0", f"q{height - 1}").component(0) == Matrix(ZZ, [[sign, 0],
                                                                               [0, sign]])
+
+    def test_violation_only_in_composites(self):
+        # x < a1 < a2 < a3 < z and x < b1 < b2 < b3 < z: no two covers share
+        # both ends of a square, so only the composites x -> z can disagree
+        m = fan(2, 3)
+        assert set(m.points) == {"x", "a1", "a2", "a3", "b1", "b2", "b3", "z"}
+        assert len(m.covers) == 8
+        c = lam()
+        gens = {e: ChainMap.identity(c) for e in m.covers}
+        k = SheafComplex(m, ZZ, {p: c for p in m.points}, gens)
+        assert k.rho("x", "z") == ChainMap.identity(c)
+        gens[("b1", "b2")] = ChainMap(c, c, {0: Matrix(ZZ, [[-1]])})
+        with pytest.raises(PathIndependenceViolation) as e:
+            SheafComplex(m, ZZ, {p: c for p in m.points}, gens)
+        assert str(e.value) == "two paths 'x' -> 'z' compose differently in degree 0"
+
+    def test_rho_of_a_cover_is_its_generization_map(self):
+        m = ladder(3)
+        k = random_sheaf(Random(5), m, max_pieces=3)
+        for e in m.covers:
+            assert k.rho(*e) is k.gens[e]
+        assert k.rho("p0", "p0") == ChainMap.identity(k.stalks["p0"])
+        with pytest.raises(sheafkit.sheaf.SheafError, match="not below"):
+            k.rho("p2", "p0")
+
+    def test_perturbed_generization_against_the_exhaustive_walk(self):
+        """One generization entry perturbed on seeded random posets,
+        ladders and fans: validation must raise exactly the error of the
+        walk that composes every cover out of every x, or accept when it
+        accepts, and a valid sheaf's composites must be the walk's."""
+        rng = Random(2207)
+        violations = accepted = 0
+        for i in range(400):
+            ring = (ZZ, QQ, GF(7))[i % 3]
+            shape = i % 4
+            if shape == 1:
+                m = ladder(2 + i % 5)
+            elif shape == 3:
+                m = fan(rng.randint(3, 4), rng.randint(1, 2))
+            else:
+                m = random_poset(rng, 7, min_points=3, edge_prob=0.5)
+            k = random_sheaf(rng, m, ring=ring, max_pieces=3)
+            walk, want = _exhaustive_walk(k)
+            assert want is None
+            for (x, z), f in walk.items():
+                assert k.rho(x, z) == f
+            spots = [(e, n) for e, g in k.gens.items()
+                     for n in k.stalks[e[0]].ranks if k.stalks[e[1]].rank(n)]
+            if not spots:
+                continue
+            e, n = rng.choice(spots)
+            g = k.gens[e]
+            i0 = rng.randrange(g.target.rank(n))
+            j0 = rng.randrange(g.source.rank(n))
+            bump = Matrix.from_entries(ring, g.target.rank(n), g.source.rank(n),
+                                       [(i0, j0, rng.choice((-2, -1, 1, 2)))])
+            mats = dict(g.mats)
+            mats[n] = g.component(n) + bump
+            gens = dict(k.gens)
+            gens[e] = ChainMap(g.source, g.target, mats, check=False)
+            _, want = _exhaustive_walk(SheafComplex(m, ring, k.stalks, gens, check=False))
+            try:
+                SheafComplex(m, ring, k.stalks, gens)
+                got = None
+            except PathIndependenceViolation as err:
+                got = str(err)
+            assert got == want
+            violations += got is not None
+            accepted += got is None
+        assert violations >= 50 and accepted >= 20
 
     def test_naturality_checked(self):
         m = sierpinski()
