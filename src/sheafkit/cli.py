@@ -22,8 +22,10 @@ Text formats:
   "gen x<y: deg d = [[..]]" with row-major matrices (one outer bracket
   holding one bracket per row, entries separated by commas; "[]" is the
   empty matrix, and no other bracket may appear), rationals as p/q,
-  each numerator and denominator within MAX_COEFF_BITS, and the stalk
-  ranks of the whole file summing to at most MAX_STALK_RANK = 100000,
+  each numerator and denominator within MAX_COEFF_BITS (in an F p file,
+  a/b means a * b^-1 mod p, and a denominator divisible by p is an
+  error), and the stalk ranks of the whole file summing to at most
+  MAX_STALK_RANK = 100000,
   checked as the stalk lines are read, before any matrix is built;
   degrees lie in [-16, 16] and F p takes primes p below
   3317044064679887385961981 (about 3.3e24), where the deterministic
@@ -455,10 +457,12 @@ def _parse_matrix(text: str, ring: ScalarRing, idx: int):
 
 
 def _shaped(ring: ScalarRing, rows, nrows: int, ncols: int, what: str) -> Matrix:
-    """The parsed rows as an nrows x ncols matrix; what names it in the error."""
+    """The parsed rows, whose scalars ``_parse_scalar`` normalized, as an
+    nrows x ncols matrix; what names it in the error."""
     if len(rows) != nrows or (rows and len(rows[0]) != ncols):
         raise ParseError(f"{what} must be {nrows}x{ncols}")
-    return Matrix(ring, rows, nrows, ncols)
+    return Matrix._of(ring, nrows, ncols,
+                      [{j: x for j, x in enumerate(r) if x} for r in rows])
 
 
 def _matrix_str(m: Matrix) -> str:

@@ -5,9 +5,12 @@ matrix entry is kept as a reduced canonical representative.  A Matrix stores
 only its nonzero entries, one dict column -> entry per row: the coboundaries
 of derived sections are almost all zeros.  ``m.row(i)`` and ``m.col(j)``
 yield the nonzero (index, entry) pairs, and ``m.entries`` is a dense view
-for printing and for the transforms below.  Matrices built inside the
-package come from Matrix.from_entries, (i, j, x) triples with repeats
-summed; Matrix(ring, rows) normalizes every entry of dense data.
+for printing and for the transforms below.  Building a Matrix is the one
+point where entries are normalized: Matrix.from_entries ((i, j, x) triples
+with repeats summed), Matrix(ring, rows) on dense data, ``scale`` and ``@``
+pass each stored value through ScalarRing.normalize once.  So builders pass
+raw integer coefficients - signs +-1 and unreduced products - and never
+form ring elements first.
 
 Questions about invariants only - rank, invariant factors and the homology
 of complexes - are answered by one sparse elimination without transforms
@@ -83,6 +86,11 @@ class ScalarRing:
             return int(x)
         if self.kind == "Q":
             return x if type(x) is Fraction else Fraction(x)
+        if isinstance(x, Fraction):  # a/b is a * b^-1 mod p
+            den = x.denominator % self.p
+            if not den:
+                raise ValueError(f"denominator {x.denominator} is not invertible mod {self.p}")
+            return x.numerator * pow(den, -1, self.p) % self.p
         return int(x) % self.p
 
     def zero(self):
@@ -91,27 +99,8 @@ class ScalarRing:
     def one(self):
         return Fraction(1) if self.kind == "Q" else 1
 
-    def add(self, a, b):
-        return self.normalize(a + b)
-
-    def sub(self, a, b):
-        return self.normalize(a - b)
-
-    def mul(self, a, b):
-        return self.normalize(a * b)
-
-    def neg(self, a):
-        return self.normalize(-a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def is_unit(self, a) -> bool:
-        if self.is_zero(a):
-            return False
-        if self.kind == "Z":
-            return a in (1, -1)
-        return True
+        return a in (1, -1) if self.kind == "Z" else a != 0
 
     def inv(self, a):
         if self.kind == "Z":
@@ -124,8 +113,8 @@ class ScalarRing:
 
     def divides(self, a, b) -> bool:
         """Whether a | b.  Zero divides only zero."""
-        if self.is_zero(a):
-            return self.is_zero(b)
+        if not a:
+            return not b
         if self.kind == "Z":
             return b % a == 0
         return True
@@ -137,7 +126,7 @@ class ScalarRing:
             if r != 0:
                 raise ValueError(f"{a} does not divide {b}")
             return q
-        return self.mul(b, self.inv(a))
+        return self.normalize(b * self.inv(a))
 
     def __str__(self):
         if self.kind == "Fp":
@@ -244,8 +233,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        one = ring.one()
-        return cls.from_entries(ring, n, n, ((i, i, one) for i in range(n)))
+        return cls.from_entries(ring, n, n, ((i, i, 1) for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -373,18 +361,17 @@ def det(m: Matrix):
     negate = False
     prev = R.one()
     for k in range(n - 1):
-        if R.is_zero(a[k][k]):
-            i = next((i for i in range(k + 1, n) if not R.is_zero(a[i][k])), None)
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
             if i is None:
                 return R.zero()
             a[k], a[i] = a[i], a[k]
             negate = not negate
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = R.exact_div(R.sub(R.mul(a[i][j], a[k][k]),
-                                            R.mul(a[i][k], a[k][j])), prev)
+                a[i][j] = R.exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
         prev = a[k][k]
-    return R.neg(a[-1][-1]) if negate else a[-1][-1]
+    return R.normalize(-a[-1][-1]) if negate else a[-1][-1]
 
 
 def snf(m: Matrix):
@@ -608,7 +595,7 @@ class FGModule:
             raise ValueError("negative free rank")
         prev = None
         for d in self.invariant_factors:
-            if self.ring.is_zero(d) or self.ring.is_unit(d):
+            if not d or self.ring.is_unit(d):
                 raise ValueError(f"invariant factor {d} is zero or a unit")
             if prev is not None and not self.ring.divides(prev, d):
                 raise ValueError(f"invariant factors must divide in order: {prev}, {d}")
@@ -714,11 +701,10 @@ class FreeChainComplex:
 
     def shift(self, k: int) -> "FreeChainComplex":
         """C[k]^n = C^{n+k}, differential scaled by (-1)^k."""
-        sign = self.ring.one() if k % 2 == 0 else self.ring.neg(self.ring.one())
         return FreeChainComplex(
             self.ring,
             {n - k: r for n, r in self.ranks.items()},
-            {n - k: d.scale(sign) for n, d in self.diffs.items()},
+            {n - k: -d if k % 2 else d for n, d in self.diffs.items()},
             check=False)
 
     def direct_sum(self, other: "FreeChainComplex") -> "FreeChainComplex":
@@ -864,7 +850,6 @@ def cone(f: ChainMap) -> tuple:
     """
     a, b = f.source, f.target
     R = a.ring
-    one = R.one()
     ranks = {n: a.rank(n + 1) + b.rank(n)
              for n in {x - 1 for x in a.ranks} | set(b.ranks)}
     diffs = {}
@@ -879,12 +864,12 @@ def cone(f: ChainMap) -> tuple:
     for n, rb in b.ranks.items():
         ra1 = a.rank(n + 1)
         inc[n] = Matrix.from_entries(R, ra1 + rb, rb,
-                                     ((ra1 + i, i, one) for i in range(rb)))
+                                     ((ra1 + i, i, 1) for i in range(rb)))
     include = ChainMap(b, cn, inc, check=False)
     proj = {}
     for n, r in cn.ranks.items():
         ra1 = a.rank(n + 1)
-        proj[n] = Matrix.from_entries(R, ra1, r, ((i, i, one) for i in range(ra1)))
+        proj[n] = Matrix.from_entries(R, ra1, r, ((i, i, 1) for i in range(ra1)))
     project = ChainMap(cn, a.shift(1), proj, check=False)
     return cn, include, project
 
@@ -936,16 +921,14 @@ def tensor_with_basis(c1: FreeChainComplex, c2: FreeChainComplex):
         raise RingMismatch("tensor over different rings")
     R = c1.ring
     basis = _tensor_basis(c1, c2)
-    one = R.one()
-    neg = R.neg(one)
 
     def entries(n, lab):
         p, q, i, j = lab
         for i2, co in c1.diff(p).col(i):
             yield (p + 1, q, i2, j), co
-        sign = one if p % 2 == 0 else neg
+        sign = -1 if p % 2 else 1
         for j2, co in c2.diff(q).col(j):
-            yield (p, q + 1, i, j2), R.mul(sign, co)
+            yield (p, q + 1, i, j2), sign * co
 
     return complex_from_basis(R, basis, entries)
 

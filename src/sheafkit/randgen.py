@@ -32,16 +32,16 @@ def random_poset(rng: Random, max_points: int = 6, min_points: int = 1,
 
 def random_unimodular(rng: Random, ring: ScalarRing, n: int, ops: int = 4):
     """A unimodular matrix together with its inverse (elementary ops)."""
-    t = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-    tinv = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    tinv = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(ops if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
-        c = ring.normalize(rng.choice([-2, -1, 1, 2]))
-        # row_i += c * row_j in t;  col_j -= c * col_i in tinv
+        c = rng.choice([-2, -1, 1, 2])
+        # row_i += c * row_j in t;  col_j -= c * col_i in tinv (over Z)
         for k in range(n):
-            t[i][k] = ring.add(t[i][k], ring.mul(c, t[j][k]))
+            t[i][k] += c * t[j][k]
         for k in range(n):
-            tinv[k][j] = ring.sub(tinv[k][j], ring.mul(c, tinv[k][i]))
+            tinv[k][j] -= c * tinv[k][i]
     return Matrix(ring, t, n, n), Matrix(ring, tinv, n, n)
 
 
@@ -55,7 +55,7 @@ def random_complex(rng: Random, ring: ScalarRing = ZZ, max_pieces: int = 3,
         if rng.random() < 0.5:
             piece = FreeChainComplex.free_module(ring, rng.randint(1, 2), d)
         else:
-            k = ring.normalize(rng.choice([0, 1, 2, 2, 3, 6]))
+            k = rng.choice([0, 1, 2, 2, 3, 6])
             piece = FreeChainComplex.from_diff(ring, d, Matrix(ring, [[k]]))
         out = out.direct_sum(piece)
     if conjugate:

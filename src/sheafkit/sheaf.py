@@ -322,7 +322,7 @@ def _relation_lift(a: Matrix, src: FGModule, tgt: FGModule):
         for i, x in a.col(j):
             if i >= kt:
                 return None  # torsion cannot map to the free part
-            val = R.mul(x, dj)
+            val = x * dj
             di = tgt.invariant_factors[i]
             if not R.divides(di, val):
                 return None
@@ -420,28 +420,24 @@ def rgamma_labeled(k: SheafComplex):
     the alternating chain-drop faces (the last one through the generization
     map of the dropped top) with the stalk differentials.
     """
-    R = k.ring
-    one, neg = R.one(), R.neg(R.one())
-
     def cells(c):
         for q, r in sorted(k.stalks[c[-1]].ranks.items()):
             yield q, [(c, q, i) for i in range(r)]
 
     def entries(n, lab, cofaces):
         c, q, i = lab
-        p = len(c) - 1
-        sign_v = one if p % 2 == 0 else neg
+        sign_v = -1 if (len(c) - 1) % 2 else 1
         for i2, co in _col(k.stalks[c[-1]].diffs.get(q), i):
-            yield (c, q + 1, i2), R.mul(sign_v, co)
-        for (c2, l) in cofaces:  # c = face_l(c2), len(c2) = p + 2
-            sign = one if l % 2 == 0 else neg
+            yield (c, q + 1, i2), sign_v * co
+        for (c2, l) in cofaces:  # c = face_l(c2), len(c2) = len(c) + 1
+            sign = -1 if l % 2 else 1
             if l < len(c2) - 1:
                 yield (c2, q, i), sign
             else:
                 for i2, co in _col(k.rho(c2[-2], c2[-1]).mats.get(q), i):
-                    yield (c2, q, i2), R.mul(sign, co)
+                    yield (c2, q, i2), sign * co
 
-    return _chain_complex(k.space, R, cells, entries)
+    return _chain_complex(k.space, k.ring, cells, entries)
 
 
 def rgamma(k: SheafComplex) -> FreeChainComplex:
@@ -458,9 +454,8 @@ def pullback(f: MonotoneMap, k: SheafComplex) -> SheafComplex:
     """Stalk at x is the stalk at f(x); exact."""
     if k.space != f.target:
         raise SheafError("sheaf does not live on the target of the map")
-    fm = dict(f.mapping)
-    stalks = {x: k.stalks[fm[x]] for x in f.source.points}
-    gens = {(x, y): k.rho(fm[x], fm[y]) for (x, y) in f.source.covers}
+    stalks = {x: k.stalks[f(x)] for x in f.source.points}
+    gens = {(x, y): k.rho(f(x), f(y)) for (x, y) in f.source.covers}
     return SheafComplex(f.source, k.ring, stalks, gens, check=False)
 
 
@@ -479,11 +474,11 @@ def _pushforward_labeled(f: MonotoneMap, k: SheafComplex, p: MonotoneMap | None 
     s = f.target
     if p is None:
         p = MonotoneMap.identity(s)
-    pm = dict(p.mapping)
     whole = rgamma_labeled(k)
-    stalks = {q: _slice(whole, f.preimage(s.up_set(q))) for q in set(pm.values())}
+    stalks = {q: _slice(whole, f.preimage(s.up_set(q)))
+              for q in {p(t) for t in p.source.points}}
     del whole  # the slices hold no reference to it
-    return _restriction_sheaf(p.source, k.ring, lambda t: stalks[pm[t]])
+    return _restriction_sheaf(p.source, k.ring, lambda t: stalks[p(t)])
 
 
 def _slice(whole, bottoms, tops=None):
@@ -532,12 +527,11 @@ def _restriction_sheaf(m: FinSpec, ring: ScalarRing, local):
     stalks, labels, indexes = {}, {}, {}
     for x in m.points:
         stalks[x], labels[x], indexes[x] = local(x)
-    one = ring.one()
     gens = {}
     for (x, y) in m.covers:
         idx = indexes[x]
         gens[(x, y)] = _label_map(stalks[x], stalks[y], labels[y],
-                                  lambda n, lab: ((idx[(n, lab)], one),))
+                                  lambda n, lab: ((idx[(n, lab)], 1),))
     return SheafComplex(m, ring, stalks, gens, check=False), labels, indexes
 
 
@@ -561,6 +555,22 @@ def pushforward(f: MonotoneMap, k: SheafComplex) -> SheafComplex:
     return sheaf
 
 
+def _open_subset(m: FinSpec, u) -> frozenset:
+    """u as a subset of m; NotOpen unless it is open."""
+    u = m.check_subset(u)
+    if not m.is_open(u):
+        raise NotOpen(f"{sorted(u, key=_key)} is not open")
+    return u
+
+
+def _closed_subset(m: FinSpec, z) -> frozenset:
+    """z as a subset of m; NotClosed unless it is closed."""
+    z = m.check_subset(z)
+    if not m.is_closed(z):
+        raise NotClosed(f"{sorted(z, key=_key)} is not closed")
+    return z
+
+
 def _extend_by_zero(m: FinSpec, s, k: SheafComplex) -> SheafComplex:
     """k on the open or closed (so convex) s, zero elsewhere: the stalks of
     k on s and its composites along the covers of m inside s.  k lives on
@@ -572,9 +582,7 @@ def _extend_by_zero(m: FinSpec, s, k: SheafComplex) -> SheafComplex:
 
 def j_shriek(m: FinSpec, u, k: SheafComplex) -> SheafComplex:
     """Extension by zero from an open subset; k must live on the subspace of u."""
-    u = m.check_subset(u)
-    if not m.is_open(u):
-        raise NotOpen(f"{sorted(u, key=_key)} is not open")
+    u = _open_subset(m, u)
     if k.space != subspace(m, u)[0]:
         raise SheafError("sheaf does not live on the open subspace")
     return _extend_by_zero(m, u, k)
@@ -587,9 +595,7 @@ def i_star(m: FinSpec, z, k: SheafComplex) -> SheafComplex:
     sections of the pushforward near x vanish and no derived correction
     appears: the stalk is k at points of z and zero elsewhere.
     """
-    z = m.check_subset(z)
-    if not m.is_closed(z):
-        raise NotClosed(f"{sorted(z, key=_key)} is not closed")
+    z = _closed_subset(m, z)
     if k.space != subspace(m, z)[0]:
         raise SheafError("sheaf does not live on the closed subspace")
     return _extend_by_zero(m, z, k)
@@ -631,9 +637,7 @@ def localization_triangle(k: SheafComplex, z) -> Triangle:
     """The triangle (extension by zero off z) -> k -> cone, with the cone
     stalkwise equivalent to the sections supported on the closed set z."""
     m = k.space
-    z = m.check_subset(z)
-    if not m.is_closed(z):
-        raise NotClosed(f"{sorted(z, key=_key)} is not closed")
+    z = _closed_subset(m, z)
     u = frozenset(m.points) - z
     a = _extend_by_zero(m, u, k)
     comps = {p: ChainMap.identity(k.stalks[p]) for p in u}
@@ -643,9 +647,7 @@ def localization_triangle(k: SheafComplex, z) -> Triangle:
 def open_unit(k: SheafComplex, u):
     """The unit k -> (pushforward to the space of the restriction to the open u)."""
     m = k.space
-    u = m.check_subset(u)
-    if not m.is_open(u):
-        raise NotOpen(f"{sorted(u, key=_key)} is not open")
+    u = _open_subset(m, u)
     _, incl = subspace(m, u)
     l_sheaf, labels, _ = _pushforward_labeled(incl, pullback(incl, k))
     comps = {}
@@ -675,9 +677,7 @@ def i_upper_shriek(z, k: SheafComplex) -> SheafComplex:
     """Sections supported on the closed set z: the restriction to z of
     fib(k -> pushforward of the restriction to the open complement)."""
     m = k.space
-    z = m.check_subset(z)
-    if not m.is_closed(z):
-        raise NotClosed(f"{sorted(z, key=_key)} is not closed")
+    z = _closed_subset(m, z)
     u = frozenset(m.points) - z
     _, unit = open_unit(k, u)
     fib, _ = sheaf_fiber(unit)
@@ -706,10 +706,6 @@ def _hom_end_complex(k: SheafComplex, l: SheafComplex):
     (len(chain) - 1) + q = n.  On a one-point space it is the Hom complex
     of the two stalks, d(f) = d_L . f - (-1)^n f . d_K.
     """
-    R = k.ring
-    one = R.one()
-    neg = R.neg(one)
-
     def cells(c):
         a, b = k.stalks[c[0]].ranks, l.stalks[c[-1]].ranks
         for t, ra in sorted(a.items()):
@@ -722,26 +718,26 @@ def _hom_end_complex(k: SheafComplex, l: SheafComplex):
         q = n - p
         a = k.stalks[c[0]]
         b = l.stalks[c[-1]]
-        sign_v = one if p % 2 == 0 else neg
+        sign_v = -1 if p % 2 else 1
         # internal hom differential: d_L . f - (-1)^q f . d_K
         for j2, co in _col(b.diffs.get(t + q), j):
-            yield (c, t, i, j2), R.mul(sign_v, co)
-        sign_k = neg if q % 2 == 0 else one
+            yield (c, t, i, j2), sign_v * co
+        sign_vk = sign_v if q % 2 else -sign_v
         for i2, co in _row(a.diffs.get(t - 1), i):
-            yield (c, t - 1, i2, j), R.mul(R.mul(sign_v, sign_k), co)
+            yield (c, t - 1, i2, j), sign_vk * co
         # end differential: faces of longer chains
         for (c2, pos) in cofaces:
-            sign = one if pos % 2 == 0 else neg
+            sign = -1 if pos % 2 else 1
             if pos == 0:
                 for i2, co in _row(k.rho(c2[0], c2[1]).mats.get(t), i):
-                    yield (c2, t, i2, j), R.mul(sign, co)
+                    yield (c2, t, i2, j), sign * co
             elif pos == len(c2) - 1:
                 for j2, co in _col(l.rho(c2[-2], c2[-1]).mats.get(t + q), j):
-                    yield (c2, t, i, j2), R.mul(sign, co)
+                    yield (c2, t, i, j2), sign * co
             else:
                 yield (c2, t, i, j), sign
 
-    return _chain_complex(k.space, R, cells, entries)
+    return _chain_complex(k.space, k.ring, cells, entries)
 
 
 def _derived_hom_labeled(k: SheafComplex, l: SheafComplex):
@@ -893,18 +889,16 @@ def base_change_compare(f: MonotoneMap, p: MonotoneMap, k: SheafComplex):
     lhs, _, lhs_indexes = _pushforward_labeled(f, k, p)
     _, pr_x, pr_t = fiber_product(f, p)
     rhs, rhs_labels, _ = _pushforward_labeled(pr_t, pullback(pr_x, k))
-    prx = dict(pr_x.mapping)
-    one = k.ring.one()
     comps = {}
     for t in p.source.points:
         src_idx = lhs_indexes[t]
 
         def entries(n, lab):
             cw, q, i = lab
-            cx = tuple(prx[wpt] for wpt in cw)
+            cx = tuple(map(pr_x, cw))
             if any(cx[a] == cx[a + 1] for a in range(len(cx) - 1)):
                 return ()  # degenerate image chain
-            return ((src_idx[(n, (cx, q, i))], one),)
+            return ((src_idx[(n, (cx, q, i))], 1),)
 
         comps[t] = _label_map(lhs.stalks[t], rhs.stalks[t], rhs_labels[t], entries)
     comparison = SheafMap(lhs, rhs, comps)
@@ -947,7 +941,6 @@ def compose_pushforward_compare(f: MonotoneMap, g: MonotoneMap, k: SheafComplex)
     lhs, _, lhs_idx = _pushforward_labeled(gf, k)
     mid, mid_labels, _ = _pushforward_labeled(f, k)
     rhs, rhs_labels, _ = _pushforward_labeled(g, mid)
-    one = k.ring.one()
     comps = {}
     for u in g.target.points:
         idx = lhs_idx[u]
@@ -956,7 +949,7 @@ def compose_pushforward_compare(f: MonotoneMap, g: MonotoneMap, k: SheafComplex)
             cs, qq, ii = lab
             if len(cs) != 1:
                 return ()
-            return ((idx[(n, mid_labels[cs[0]][qq][ii])], one),)
+            return ((idx[(n, mid_labels[cs[0]][qq][ii])], 1),)
 
         comps[u] = _label_map(lhs.stalks[u], rhs.stalks[u], rhs_labels[u], entries)
     return lhs, rhs, SheafMap(lhs, rhs, comps)

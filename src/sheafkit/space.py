@@ -332,10 +332,8 @@ def fiber_product(f: MonotoneMap, p: MonotoneMap):
     """
     if f.target != p.target:
         raise SpaceError("fiber product needs a common target")
-    fx = dict(f.mapping)
-    pt = dict(p.mapping)
     pts = [(x, t) for x in f.source.points for t in p.source.points
-           if fx[x] == pt[t]]
+           if f(x) == p(t)]
     w = FinSpec.from_order(pts, lambda a, b: f.source.le(a[0], b[0]) and p.source.le(a[1], b[1]))
     pr_x = MonotoneMap(w, f.source, [(q, q[0]) for q in w.points])
     pr_t = MonotoneMap(w, p.source, [(q, q[1]) for q in w.points])

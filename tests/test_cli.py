@@ -265,6 +265,21 @@ class TestSheafAndPhiCoeffBudget:
         with pytest.raises(ParseError, match="^line 5: scalar above"):
             parse_sheaf(CONST.replace("[[1]]", f"[[-{2 ** 10000}]]"), "sierp", m)
 
+    def test_fp_fraction(self, tmp_path):
+        """In an F p file a/b is a * b^-1 mod p; p must not divide b."""
+        (tmp_path / "two.space").write_text("space two\npoints: a b\ncovers: a<b\n")
+
+        def cohomology(entry):
+            (tmp_path / "k.sheaf").write_text(
+                f"ring F 5\nspace two\nstalk a: deg 0 rank 1; deg 1 rank 1; d_0 = [[{entry}]]\n")
+            return self.answer(["cohomology", "--space", str(tmp_path / "two.space"),
+                                "--sheaf", str(tmp_path / "k.sheaf")])
+
+        assert cohomology("1/2") == cohomology("3") == ("", 0)
+        assert cohomology("0/2") == ("H^0: F_5\nH^1: F_5", 0)
+        assert cohomology("1/5") == (
+            "error: line 3: bad scalar '1/5': denominator 5 is not invertible mod 5", 1)
+
     def test_phi_value(self, tmp_path):
         (tmp_path / "sierp.space").write_text(SIERP)
         assert self.answer(["realize", "--space", str(tmp_path / "sierp.space"),
@@ -755,7 +770,7 @@ def _gauged(rng, k):
              GF(7): tuple(range(1, 7))}[ring]
     s = {p: ring.normalize(rng.choice(units)) for p in k.space.points}
     gens = {(x, y): ChainMap(g.source, g.target,
-                             {n: m.scale(ring.mul(s[y], ring.inv(s[x])))
+                             {n: m.scale(s[y] * ring.inv(s[x]))
                               for n, m in g.mats.items()}, check=False)
             for (x, y), g in k.gens.items()}
     return SheafComplex(k.space, ring, k.stalks, gens)

@@ -36,8 +36,7 @@ def reference_homology(c):
             rel = solve_right(k, prev)
             assert rel is not None
         s, _, _ = snf(rel)
-        diag = [s[i, i] for i in range(min(s.rows, s.cols))
-                if not c.ring.is_zero(s[i, i])]
+        diag = [s[i, i] for i in range(min(s.rows, s.cols)) if s[i, i]]
         mod = FGModule(c.ring, tuple(d for d in diag if not c.ring.is_unit(d)),
                        k.cols - len(diag))
         if not mod.is_zero():
@@ -262,15 +261,15 @@ class TestSNF:
 
 def permutation_det(m):
     """The Leibniz expansion: the sum over permutations of signed products."""
-    R, n = m.ring, m.rows
-    total = R.zero()
+    n = m.rows
+    total = 0
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = R.one() if inversions % 2 == 0 else R.neg(R.one())
+        term = -1 if inversions % 2 else 1
         for i in range(n):
-            term = R.mul(term, m[i, perm[i]])
-        total = R.add(total, term)
-    return total
+            term *= m[i, perm[i]]
+        total += term
+    return m.ring.normalize(total)
 
 
 class TestDet:
@@ -288,7 +287,7 @@ class TestDet:
             m = Matrix(ring, rows, n, n)
             want, got = permutation_det(m), det(m)
             assert got == want and type(got) is type(want)
-            singular += ring.is_zero(got)
+            singular += got == 0
         assert singular >= 100
 
     def test_non_square(self):
@@ -411,7 +410,7 @@ class TestRankAndFactors:
                                   for _ in range(inner)])
                 m = a @ b
                 s, _, _ = snf(m)
-                diag = [s[i, i] for i in range(min(rows, cols)) if not ring.is_zero(s[i, i])]
+                diag = [s[i, i] for i in range(min(rows, cols)) if s[i, i]]
                 assert invariants(m) == (
                     len(diag), tuple(d for d in diag if not ring.is_unit(d)))
 
@@ -451,6 +450,53 @@ class TestPrimes:
         assert GF(1000000000000000000000007).p == 10 ** 24 + 7
         with pytest.raises(ValueError, match="below"):
             ScalarRing("Fp", PRIME_LIMIT)
+
+
+class TestNormalize:
+    def test_fractions_over_fp_invert_the_denominator(self):
+        f5 = GF(5)
+        assert f5.normalize(Fraction(1, 2)) == 3
+        assert f5.normalize(Fraction(-1, 2)) == 2
+        assert all(f5.normalize(Fraction(a, b)) * b % 5 == a % 5
+                   for a in range(-9, 10) for b in range(1, 12) if b % 5)
+        assert Matrix(f5, [[Fraction(2, 3)]]) == Matrix(f5, [[4]])
+        for x in (Fraction(1, 5), Fraction(3, 10)):
+            with pytest.raises(ValueError, match="not invertible mod 5"):
+                f5.normalize(x)
+
+
+def _is_canonical(ring, x) -> bool:
+    if ring.kind == "Z":
+        return type(x) is int
+    if ring.kind == "Q":
+        return type(x) is Fraction
+    return type(x) is int and 0 <= x < ring.p
+
+
+class TestCanonicalEntries:
+    """Builders pass raw integer signs and products; building the Matrix
+    must store each entry as the ring's canonical representative."""
+
+    def test_every_builder_stores_canonical_entries(self):
+        rng = Random(131)
+        for ring in (ZZ, QQ, GF(2), GF(3), GF(7)):
+            checked = 0
+            for _ in range(6):
+                m = random_poset(rng, 4)
+                k = random_sheaf(rng, m, ring, max_pieces=2)
+                l = random_sheaf(rng, m, ring, max_pieces=2)
+                sections = rgamma(k)
+                end, _, _ = _hom_end_complex(k, l)
+                x, y = m.covers[0] if m.covers else (m.points[0],) * 2
+                cn, include, project = cone(k.rho(x, y))
+                mats = [d for c in (sections, end, tensor_total(sections, end), cn,
+                                    sections.shift(1), sections.shift(-2))
+                        for d in c.diffs.values()]
+                mats += [*include.mats.values(), *project.mats.values()]
+                entries = [e for d in mats for _, _, e in d.nonzeros()]
+                assert all(_is_canonical(ring, e) for e in entries)
+                checked += len(entries)
+            assert checked >= 100
 
 
 class TestTensor:
