@@ -36,7 +36,9 @@ Text formats:
 
 Every command parses all of its inputs before computing anything, writes a
 byte-deterministic report, and exits 0 on success, 1 on a validation
-error, 2 on an internal invariant failure.
+error, 2 on an internal invariant failure.  A pushforward text report holds
+at most MAX_REPORT_ENTRIES = 10**7 matrix entries, or is an error; --json
+gives the stalk cohomology at any size.
 """
 
 from __future__ import annotations
@@ -151,6 +153,9 @@ MAX_COEFF_BITS = 10000
 # Budget on the sum of the stalk ranks of a sheaf file, so that a huge rank
 # is a ParseError rather than an allocation that exhausts memory.
 MAX_STALK_RANK = 100000
+
+# Budget on the dense matrix entries of a pushforward text report.
+MAX_REPORT_ENTRIES = 10**7
 
 
 def _budget_int(s: str, what: str) -> int:
@@ -713,6 +718,11 @@ def cmd_pushforward(args):
                           for n, mod in sorted(homology(c).items())}
                  for p, c in out.stalks.items()}
         return json.dumps({"pushforward_stalk_cohomology": stalk}, sort_keys=True), 0
+    entries = (sum(d.rows * d.cols for c in out.stalks.values() for d in c.diffs.values())
+               + sum(g.rows * g.cols for m in out.gens.values() for g in m.mats.values()))
+    if entries > MAX_REPORT_ENTRIES:
+        raise ParseError(f"pushforward report of {entries} matrix entries above the output "
+                         f"budget of {MAX_REPORT_ENTRIES} (--json gives the stalk cohomology)")
     return sheaf_to_text(out, tgt_name).rstrip("\n"), 0
 
 

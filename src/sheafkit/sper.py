@@ -22,18 +22,18 @@ of a.poly and f over the isolating interval, which holds exactly one root
 of a.poly.  Signs on cuts follow from the first derivative of f that does
 not vanish at the center.
 
-Solution sets of formulas decide signs by provenance: merging the atoms'
-root lists records which atoms vanish at each root, so once the isolating
-intervals are disjoint every sign is read at a rational midpoint, off a
-leading term or from that record.  The pushforward builds one image
-polynomial and its Sturm sequence per distinct upstream polynomial, shared
-by all the roots of that polynomial.  Fiber sums at a value b are counts of
-the roots of b.poly(p(t)) between the upstream roots, with no root of it
-isolated: at a rational b all of them lie in the fiber, and at an
-irrational b a Tarski query of the sign of (p - b.lo)(b.hi - p) keeps those
-that p maps into b's isolating interval.  The fiber sums read their hits,
-the upstream roots where b.poly(p(t)) vanishes, off the images of those
-roots, with no Tarski query of b.poly(p(t)).
+Root lists are combined by one merge that tags each root with the lists
+holding it.  Formulas decide signs by provenance: with disjoint isolating
+intervals every sign is read at a rational midpoint, off a leading term or
+off the tags.  Unions, intersections and transfers along a refinement read
+each fine cell's coarse cell off the tags, and a preimage is the pullback
+of an indicator.  The pushforward builds one image polynomial and its
+Sturm sequence per distinct upstream polynomial.  Fiber sums at a value b
+count the roots of b.poly(p(t)) between the upstream roots, isolating none:
+at a rational b all of them lie in the fiber, and at an irrational b a
+Tarski query of the sign of (p - b.lo)(b.hi - p) keeps those that p maps
+into b's isolating interval.  Their hits, the upstream roots where
+b.poly(p(t)) vanishes, are read off the images of those roots.
 """
 
 from __future__ import annotations
@@ -352,18 +352,6 @@ def locate_cell(roots, x) -> int:
     return 2 * len(roots)
 
 
-def _coarse_cell(roots, fine_roots, pos) -> int:
-    """Position among the cells of roots of the cell that contains cell pos of
-    the refinement over fine_roots (which must contain roots)."""
-    if pos % 2 == 1:
-        return locate_cell(roots, fine_roots[(pos - 1) // 2])
-    if pos == 0:
-        return 0
-    # an interval cell lies in the coarse cell just right of its left endpoint
-    c = locate_cell(roots, fine_roots[pos // 2 - 1])
-    return c + 1 if c % 2 == 1 else c
-
-
 def _cell_of_sper_point(roots, pt: SperPoint) -> int:
     if pt.kind == "-inf":
         return 0
@@ -403,16 +391,40 @@ def _merge_tagged(a, b) -> list:
     return out
 
 
+def _tagged_roots(polys) -> list:
+    """The merged real roots of polys, each paired with the bit set of the
+    polynomials vanishing there (bit i for polys[i]); constants add none."""
+    tagged = []
+    for bit, f in enumerate(polys):
+        if ip.degree(f) >= 1:
+            tagged = _merge_tagged(tagged, [(r, 1 << bit) for r in real_roots(f)])
+    return tagged
+
+
+def _spread(values, tagged, bit) -> list:
+    """Values on the cells of the merged roots from one value per cell of the
+    roots tagged with bit: such a root keeps its point cell's value, and each
+    other fine cell takes that of the coarse interval cell holding it."""
+    out, c = [values[0]], 0
+    for _, tag in tagged:
+        if tag & bit:
+            out.append(values[c + 1])
+            c += 2
+        else:
+            out.append(values[c])
+        out.append(values[c])
+    return out
+
+
 def dedupe_roots(roots) -> list:
-    """Sorted distinct copy of a list of AlgNumbers (exact comparisons)."""
+    """Sorted distinct copy of AlgNumbers, one comparison per root of sorted input."""
     out = []
     for r in roots:
-        k = len(out)
-        while k > 0 and out[k - 1].compare(r) > 0:
+        k, c = len(out), -1
+        while k > 0 and (c := out[k - 1].compare(r)) > 0:
             k -= 1
-        if k < len(out) and out[k].compare(r) == 0:
-            continue
-        out.insert(k, r)
+        if c != 0:
+            out.insert(k, r)
     return out
 
 
@@ -451,11 +463,6 @@ class SperConstructible:
     def contains(self, pt: SperPoint) -> bool:
         return self.mask[_cell_of_sper_point(self.roots, pt)]
 
-    def membership_on(self, roots) -> list:
-        """Membership of each cell of a refinement (roots must contain ours)."""
-        return [self.mask[_coarse_cell(self.roots, roots, pos)]
-                for pos in range(2 * len(roots) + 1)]
-
     def complement(self) -> "SperConstructible":
         return SperConstructible(self.roots, tuple(not b for b in self.mask))
 
@@ -467,9 +474,9 @@ class SperConstructible:
 
     def _combine(self, other, op) -> "SperConstructible":
         """Cellwise op of the memberships over the common refinement."""
-        roots = merge_roots(list(self.roots), list(other.roots))
-        return SperConstructible(roots, map(op, self.membership_on(roots),
-                                            other.membership_on(roots)))
+        tagged = _merge_tagged([(r, 1) for r in self.roots], [(r, 2) for r in other.roots])
+        return SperConstructible([r for r, _ in tagged], map(
+            op, _spread(self.mask, tagged, 1), _spread(other.mask, tagged, 2)))
 
     def __eq__(self, other):
         if not isinstance(other, SperConstructible):
@@ -585,17 +592,6 @@ def _eval_formula(phi, sign_of) -> bool:
     raise SperError(f"not a formula: {phi!r}")
 
 
-def substitute(phi, p):
-    """Replace t by p(t) in every atom."""
-    if isinstance(phi, Atom):
-        return Atom(ip.compose(phi.poly, p), phi.op)
-    if isinstance(phi, Not):
-        return Not(substitute(phi.child, p))
-    if isinstance(phi, And):
-        return And(tuple(substitute(c, p) for c in phi.children))
-    return Or(tuple(substitute(c, p) for c in phi.children))
-
-
 def refine_disjoint(roots) -> list:
     """Refined copies of sorted roots with pairwise disjoint intervals."""
     roots = list(roots)
@@ -663,10 +659,7 @@ def from_formula(phi) -> SperConstructible:
     """
     atoms = formula_atoms(phi)
     polys = list(dict.fromkeys(ip.normalize(a.poly) for a in atoms))
-    tagged = []
-    for bit, f in enumerate(polys):
-        if ip.degree(f) >= 1:
-            tagged = _merge_tagged(tagged, [(r, 1 << bit) for r in real_roots(f)])
+    tagged = _tagged_roots(polys)
     roots = refine_disjoint([r for r, _ in tagged])
     tags = [t for _, t in tagged]
     mids = _gap_midpoints(roots)
@@ -806,15 +799,11 @@ def _push_alg(p: PolyMap, a: AlgNumber, image_polys: dict) -> AlgNumber:
     polynomials under p with Sturm sequences; a missing one is computed and
     added, so the roots of one polynomial share it for as long as the
     caller keeps the dict."""
-    if a.is_rational():
-        return AlgNumber.from_rational(ip.evaluate(p.poly, a.as_rational()))
-    pair = image_polys.get(a.poly)
-    if pair is None:
-        pair = image_polys[a.poly] = ip.image_defining_poly(a.poly, p.poly)
-    q, seq = pair
-    while True:
-        if a.is_rational():
-            return AlgNumber.from_rational(ip.evaluate(p.poly, a.as_rational()))
+    while not a.is_rational():
+        pair = image_polys.get(a.poly)
+        if pair is None:
+            pair = image_polys[a.poly] = ip.image_defining_poly(a.poly, p.poly)
+        q, seq = pair
         lo, hi, d = ip.eval_interval(p.poly, a._a, a._b, a._d)
         signs = ip.sign_at_rational(q, lo, d), ip.sign_at_rational(q, hi, d)
         for end, sign in zip((lo, hi), signs):
@@ -824,6 +813,7 @@ def _push_alg(p: PolyMap, a: AlgNumber, image_polys: dict) -> AlgNumber:
         if all(signs) and ip.count_roots_halfopen(seq, lo, hi, d) == 1:
             return AlgNumber._of(q, lo, hi, d)
         a = a.refined()
+    return AlgNumber.from_rational(ip.evaluate(p.poly, a.as_rational()))
 
 
 def push_point(p: PolyMap, x: SperPoint) -> SperPoint:
@@ -844,11 +834,6 @@ def push_point(p: PolyMap, x: SperPoint) -> SperPoint:
     if x.kind == "cut-":
         s = -s
     return SperPoint.cut_plus(center) if s > 0 else SperPoint.cut_minus(center)
-
-
-def preimage_set(p: PolyMap, s: SperConstructible) -> SperConstructible:
-    """Preimage by substituting p into every atom of a defining formula."""
-    return from_formula(substitute(defining_formula(s), p.poly))
 
 
 def _fiber_poly_vanishes(y: AlgNumber, b) -> bool:
@@ -929,9 +914,10 @@ def refine_cells(cells: CellPoset, extra_roots) -> CellPoset:
 
 def transfer_cons(phi: ConsFunction, src: CellPoset, dst: CellPoset) -> ConsFunction:
     """Reindex a function along a refinement (dst roots contain src roots)."""
-    values = {dst.point_at(pos): phi(src.point_at(_coarse_cell(src.roots, dst.roots, pos)))
-              for pos in range(len(dst.cells))}
-    return ConsFunction(dst.space, values)
+    tagged = _merge_tagged([(r, 1) for r in src.roots], [(r, 2) for r in dst.roots])
+    if any(tag == 1 for _, tag in tagged):
+        raise SperError("the target cells do not refine the source cells")
+    return ConsFunction(dst.space, zip(dst.cells, _spread([phi(q) for q in src.cells], tagged, 1)))
 
 
 def pull_cons(p: PolyMap, psi: ConsFunction, cells: CellPoset):
@@ -942,12 +928,8 @@ def pull_cons(p: PolyMap, psi: ConsFunction, cells: CellPoset):
     """
     if psi.space != cells.space:
         raise SperError("function does not live on the given cell poset")
-    roots = []
-    for b in cells.roots:
-        comp = ip.compose(b.poly, p.poly)
-        if ip.degree(comp) >= 1:
-            roots = merge_roots(roots, real_roots(comp))
-    up_cells = cell_poset(roots)
+    comps = dict.fromkeys(ip.compose(b.poly, p.poly) for b in cells.roots)
+    up_cells = cell_poset([r for r, _ in _tagged_roots(comps)])
 
     def psi_at(y) -> int:
         return psi(cells.point_at(locate_cell(cells.roots, y)))
@@ -962,6 +944,13 @@ def pull_cons(p: PolyMap, psi: ConsFunction, cells: CellPoset):
             img = ip.evaluate(p.poly, sample)
         values[up_cells.point_at(pos)] = psi_at(img)
     return ConsFunction(up_cells.space, values), up_cells
+
+
+def preimage_set(p: PolyMap, s: SperConstructible) -> SperConstructible:
+    """The preimage of s under p: the pullback of its indicator."""
+    cells = cell_poset(s)
+    pulled, up = pull_cons(p, ConsFunction(cells.space, zip(cells.cells, s.mask)), cells)
+    return SperConstructible(up.roots, map(pulled, up.cells))
 
 
 def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
@@ -985,10 +974,8 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
     dp = ip.deriv(p.poly)
     crit = real_roots(dp) if ip.degree(dp) >= 1 else []
     crit_images = [_push_alg(p, c, image_polys) for c in crit]
-    new_roots = []
-    for q in dict.fromkeys(y.poly for y in images + crit_images):
-        new_roots = merge_roots(new_roots, real_roots(q))
-    out_cells = cell_poset(new_roots)
+    polys = dict.fromkeys(y.poly for y in images + crit_images)
+    out_cells = cell_poset([r for r, _ in _tagged_roots(polys)])
     ups = refine_disjoint(cells.roots)
     refined, samples = cell_samples(list(out_cells.roots))
     values = {}

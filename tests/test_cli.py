@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,8 +13,8 @@ import pytest
 
 import sheafkit.intpoly as ip
 from sheafkit.cli import (
-    MAX_STALK_RANK, ParseError, parse_formula, parse_map, parse_phi, parse_poly, parse_sheaf,
-    parse_space, run, sheaf_to_text, space_to_text, _matrix_str,
+    MAX_REPORT_ENTRIES, MAX_STALK_RANK, ParseError, parse_formula, parse_map, parse_phi,
+    parse_poly, parse_sheaf, parse_space, run, sheaf_to_text, space_to_text, _matrix_str,
 )
 from sheafkit.randgen import (
     random_cons_function, random_monotone_map, random_poset, random_sheaf,
@@ -859,6 +860,15 @@ LEVEL_MAP = "\n".join([
 ]) + "\n"
 
 
+def _ladder_pushforward(tmp_path, sheaf_text, *extra):
+    """run() of pushforward of a sheaf on the 8-level ladder by levels."""
+    argv = ["pushforward"]
+    for opt, text in {"space": LADDER_8_SPACE, "sheaf": sheaf_text, "map": LEVEL_MAP}.items():
+        (tmp_path / opt).write_text(text)
+        argv += [f"--{opt}", str(tmp_path / opt)]
+    return run(argv + list(extra))
+
+
 def test_pushforward_work_counts(tmp_path, monkeypatch):
     """Parsing, validating and pushing forward the ladder sheaf builds no
     identity matrix, and composes and multiplies only nonzero components.
@@ -875,11 +885,32 @@ def test_pushforward_work_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(ChainMap, "compose", counted("compose", ChainMap.compose))
     monkeypatch.setattr(Matrix, "__matmul__", counted("__matmul__", Matrix.__matmul__))
     monkeypatch.setattr(Matrix, "identity", staticmethod(counted("identity", Matrix.identity)))
-    files = {"space": LADDER_8_SPACE, "sheaf": LADDER_8_SHEAF, "map": LEVEL_MAP}
-    argv = ["pushforward"]
-    for opt, text in files.items():
-        (tmp_path / opt).write_text(text)
-        argv += [f"--{opt}", str(tmp_path / opt)]
-    text, code = run(argv)
+    text, code = _ladder_pushforward(tmp_path, LADDER_8_SHEAF)
     assert code == 0 and text.startswith("ring Z\nspace chain\nstalk c0: deg 0 rank 14")
     assert calls == {"compose": 168, "__matmul__": 164, "identity": 0}
+
+
+class TestReportBudget:
+    BEYOND = ("error: pushforward report of {} matrix entries above the output "
+              "budget of {} (--json gives the stalk cohomology)")
+
+    def test_boundary(self, tmp_path, monkeypatch):
+        """The ladder pushforward prints 279836 matrix entries: a budget of
+        that many passes and one less refuses the text report only."""
+        text, code = _ladder_pushforward(tmp_path, LADDER_8_SHEAF)
+        assert code == 0
+        literals = re.findall(r"\[\[.*?\]\]", text)
+        assert sum(len(re.findall(r"-?\d+", m)) for m in literals) == 279836
+        monkeypatch.setattr("sheafkit.cli.MAX_REPORT_ENTRIES", 279836)
+        assert _ladder_pushforward(tmp_path, LADDER_8_SHEAF) == (text, 0)
+        monkeypatch.setattr("sheafkit.cli.MAX_REPORT_ENTRIES", 279835)
+        assert _ladder_pushforward(tmp_path, LADDER_8_SHEAF) == (
+            self.BEYOND.format(279836, 279835), 1)
+        assert _ladder_pushforward(tmp_path, LADDER_8_SHEAF, "--json")[1] == 0
+
+    def test_real_budget(self, tmp_path):
+        """A 156-million-character report is refused before it is printed."""
+        name, m = parse_space(LADDER_8_SPACE)
+        k = random_sheaf(Random(5), m, ZZ, max_pieces=3)
+        assert _ladder_pushforward(tmp_path, sheaf_to_text(k, name)) == (
+            self.BEYOND.format(78039373, MAX_REPORT_ENTRIES), 1)

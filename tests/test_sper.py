@@ -10,7 +10,7 @@ from sheafkit.k0 import ConsFunction
 from sheafkit.space import krull_dim
 from sheafkit.sper import (
     AlgNumber, And, Atom, CellPoset, ConstantMap, Not, Or, PolyMap,
-    SperConstructible, SperPoint, cell_poset, closure, defining_formula,
+    SperConstructible, SperError, SperPoint, cell_poset, closure, defining_formula,
     from_formula, interior, is_closed_set, locate_cell, preimage_set,
     pull_cons, push_cons, push_point, real_roots, refine_cells,
     sign_at, transfer_cons, cell_samples, _push_alg,
@@ -192,6 +192,15 @@ class TestClosureInterior:
 
 
 class TestCellPoset:
+    def test_repeated_roots_collapse(self):
+        r = real_roots(T2M2)
+        want = cell_poset(r)
+        for cp in (cell_poset(r + r[::-1] + r), refine_cells(cell_poset([]), r + r)):
+            # checked before the push, which halved two equal roots forever
+            assert len(cp.roots) == 2 and cp.markers == want.markers
+            out, oc = push_cons(PolyMap((0, 0, 1)), const_phi(cp), cp)
+            assert [out(q) for q in oc.cells] == [0, 1, 2, 2, 2]
+
     def test_markers_built_once(self, monkeypatch):
         calls = []
         markers = sper.cell_markers
@@ -296,6 +305,10 @@ class TestPreimage:
             for q in [Fraction(n, 2) for n in range(-8, 9)]:
                 assert (pre.contains(SperPoint.alg(q))
                         == s.contains(SperPoint.alg(ip.evaluate(p.poly, q))))
+            # every root of pre and its two cuts, imaged by push_point
+            for r in pre.roots:
+                for x in (SperPoint.alg(r), SperPoint.cut_minus(r), SperPoint.cut_plus(r)):
+                    assert pre.contains(x) == s.contains(push_point(p, x))
 
 
 def const_phi(cp: CellPoset, value=1) -> ConsFunction:
@@ -347,6 +360,54 @@ class TestPushCons:
                 rv = (pushed(down.point_at(locate_cell(down.roots, probe)))
                       * psi(down.point_at(locate_cell(down.roots, probe))))
                 assert lv == rv
+
+
+class TestMergeWalk:
+    """Unions, intersections and transfers walk the two root lists once."""
+
+    @staticmethod
+    def _count_compares(monkeypatch):
+        calls = []
+        compare = AlgNumber.compare
+        monkeypatch.setattr(AlgNumber, "compare",
+                            lambda self, other: calls.append(1) or compare(self, other))
+        return calls
+
+    def test_union_and_intersection(self, monkeypatch):
+        rng = Random(7)
+        from sheafkit.selftest import _random_formula
+        pairs = [(from_formula(_random_formula(rng, 3)), from_formula(_random_formula(rng, 3)))
+                 for _ in range(60)]
+        calls = self._count_compares(monkeypatch)
+        for a, b in pairs:
+            for op in (a.union, a.intersect):
+                calls.clear()
+                op(b)
+                assert len(calls) <= len(a.roots) + len(b.roots)
+
+    def test_transfer(self, monkeypatch):
+        rng = Random(8)
+        from sheafkit.selftest import _random_formula
+        cases = []
+        for _ in range(40):
+            src = cell_poset(from_formula(_random_formula(rng, 3)))
+            dst = refine_cells(src, from_formula(_random_formula(rng, 3)).roots)
+            phi = ConsFunction(src.space, {q: rng.randint(-3, 3) for q in src.cells})
+            cases.append((phi, src, dst))
+        calls = self._count_compares(monkeypatch)
+        for phi, src, dst in cases:
+            calls.clear()
+            moved = transfer_cons(phi, src, dst)
+            assert len(calls) <= len(src.roots) + len(dst.roots)
+            # each fine cell takes the value of the coarse cell of its sample
+            for pos, x in enumerate(cell_samples(list(dst.roots))[1]):
+                assert moved(dst.point_at(pos)) == phi(src.point_at(locate_cell(src.roots, x)))
+
+    def test_transfer_needs_a_refinement(self):
+        src = cell_poset(real_roots(T2M2))
+        for dst in (cell_poset(real_roots(T2M2)[:1]), cell_poset(real_roots((-3, 0, 1)))):
+            with pytest.raises(SperError):
+                transfer_cons(const_phi(src), src, dst)
 
 
 class TestFiber:
