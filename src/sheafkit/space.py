@@ -206,14 +206,17 @@ def build_space(points, covers) -> FinSpec:
     return FinSpec(points, covers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MonotoneMap:
-    """An order-preserving (= continuous) map of finite spectral spaces."""
+    """An order-preserving (= continuous) map of finite spectral spaces.
+
+    The map is held as one dict; the (point, image) pairs of ``mapping`` are
+    listed only when asked for, so building and calling a map allocates no
+    pair per point."""
 
     source: FinSpec
     target: FinSpec
-    mapping: tuple  # sorted tuple of (point, image) pairs
-    _images: dict = field(compare=False, repr=False)  # the mapping as a dict
+    _images: dict = field(repr=False)  # point -> image
 
     def __init__(self, source, target, mapping):
         items = dict(mapping)
@@ -231,31 +234,45 @@ class MonotoneMap:
                 raise SpaceError(f"not monotone on {x!r} < {y!r}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mapping",
-                           tuple(sorted(items.items(), key=lambda kv: _key(kv[0]))))
         object.__setattr__(self, "_images", items)
+
+    @property
+    def mapping(self) -> tuple:
+        """The (point, image) pairs in the order of ``source.points``."""
+        return tuple((p, self._images[p]) for p in self.source.points)
+
+    def __eq__(self, other):
+        return (isinstance(other, MonotoneMap) and self.source == other.source
+                and self.target == other.target and self._images == other._images)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.mapping))
+
+    def __repr__(self):
+        return (f"MonotoneMap(source={self.source!r}, target={self.target!r}, "
+                f"mapping={self.mapping!r})")
 
     def __call__(self, x):
         return self._images[x]
 
     @classmethod
     def identity(cls, m: FinSpec):
-        return cls(m, m, [(p, p) for p in m.points])
+        return cls(m, m, zip(m.points, m.points))
 
     @classmethod
     def constant(cls, m: FinSpec, target: FinSpec, value):
-        return cls(m, target, [(p, value) for p in m.points])
+        return cls(m, target, dict.fromkeys(m.points, value))
 
     def compose(self, other: "MonotoneMap") -> "MonotoneMap":
         """self after other."""
         if other.target != self.source:
             raise SpaceError("composition mismatch")
         return MonotoneMap(other.source, self.target,
-                           [(x, self(y)) for x, y in other.mapping])
+                           {x: self._images[y] for x, y in other._images.items()})
 
     def preimage(self, s) -> frozenset:
         s = self.target.check_subset(s)
-        return frozenset(x for x, fx in self.mapping if fx in s)
+        return frozenset(x for x, fx in self._images.items() if fx in s)
 
     def fiber(self, q) -> frozenset:
         return self.preimage({q})

@@ -24,16 +24,16 @@ not vanish at the center.
 
 Root lists are combined by one merge that tags each root with the lists
 holding it.  Formulas decide signs by provenance: with disjoint isolating
-intervals every sign is read at a rational midpoint, off a leading term or
-off the tags.  Unions, intersections and transfers along a refinement read
-each fine cell's coarse cell off the tags, and a preimage is the pullback
-of an indicator.  The pushforward builds one image polynomial and its
-Sturm sequence per distinct upstream polynomial.  Fiber sums at a value b
-count the roots of b.poly(p(t)) between the upstream roots, isolating none:
-at a rational b all of them lie in the fiber, and at an irrational b a
-Tarski query of the sign of (p - b.lo)(b.hi - p) keeps those that p maps
-into b's isolating interval.  Their hits, the upstream roots where
-b.poly(p(t)) vanishes, are read off the images of those roots.
+intervals every sign is read at a rational between two intervals, off a
+leading term or off the tags.  Unions, intersections and transfers along a
+refinement read each fine cell's coarse cell off the tags, and a preimage
+is the pullback of an indicator.  The pushforward builds one image
+polynomial and its Sturm sequence per distinct upstream polynomial.  Fiber
+sums at a value b count the roots of b.poly(p(t)) between the upstream
+roots, isolating none: at a rational b all of them lie in the fiber, and at
+an irrational b a Tarski query of the sign of (p - b.lo)(b.hi - p) keeps
+those that p maps into b's isolating interval.  Their hits, the upstream
+roots where b.poly(p(t)) vanishes, are read off the images of those roots.
 """
 
 from __future__ import annotations
@@ -69,8 +69,11 @@ class AlgNumber:
     The endpoints are integer numerators over one positive denominator,
     lo = _a/_d and hi = _b/_d.  Halving doubles the denominator, so it is
     the starting one times a power of two (times four more after a midpoint
-    turns out to be the root), and the interval tests cross-multiply.  The
-    Fractions lo and hi are built only when read.
+    turns out to be the root), and the interval tests cross-multiply.  Once
+    the denominator passes 64 bits, a halving shifts the common power of two
+    out of all three, so an interval that shrinks from near a huge root
+    bound keeps short numbers.  The Fractions lo and hi are built only when
+    read.
 
     refined() is deterministic, so a number keeps its one-step refinement
     once made (_next): a halving made by one comparison is a lookup for
@@ -164,10 +167,11 @@ class AlgNumber:
             else:
                 slo = self._slo or ip.sign_at_rational(poly, a, d)
                 self._slo = slo
-                if s != slo:
-                    nxt = AlgNumber._of(poly, 2 * a, m, 2 * d, slo)
-                else:
-                    nxt = AlgNumber._of(poly, m, 2 * b, 2 * d, slo)
+                a, b, d = (2 * a, m, 2 * d) if s != slo else (m, 2 * b, 2 * d)
+                if d.bit_length() > 64:  # shift out the common power of two
+                    z = ((a | b | d) & -(a | b | d)).bit_length() - 1
+                    a, b, d = a >> z, b >> z, d >> z
+                nxt = AlgNumber._of(poly, a, b, d, slo)
             self._next = nxt
         return nxt
 
@@ -622,11 +626,12 @@ def cell_samples(roots):
     return roots, samples
 
 
-def _sign_vector(f, bit: int, mids, tags) -> list:
+def _sign_vector(f, bit: int, gaps, tags) -> list:
     """Signs of f on the 2k+1 cells of k sorted roots with disjoint
-    isolating intervals, given every root of f among them and the k - 1
-    _gap_midpoints between the intervals; bit marks f in the bit set
-    tags[j] of the polynomials vanishing at the j-th root."""
+    isolating intervals, given every root of f among them and k - 1
+    rationals (n, d), d > 0, one between each two neighbouring intervals
+    (an end counts); bit marks f in the bit set tags[j] of the polynomials
+    vanishing at the j-th root."""
     k = len(tags)
     if not f:
         return [0] * (2 * k + 1)
@@ -634,7 +639,7 @@ def _sign_vector(f, bit: int, mids, tags) -> list:
     out = [lead * (-1 if ip.degree(f) % 2 else 1)]
     for j in range(k):
         if j + 1 < k:
-            right = ip.sign_at_rational(f, *mids[j])
+            right = ip.sign_at_rational(f, *gaps[j])
         else:
             right = lead
         # f(r_j) != 0 and no root of f lies in (r_j, r_{j+1}), so f has
@@ -651,9 +656,10 @@ def from_formula(phi) -> SperConstructible:
     merged, each merged root tagged with the polynomials vanishing there
     (the merge decides equality exactly).  Once the isolating intervals are
     disjoint, every atom is sign-constant on each cell: on an interval cell
-    its sign is read at the rational midpoint between the neighbouring
-    intervals, or off the leading term on the two unbounded cells; at a root
-    it is 0 for the tagged polynomials and otherwise the sign on the
+    its sign is read at the end of a neighbouring interval that faces it,
+    the one with the shorter denominator (half the bits of the midpoint
+    between them), or off the leading term on the two unbounded cells; at
+    a root it is 0 for the tagged polynomials and otherwise the sign on the
     interval cell to the right.  The formula is evaluated per cell on this
     table, with no sign evaluation at an algebraic point.
     """
@@ -662,8 +668,9 @@ def from_formula(phi) -> SperConstructible:
     tagged = _tagged_roots(polys)
     roots = refine_disjoint([r for r, _ in tagged])
     tags = [t for _, t in tagged]
-    mids = _gap_midpoints(roots)
-    vectors = {f: _sign_vector(f, bit, mids, tags) for bit, f in enumerate(polys)}
+    ends = [min((a._b, a._d), (b._a, b._d), key=lambda e: e[1].bit_length())
+            for a, b in zip(roots, roots[1:])]
+    vectors = {f: _sign_vector(f, bit, ends, tags) for bit, f in enumerate(polys)}
     signs = {a.poly: vectors[ip.normalize(a.poly)] for a in atoms}
     mask = [_eval_formula(phi, lambda f: signs[f][pos])
             for pos in range(2 * len(roots) + 1)]

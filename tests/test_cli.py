@@ -467,6 +467,30 @@ class TestCommands:
                              text=True, timeout=60, check=True)
         assert int(out.stdout) < 40 * 1024
 
+    @pytest.mark.parametrize("formula, marks", [
+        ("(t+1)^1000 - 2^1000 < 0 & t^2 - 2 > 0", ["out", "out", "in", "out", "out"]),
+        ("(t+1)^1000 - 2^1000 >= 0 | t = 0", ["in", "in", "out", "in", "out", "in", "in"]),
+    ])
+    def test_sper_set_separating_roots_behind_a_huge_cauchy_bound(self, formula, marks):
+        # the roots -3 and 1 of (t+1)^1000 - 2^1000 start on intervals out to
+        # about 2^999; halvings beyond the root bound read the leading term
+        # and shed common powers of two, so both formulas take about 2.5 s
+        # (2892 s and over 300 s before), each in a fresh interpreter
+        code = ("import sys, time\n"
+                "from sheafkit.cli import run\n"
+                "start = time.perf_counter()\n"
+                "text, code = run(['sper-set', '--formula', sys.argv[1]])\n"
+                "print(code, time.perf_counter() - start)\n"
+                "print(' '.join(line.rsplit(' ', 1)[1] for line in text.split('\\n')[1:]))\n")
+        src = os.path.dirname(os.path.dirname(ip.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code, formula], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        head, got = out.stdout.splitlines()
+        code, seconds = head.split()
+        assert code == "0" and got.split() == marks
+        assert float(seconds) < 20
+
     def test_sper_push_golden_digest(self, monkeypatch):
         calls = []
         image = ip.image_defining_poly

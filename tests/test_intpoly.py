@@ -227,6 +227,30 @@ class TestSignAtRational:
                 n = x.numerator
                 assert ip.sign_at_rational(p, n) == sign(ip.evaluate(p, n))
 
+    def test_beyond_the_root_bound(self):
+        """Every real root lies below 2^_root_bits(p) in absolute value, and
+        numerators above 64 bits on either side of that bound, where the
+        leading term gives the sign, read the sign the evaluation reads."""
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        rng = Random(5)
+        for i in range(200):
+            p = ()
+            while ip.degree(p) < 1:
+                p = tuple(rng.randint(-2 ** b, 2 ** b)
+                          for b in (rng.choice([1, 8, 90, 300]) for _ in range(rng.randint(2, 9))))
+                p = ip.normalize(p)
+            if i % 4 == 0:  # a root near 2^r
+                p = ip.mul(p, (-(2 ** rng.randint(60, 200)) - rng.randint(0, 9), 1))
+            k = ip._root_bits(p)
+            poly = sympy.Poly(list(reversed(p)), t)
+            assert poly.count_roots(-2 ** k, 2 ** k) == poly.count_roots()
+            for _ in range(10):
+                d = rng.randint(1, 2 ** 70)
+                n = rng.randint((d << k) - 3 * d, (d << k) + 3 * d)
+                x = Fraction(rng.choice([-1, 1]) * n, d)
+                assert ip.sign_at_rational(p, x) == sign(ip.evaluate(p, x))
+
     def test_zero_polynomial_and_roots(self):
         assert ip.sign_at_rational((), Fraction(1, 3)) == 0
         assert ip.sign_at_rational((-1, 3), Fraction(1, 3)) == 0
