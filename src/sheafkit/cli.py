@@ -711,7 +711,7 @@ def cmd_cohomology(args):
     acyclic Morse matching of the chains under each top (the rule and why
     it is acyclic are there), equivalent to ``rgamma`` and about a tenth of
     its rank on the benchmark's sheaves; a height-12 ladder takes about
-    0.5 s.  ``rgamma`` itself stays for the functors that slice it."""
+    0.5 s.  ``basechange`` reads it too; ``pushforward`` slices ``rgamma``."""
     return _report_cohomology(_load_sheaf(args), args.json), 0
 
 

@@ -27,7 +27,7 @@ from .randgen import (
 )
 from .sheaf import (
     base_change_compare, cell_decompose, localization_triangle, pushforward,
-    rgamma, sheaf_is_acyclic, skyscraper, triangle_is_exact,
+    rgamma_reduced, sheaf_is_acyclic, skyscraper, triangle_is_exact,
 )
 from .space import classify_subset, fibers_discrete, krull_dim, subspace
 from .sper import (
@@ -55,7 +55,7 @@ def _check_cohomological_dimension(rng: Random) -> bool:
     tops = [c.max_degree() for c in k.stalks.values() if not c.is_zero()]
     top = max(tops) if tops else 0
     bound = krull_dim(m) + top if m.points else 0
-    return all(deg <= bound for deg in homology(rgamma(k)))
+    return all(deg <= bound for deg in homology(rgamma_reduced(k)))
 
 
 def _check_localization(rng: Random) -> bool:

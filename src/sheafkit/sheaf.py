@@ -30,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (
-    DEGREE_MAX, ChainMap, FGModule, FreeChainComplex, Matrix, RingMismatch, ScalarRing,
-    block_diagonal, complex_from_basis, cone, homology, is_acyclic, kernel_basis,
-    solve_right, tensor_chain_maps, tensor_total, _tensor_basis,
+    DEGREE_MAX, DEGREE_MIN, ChainMap, DegreeOverflow, FGModule, FreeChainComplex, Matrix,
+    RingMismatch, ScalarRing, block_diagonal, complex_from_basis, cone, homology, is_acyclic,
+    kernel_basis, solve_right, tensor_chain_maps, tensor_total, _tensor_basis,
 )
 from .space import (
     FinSpec, MonotoneMap, SpaceError, admissible_order, classify_subset,
-    fiber_product, subspace, _key,
+    fiber_product, heights, subspace, _key,
 )
 
 
@@ -444,10 +444,10 @@ def rgamma(k: SheafComplex) -> FreeChainComplex:
     """Derived global sections; vanishes above the Krull dimension.
 
     This is the whole complex over every strict chain.  The ``cohomology``
-    command reads the smaller equivalent ``rgamma_reduced`` instead; this
-    one is kept because pushforward, base change and the other functors
-    slice its labelled form, and because it is the oracle the reduced
-    complex is tested against."""
+    command and base change read the smaller equivalent ``rgamma_reduced``
+    instead; this one is kept because the pushforward stalks are slices of
+    its labelled form, whose chain-level text report prints them, and
+    because it is the oracle the reduced complex is tested against."""
     cx, _, _ = rgamma_labeled(k)
     return cx
 
@@ -497,7 +497,8 @@ def rgamma_reduced(k: SheafComplex) -> FreeChainComplex:
     """A complex chain-homotopy equivalent to rgamma(k), built on the
     critical labels of an acyclic matching only (algebraic Morse theory:
     Sköldberg, TAMS 2006; Curry, Ghrist and Nanda, FoCM 2016).  The
-    ``cohomology`` command reads its homology; rgamma stays the oracle.
+    ``cohomology`` command and ``base_change_locus`` read its homology;
+    rgamma stays the oracle.
 
     The matching (``_chain_matching``) is on chains: for each top x with a
     nonzero stalk, and for each v below x along the linear extension by
@@ -528,6 +529,11 @@ def rgamma_reduced(k: SheafComplex) -> FreeChainComplex:
     0.5 s and 95 MB.
     """
     m, R = k.space, k.ring
+    height = heights(m)
+    if any(c.ranks and height[p] + max(c.ranks) > DEGREE_MAX for p, c in k.stalks.items()):
+        # the shortest offending chain lands one past the window, where
+        # rgamma(k) meets its first degree outside it
+        raise DegreeOverflow(f"degree {DEGREE_MAX + 1} outside [{DEGREE_MIN}, {DEGREE_MAX}]")
     order, below, partner, critical = _chain_matching(
         m, {p for p, c in k.stalks.items() if not c.is_zero()})
     above = [0] * len(order)
@@ -536,11 +542,6 @@ def rgamma_reduced(k: SheafComplex) -> FreeChainComplex:
             above[b] |= 1 << t
     stalks = [k.stalks[p] for p in order]
     labelled = sum(1 << t for t, c in enumerate(stalks) if c.ranks)
-    height = []  # the number of points of the longest chain below each point
-    for t, c in enumerate(stalks):
-        height.append(max((height[b] + 1 for b in _bits(below[t])), default=0))
-        if c.ranks and height[t] + max(c.ranks) > DEGREE_MAX:
-            return rgamma(k)  # which raises its DegreeOverflow
     basis = {}
     for c in critical:
         p = c.bit_count() - 1
@@ -639,26 +640,22 @@ def _pushforward_labeled(f: MonotoneMap, k: SheafComplex, p: MonotoneMap | None 
     return _restriction_sheaf(p.source, k.ring, lambda t: stalks[p(t)])
 
 
-def _slice(whole, bottoms, tops=None):
+def _slice(whole, bottoms):
     """The part of whole = rgamma_labeled(k) or _hom_end_complex(k, l) on
-    the labels (c, ...) with c[0] in bottoms and, if tops is given, c[-1]
-    in tops, as (complex, labels, index): the kept labels in their order,
-    and the submatrices of the differentials on them.  Degrees without a
-    kept label are dropped.
+    the labels (c, ...) with c[0] in bottoms, as (complex, labels, index):
+    the kept labels in their order, and the submatrices of the differentials
+    on them.  Degrees without a kept label are dropped.
 
     For an open (up-set) U the chains with c[0] outside U form a
     subcomplex, as a coface only adds points and so only lowers the bottom;
     the quotient by it is the complex built on restrict(k, U) (and
     restrict(l, U)) label for label, since the chains of U are exactly the
-    chains that start in U.  Inside that quotient, the chains with c[-1] in
-    an open V span a subcomplex, as a coface only raises the top: the
-    kernel of restricting to the closed complement of V.
+    chains that start in U.
     """
     cx, labels, _ = whole
     kept = {}
     for n, labs in labels.items():
-        pos = [a for a, lab in enumerate(labs)
-               if lab[0][0] in bottoms and (tops is None or lab[0][-1] in tops)]
+        pos = [a for a, lab in enumerate(labs) if lab[0][0] in bottoms]
         if pos:
             kept[n] = pos
     # a build lists a degree where its first label occurs; two degrees that
@@ -732,7 +729,7 @@ def _closed_subset(m: FinSpec, z) -> frozenset:
 def _extend_by_zero(m: FinSpec, s, k: SheafComplex) -> SheafComplex:
     """k on the open or closed (so convex) s, zero elsewhere: the stalks of
     k on s and its composites along the covers of m inside s.  k lives on
-    the subspace of s or on all of m."""
+    the subspace of s, on m, or on a space that m is a subspace of."""
     stalks = {x: k.stalks[x] for x in s}
     gens = {(x, y): k.rho(x, y) for (x, y) in m.covers if x in s and y in s}
     return SheafComplex(m, k.ring, stalks, gens, check=False)
@@ -1071,18 +1068,16 @@ def base_change_locus(f: MonotoneMap, k: SheafComplex):
     With X_q the preimage of the minimal open of q and V that of its other
     points, the comparison at q restricts the sections over X_q onto those
     over the closed fiber X_q - V.  The restriction is onto, with kernel the
-    sections of the extension by zero from V: the chains of X_q that end in
-    V (the localization triangle with sections taken).  So q is in the locus
-    exactly when that kernel is acyclic; it is one slice of the sections of
-    k, which are built once.
+    sections over X_q of k extended by zero from V, which is open in X_q
+    (the localization triangle with sections taken).  So q is in the locus
+    exactly when the reduced complex of those sections is acyclic.
     """
     s = f.target
-    whole = rgamma_labeled(k)
     locus = set()
     for q in s.points:
         up = s.up_set(q)
-        kernel, _, _ = _slice(whole, f.preimage(up), f.preimage(up - {q}))
-        if is_acyclic(kernel):
+        x_q, _ = subspace(k.space, f.preimage(up))
+        if is_acyclic(rgamma_reduced(_extend_by_zero(x_q, f.preimage(up - {q}), k))):
             locus.add(q)
     locus = frozenset(locus)
     return locus, classify_subset(s, locus)

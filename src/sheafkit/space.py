@@ -327,18 +327,20 @@ def classify_subset(m: FinSpec, s) -> dict:
     }
 
 
-def krull_dim(m: FinSpec):
-    """Length of the longest strict chain; -inf for the empty space.
-
-    A longest chain is saturated, so it climbs covers: the height of z is
-    one more than the greatest height of a point it covers, read in one
-    pass over the covers in a linear extension of their tops."""
-    if m.is_empty():
-        return -math.inf
+def heights(m: FinSpec) -> dict:
+    """The length of the longest strict chain ending at each point.  Such a
+    chain climbs covers: the height of z is one more than the greatest
+    height of a point it covers, read in one pass over the covers in a
+    linear extension of their tops."""
     height = dict.fromkeys(m.points, 0)
     for w, z in m.covers_upward():
         height[z] = max(height[z], height[w] + 1)
-    return max(height.values())
+    return height
+
+
+def krull_dim(m: FinSpec):
+    """Length of the longest strict chain; -inf for the empty space."""
+    return max(heights(m).values(), default=-math.inf)
 
 
 def fiber_product(f: MonotoneMap, p: MonotoneMap):

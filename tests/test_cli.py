@@ -1,9 +1,6 @@
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import isqrt
@@ -448,48 +445,39 @@ class TestCommands:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == HUGE_BOUND_DIGESTS[command]
 
-    def test_huge_bound_cells_within_a_memory_ceiling(self):
+    def test_huge_bound_cells_within_a_memory_ceiling(self, run_child):
         # kept refinements live as long as their roots; the peak resident set
         # (VmHWM) of a fresh interpreter running the huge-bound cell
         # decomposition stays under 40 MB (about 24 MB when this bound was
-        # set).  It is read in the child, from /proc/self/status: a child's
-        # ru_maxrss starts from the peak of the process that forked it.
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("VmHWM is read from /proc/self/status")
-        code = ("from sheafkit.cli import run\n"
-                "text, code = run(['sper-cells', '--formula', '(t+1)^1000 - 2^1000 < 0'])\n"
-                "assert code == 0\n"
-                "print(next(int(line.split()[1]) for line in open('/proc/self/status')\n"
-                "           if line.startswith('VmHWM:')))\n")
-        src = os.path.dirname(os.path.dirname(ip.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=60, check=True)
-        assert int(out.stdout) < 40 * 1024
+        # set)
+        got = run_child("""
+            from sheafkit.cli import run
+            text, code = run(['sper-cells', '--formula', '(t+1)^1000 - 2^1000 < 0'])
+            result["code"] = code
+        """, timeout=60)
+        assert got["code"] == 0
+        assert got["rss_mb"] < 40
 
     @pytest.mark.parametrize("formula, marks", [
         ("(t+1)^1000 - 2^1000 < 0 & t^2 - 2 > 0", ["out", "out", "in", "out", "out"]),
         ("(t+1)^1000 - 2^1000 >= 0 | t = 0", ["in", "in", "out", "in", "out", "in", "in"]),
     ])
-    def test_sper_set_separating_roots_behind_a_huge_cauchy_bound(self, formula, marks):
+    def test_sper_set_separating_roots_behind_a_huge_cauchy_bound(self, run_child, formula,
+                                                                  marks):
         # the roots -3 and 1 of (t+1)^1000 - 2^1000 start on intervals out to
         # about 2^999; halvings beyond the root bound read the leading term
         # and shed common powers of two, so both formulas take about 2.5 s
         # (2892 s and over 300 s before), each in a fresh interpreter
-        code = ("import sys, time\n"
-                "from sheafkit.cli import run\n"
-                "start = time.perf_counter()\n"
-                "text, code = run(['sper-set', '--formula', sys.argv[1]])\n"
-                "print(code, time.perf_counter() - start)\n"
-                "print(' '.join(line.rsplit(' ', 1)[1] for line in text.split('\\n')[1:]))\n")
-        src = os.path.dirname(os.path.dirname(ip.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code, formula], env=env,
-                             capture_output=True, text=True, timeout=120, check=True)
-        head, got = out.stdout.splitlines()
-        code, seconds = head.split()
-        assert code == "0" and got.split() == marks
-        assert float(seconds) < 20
+        got = run_child("""
+            import sys, time
+            from sheafkit.cli import run
+            start = time.perf_counter()
+            text, code = run(['sper-set', '--formula', sys.argv[1]])
+            result.update(code=code, seconds=time.perf_counter() - start,
+                          marks=[line.rsplit(' ', 1)[1] for line in text.split('\\n')[1:]])
+        """, formula)
+        assert got["code"] == 0 and got["marks"] == marks
+        assert got["seconds"] < 20
 
     def test_sper_push_golden_digest(self, monkeypatch):
         calls = []
@@ -641,6 +629,29 @@ class TestCommands:
         assert "locus: eta" in text
         assert "locus open: yes" in text
         assert "locus closed: no" in text
+
+    def test_basechange_builds_only_the_kernels(self, tmp_path):
+        # constant Z in degree 10 on a chain of 8 points: its whole section
+        # complex reaches degree 17.  Along the constant map to a point the
+        # kernel is zero, so no complex the command builds leaves the degree
+        # window; along the identity the kernel at x0 does.
+        pts = [f"x{i}" for i in range(8)]
+        covers = " ".join(f"x{i}<x{i + 1}" for i in range(7))
+        (tmp_path / "c.space").write_text(f"space c\npoints: {' '.join(pts)}\ncovers: {covers}\n")
+        (tmp_path / "k.sheaf").write_text(
+            "ring Z\nspace c\n" + "".join(f"stalk {p}: deg 10 rank 1\n" for p in pts)
+            + "".join(f"gen x{i}<x{i + 1}: deg 10 = [[1]]\n" for i in range(7)))
+        (tmp_path / "pt.map").write_text(
+            "map f\ntarget pt\npoints: *\nsends: " + " ".join(f"{p}->*" for p in pts) + "\n")
+        (tmp_path / "id.map").write_text(
+            f"map f\ntarget c\npoints: {' '.join(pts)}\ncovers: {covers}\nsends: "
+            + " ".join(f"{p}->{p}" for p in pts) + "\n")
+        args = ["basechange", "--space", str(tmp_path / "c.space"),
+                "--sheaf", str(tmp_path / "k.sheaf"), "--map"]
+        assert run(args + [str(tmp_path / "pt.map")]) == (
+            "point *: iso\nlocus: *\nlocus open: yes\nlocus closed: yes", 0)
+        assert run(args + [str(tmp_path / "id.map")]) == (
+            "error: degree 17 outside [-16, 16]", 1)
 
     def test_pushforward_output_parses_back(self, tmp_path):
         (tmp_path / "u.space").write_text("space u\npoints: eta\n")

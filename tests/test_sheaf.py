@@ -1,7 +1,3 @@
-import json
-import os
-import subprocess
-import sys
 import time
 from random import Random
 
@@ -25,8 +21,8 @@ from sheafkit.sheaf import (
     localization_triangle, open_unit, pullback, pushforward, restrict, rgamma,
     same_stalk_homology, sheaf_cone, sheaf_fiber,
     sheaf_is_acyclic, skyscraper, triangle_is_exact, triangle_of, unit_sheaf,
-    zero_sheaf, _chain_matching, _derived_hom_labeled, _hom_end_complex, _label_key,
-    _pushforward_labeled, _slice, rgamma_labeled, rgamma_reduced,
+    zero_sheaf, _chain_matching, _derived_hom_labeled, _extend_by_zero, _hom_end_complex,
+    _label_key, _pushforward_labeled, _slice, rgamma_labeled, rgamma_reduced,
 )
 from sheafkit.space import (
     MonotoneMap, build_space, subspace, _key,
@@ -47,6 +43,38 @@ def fan(width, height):
     chains = [[f"{c}{i}" for i in range(1, height + 1)] for c in "abcdefgh"[:width]]
     covers = [(x, y) for ch in chains for x, y in zip(["x"] + ch, ch + ["z"])]
     return build_space(["x", "z"] + [p for ch in chains for p in ch], covers)
+
+
+# Child-process code for the size-ceiling tests: the sheaf
+# random_sheaf(Random(9), ladder(height), ZZ, max_pieces=3) at height
+# sys.argv[2], then, timed, either the section complex sys.argv[1] ("rgamma"
+# or "rgamma_reduced") and its homology, or ("locus") the base-change locus
+# of the map onto the chain l0 < l1 < ... that sends each level i to l<i>.
+LADDER_CEILING = """
+    import sys, time
+    from random import Random
+    from sheafkit import sheaf
+    from sheafkit.linalg import ZZ, homology
+    from sheafkit.randgen import random_sheaf
+    from sheafkit.space import MonotoneMap, build_space
+    what, height = sys.argv[1], int(sys.argv[2])
+    pts = [f"{c}{i}" for i in range(height) for c in "pq"]
+    covers = [(f"{c}{i}", f"{d}{i + 1}") for i in range(height - 1) for c in "pq" for d in "pq"]
+    m = build_space(pts, covers)
+    k = random_sheaf(Random(9), m, ZZ, max_pieces=3)
+    start = time.perf_counter()
+    if what == "locus":
+        chain = build_space([f"l{i}" for i in range(height)],
+                            [(f"l{i}", f"l{i + 1}") for i in range(height - 1)])
+        f = MonotoneMap(m, chain, [(p, "l" + p[1:]) for p in m.points])
+        locus, _ = sheaf.base_change_locus(f, k)
+        result["locus"] = sorted(locus)
+    else:
+        c = getattr(sheaf, what)(k)
+        h = homology(c)
+        result.update(rank=c.total_rank(), homology={n: str(v) for n, v in h.items()})
+    result["seconds"] = time.perf_counter() - start
+"""
 
 
 def sierpinski():
@@ -250,71 +278,22 @@ class TestRGamma:
         rng = Random(22)
         assert [i for i in range(40) if not _check_cohomological_dimension(rng)] == []
 
-    def test_size_ceiling_on_a_height_9_ladder(self):
+    def test_size_ceiling_on_a_height_9_ladder(self, run_child):
         """rgamma of rank 20635, whose largest coboundary is 5648 x 4312 with
         0.14% of its entries nonzero; run in a child process so that its peak
-        RSS is measured alone.  The child reads its own VmHWM: ru_maxrss
-        keeps the high-water mark of the test process across fork and exec."""
-        code = """if True:
-            import json, time
-            from random import Random
-            from sheafkit.linalg import ZZ, homology
-            from sheafkit.randgen import random_sheaf
-            from sheafkit.sheaf import rgamma
-            from sheafkit.space import build_space
-            pts = [f"{c}{i}" for i in range(9) for c in "pq"]
-            covers = [(f"{c}{i}", f"{d}{i + 1}") for i in range(8) for c in "pq" for d in "pq"]
-            k = random_sheaf(Random(9), build_space(pts, covers), ZZ, max_pieces=3)
-            start = time.perf_counter()
-            c = rgamma(k)
-            h = homology(c)
-            seconds = time.perf_counter() - start
-            with open("/proc/self/status") as fh:
-                hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-            print(json.dumps({"rank": c.total_rank(),
-                              "homology": {n: str(v) for n, v in h.items()},
-                              "seconds": seconds,
-                              "rss_mb": hwm_kb / 1024}))
-        """
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sheafkit.__file__)))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        got = json.loads(out.stdout)
+        RSS is measured alone."""
+        got = run_child(LADDER_CEILING, "rgamma", 9)
         assert got["rank"] == 20635
         assert got["homology"] == {"1": "Z/3", "7": "Z"}
         assert got["seconds"] < 6
         assert got["rss_mb"] < 150
 
-    def test_size_ceiling_on_a_height_10_ladder(self):
+    def test_size_ceiling_on_a_height_10_ladder(self, run_child):
         """rgamma of rank 20005 over 59048 strict chains, of which 19844 have
         a top with a nonzero stalk.  Only those are listed as cofaces, which
         keeps the child's peak RSS near 52 MB; the memory bound lies below
         the 74 MB of listing all 59048."""
-        code = """if True:
-            import json, time
-            from random import Random
-            from sheafkit.linalg import ZZ, homology
-            from sheafkit.randgen import random_sheaf
-            from sheafkit.sheaf import rgamma
-            from sheafkit.space import build_space
-            pts = [f"{c}{i}" for i in range(10) for c in "pq"]
-            covers = [(f"{c}{i}", f"{d}{i + 1}") for i in range(9) for c in "pq" for d in "pq"]
-            k = random_sheaf(Random(9), build_space(pts, covers), ZZ, max_pieces=3)
-            start = time.perf_counter()
-            c = rgamma(k)
-            h = homology(c)
-            seconds = time.perf_counter() - start
-            with open("/proc/self/status") as fh:
-                hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-            print(json.dumps({"rank": c.total_rank(),
-                              "homology": {n: str(v) for n, v in h.items()},
-                              "seconds": seconds,
-                              "rss_mb": hwm_kb / 1024}))
-        """
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sheafkit.__file__)))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        got = json.loads(out.stdout)
+        got = run_child(LADDER_CEILING, "rgamma", 10)
         assert got["rank"] == 20005
         assert got["homology"] == {"1": "Z/3", "9": "Z"}
         assert got["seconds"] < 8
@@ -353,6 +332,30 @@ class TestReducedSections:
             rgamma_reduced(k)
         assert str(got.value) == str(want.value)
         assert homology(rgamma_reduced(k.shift(1))) == homology(rgamma(k.shift(1)))
+
+    def test_degree_overflow_on_a_tall_ladder(self, run_child):
+        """Constant Z in degree 6 on the height-12 ladder: a top point ends
+        chains of 12 points, which reach degree 17.  The heights of the
+        points tell that before any chain is listed; building the whole
+        rgamma first took about 3.5 times longer per level (0.30 s at
+        height 9, 1.05 s at height 10)."""
+        got = run_child("""
+            import time
+            from sheafkit.linalg import ZZ, DegreeOverflow, FreeChainComplex
+            from sheafkit.sheaf import constant_sheaf, rgamma_reduced
+            from sheafkit.space import build_space
+            pts = [f"{c}{i}" for i in range(12) for c in "pq"]
+            covers = [(f"{c}{i}", f"{d}{i + 1}") for i in range(11) for c in "pq" for d in "pq"]
+            k = constant_sheaf(build_space(pts, covers), FreeChainComplex.free_module(ZZ, 1, 6))
+            start = time.perf_counter()
+            try:
+                rgamma_reduced(k)
+            except DegreeOverflow as e:
+                result["error"] = str(e)
+            result["seconds"] = time.perf_counter() - start
+        """, timeout=60)
+        assert got["error"] == "degree 17 outside [-16, 16]"
+        assert got["seconds"] < 1
 
     def test_total_rank_is_the_number_of_critical_labels(self):
         for m, k in self.instances():
@@ -407,39 +410,14 @@ class TestReducedSections:
         (11, 17, {"1": "Z/3", "10": "Z"}, 4, 80),
         (12, 55, {"1": "Z/3", "11": "Z"}, 8, 160),
     ])
-    def test_size_ceiling_on_the_reduced_path(self, height, rank, want, seconds, mb):
+    def test_size_ceiling_on_the_reduced_path(self, run_child, height, rank, want, seconds, mb):
         """The reduced complex of the ceiling sheaf on ladders of height 11
         and 12, whose rgamma has rank 172807 and 767149 (height 11: 10.9 s
         for rgamma and homology, and the same homology).  About 0.2 s and
         41 MB, and 0.5 s and 95 MB, when these bounds were set; the chains
         are bit masks and no coface is stored, so memory stays far below
         the 594 MB of a build that lists them."""
-        code = f"""if True:
-            import json, time
-            from random import Random
-            from sheafkit.linalg import ZZ, homology
-            from sheafkit.randgen import random_sheaf
-            from sheafkit.sheaf import rgamma_reduced
-            from sheafkit.space import build_space
-            pts = [f"{{c}}{{i}}" for i in range({height}) for c in "pq"]
-            covers = [(f"{{c}}{{i}}", f"{{d}}{{i + 1}}")
-                      for i in range({height - 1}) for c in "pq" for d in "pq"]
-            k = random_sheaf(Random(9), build_space(pts, covers), ZZ, max_pieces=3)
-            start = time.perf_counter()
-            c = rgamma_reduced(k)
-            h = homology(c)
-            seconds = time.perf_counter() - start
-            with open("/proc/self/status") as fh:
-                hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-            print(json.dumps({{"rank": c.total_rank(),
-                              "homology": {{n: str(v) for n, v in h.items()}},
-                              "seconds": seconds,
-                              "rss_mb": hwm_kb / 1024}}))
-        """
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sheafkit.__file__)))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        got = json.loads(out.stdout)
+        got = run_child(LADDER_CEILING, "rgamma_reduced", height)
         assert got["rank"] == rank
         assert got["homology"] == want
         assert got["seconds"] < seconds
@@ -961,7 +939,7 @@ class TestBaseChange:
             non_injective += len({t for _, t in p.mapping}) < len(p.mapping)
         assert non_injective >= 6
 
-    def test_one_section_build_per_locus_and_pushforward(self, monkeypatch):
+    def test_no_section_build_per_locus_one_per_pushforward(self, monkeypatch):
         import sheafkit.sheaf as sh
         calls = []
         build = sh.rgamma_labeled
@@ -973,10 +951,11 @@ class TestBaseChange:
             f = random_monotone_map(rng, x, s)
             k = random_sheaf(rng, x)
             calls.clear()
+            # every point's test reads the reduced complex of its kernel
             base_change_locus(f, k)
-            # every point's test is a slice of the one build
-            assert len(calls) == 1
+            assert len(calls) == 0
             calls.clear()
+            # every stalk is a slice of the one build
             pushforward(f, k)
             assert len(calls) == 1
 
@@ -986,6 +965,15 @@ class TestBaseChange:
         s = f.target
         return frozenset(q for q in s.points
                          if base_change_compare(f, subspace(s, {q})[1], k)[1])
+
+    @staticmethod
+    def by_levels(m, levels):
+        """The map from m onto the chain l0 < l1 < ... that sends each point
+        to the chain point of its level, levels[point]."""
+        top = max(levels.values())
+        chain = build_space([f"l{i}" for i in range(top + 1)],
+                            [(f"l{i}", f"l{i + 1}") for i in range(top)])
+        return MonotoneMap(m, chain, [(p, f"l{levels[p]}") for p in m.points])
 
     def test_locus_matches_the_comparison_maps(self):
         rng = Random(38)
@@ -1000,6 +988,26 @@ class TestBaseChange:
             assert locus == self.locus_by_comparison(f, k)
             not_iso += len(s.points) - len(locus)
         assert not_iso >= 500
+        # width-2 ladders of height 2-4 and fan(3, 3), whose open interval
+        # (x, z) is disconnected, mapped onto a chain by levels
+        ends = {"x": 0, "z": 4}  # of the fan; every other point names its level
+        maps = [self.by_levels(m, {p: ends[p] if p in ends else int(p[1:]) for p in m.points})
+                for m in (ladder(2), ladder(3), ladder(4), fan(3, 3))]
+        for i, f in enumerate(maps * 4):
+            k = random_sheaf(rng, f.source, (ZZ, QQ, GF(2), GF(3))[i // len(maps)], max_pieces=3)
+            assert base_change_locus(f, k)[0] == self.locus_by_comparison(f, k)
+
+    def test_size_ceiling_of_the_locus(self, run_child):
+        """The locus of the ceiling sheaf on the height-12 ladder mapped onto
+        a chain by levels, with the bounds of the reduced path's ceiling
+        test: 0.6-0.95 s and 95 MB when they were set, most of it the kernel
+        at l0, which lives on every level but the lowest.  A test on slices
+        of the whole section complex, of rank 767149 here, took 11-17 s and
+        380 MB already at height 11."""
+        got = run_child(LADDER_CEILING, "locus", 12)
+        assert got["locus"] == ["l11"]
+        assert got["seconds"] < 8
+        assert got["rss_mb"] < 160
 
     def test_pushforward_stalks_are_the_restricted_sections(self):
         for f, k, p in self.base_change_cases(39):
@@ -1018,8 +1026,10 @@ class TestBaseChange:
         got = _slice(whole, {"eta"})
         assert set(got[1]) == {0} and got[0].ranks == {0: 1}
         assert_same_labeled(got, rgamma_labeled(restrict(k, {"eta"})))
-        kernel = _slice(whole, m.points, {"eta"})
-        assert [lab for labs in kernel[1].values() for lab in labs] == \
+        # the kernel at s of base change along the identity: the chains that
+        # end in the open {eta}, label for label
+        _, labels, _ = rgamma_labeled(_extend_by_zero(m, {"eta"}, k))
+        assert [lab for labs in labels.values() for lab in labs] == \
             [(("eta",), 0, 0), (("s", "eta"), 0, 0)]
 
     def test_slice_lists_degrees_in_rgamma_order(self):
