@@ -622,15 +622,6 @@ class K0Class:
 
     value: int
 
-    def __add__(self, other):
-        return K0Class(self.value + other.value)
-
-    def __sub__(self, other):
-        return K0Class(self.value - other.value)
-
-    def __neg__(self):
-        return K0Class(-self.value)
-
 
 class FreeChainComplex:
     """A bounded complex of finitely generated free modules.

@@ -8,6 +8,7 @@ up-set of x.  Continuous maps correspond to monotone maps.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -36,49 +37,77 @@ def _key(p):
 
 
 class FinSpec:
-    """A finite poset regarded as a finite spectral space."""
+    """A finite poset regarded as a finite spectral space.
 
-    __slots__ = ("points", "covers", "_up", "_down", "_chains", "_upward", "_lower")
+    One pass of Kahn's algorithm over the given relations builds it.  A
+    point is ready once its given predecessors are all listed, and the
+    ready point least by key is listed next, so the pass lists the points
+    in the admissible order.  A point gets its down-set, its height (the
+    longest path of given relations below it, which is the longest strict
+    chain) and its Hasse covers (the given relations into it that no other
+    given relation into it passes over) when it becomes ready.  Points
+    whose keys tie are taken in input order."""
+
+    __slots__ = ("points", "covers", "_up", "_down", "_order", "_height",
+                 "_chains", "_upward", "_lower")
 
     def __init__(self, points, covers):
         pts = list(points)
         if len(set(pts)) != len(pts):
             raise DuplicatePoint("duplicate point identifiers")
-        pset = set(pts)
-        rel = {p: set() for p in pts}  # p -> points strictly above p
+        by_key = sorted(pts, key=_key)  # stable, so ties of key keep input order
+        rank = {p: i for i, p in enumerate(by_key)}
+        below = {p: set() for p in pts}  # p -> the given predecessors of p
+        above = {p: set() for p in pts}
         for x, y in covers:
-            if x not in pset or y not in pset:
+            if x not in rank or y not in rank:
                 raise UnknownPoint(f"relation {x!r}<{y!r} mentions an unknown point")
             if x == y:
                 raise CycleDetected(f"{x!r} < {x!r}")
-            rel[x].add(y)
-        # transitive closure, with cycle rejection; the toposort is
-        # post-order, so each point is processed after everything above it
-        up = {p: {p} for p in pts}
-        order = _toposort(pts, rel)
-        for p in order:
-            for q in rel[p]:
-                up[p] |= up[q]
-        self.points = tuple(sorted(pts, key=_key))
-        self._up = {p: frozenset(s) for p, s in up.items()}
-        down = {p: set() for p in pts}
-        for p in pts:
-            for q in self._up[p]:
-                down[q].add(p)
-        self._down = {p: frozenset(s) for p, s in down.items()}
-        self.covers = tuple(sorted(self._hasse(), key=lambda e: (_key(e[0]), _key(e[1]))))
+            below[y].add(x)
+            above[x].add(y)
+        waiting = {p: len(below[p]) for p in pts}
+        minimal = [p for p in pts if not waiting[p]]
+        strict = dict.fromkeys(minimal, frozenset())  # p -> the points strictly below p
+        down = {p: frozenset((p,)) for p in minimal}
+        height = dict.fromkeys(minimal, 0)
+        ready = sorted(rank[p] for p in minimal)  # a heap of ranks
+        order, hasse = [], []
+        while ready:
+            y = by_key[heapq.heappop(ready)]
+            order.append(y)
+            for z in above[y]:
+                waiting[z] -= 1
+                if waiting[z]:
+                    continue
+                preds = below[z]
+                strict[z] = frozenset().union(*map(down.__getitem__, preds))
+                down[z] = strict[z].union((z,))
+                height[z] = max(map(height.__getitem__, preds)) + 1
+                # a given predecessor strictly below another is no cover
+                hasse += [(x, z) for x in preds.difference(*map(strict.__getitem__, preds))]
+                heapq.heappush(ready, rank[z])
+        if len(order) < len(pts):
+            # every point left has a point left below it: walk down from
+            # the least one until a point repeats, which lies on a cycle
+            z = min((p for p in pts if p not in down), key=rank.__getitem__)
+            seen = set()
+            while z not in seen:
+                seen.add(z)
+                z = min((x for x in below[z] if x not in down), key=rank.__getitem__)
+            raise CycleDetected(f"cycle through {z!r}")
+        up = {}
+        for y in reversed(order):
+            up[y] = frozenset().union(*map(up.__getitem__, above[y])).union((y,))
+        self.points = tuple(by_key)
+        self.covers = tuple(sorted(hasse, key=lambda e: (rank[e[0]], rank[e[1]])))
+        self._up = up
+        self._down = down
+        self._order = tuple(order)
+        self._height = height
         self._chains = None
         self._upward = None
         self._lower = None
-
-    def _hasse(self):
-        edges = []
-        for x in self.points:
-            above = self._up[x] - {x}
-            for y in above:
-                if not any(z != y and y in self._up[z] for z in above):
-                    edges.append((x, y))
-        return edges
 
     @classmethod
     def from_order(cls, points, leq):
@@ -122,11 +151,6 @@ class FinSpec:
         for x in s:
             out |= self._down[x]
         return frozenset(out)
-
-    def minimal_points(self, within=None):
-        pts = self.points if within is None else sorted(within, key=_key)
-        sub = set(pts)
-        return [p for p in pts if not any(q != p and q in sub and self.le(q, p) for q in sub)]
 
     def covers_upward(self):
         """The covers (w, z) in a linear extension of their tops z, the
@@ -173,32 +197,6 @@ class FinSpec:
 
     def __repr__(self):
         return f"FinSpec(points={list(self.points)}, covers={list(self.covers)})"
-
-
-def _toposort(pts, rel):
-    order = []
-    state = {p: 0 for p in pts}  # 0 unvisited, 1 on stack, 2 done
-    for root in pts:
-        if state[root]:
-            continue
-        stack = [(root, iter(sorted(rel[root], key=_key)))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    raise CycleDetected(f"cycle through {nxt!r}")
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(sorted(rel[nxt], key=_key))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                order.append(node)
-                stack.pop()
-    return order
 
 
 def build_space(points, covers) -> FinSpec:
@@ -328,18 +326,14 @@ def classify_subset(m: FinSpec, s) -> dict:
 
 
 def heights(m: FinSpec) -> dict:
-    """The length of the longest strict chain ending at each point.  Such a
-    chain climbs covers: the height of z is one more than the greatest
-    height of a point it covers, read in one pass over the covers in a
-    linear extension of their tops."""
-    height = dict.fromkeys(m.points, 0)
-    for w, z in m.covers_upward():
-        height[z] = max(height[z], height[w] + 1)
-    return height
+    """The length of the longest strict chain ending at each point, as the
+    pass that built m stored it; the dict is m's own, for reading."""
+    return m._height
 
 
 def krull_dim(m: FinSpec):
-    """Length of the longest strict chain; -inf for the empty space."""
+    """Length of the longest strict chain, the greatest stored height;
+    -inf for the empty space.  No chain is enumerated."""
     return max(heights(m).values(), default=-math.inf)
 
 
@@ -362,16 +356,11 @@ def fiber_product(f: MonotoneMap, p: MonotoneMap):
 def admissible_order(m: FinSpec) -> Stratification:
     """Singleton stratification along a linear extension (most special first).
 
-    Ties are broken by identifier order so the output is reproducible.
+    The extension is the order of the pass that built m: at each step the
+    point least by key among those whose points below are all listed, so
+    the output is reproducible.
     """
-    remaining = set(m.points)
-    order = []
-    while remaining:
-        mins = m.minimal_points(remaining)
-        x = min(mins, key=_key)
-        order.append(frozenset({x}))
-        remaining.remove(x)
-    return Stratification(m, tuple(order))
+    return Stratification(m, tuple(frozenset({x}) for x in m._order))
 
 
 def fibers_discrete(f: MonotoneMap) -> bool:

@@ -163,9 +163,13 @@ class TestParseSpace:
         name, m = parse_space("space nothing\npoints:\n")
         assert m.points == ()
 
-    def test_cycle_reported(self):
-        with pytest.raises(Exception):
-            parse_space("space bad\npoints: a b\ncovers: a<b b<a\n")
+    def test_cycle_reported(self, tmp_path):
+        (tmp_path / "bad.space").write_text("space bad\npoints: d c b a\n"
+                                            "covers: a<b b<c c<a c<d\n")
+        (tmp_path / "bad.sheaf").write_text("ring Z\nspace bad\n")
+        assert run(["cohomology", "--space", str(tmp_path / "bad.space"),
+                    "--sheaf", str(tmp_path / "bad.sheaf")]) == (
+            "error: cycle through 'a'", 1)
 
 
 class TestParseSheaf:

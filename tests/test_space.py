@@ -1,15 +1,15 @@
 import math
 import time
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
 
 from sheafkit.randgen import random_monotone_map, random_poset
 from sheafkit.space import (
-    CycleDetected, DuplicatePoint, MonotoneMap, Stratification,
+    CycleDetected, DuplicatePoint, FinSpec, MonotoneMap, Stratification,
     UnknownPoint, admissible_order, build_space, classify_subset,
-    fiber_product, fibers_discrete, krull_dim, subspace, _key,
+    fiber_product, fibers_discrete, heights, krull_dim, subspace, _key,
 )
 
 
@@ -50,6 +50,31 @@ class TestBuildSpace:
     def test_unknown_point_in_cover(self):
         with pytest.raises(UnknownPoint):
             build_space(["a"], [("a", "z")])
+
+
+class TestCycleReport:
+    """The point a cycle report names lies on the cycle and does not depend
+    on the order in which the points and relations are listed."""
+
+    def check(self, points, relations, cycle):
+        named = set()
+        for pts in permutations(points):
+            for rels in permutations(relations):
+                with pytest.raises(CycleDetected) as err:
+                    build_space(pts, rels)
+                named.add(str(err.value))
+        assert len(named) == 1
+        (message,) = named
+        assert message in {f"cycle through {p!r}" for p in cycle}
+        return message
+
+    def test_same_point_under_every_listing(self):
+        message = self.check("dcba", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")], "abc")
+        assert message == "cycle through 'a'"
+
+    def test_least_point_above_the_cycle(self):
+        message = self.check("apqr", [("p", "q"), ("q", "r"), ("r", "p"), ("p", "a")], "pqr")
+        assert message == "cycle through 'p'"
 
 
 def _subsets(points):
@@ -265,6 +290,99 @@ class TestAdmissibleOrder:
                 prefix |= s
                 assert m.is_closed(prefix)
                 assert classify_subset(m, s)["locally_closed"]
+
+
+def reference_space(points, relations):
+    """The definitions the one pass replaced, one traversal each: the
+    closure by a depth-first search from every point, the Hasse covers by
+    reduction over the up-sets, and the admissible order by repeated scans
+    for the minimal points left, least by key first."""
+    pts = sorted(points, key=_key)
+    succ = {p: set() for p in pts}
+    for x, y in relations:
+        succ[x].add(y)
+    up = {}
+    for p in pts:
+        seen, stack = {p}, [p]
+        while stack:
+            for q in succ[stack.pop()]:
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        up[p] = frozenset(seen)
+    down = {p: frozenset(q for q in pts if p in up[q]) for p in pts}
+    covers = []
+    for x in pts:
+        above = up[x] - {x}
+        covers += [(x, y) for y in above if not any(z != y and y in up[z] for z in above)]
+    order, remaining = [], set(pts)
+    while remaining:
+        mins = [p for p in remaining if not any(q != p and q in remaining for q in down[p])]
+        order.append(min(mins, key=_key))
+        remaining.remove(order[-1])
+    return (tuple(pts), tuple(sorted(covers, key=lambda e: (_key(e[0]), _key(e[1])))),
+            up, down, order)
+
+
+def chain_heights(m):
+    """The length of the longest strict chain of m ending at each point."""
+    height = dict.fromkeys(m.points, 0)
+    for c in m.strict_chains():
+        height[c[-1]] = max(height[c[-1]], len(c) - 1)
+    return height
+
+
+def comparable_pairs(m):
+    return [(x, y) for x in m.points for y in m.points if x != y and m.le(x, y)]
+
+
+class TestOnePass:
+    """The space one pass builds against reference_space and the heights
+    of its strict chains."""
+
+    def check(self, m, points, relations):
+        pts, covers, up, down, order = reference_space(points, relations)
+        assert m.points == pts and m.covers == covers
+        assert all(m.up_set(p) == up[p] and m.down_set(p) == down[p] for p in pts)
+        assert [next(iter(s)) for s in admissible_order(m).strata] == order
+        assert heights(m) == chain_heights(m)
+
+    def test_random_posets(self):
+        rng = Random(81)
+        for _ in range(60):
+            m = shuffled_poset(rng, 8, rng.choice((0.2, 0.35, 0.6)))
+            points, covers = list(m.points), list(m.covers)
+            rng.shuffle(points)
+            rng.shuffle(covers)
+            self.check(build_space(points, covers), points, covers)
+
+    def test_every_comparable_pair(self):
+        rng = Random(82)
+        for _ in range(40):
+            m = shuffled_poset(rng, 8, rng.choice((0.2, 0.35, 0.6)))
+            points = list(m.points)
+            rng.shuffle(points)
+            self.check(FinSpec.from_order(points, m.le), points, comparable_pairs(m))
+
+    def test_duplicate_and_transitive_relations(self):
+        rng = Random(83)
+        for _ in range(40):
+            m = shuffled_poset(rng, 8, rng.choice((0.2, 0.35, 0.6)))
+            pairs = comparable_pairs(m)
+            relations = (list(m.covers) + rng.sample(pairs, len(pairs) // 2)
+                         + rng.sample(pairs, len(pairs) // 3))
+            rng.shuffle(relations)
+            self.check(build_space(m.points, relations), m.points, relations)
+
+    def test_fiber_products(self):
+        rng = Random(84)
+        for _ in range(30):
+            s, x, t = (random_poset(rng, 4) for _ in range(3))
+            f, p = random_monotone_map(rng, x, s), random_monotone_map(rng, t, s)
+            w, _, _ = fiber_product(f, p)
+            pairs = [(a, b) for a in w.points for b in w.points if a != b
+                     and x.le(a[0], b[0]) and t.le(a[1], b[1])]
+            self.check(w, w.points, pairs)
 
 
 class TestFibersDiscrete:
