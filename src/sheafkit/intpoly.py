@@ -317,11 +317,11 @@ def count_roots_halfopen(seq, a, b, d=1) -> int:
 
 
 def root_bound(p) -> Fraction:
-    """Cauchy bound: every real root lies in (-B, B)."""
+    """Cauchy bound 1 + max |c_i| / |lc|: every real root lies in (-B, B)."""
     if degree(p) < 1:
         raise ZeroPolynomial("root bound needs degree >= 1")
     lc = abs(p[-1])
-    return Fraction(1) + max(Fraction(abs(c), lc) for c in p[:-1]) if len(p) > 1 else Fraction(1)
+    return Fraction(lc + max(map(abs, p[:-1])), lc)
 
 
 def isolate_real_roots(p):

@@ -14,26 +14,34 @@ with isolating rational intervals, whose endpoints are integer numerators
 over one denominator, compared by cross-multiplying.  Halving an interval
 is deterministic, so every number keeps its halving once made, and the
 comparisons of root merges, refine_disjoint, fiber sums and images of
-points reuse each other's refinements.  Images under polynomial maps come
-from image polynomials, resultants over Z[t] computed by Bareiss
-elimination.  The one question asked at an algebraic number a is the sign
-of a polynomial f there, and it is one Tarski query: the Sturm-Tarski count
-of a.poly and f over the isolating interval, which holds exactly one root
-of a.poly.  Signs on cuts follow from the first derivative of f that does
-not vanish at the center.
+points reuse each other's refinements.  Two roots of distinct polynomials
+are halved first, since they nearly always differ; only a pair that still
+overlaps after a few halvings takes the gcd of the two polynomials.  The
+test stays exact: a root of the gcd in the intersection of the intervals,
+found by a Sturm count, is the one root of each polynomial there.  Images
+under polynomial maps come from image polynomials, resultants over Z[t]
+computed by Bareiss elimination.  The one question asked at an algebraic
+number a is the sign of a polynomial f there, and it is one Tarski query:
+the Sturm-Tarski count of a.poly and f over the isolating interval, which
+holds exactly one root of a.poly.  Signs on cuts follow from the first
+derivative of f that does not vanish at the center.
 
 Root lists are combined by one merge that tags each root with the lists
 holding it.  Formulas decide signs by provenance: with disjoint isolating
 intervals every sign is read at a rational between two intervals, off a
-leading term or off the tags.  Unions, intersections and transfers along a
-refinement read each fine cell's coarse cell off the tags, and a preimage
-is the pullback of an indicator.  The pushforward builds one image
-polynomial and its Sturm sequence per distinct upstream polynomial.  Fiber
-sums at a value b count the roots of b.poly(p(t)) between the upstream
-roots, isolating none: at a rational b all of them lie in the fiber, and at
-an irrational b a Tarski query of the sign of (p - b.lo)(b.hi - p) keeps
-those that p maps into b's isolating interval.  Their hits, the upstream
-roots where b.poly(p(t)) vanishes, are read off the images of those roots.
+leading term or off the tags, and the formula is evaluated once over all
+cells.  Unions, intersections and transfers along a refinement read each
+fine cell's coarse cell off the tags, and a preimage is the pullback of an
+indicator.  The pushforward builds one image polynomial and its Sturm
+sequence per distinct upstream polynomial, which also isolates the
+downstream roots.  Fiber sums at a value b count the roots of b.poly(p(t))
+between the upstream roots, isolating none: at a rational b all of them
+lie in the fiber, and at an irrational b a Tarski query of the sign of
+(p - b.lo)(b.hi - p) keeps those that p maps into b's isolating interval.
+Their hits, the upstream roots where b.poly(p(t)) vanishes, are read off
+the images of those roots.  One push builds b.poly(p(t)) and its Sturm
+sequence once per downstream polynomial, and each Tarski sequence of a hit
+test once per pair of polynomials.
 """
 
 from __future__ import annotations
@@ -60,6 +68,21 @@ class ConstantMap(SperError):
 
 class InconsistentSamples(SperError):
     """Cell values disagreeing between samples; an implementation bug."""
+
+
+# Halvings that AlgNumber.compare makes on two overlapping roots of distinct
+# polynomials before it computes their gcd.  Such roots are nearly always
+# distinct and part after a few halvings: over seeds 0-2 of the reals
+# benchmark, 42 of 4186 overlapping pairs were equal, and 4074 of the other
+# 4144 parted within 8 halvings (median 2).  So the gcd and its Sturm
+# sequence are left to the pairs that still overlap.
+_HALVINGS_BEFORE_GCD = 8
+
+
+def _overlap(a, b) -> bool:
+    """Whether the isolating intervals of a and b meet: a.lo < b.hi and
+    b.lo < a.hi."""
+    return a._a * b._d < b._b * a._d and b._a * a._d < a._b * b._d
 
 
 class AlgNumber:
@@ -189,7 +212,16 @@ class AlgNumber:
         return -1 if me._b * d <= n * me._d else 1
 
     def compare(self, other) -> int:
-        """-1, 0 or 1 against another AlgNumber or a rational."""
+        """-1, 0 or 1 against another AlgNumber or a rational.
+
+        Two irrational numbers are halved together until their intervals
+        are disjoint.  Roots of distinct polynomials first take up to
+        _HALVINGS_BEFORE_GCD halvings, which nearly always part them.  Two
+        that still overlap, and two overlapping roots of one polynomial,
+        are tested for equality exactly: a root of g = gcd(a.poly, b.poly)
+        in the intersection of the intervals is a root of both polynomials
+        there, hence the one root of each, so a Sturm count of g there of 1
+        means a = b, and of 0 that further halving parts them."""
         if isinstance(other, (int, Fraction)):
             return self._compare_rational(other.numerator, other.denominator)
         if not isinstance(other, AlgNumber):
@@ -199,8 +231,12 @@ class AlgNumber:
         if self.is_rational():
             return -other._compare_rational(*self._ratio())
         a, b = self, other
-        # the intervals overlap: a.lo < b.hi and b.lo < a.hi
-        if a._a * b._d < b._b * a._d and b._a * a._d < a._b * b._d:
+        if a.poly != b.poly:
+            for _ in range(_HALVINGS_BEFORE_GCD):
+                if not _overlap(a, b):
+                    break
+                a, b = a.refined(), b.refined()
+        if _overlap(a, b):
             g = a.poly if a.poly == b.poly else ip.gcd(a.poly, b.poly)
             if ip.degree(g) >= 1:
                 lo = a if a._a * b._d >= b._a * a._d else b
@@ -208,8 +244,8 @@ class AlgNumber:
                 seq = ip.sturm_sequence(g)
                 if ip.count_roots_halfopen(seq, lo._a * hi._d, hi._b * lo._d, lo._d * hi._d) == 1:
                     return 0
-        while a._b * b._d > b._a * a._d and b._b * a._d > a._a * b._d:
-            a, b = a.refined(), b.refined()
+            while _overlap(a, b):
+                a, b = a.refined(), b.refined()
         return -1 if a._b * b._d <= b._a * a._d else 1
 
     def __eq__(self, other):
@@ -302,7 +338,11 @@ def real_roots(f) -> list:
     f = ip.normalize(f)
     if not f:
         raise ZeroPolynomial("real_roots of the zero polynomial")
-    sf, seq = ip.squarefree_sturm(f)
+    return _isolated(*ip.squarefree_sturm(f))
+
+
+def _isolated(sf, seq) -> list:
+    """The sorted real roots of a squarefree sf with Sturm sequence seq."""
     return [AlgNumber.from_rational(Fraction(e[1], e[2])) if e[0] == "rational"
             else AlgNumber._of(sf, *e[1:]) for e in ip.isolate_squarefree_roots(sf, seq)]
 
@@ -395,13 +435,15 @@ def _merge_tagged(a, b) -> list:
     return out
 
 
-def _tagged_roots(polys) -> list:
+def _tagged_roots(polys, sturm=None) -> list:
     """The merged real roots of polys, each paired with the bit set of the
-    polynomials vanishing there (bit i for polys[i]); constants add none."""
+    polynomials vanishing there (bit i for polys[i]); constants add none.
+    sturm maps squarefree polynomials to Sturm sequences already built."""
     tagged = []
     for bit, f in enumerate(polys):
         if ip.degree(f) >= 1:
-            tagged = _merge_tagged(tagged, [(r, 1 << bit) for r in real_roots(f)])
+            roots = _isolated(f, sturm[f]) if sturm and f in sturm else real_roots(f)
+            tagged = _merge_tagged(tagged, [(r, 1 << bit) for r in roots])
     return tagged
 
 
@@ -544,14 +586,17 @@ class Atom:
     op: str
 
     def __post_init__(self):
-        if self.op not in ("<", "<=", "=", "!=", ">=", ">"):
+        if self.op not in _HOLDS:
             raise SperError(f"unknown relation {self.op!r}")
 
     def holds(self, sign: int) -> bool:
-        return {
-            "<": sign < 0, "<=": sign <= 0, "=": sign == 0,
-            "!=": sign != 0, ">=": sign >= 0, ">": sign > 0,
-        }[self.op]
+        return _HOLDS[self.op][sign]
+
+
+# relation -> sign -> whether 'f relation 0' holds where f has that sign
+_HOLDS = {op: {s: test(s, 0) for s in (-1, 0, 1)} for op, test in (
+    ("<", operator.lt), ("<=", operator.le), ("=", operator.eq),
+    ("!=", operator.ne), (">=", operator.ge), (">", operator.gt))}
 
 
 @dataclass(frozen=True)
@@ -578,21 +623,8 @@ def formula_atoms(phi) -> list:
         return [phi]
     if isinstance(phi, Not):
         return formula_atoms(phi.child)
-    out = []
-    for c in phi.children:
-        out.extend(formula_atoms(c))
-    return out
-
-
-def _eval_formula(phi, sign_of) -> bool:
-    if isinstance(phi, Atom):
-        return phi.holds(sign_of(phi.poly))
-    if isinstance(phi, Not):
-        return not _eval_formula(phi.child, sign_of)
-    if isinstance(phi, And):
-        return all(_eval_formula(c, sign_of) for c in phi.children)
-    if isinstance(phi, Or):
-        return any(_eval_formula(c, sign_of) for c in phi.children)
+    if isinstance(phi, (And, Or)):
+        return [a for c in phi.children for a in formula_atoms(c)]
     raise SperError(f"not a formula: {phi!r}")
 
 
@@ -660,8 +692,9 @@ def from_formula(phi) -> SperConstructible:
     the one with the shorter denominator (half the bits of the midpoint
     between them), or off the leading term on the two unbounded cells; at
     a root it is 0 for the tagged polynomials and otherwise the sign on the
-    interval cell to the right.  The formula is evaluated per cell on this
-    table, with no sign evaluation at an algebraic point.
+    interval cell to the right.  The formula is evaluated once over all
+    cells on this table, one list per node, with no sign evaluation at an
+    algebraic point.
     """
     atoms = formula_atoms(phi)
     polys = list(dict.fromkeys(ip.normalize(a.poly) for a in atoms))
@@ -672,9 +705,22 @@ def from_formula(phi) -> SperConstructible:
             for a, b in zip(roots, roots[1:])]
     vectors = {f: _sign_vector(f, bit, ends, tags) for bit, f in enumerate(polys)}
     signs = {a.poly: vectors[ip.normalize(a.poly)] for a in atoms}
-    mask = [_eval_formula(phi, lambda f: signs[f][pos])
-            for pos in range(2 * len(roots) + 1)]
-    return SperConstructible(roots, mask)
+    return SperConstructible(roots, _truth_cells(phi, signs, 2 * len(roots) + 1))
+
+
+def _truth_cells(phi, signs, n) -> list:
+    """The truth values of phi on all n cells at once, one list per node,
+    from the sign vectors of its atom polynomials."""
+    if isinstance(phi, Atom):
+        return list(map(_HOLDS[phi.op].__getitem__, signs[phi.poly]))
+    if isinstance(phi, Not):
+        return list(map(operator.not_, _truth_cells(phi.child, signs, n)))
+    both = isinstance(phi, And)
+    op = operator.and_ if both else operator.or_
+    out = [both] * n
+    for c in phi.children:
+        out = list(map(op, out, _truth_cells(c, signs, n)))
+    return out
 
 
 def _rational_atom(r: Fraction, op: str) -> Atom:
@@ -843,20 +889,28 @@ def push_point(p: PolyMap, x: SperPoint) -> SperPoint:
     return SperPoint.cut_plus(center) if s > 0 else SperPoint.cut_minus(center)
 
 
-def _fiber_poly_vanishes(y: AlgNumber, b) -> bool:
+def _fiber_poly_vanishes(y: AlgNumber, b, queries: dict) -> bool:
     """Whether the polynomial whose roots hold the fiber at b, b.poly(p(t))
     or den(b) p - num(b), vanishes at an upstream root a with image
     y = p(a).  At a rational b that is y = b.  At an irrational b it is
     b.poly(y) = 0, which holds for y = b and for every other root of
-    b.poly: true when y.poly is b.poly, and otherwise one Tarski query of
-    y.poly."""
+    b.poly: true when y.poly is b.poly, and otherwise the sign of b.poly at
+    y (_sign_at_root), whose Tarski sequence the dict queries keeps per
+    (y.poly, b.poly)."""
     if not isinstance(b, AlgNumber) or b.is_rational():
         return y.compare(b) == 0
-    return y.poly == b.poly or _sign_at_root(b.poly, y) == 0
+    if y.poly == b.poly:
+        return True
+    if y.is_rational():
+        return ip.sign_at_rational(b.poly, *y._ratio()) == 0
+    key = y.poly, b.poly
+    if key not in queries:
+        queries[key] = ip.sturm_sequence(y.poly, b.poly)
+    return y.count(queries[key]) == 0
 
 
 def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list,
-               images: list, b) -> int:
+               images: list, b, fibers: dict, queries: dict) -> int:
     """The sum of phi over the fiber of p at a value b, a rational or an
     AlgNumber, by Sturm counts and Tarski queries.
 
@@ -877,9 +931,15 @@ def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list,
     interval cell its value times the count between the neighbouring
     intervals.  The Sturm (and Tarski) sequence of h is evaluated once at
     each end, and no root of h is isolated.
+
+    The dicts fibers and queries live for one push: fibers keeps h and its
+    Sturm sequence per downstream polynomial b.poly, and queries the Tarski
+    sequences of _fiber_poly_vanishes.
     """
     if isinstance(b, AlgNumber):
-        h, seq = ip.squarefree_sturm(ip.compose(b.poly, p.poly))
+        if b.poly not in fibers:
+            fibers[b.poly] = ip.squarefree_sturm(ip.compose(b.poly, p.poly))
+        h, seq = fibers[b.poly]
     else:  # the roots of den p - num
         h, seq = ip.squarefree_sturm(ip.sub(ip.scale(p.poly, b.denominator),
                                             ip.constant(b.numerator)))
@@ -892,7 +952,7 @@ def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list,
     # of cells lies between the i-th and the next
     ends, vs = [], [ip.variations_at_neg_inf(seq)]
     for j, (a, y) in enumerate(zip(ups, images)):
-        hit = _fiber_poly_vanishes(y, b)
+        hit = _fiber_poly_vanishes(y, b, queries)
         while True:
             vlo = ip.nonroot_variations(seq, a._a, a._d)
             vhi = ip.variations_at(seq, a._b, a._d)
@@ -982,13 +1042,15 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
     crit = real_roots(dp) if ip.degree(dp) >= 1 else []
     crit_images = [_push_alg(p, c, image_polys) for c in crit]
     polys = dict.fromkeys(y.poly for y in images + crit_images)
-    out_cells = cell_poset([r for r, _ in _tagged_roots(polys)])
+    # an irrational image's polynomial comes with its Sturm sequence
+    out_cells = cell_poset([r for r, _ in _tagged_roots(polys, dict(image_polys.values()))])
     ups = refine_disjoint(cells.roots)
     refined, samples = cell_samples(list(out_cells.roots))
-    values = {}
+    values, fibers, queries = {}, {}, {}
     for pos, sample in enumerate(samples):
         if isinstance(sample, AlgNumber):
-            values[out_cells.point_at(pos)] = _fiber_sum(p, phi, cells, ups, images, sample)
+            values[out_cells.point_at(pos)] = _fiber_sum(
+                p, phi, cells, ups, images, sample, fibers, queries)
             continue
         # interval cell: three rational samples must agree
         if not refined:
@@ -1001,7 +1063,7 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
             left = refined[pos // 2 - 1].hi
             right = refined[pos // 2].lo
             extras = [sample, (left + sample) / 2, (sample + right) / 2]
-        vals = [_fiber_sum(p, phi, cells, ups, images, e) for e in extras]
+        vals = [_fiber_sum(p, phi, cells, ups, images, e, fibers, queries) for e in extras]
         if len(set(vals)) != 1:
             raise InconsistentSamples(
                 f"cell {out_cells.marker(pos)} sampled values {vals}")

@@ -151,6 +151,44 @@ class TestCoeffBudget:
             parse_formula("t - " + "9" * 4000 + " > 0")
 
 
+class TestReaderFastPathEdges:
+    """Exponents of t become monomials, and the line and column of a token
+    are counted only for an error; the reports at the edges of the literal
+    budget and of exponents stay as they were."""
+
+    @pytest.mark.parametrize("poly, report", [
+        ("t^1001", "error: syntax error at line 1, column 3: exponent 1001 above "
+                   "the degree budget of 1000"),
+        ("t^\n1001", "error: syntax error at line 2, column 1: exponent 1001 above "
+                     "the degree budget of 1000"),
+        ("t^2^2", "error: syntax error at line 1, column 4: expected 'end', found '^'"),
+        ("1" + "0" * 3011, "error: syntax error at line 1, column 1: integer literal "
+                           "above the coefficient budget of 10000 bits"),
+        ("\u00b2", "error: invalid literal for int() with base 10: '\u00b2'"),
+        ("t^1\u00b2", "error: invalid literal for int() with base 10: '1\u00b2'"),
+        ("t +\n  2*x", "error: syntax error at line 2, column 5: unexpected character 'x'"),
+    ])
+    def test_error_reports(self, poly, report):
+        assert run(["sper-roots", "--poly", poly]) == (report, 1)
+
+    def test_formula_error_reports(self):
+        assert run(["sper-set", "--formula", "t^2^2 > 0"]) == (
+            "error: syntax error at line 1, column 4: expected a relation, found '^'", 1)
+        assert run(["sper-set", "--formula", "t > 0 |\n t^1001 < 0"]) == (
+            "error: syntax error at line 2, column 4: exponent 1001 above "
+            "the degree budget of 1000", 1)
+
+    def test_values(self):
+        assert parse_poly("9" * 2999) == (10 ** 2999 - 1,)
+        assert parse_poly("9" * 3001 + "*t") == (0, 10 ** 3001 - 1)
+        assert parse_poly("1" + "0" * 3010) == (10 ** 3010,)
+        assert parse_poly("0" * 2999 + "7") == (7,)
+        assert parse_poly("\u0661") == (1,)
+        assert parse_poly("\u0663*t^\u0662 - t^0") == (-1, 0, 3)
+        assert parse_poly("t^1000") == (0,) * 1000 + (1,)
+        assert parse_poly("2*t^3 +\r\n t ^ 2") == (0, 0, 1, 2)
+
+
 class TestParseSpace:
     def test_round_trip_random(self):
         rng = Random(61)

@@ -273,6 +273,21 @@ class TestExactDivision:
             ip.divexact((1, 1), (1, 2))
 
 
+class TestRootBound:
+    def test_matches_one_fraction_per_coefficient(self):
+        rng = Random(17)
+        for _ in range(300):
+            bits = rng.choice((3, 20, 200))
+            p = random_poly(rng, rng.randint(1, 8), 2 ** bits)
+            if ip.degree(p) < 1:
+                continue
+            lc = abs(p[-1])
+            assert ip.root_bound(p) == Fraction(1) + max(Fraction(abs(c), lc) for c in p[:-1])
+        assert ip.root_bound((0, 5)) == 1 and ip.root_bound((7, 0, -2)) == Fraction(9, 2)
+        with pytest.raises(ip.ZeroPolynomial):
+            ip.root_bound((3,))
+
+
 class TestPower:
     def test_repeated_squaring_matches_repeated_products(self):
         rng = Random(13)

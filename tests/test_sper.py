@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -437,10 +438,10 @@ class TestFiber:
             phi = ConsFunction(cp.space, {cp.point_at(pos): 2 ** (pos // 2) if pos % 2 else 0
                                           for pos in range(len(cp.cells))})
             ups = sper.refine_disjoint(cp.roots)
-            assert sper._fiber_sum(p, phi, cp, ups, images, b) == \
+            assert sper._fiber_sum(p, phi, cp, ups, images, b, {}, {}) == \
                 sum(2 ** i for i, h in enumerate(hit) if h)
             line = cell_poset([])
-            assert sper._fiber_sum(p, const_phi(line), line, [], [], b) == sum(hit)
+            assert sper._fiber_sum(p, const_phi(line), line, [], [], b, {}, {}) == sum(hit)
             kept += sum(hit)
             dropped += len(hit) - sum(hit)
         assert kept >= 200 and dropped >= 200
@@ -453,7 +454,7 @@ class TestFiber:
         phi = ConsFunction(cp.space, {cp.point_at(pos): pos % 2 for pos in range(3)})
         b = AlgNumber((6, -5, 1), Fraction(7, 4), Fraction(21, 8))
         p = PolyMap((4, -1))
-        assert sper._fiber_sum(p, phi, cp, [a], [_push_alg(p, a, {})], b) == 1
+        assert sper._fiber_sum(p, phi, cp, [a], [_push_alg(p, a, {})], b, {}, {}) == 1
 
     def test_degree_five_map_with_four_critical_points(self):
         p = PolyMap((1, 4, 0, -5, 0, 1))  # p' = 5t^4 - 15t^2 + 4
@@ -498,16 +499,17 @@ class TestHitsReadOffImages:
         y = _push_alg(CONJUGATES, minus, {})
         assert y.poly == b.poly and y.compare(b) > 0
         assert sign_at(ip.compose(b.poly, CONJUGATES.poly), SperPoint.alg(minus)) == 0
-        assert sper._fiber_poly_vanishes(y, b)
+        assert sper._fiber_poly_vanishes(y, b, {})
         # the roots +-sqrt 2 of (t^2 - 2)(t^3 - 1) have another image
         # polynomial than b, and 1 maps to 1
         for roots in ([minus], [minus, plus], real_roots(ip.mul(T2M2, (-1, 0, 0, 1)))):
             cp = cell_poset(roots)
             phi = ConsFunction(cp.space, {cp.point_at(pos): 3 ** pos for pos in range(len(cp.cells))})
             images = [_push_alg(CONJUGATES, a, {}) for a in cp.roots]
-            assert [sper._fiber_poly_vanishes(y, b) for y in images] == \
+            assert [sper._fiber_poly_vanishes(y, b, {}) for y in images] == \
                 [a.compare(1) != 0 for a in cp.roots]
-            got = sper._fiber_sum(CONJUGATES, phi, cp, sper.refine_disjoint(cp.roots), images, b)
+            got = sper._fiber_sum(CONJUGATES, phi, cp, sper.refine_disjoint(cp.roots), images, b,
+                                  {}, {})
             assert got == _alg_fiber_oracle(CONJUGATES, phi, cp, b)
 
     def test_matches_the_tarski_query_of_h(self):
@@ -542,7 +544,7 @@ class TestHitsReadOffImages:
             image_polys = {}
             for a in ups:
                 y = _push_alg(p, a, image_polys)
-                hit = sper._fiber_poly_vanishes(y, b)
+                hit = sper._fiber_poly_vanishes(y, b, {})
                 assert hit == (sper._sign_at_root(h, a) == 0)
                 if isinstance(b, Fraction) or b.is_rational():
                     seen["rational hit" if hit else "rational miss"] += 1
@@ -658,6 +660,18 @@ def _shared_root_formula(rng):
     return tree(3)
 
 
+def _eval_formula(phi, sign_of) -> bool:
+    """phi at one cell, given the sign of each atom polynomial there: the
+    per-cell reference for from_formula's one pass over all cells."""
+    if isinstance(phi, Atom):
+        return phi.holds(sign_of(phi.poly))
+    if isinstance(phi, Not):
+        return not _eval_formula(phi.child, sign_of)
+    if isinstance(phi, And):
+        return all(_eval_formula(c, sign_of) for c in phi.children)
+    return any(_eval_formula(c, sign_of) for c in phi.children)
+
+
 def _formula_oracle(phi):
     """from_formula by direct sign evaluation: sign_at at every root and
     sign_at_rational at the interval samples."""
@@ -673,7 +687,7 @@ def _formula_oracle(phi):
             return sign_at(f, SperPoint.alg(x))
         return ip.sign_at_rational(f, x)
 
-    mask = [sper._eval_formula(phi, lambda f: sign(f, x)) for x in samples]
+    mask = [_eval_formula(phi, lambda f: sign(f, x)) for x in samples]
     return SperConstructible(roots, mask)
 
 
@@ -725,7 +739,7 @@ class TestFiberSumsBySturmCounts:
             ys = [ip.evaluate(p.poly, a.as_rational()) for a in cp.roots if a.is_rational()]
             ys += [Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(4)]
             for y in ys:
-                assert sper._fiber_sum(p, phi, cp, ups, images, y) == _fiber_oracle(p, phi, cp, y)
+                assert sper._fiber_sum(p, phi, cp, ups, images, y, {}, {}) == _fiber_oracle(p, phi, cp, y)
                 checked += 1
             out, oc = push_cons(p, phi, cp)
             _, samples = cell_samples(list(oc.roots))
@@ -757,22 +771,23 @@ class TestFiberSumsBySturmCounts:
 
 
 def _check_rational_roots(monkeypatch, p, phi, cells, ys):
-    """Push phi with real_roots watched: only the roots of p' and of the
+    """Push phi with root isolation watched: only the roots of p' and of the
     image polynomials of the upstream roots and critical points are
     isolated, never a fiber; the downstream roots are the rationals ys and
     the values there are the fiber sums of the oracle."""
-    real = sper.real_roots
+    isolated = sper._isolated
     seen = []
 
-    def watched(f):
-        seen.append(ip.normalize(f))
-        return real(f)
+    def watched(sf, seq):
+        seen.append(sf)
+        return isolated(sf, seq)
 
-    monkeypatch.setattr(sper, "real_roots", watched)
+    monkeypatch.setattr(sper, "_isolated", watched)
     out, oc = push_cons(p, phi, cells)
+    monkeypatch.undo()
     dp = ip.deriv(p.poly)
-    images = [_push_alg(p, a, {}).poly for a in list(cells.roots) + real(dp)]
-    assert seen == [dp] + list(dict.fromkeys(images))
+    images = [_push_alg(p, a, {}).poly for a in list(cells.roots) + real_roots(dp)]
+    assert seen == [ip.squarefree_sturm(dp)[0]] + list(dict.fromkeys(images))
     assert [r.compare(y) for r, y in zip(oc.roots, ys)] == [0] * len(ys) == [0] * len(oc.roots)
     assert [out(oc.point_at(2 * j + 1)) for j in range(len(ys))] == \
         [_fiber_oracle(p, phi, cells, Fraction(y)) for y in ys]
@@ -833,3 +848,160 @@ class TestSignAtByTarskiQueries:
                 zeros += 1
                 high_order += sign_at(ip.deriv(f), SperPoint.alg(center)) == 0
         assert irrational >= 50 and zeros >= 50 and high_order >= 20
+
+
+def _gcd_first_compare(a, b) -> int:
+    """AlgNumber.compare as it was before halving came first: for two
+    irrational roots with overlapping intervals, the gcd of their
+    polynomials and its Sturm count in the intersection settle equality
+    before any halving."""
+    if b.is_rational():
+        return a._compare_rational(*b._ratio())
+    if a.is_rational():
+        return -b._compare_rational(*a._ratio())
+    if sper._overlap(a, b):
+        g = a.poly if a.poly == b.poly else ip.gcd(a.poly, b.poly)
+        if ip.degree(g) >= 1:
+            lo = a if a._a * b._d >= b._a * a._d else b
+            hi = a if a._b * b._d <= b._b * a._d else b
+            seq = ip.sturm_sequence(g)
+            if ip.count_roots_halfopen(seq, lo._a * hi._d, hi._b * lo._d, lo._d * hi._d) == 1:
+                return 0
+    while sper._overlap(a, b):
+        a, b = a.refined(), b.refined()
+    return -1 if a._b * b._d <= b._a * a._d else 1
+
+
+def _counting_gcds(monkeypatch) -> list:
+    calls, gcd = [], ip.gcd
+    monkeypatch.setattr(ip, "gcd", lambda p, q: calls.append((p, q)) or gcd(p, q))
+    return calls
+
+
+class TestCompareHalvesBeforeGcd:
+    def test_matches_gcd_first_compare_on_seeded_pairs(self):
+        rng = Random(113)
+        kinds = {"equal": 0, "same poly": 0, "rational": 0, "distinct": 0}
+        for _ in range(60):
+            f, g = _product(rng, rng.randint(1, 3)), _product(rng, rng.randint(1, 3))
+            if ip.degree(f) < 1 or ip.degree(g) < 1:
+                continue
+            for x in real_roots(f):
+                for y in real_roots(g) + real_roots(f):
+                    want = _gcd_first_compare(x, y)
+                    assert x.compare(y) == want and y.compare(x) == -want
+                    if x.is_rational() or y.is_rational():
+                        kinds["rational"] += x.is_rational() != y.is_rational()
+                    elif x.poly == y.poly:
+                        kinds["same poly"] += 1
+                    else:
+                        kinds["equal" if want == 0 else "distinct"] += 1
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_equal_roots_of_distinct_polynomials(self, monkeypatch):
+        # (t^2 - 2)(t^2 - 8) and t^3 - 2t share the roots +-sqrt 2, which
+        # overlap through every halving: each needs one gcd
+        a, b = real_roots(ip.mul(T2M2, (-8, 0, 1))), real_roots(T3M2T)
+        gcds = _counting_gcds(monkeypatch)
+        got = [[x.compare(y) for y in b] for x in a]
+        assert got == [[-1, -1, -1], [0, -1, -1], [1, 1, 0], [1, 1, 1]]
+        assert len(gcds) == 2
+        assert got == [[_gcd_first_compare(x, y) for y in b] for x in a]
+
+    def test_roots_closer_than_the_halvings_allow(self, monkeypatch):
+        # sqrt 2 and sqrt 2.000001, about 3.5e-7 apart, still overlap after
+        # the halvings: one gcd, a constant, then halving parts them
+        x = real_roots(T2M2)[1]
+        y = real_roots((-2000001, 0, 10 ** 6))[1]
+        gcds = _counting_gcds(monkeypatch)
+        assert x.compare(y) == -1 and y.compare(x) == 1
+        assert gcds == [(x.poly, y.poly), (y.poly, x.poly)]
+        assert _gcd_first_compare(x, y) == -1
+
+    def test_roots_of_one_polynomial_need_no_gcd(self, monkeypatch):
+        roots = real_roots(ip.mul(ip.mul(T2M2, (-3, 0, 1)), (-201, 0, 100)))
+        gcds = _counting_gcds(monkeypatch)
+        assert [[x.compare(y) for y in roots] for x in roots] == \
+            [[(i > j) - (i < j) for j in range(6)] for i in range(6)]
+        assert gcds == []
+
+    def test_coprime_atoms_make_no_gcd(self, monkeypatch):
+        gcds = _counting_gcds(monkeypatch)
+        phi = Or((And((Atom(T2M2, ">"), Atom((1, -3, 0, 1), "<"))), Atom((-5, 0, 1), "!=")))
+        assert str(from_formula(phi)).startswith("(-inf,root(t^2 - 5, ")
+        assert gcds == []
+
+    def test_a_shared_factor_tags_its_roots_with_both_bits(self, monkeypatch):
+        # (t^2 - 2)(t - 3) and (t^2 - 2)(t^2 - 5): +-sqrt 2 carry both bits,
+        # after one gcd each
+        gcds = _counting_gcds(monkeypatch)
+        tagged = sper._tagged_roots([ip.mul(T2M2, (-3, 1)), ip.mul(T2M2, (-5, 0, 1))])
+        assert [tag for _, tag in tagged] == [2, 3, 3, 2, 1]
+        assert [r.compare(v) for (r, _), v in zip(tagged, (-3, -1, 1, 2, 3))] == [1, -1, 1, 1, 0]
+        assert len(gcds) == 2
+
+
+def _formula_tree(rng, pool, depth):
+    """A random formula over the atoms of pool, FORMULA_TRUE and
+    FORMULA_FALSE, with Not chains and And and Or of up to three children."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice((sper.FORMULA_TRUE, sper.FORMULA_FALSE,
+                           Atom(rng.choice(pool), rng.choice(RELOPS)),
+                           Atom(rng.choice(pool), rng.choice(RELOPS))))
+    kind = rng.random()
+    if kind < 0.25:
+        return Not(_formula_tree(rng, pool, depth - 1))
+    children = tuple(_formula_tree(rng, pool, depth - 1) for _ in range(rng.randint(1, 3)))
+    return And(children) if kind < 0.6 else Or(children)
+
+
+class TestFormulaOverAllCells:
+    def test_truth_lists_match_per_cell_evaluation(self):
+        rng = Random(127)
+        pool = [(-1, 1), T2M2, T3M2T, (1, 0, 1)]
+        for _ in range(300):
+            n = 2 * rng.randint(0, 5) + 1
+            signs = {f: [rng.choice((-1, 0, 1)) for _ in range(n)] for f in pool}
+            signs[()] = [0] * n
+            phi = _formula_tree(rng, pool, 5)
+            assert sper._truth_cells(phi, signs, n) == \
+                [_eval_formula(phi, lambda f: signs[f][pos]) for pos in range(n)]
+
+    def test_masks_match_the_per_cell_reference(self):
+        rng = Random(131)
+        for _ in range(80):
+            pool = [_product(rng, rng.randint(1, 2)) for _ in range(3)]
+            phi = _formula_tree(rng, pool, 4)
+            got, want = from_formula(phi), _formula_oracle(phi)
+            assert got == want and got.mask == want.mask
+
+    def test_constants_and_empty_connectives(self):
+        assert from_formula(sper.FORMULA_TRUE).is_whole()
+        assert from_formula(sper.FORMULA_FALSE).is_empty()
+        assert from_formula(And(())).is_whole() and from_formula(Or(())).is_empty()
+        assert from_formula(Not(Not(Atom(T2M2, "<")))) == from_formula(Atom(T2M2, "<"))
+
+    @pytest.mark.parametrize("phi", [42, "t > 0", Not(None), And((Atom(T2M2, "<"), "t > 0"))])
+    def test_a_non_formula_is_an_error(self, phi):
+        with pytest.raises(SperError, match="not a formula"):
+            from_formula(phi)
+
+
+class TestPushBuildsEachSequenceOnce:
+    def test_one_sturm_sequence_per_polynomial(self, monkeypatch):
+        # t^3 - t on the cells of (t^2 - 2)(t^2 - 3) < 0: the downstream
+        # roots are the four images and the two critical values, roots of
+        # two polynomials; each fiber polynomial, each Tarski pair and each
+        # image polynomial gets one sequence, used by every root
+        cp = cell_poset(from_formula(Atom((6, 0, -5, 0, 1), "<")))
+        phi = ConsFunction(cp.space, {q: i for i, q in enumerate(cp.space.points)})
+        sqf, seqs = Counter(), Counter()
+        squarefree, sturm = ip.squarefree_sturm, ip.sturm_sequence
+        monkeypatch.setattr(ip, "squarefree_sturm",
+                            lambda p: sqf.update([p]) or squarefree(p))
+        monkeypatch.setattr(ip, "sturm_sequence",
+                            lambda p, q=(1,): seqs.update([(p, q)]) or sturm(p, q))
+        out, oc = push_cons(PolyMap(T3M2T[:1] + (-1, 0, 1)), phi, cp)
+        assert len(oc.roots) == 6 and len({r.poly for r in oc.roots}) == 2
+        assert len(sqf) >= 6 and len(seqs) >= 12
+        assert set(sqf.values()) == {1} and set(seqs.values()) == {1}
