@@ -607,21 +607,43 @@ def ring_to_tokens(ring: ScalarRing) -> str:
     return ring.kind
 
 
+def _once_per_object(fn):
+    """fn memoized by the id of its argument, for arguments that all stay
+    alive while the memo is in use."""
+    memo = {}
+
+    def once(x):
+        got = memo.get(id(x))
+        if got is None:
+            got = memo[id(x)] = fn(x)
+        return got
+    return once
+
+
 def sheaf_to_text(k: SheafComplex, space_name: str) -> str:
+    """The sheaf file of k.  A pushforward shares one stalk complex among the
+    points with one preimage, and one identity among the covers between
+    them, so each distinct complex and map is formatted once, keyed by id
+    (``FreeChainComplex.__hash__`` walks every matrix)."""
+    @_once_per_object
+    def stalk_text(c):
+        items = [f"deg {n} rank {r}" for n, r in sorted(c.ranks.items())]
+        items += [f"d_{n} = {_matrix_str(d)}" for n, d in sorted(c.diffs.items())]
+        return "; ".join(items)
+
+    @_once_per_object
+    def gen_text(g):
+        return "; ".join(f"deg {n} = {_matrix_str(mm)}" for n, mm in sorted(g.mats.items()))
+
     lines = [f"ring {ring_to_tokens(k.ring)}", f"space {space_name}"]
     for pt in k.space.points:
         c = k.stalks[pt]
-        if c.is_zero():
-            continue
-        items = [f"deg {n} rank {r}" for n, r in sorted(c.ranks.items())]
-        items += [f"d_{n} = {_matrix_str(d)}" for n, d in sorted(c.diffs.items())]
-        lines.append(f"stalk {pt}: " + "; ".join(items))
+        if not c.is_zero():
+            lines.append(f"stalk {pt}: " + stalk_text(c))
     for (x, y) in k.space.covers:
         g = k.gens[(x, y)]
-        if g.is_zero():
-            continue
-        items = [f"deg {n} = {_matrix_str(mm)}" for n, mm in sorted(g.mats.items())]
-        lines.append(f"gen {x}<{y}: " + "; ".join(items))
+        if not g.is_zero():
+            lines.append(f"gen {x}<{y}: " + gen_text(g))
     return "\n".join(lines) + "\n"
 
 
@@ -709,7 +731,8 @@ def cmd_cohomology(args):
     acyclic Morse matching of the chains under each top (the rule and why
     it is acyclic are there), equivalent to ``rgamma`` and about a tenth of
     its rank on the benchmark's sheaves; a height-12 ladder takes about
-    0.5 s.  ``basechange`` reads it too; ``pushforward`` slices ``rgamma``."""
+    0.5 s.  ``basechange`` reads it too; ``pushforward`` builds
+    ``rgamma_labeled`` once and slices it once per distinct preimage."""
     return _report_cohomology(_load_sheaf(args), args.json), 0
 
 
@@ -718,9 +741,11 @@ def cmd_pushforward(args):
     _, tgt_name, f = parse_map(_read(args.map), k.space)
     out = pushforward(f, k)
     if args.json:
-        stalk = {str(p): {str(n): _module_json(mod)
-                          for n, mod in sorted(homology(c).items())}
-                 for p, c in out.stalks.items()}
+        @_once_per_object
+        def cohomology(c):
+            return {str(n): _module_json(mod) for n, mod in sorted(homology(c).items())}
+
+        stalk = {str(p): cohomology(c) for p, c in out.stalks.items()}
         return json.dumps({"pushforward_stalk_cohomology": stalk}, sort_keys=True), 0
     entries = (sum(d.rows * d.cols for c in out.stalks.values() for d in c.diffs.values())
                + sum(g.rows * g.cols for m in out.gens.values() for g in m.mats.values()))

@@ -445,9 +445,10 @@ def rgamma(k: SheafComplex) -> FreeChainComplex:
 
     This is the whole complex over every strict chain.  The ``cohomology``
     command and base change read the smaller equivalent ``rgamma_reduced``
-    instead; this one is kept because the pushforward stalks are slices of
-    its labelled form, whose chain-level text report prints them, and
-    because it is the oracle the reduced complex is tested against."""
+    instead; this one is kept because the pushforward stalks are its
+    labelled form and slices of it, whose chain-level text report prints
+    them, and because it is the oracle the reduced complex is tested
+    against."""
     cx, _, _ = rgamma_labeled(k)
     return cx
 
@@ -625,8 +626,11 @@ def _pushforward_labeled(f: MonotoneMap, k: SheafComplex, p: MonotoneMap | None 
     Stalk at t is the derived-section complex of k over the preimage of the
     minimal open of p(t); generization maps are the cochain restrictions, as
     p is monotone and so the labels at y all occur at x for x < y.  The
-    sections of k are built once, and each stalk is the quotient of them to
-    the chains that start in the preimage (see ``_slice``).
+    sections of k are built once.  The points with one preimage share one
+    stalk: the build itself where the preimage is the whole source, and
+    otherwise one quotient of it to the chains that start in the preimage
+    (see ``_slice``), so the points over a shared stalk are joined by one
+    shared identity (see ``_restriction_sheaf``).
     """
     if k.space != f.source:
         raise SheafError("sheaf does not live on the source of the map")
@@ -634,17 +638,23 @@ def _pushforward_labeled(f: MonotoneMap, k: SheafComplex, p: MonotoneMap | None 
     if p is None:
         p = MonotoneMap.identity(s)
     whole = rgamma_labeled(k)
-    stalks = {q: _slice(whole, f.preimage(s.up_set(q)))
-              for q in {p(t) for t in p.source.points}}
-    del whole  # the slices hold no reference to it
+    slices = {frozenset(f.source.points): whole}
+    stalks = {}
+    for q in {p(t) for t in p.source.points}:
+        pre = f.preimage(s.up_set(q))
+        if pre not in slices:
+            slices[pre] = _slice(whole, pre)
+        stalks[q] = slices[pre]
     return _restriction_sheaf(p.source, k.ring, lambda t: stalks[p(t)])
 
 
 def _slice(whole, bottoms):
     """The part of whole = rgamma_labeled(k) or _hom_end_complex(k, l) on
-    the labels (c, ...) with c[0] in bottoms, as (complex, labels, index):
-    the kept labels in their order, and the submatrices of the differentials
-    on them.  Degrees without a kept label are dropped.
+    the labels (c, ...) with c[0] in bottoms, as a new (complex, labels,
+    index): the kept labels in their order, and the submatrices of the
+    differentials on them.  Degrees without a kept label are dropped.  Kept
+    on every label it would copy whole, so ``_pushforward_labeled`` uses
+    whole itself there.
 
     For an open (up-set) U the chains with c[0] outside U form a
     subcomplex, as a coface only adds points and so only lowers the bottom;
@@ -678,15 +688,23 @@ def _slice(whole, bottoms):
 def _restriction_sheaf(m: FinSpec, ring: ScalarRing, local):
     """(sheaf, labels, indexes) for the stalks local(x) = (complex, labels,
     index) on m, generization x < y restricting to the labels of y, which
-    must all occur at x."""
+    must all occur at x.  Where x and y have the same stalk object that
+    restriction is the identity, one ChainMap.identity per stalk shared by
+    all such covers."""
     stalks, labels, indexes = {}, {}, {}
     for x in m.points:
         stalks[x], labels[x], indexes[x] = local(x)
-    gens = {}
+    gens, identities = {}, {}
     for (x, y) in m.covers:
-        idx = indexes[x]
-        gens[(x, y)] = _label_map(stalks[x], stalks[y], labels[y],
-                                  lambda n, lab: ((idx[(n, lab)], 1),))
+        c = stalks[x]
+        if c is stalks[y]:
+            g = identities.get(id(c))
+            if g is None:
+                g = identities[id(c)] = ChainMap.identity(c)
+        else:
+            idx = indexes[x]
+            g = _label_map(c, stalks[y], labels[y], lambda n, lab: ((idx[(n, lab)], 1),))
+        gens[(x, y)] = g
     return SheafComplex(m, ring, stalks, gens, check=False), labels, indexes
 
 

@@ -1028,11 +1028,12 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
     on the downstream cells: the roots of their image polynomials, one per
     distinct defining polynomial and isolated once each, with the images of
     the upstream roots kept for the fiber sums.  Each interval cell is
-    evaluated at three rational samples and disagreements raise
-    InconsistentSamples.  Every fiber sum, at a rational sample or at a
-    rational or irrational downstream root, comes from Sturm counts and
-    Tarski queries between the upstream roots (_fiber_sum), with no fiber
-    isolated.
+    evaluated at three distinct rational samples, its gap midpoint and the
+    midpoints between it and the neighbouring roots' intervals (halved
+    until they lie off it), and disagreements raise InconsistentSamples.
+    Every fiber sum, at a rational sample or at a rational or irrational
+    downstream root, comes from Sturm counts and Tarski queries between the
+    upstream roots (_fiber_sum), with no fiber isolated.
     """
     if phi.space != cells.space:
         raise SperError("function does not live on the given cell poset")
@@ -1060,9 +1061,14 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
         elif pos == len(samples) - 1:
             extras = [sample, sample + 1, sample + 2]
         else:
-            left = refined[pos // 2 - 1].hi
-            right = refined[pos // 2].lo
-            extras = [sample, (left + sample) / 2, (sample + right) / 2]
+            # the neighbours' intervals may share an end, the sample itself:
+            # halve each until it lies off the sample
+            a, b = refined[pos // 2 - 1], refined[pos // 2]
+            while a.hi >= sample:
+                a = a.refined()
+            while b.lo <= sample:
+                b = b.refined()
+            extras = [sample, (a.hi + sample) / 2, (sample + b.lo) / 2]
         vals = [_fiber_sum(p, phi, cells, ups, images, e, fibers, queries) for e in extras]
         if len(set(vals)) != 1:
             raise InconsistentSamples(

@@ -11,13 +11,15 @@ import pytest
 import sheafkit.intpoly as ip
 from sheafkit.cli import (
     MAX_REPORT_ENTRIES, MAX_STALK_RANK, ParseError, parse_formula, parse_map, parse_phi,
-    parse_poly, parse_sheaf, parse_space, run, sheaf_to_text, space_to_text, _matrix_str,
+    parse_poly, parse_sheaf, parse_space, ring_to_tokens, run, sheaf_to_text, space_to_text,
+    _matrix_str, _module_json,
 )
 from sheafkit.randgen import (
     random_cons_function, random_monotone_map, random_poset, random_sheaf,
 )
-from sheafkit.linalg import QQ, GF, ZZ, ChainMap, LinalgError, Matrix
-from sheafkit.sheaf import SheafComplex
+from sheafkit.linalg import QQ, GF, ZZ, ChainMap, LinalgError, Matrix, homology
+from sheafkit.sheaf import SheafComplex, pushforward
+from sheafkit.space import MonotoneMap
 from sheafkit.sper import cell_poset, from_formula
 
 
@@ -854,6 +856,22 @@ def _gauged(rng, k):
     return SheafComplex(k.space, ring, k.stalks, gens)
 
 
+def _pushforward_argv(tmp_path, f, k, name="pf"):
+    """A pushforward command line of k along f, its files in tmp_path."""
+    t = f.target
+    files = {"space": space_to_text("src", f.source), "sheaf": sheaf_to_text(k, "src"),
+             "map": "\n".join([
+                 "map f", "target tgt", "points: " + " ".join(t.points),
+                 "covers: " + " ".join(f"{x}<{y}" for x, y in t.covers),
+                 "sends: " + " ".join(f"{x}->{y}" for x, y in f.mapping)]) + "\n"}
+    argv = ["pushforward"]
+    for opt, text in files.items():
+        path = tmp_path / f"{name}.{opt}"
+        path.write_text(text)
+        argv += [f"--{opt}", str(path)]
+    return argv
+
+
 def pushforward_golden_argvs(tmp_path):
     """Seeded pushforward command lines, text and JSON, over Z, Q and F_7,
     on sheaves with generization maps scaled pointwise by units."""
@@ -863,17 +881,7 @@ def pushforward_golden_argvs(tmp_path):
         m = random_poset(rng, 6, min_points=2, edge_prob=0.5)
         k = _gauged(rng, random_sheaf(rng, m, ring, max_pieces=3))
         f = random_monotone_map(rng, m, random_poset(rng, 4))
-        t = f.target
-        files = {"space": space_to_text("src", m), "sheaf": sheaf_to_text(k, "src"),
-                 "map": "\n".join([
-                     "map f", "target tgt", "points: " + " ".join(t.points),
-                     "covers: " + " ".join(f"{x}<{y}" for x, y in t.covers),
-                     "sends: " + " ".join(f"{x}->{y}" for x, y in f.mapping)]) + "\n"}
-        args = ["pushforward"]
-        for opt, text in files.items():
-            path = tmp_path / f"{i}.{opt}"
-            path.write_text(text)
-            args += [f"--{opt}", str(path)]
+        args = _pushforward_argv(tmp_path, f, k, str(i))
         yield args
         yield args + ["--json"]
 
@@ -991,3 +999,107 @@ class TestReportBudget:
         k = random_sheaf(Random(5), m, ZZ, max_pieces=3)
         assert _ladder_pushforward(tmp_path, sheaf_to_text(k, name)) == (
             self.BEYOND.format(78039373, MAX_REPORT_ENTRIES), 1)
+
+
+def _unshared_sheaf_text(k):
+    """``sheaf_to_text`` of k on the space named tgt, with no memo: every
+    stalk and generization map formatted where it occurs."""
+    lines = [f"ring {ring_to_tokens(k.ring)}", "space tgt"]
+    for pt in k.space.points:
+        c = k.stalks[pt]
+        if not c.is_zero():
+            items = [f"deg {n} rank {r}" for n, r in sorted(c.ranks.items())]
+            items += [f"d_{n} = {_matrix_str(d)}" for n, d in sorted(c.diffs.items())]
+            lines.append(f"stalk {pt}: " + "; ".join(items))
+    for (x, y), g in k.gens.items():
+        if not g.is_zero():
+            items = [f"deg {n} = {_matrix_str(mm)}" for n, mm in sorted(g.mats.items())]
+            lines.append(f"gen {x}<{y}: " + "; ".join(items))
+    return "\n".join(lines)
+
+
+class TestSharedStalkReports:
+    def test_same_reports_as_per_point(self, tmp_path, per_point_pushforward,
+                                       pushforward_cases):
+        """Text and --json reports of the shared stalks against the
+        per-point pushforward printed and taken homology of point by
+        point."""
+        for i, (f, k) in enumerate(pushforward_cases(42)):
+            want, _, _ = per_point_pushforward(f, k)
+            argv = _pushforward_argv(tmp_path, f, k, str(i))
+            assert run(argv) == (_unshared_sheaf_text(want), 0)
+            cohomology = {str(p): {str(n): _module_json(mod)
+                                   for n, mod in sorted(homology(c).items())}
+                          for p, c in want.stalks.items()}
+            assert run(argv + ["--json"]) == (json.dumps(
+                {"pushforward_stalk_cohomology": cohomology}, sort_keys=True), 0)
+
+    def test_each_distinct_stalk_formatted_once(self, tmp_path, monkeypatch):
+        """Along a constant map onto a 3-chain the three stalks are one
+        complex and the two generization maps one identity: the text report
+        prints each matrix three or two times and formats it once, and
+        --json takes homology once."""
+        import sheafkit.cli as cli
+        name, m = parse_space(LADDER_8_SPACE)
+        k = parse_sheaf(LADDER_8_SHEAF, name, m)
+        chain = parse_space("space c\npoints: a b c\ncovers: a<b b<c\n")[1]
+        f = MonotoneMap(m, chain, [(x, "c") for x in m.points])
+        out = pushforward(f, k)
+        stalk, gen = out.stalks["a"], out.gens[("a", "b")]
+        argv = _pushforward_argv(tmp_path, f, k)
+        calls = {"_matrix_str": 0, "homology": 0}
+        for fn_name in calls:
+            def wrapper(*args, _fn=getattr(cli, fn_name), _name=fn_name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cli, fn_name, wrapper)
+        text, code = run(argv)
+        assert code == 0 and text.count("\nstalk ") == 3 and text.count("\ngen ") == 2
+        assert text.count("[[") == 3 * len(stalk.diffs) + 2 * len(gen.mats)
+        assert calls["_matrix_str"] == len(stalk.diffs) + len(gen.mats) == 13
+        assert run(argv + ["--json"])[1] == 0 and calls["homology"] == 1
+
+
+# Child-process code for the pushforward ceiling: constant Z on the
+# width-2 ladder of height sys.argv[1], pushed along the constant map onto
+# the top of a < b < c, its files written to the directory sys.argv[2].
+PUSHFORWARD_CEILING = """
+    import sys, time
+    from sheafkit import cli
+    height, where = int(sys.argv[1]), sys.argv[2]
+    pts = [f"{c}{i}" for i in range(height) for c in "pq"]
+    covers = [f"{c}{i}<{d}{i + 1}" for i in range(height - 1) for c in "pq" for d in "pq"]
+    files = {
+        "space": f"space ladder\\npoints: {' '.join(pts)}\\ncovers: {' '.join(covers)}\\n",
+        "sheaf": "ring Z\\nspace ladder\\n" + "".join(f"stalk {p}: deg 0 rank 1\\n" for p in pts)
+                 + "".join(f"gen {e}: deg 0 = [[1]]\\n" for e in covers),
+        "map": "map const\\ntarget t\\npoints: a b c\\ncovers: a<b b<c\\nsends: "
+               + " ".join(f"{p}->c" for p in pts) + "\\n"}
+    argv = ["pushforward"]
+    for opt, text in files.items():
+        with open(f"{where}/{opt}", "w") as fh:
+            fh.write(text)
+        argv += [f"--{opt}", f"{where}/{opt}"]
+    start = time.perf_counter()
+    text, code = cli.run(argv)
+    result.update(seconds=time.perf_counter() - start, code=code, chars=len(text),
+                  head=text[:60], error=text if code else None)
+"""
+
+
+class TestPushforwardCeiling:
+    def test_height_7(self, run_child, tmp_path):
+        """A 9.8-million-character report, each of its three stalks the
+        whole section complex of rank 2186: 0.08-0.12 s and 55 MB when the
+        bounds were set, 0.13-0.16 s and 57 MB when each stalk was a copy
+        of it."""
+        got = run_child(PUSHFORWARD_CEILING, 7, tmp_path)
+        assert (got["code"], got["chars"]) == (0, 9805136)
+        assert got["head"].startswith("ring Z\nspace t\nstalk a: deg 0 rank 14; deg 1 rank 84")
+        assert got["seconds"] < 1.5
+        assert got["rss_mb"] < 90
+
+    def test_height_8_is_over_the_budget(self, run_child, tmp_path):
+        got = run_child(PUSHFORWARD_CEILING, 8, tmp_path)
+        assert got["code"] == 1
+        assert got["error"] == TestReportBudget.BEYOND.format(41616640, MAX_REPORT_ENTRIES)

@@ -6,10 +6,15 @@ over Q never prints a fraction.  These digests pin the bytes of
 non-integer entries, and the text and JSON reports of ``pushforward``,
 ``basechange`` and ``decompose`` on seeded inputs over Q and F_3.  Both were
 recorded while scalars were still printed through a type test of their own
-and base change still pulled back the whole pushforward.
+and base change still pulled back the whole pushforward.  The text reports
+of every ``functors`` operation of benchmark seed 0 are checked against the
+digests in bench/expected.json, which the benchmark checks only on its own
+runs.
 """
 
 import hashlib
+import json
+import os
 from random import Random
 
 from sheafkit.cli import parse_sheaf, parse_space, run, sheaf_to_text, space_to_text
@@ -86,3 +91,17 @@ def test_functor_reports_golden_digest(tmp_path):
         assert code == 0, (argv, text)
         h.update(f"{argv[0]} {'--json' in argv}\n{text}\n".encode())
     assert h.hexdigest() == REPORT_DIGEST
+
+
+def test_bench_functors_reports_match_recorded_digests(tmp_path, bench_gen):
+    """Every ``functors`` operation of benchmark seed 0, text report, against
+    the digest bench/expected.json records for it."""
+    with open(os.path.join(os.path.dirname(bench_gen.__file__), "expected.json")) as fh:
+        expected = json.load(fh)["functors"]
+    ops = bench_gen.generate("functors", 0)
+    bench_gen.write_inputs(ops, tmp_path)
+    assert sorted(op.id for op in ops) == sorted(expected)
+    for op in ops:
+        text, code = run(op.resolved_argv(str(tmp_path)))
+        assert code == 0, (op.id, text)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected[op.id], op.id

@@ -1045,6 +1045,68 @@ class TestBaseChange:
         assert_same_labeled(got, rgamma_labeled(restrict(k, {"b", "c"})))
 
 
+class TestSharedStalks:
+    """``_pushforward_labeled`` against a per-point reference, which makes one
+    ``_slice`` per target point and one ``_label_map`` per cover."""
+
+    def test_same_as_per_point(self, per_point_pushforward, pushforward_cases):
+        shared = identities = 0
+        for f, k in pushforward_cases(40):
+            sheaf, labels, indexes = _pushforward_labeled(f, k)
+            want, want_labels, want_indexes = per_point_pushforward(f, k)
+            for t in f.target.points:
+                assert_same_labeled((sheaf.stalks[t], labels[t], indexes[t]),
+                                    (want.stalks[t], want_labels[t], want_indexes[t]))
+            for e in f.target.covers:
+                g, h = sheaf.gens[e], want.gens[e]
+                assert g.source is sheaf.stalks[e[0]] and g.target is sheaf.stalks[e[1]]
+                assert [(n, typed(mm)) for n, mm in sorted(g.mats.items())] == \
+                    [(n, typed(mm)) for n, mm in sorted(h.mats.items())]
+                identities += g.source is g.target and not g.is_zero()
+            stalks = sheaf.stalks.values()
+            shared += len(stalks) - len({id(c) for c in stalks})
+        assert shared >= 20 and identities >= 8
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Counts of the rgamma_labeled builds and the _slice calls."""
+        import sheafkit.sheaf as sh
+        calls = {"rgamma_labeled": 0, "_slice": 0}
+        for name in calls:
+            def wrapper(*args, _fn=getattr(sh, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(sh, name, wrapper)
+        return calls
+
+    def test_constant_map_onto_a_chain_shares_one_stalk(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        chain = build_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        for i, m in enumerate((ladder(3), fan(3, 3), pseudo_circle())):
+            k = random_sheaf(Random(i), m, (ZZ, QQ, GF(3))[i])
+            f = MonotoneMap(m, chain, [(x, "c") for x in m.points])
+            for what in calls:
+                calls[what] = 0
+            sheaf, labels, _ = _pushforward_labeled(f, k)
+            assert calls == {"rgamma_labeled": 1, "_slice": 0}
+            assert len({id(c) for c in sheaf.stalks.values()}) == 1
+            assert len({id(g) for g in sheaf.gens.values()}) == 1
+            assert sheaf.stalks["a"] == rgamma(k) and not sheaf.stalks["a"].is_zero()
+            assert sheaf.gens[("a", "b")] == ChainMap.identity(sheaf.stalks["a"])
+            assert labels["a"] is labels["c"]
+
+    def test_one_slice_per_distinct_preimage(self, monkeypatch, pushforward_cases):
+        calls = self.counted(monkeypatch)
+        sliced = 0
+        for f, k in pushforward_cases(41):
+            preimages = {f.preimage(f.target.up_set(q)) for q in f.target.points}
+            calls["_slice"] = 0
+            pushforward(f, k)
+            assert calls["_slice"] == len(preimages - {frozenset(f.source.points)})
+            sliced += calls["_slice"]
+        assert sliced >= 100
+
+
 class TestConservativity:
     def test_contrapositive_on_random_instances(self):
         rng = Random(34)

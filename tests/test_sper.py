@@ -16,6 +16,7 @@ from sheafkit.sper import (
     pull_cons, push_cons, push_point, real_roots, refine_cells,
     sign_at, transfer_cons, cell_samples, _push_alg,
 )
+from sheafkit.cli import run
 from sheafkit.intpoly import ZeroPolynomial
 from sheafkit.sheaf import constant_sheaf, rgamma
 from sheafkit.linalg import FreeChainComplex, ZZ, homology
@@ -1005,3 +1006,53 @@ class TestPushBuildsEachSequenceOnce:
         assert len(oc.roots) == 6 and len({r.poly for r in oc.roots}) == 2
         assert len(sqf) >= 6 and len(seqs) >= 12
         assert set(sqf.values()) == {1} and set(seqs.values()) == {1}
+
+
+class TestPushSamplesDistinct:
+    """Each interval cell of ``push_cons`` is evaluated at three distinct
+    rationals, also where the refined intervals of its two end roots share
+    an end, which is then the gap midpoint."""
+
+    @staticmethod
+    def interval_samples(monkeypatch):
+        """The rational samples ``_fiber_sum`` is called on, in order: three
+        per interval cell, while a point cell is evaluated at its root."""
+        seen = []
+        fiber_sum = sper._fiber_sum
+
+        def wrapper(p, phi, cells, ups, images, x, *rest):
+            seen.append(x)
+            return fiber_sum(p, phi, cells, ups, images, x, *rest)
+        monkeypatch.setattr(sper, "_fiber_sum", wrapper)
+
+        def triples():
+            rationals = [x for x in seen if isinstance(x, Fraction)]
+            seen.clear()
+            return [rationals[i:i + 3] for i in range(0, len(rationals), 3)]
+        return triples
+
+    def test_shared_end(self, monkeypatch):
+        # the roots (1 +- sqrt(1617)) / 4 isolated by (-102, 0) and (0, 102):
+        # all three samples of the cell between them were 0
+        triples = self.interval_samples(monkeypatch)
+        text, code = run(["sper-push", "--poly", "2*t^3 + 1*t^2 + 3*t + 2",
+                          "--formula", "2*t^2 + 1*t - 4 != 0"])
+        assert code == 0
+        assert text.splitlines()[2] == \
+            "(root(2*t^2 - t - 202, -102, 0),root(2*t^2 - t - 202, 0, 102)) = 1"
+        assert triples()[1] == [0, Fraction(-51, 16), Fraction(51, 16)]
+
+    def test_bench_reals_seeds(self, monkeypatch, tmp_path, bench_gen):
+        """Every sper-push of the reals benchmark seeds 0-5: 681 interval
+        cells, 50 of which had coincident samples."""
+        triples = self.interval_samples(monkeypatch)
+        cells = 0
+        for seed in range(6):
+            ops = [op for op in bench_gen.generate("reals", seed) if op.command == "sper-push"]
+            bench_gen.write_inputs(ops, tmp_path)
+            for op in ops:
+                assert run(op.resolved_argv(str(tmp_path)))[1] == 0
+                for t in triples():
+                    assert len(set(t)) == 3, (op.id, t)
+                    cells += 1
+        assert cells == 681
