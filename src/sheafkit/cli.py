@@ -57,8 +57,8 @@ from .linalg import (
     ScalarRing, ZZ, QQ, GF, homology,
 )
 from .sheaf import (
-    SheafComplex, base_change_locus, cell_decompose, pushforward, rgamma_reduced,
-    SheafError,
+    PathIndependenceViolation, SheafComplex, SheafError, base_change_locus,
+    cell_decompose, pushforward, rgamma_reduced,
 )
 from .space import FinSpec, MonotoneMap, SpaceError, build_space, krull_dim
 from .sper import (
@@ -598,7 +598,13 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
             gens[(x, y)] = ChainMap(stalks[x], stalks[y], mats)
         except ValueError as e:
             raise ParseError(f"line {first_line[(x, y)]}: gen {x}<{y}: {e}")
-    return SheafComplex(m, ring, stalks, gens)
+    try:
+        return SheafComplex(m, ring, stalks, gens)
+    except PathIndependenceViolation as e:
+        # the first gen line out of the start of the two paths, else its stalk line
+        x = e.start
+        line = min((first_line[c] for c in gen_mats if c[0] == x), default=first_line.get(x))
+        raise PathIndependenceViolation(f"line {line}: {e}", x) from None
 
 
 def ring_to_tokens(ring: ScalarRing) -> str:

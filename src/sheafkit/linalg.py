@@ -324,10 +324,6 @@ class Matrix:
             out.append({j: w for j, v in acc.items() if (w := norm(v))})
         return Matrix._of(self.ring, self.rows, other.cols, out)
 
-    def transpose(self):
-        return Matrix.from_entries(self.ring, self.cols, self.rows,
-                                   ((j, i, x) for i, j, x in self.nonzeros()))
-
     def hstack(self, other):
         self._check(other)
         if self.rows != other.rows:
@@ -684,9 +680,6 @@ class FreeChainComplex:
     def is_zero(self) -> bool:
         return not self.ranks
 
-    def total_rank(self) -> int:
-        return sum(self.ranks.values())
-
     def max_degree(self):
         return max(self.ranks) if self.ranks else None
 
@@ -941,19 +934,3 @@ def tensor_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
             for n, labels in _tensor_basis(f.source, g.source).items()}
     return ChainMap(src, tgt, mats, check=False)
 
-
-def tor_amplitude(c: FreeChainComplex):
-    """Smallest [a, b] with H^n(c (x)^L N) = 0 outside for every module N.
-
-    Exact over a PID or a field: complexes of frees split into their homology,
-    and torsion in the lowest nonzero homology widens the window one step
-    down.  Returns None for an acyclic complex.
-    """
-    h = homology(c)
-    if not h:
-        return None
-    degs = sorted(h)
-    a, b = degs[0], degs[-1]
-    if h[a].invariant_factors:
-        a -= 1
-    return (a, b)

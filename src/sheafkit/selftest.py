@@ -26,12 +26,15 @@ from .randgen import (
     random_poset, random_sheaf,
 )
 from .sheaf import (
-    base_change_compare, cell_decompose, localization_triangle, pushforward,
-    rgamma_reduced, sheaf_is_acyclic, skyscraper, triangle_is_exact,
+    base_change_compare, cell_decompose, derived_hom, derived_tensor,
+    localization_triangle, pushforward, rgamma_reduced, sheaf_is_acyclic,
+    skyscraper, triangle_is_exact,
 )
 from .space import classify_subset, fibers_discrete, krull_dim, subspace
 from .sper import (
-    And, Atom, Not, Or, SperPoint, from_formula, real_roots, sign_at,
+    And, Atom, Not, Or, PolyMap, SperPoint, cell_poset, closure, defining_formula,
+    from_formula, pull_cons, push_cons, real_roots, refine_cells, sign_at,
+    transfer_cons,
 )
 
 
@@ -114,6 +117,16 @@ def _check_conservativity(rng: Random) -> bool:
             return not sheaf_is_acyclic(pushforward(f, k))
 
 
+def _check_hom_tensor_adjunction(rng: Random) -> bool:
+    """RHom(k (x) l, n) and RHom(k, RHom(l, n)) have the same homology at
+    every point."""
+    m = random_poset(rng, 5, min_points=4)
+    k, l, n = (random_sheaf(rng, m, max_pieces=3) for _ in range(3))
+    lhs = derived_hom(derived_tensor(k, l), n)
+    rhs = derived_hom(k, derived_hom(l, n))
+    return all(homology(lhs.stalks[p]) == homology(rhs.stalks[p]) for p in m.points)
+
+
 def _random_formula(rng: Random, depth: int = 2):
     if depth == 0 or rng.random() < 0.4:
         coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
@@ -136,6 +149,35 @@ def _check_sper_boolean(rng: Random) -> bool:
     return (from_formula(And((a, b))) == sa.intersect(sb)
             and from_formula(Or((a, b))) == sa.union(sb)
             and from_formula(Not(a)) == sa.complement())
+
+
+def _check_formula_round_trip(rng: Random) -> bool:
+    """A set and its closure are the sets of their defining formulas, and
+    the closure is closed."""
+    s = from_formula(_random_formula(rng))
+    cl = closure(s)
+    return (from_formula(defining_formula(s)) == s
+            and from_formula(defining_formula(cl)) == cl and closure(cl) == cl)
+
+
+def _check_projection_formula(rng: Random) -> bool:
+    """p_*(phi . p^*psi) = p_*(phi) . psi, compared on a common refinement of
+    the two sides' cells (Schapira, JPAA 1991)."""
+    coeffs = [rng.randint(-2, 2) for _ in range(rng.randint(2, 4))]
+    if ip.degree(ip.normalize(coeffs)) < 1:
+        coeffs = [0, 0, 1]
+    p = PolyMap(coeffs)
+    cp = cell_poset(from_formula(_random_formula(rng)))
+    phi = ConsFunction(cp.space, {q: rng.randint(-2, 2) for q in cp.space.points})
+    pushed, down = push_cons(p, phi, cp)
+    psi = ConsFunction(down.space, {q: rng.randint(-2, 2) for q in down.space.points})
+    pulled, up = pull_cons(p, psi, down)
+    mid = refine_cells(cp, up.roots)
+    left, left_cells = push_cons(
+        p, transfer_cons(phi, cp, mid) * transfer_cons(pulled, up, mid), mid)
+    common = refine_cells(left_cells, down.roots)
+    return (transfer_cons(left, left_cells, common)
+            == transfer_cons(pushed, down, common) * transfer_cons(psi, down, common))
 
 
 def _check_sign_multiplicativity(rng: Random) -> bool:
@@ -162,6 +204,9 @@ _SUITES = (
     ("conservativity", _check_conservativity, 30),
     ("sper-boolean", _check_sper_boolean, 25),
     ("sign-multiplicativity", _check_sign_multiplicativity, 40),
+    ("hom-tensor-adjunction", _check_hom_tensor_adjunction, 40),
+    ("formula-round-trip", _check_formula_round_trip, 40),
+    ("projection-formula", _check_projection_formula, 40),
 )
 
 

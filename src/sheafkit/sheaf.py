@@ -19,7 +19,6 @@ data:
   "free sheaf on an up-set" (Hom out of those is stalk evaluation), each a
   slice of one build over the whole space; on a one-point space it is the
   Hom complex of two complexes,
-* dualizability of an object via the chain-level evaluation map,
 * base-change comparison maps for Cartesian squares and their iso locus,
 * the filtration of a complex by extensions of its stalks over singleton
   strata, certifying the Euler-index bookkeeping.
@@ -30,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (
-    DEGREE_MAX, DEGREE_MIN, ChainMap, DegreeOverflow, FGModule, FreeChainComplex, Matrix,
+    DEGREE_MAX, DEGREE_MIN, ChainMap, DegreeOverflow, FreeChainComplex, Matrix,
     RingMismatch, ScalarRing, block_diagonal, complex_from_basis, cone, homology, is_acyclic,
-    kernel_basis, solve_right, tensor_chain_maps, tensor_total, _tensor_basis,
+    kernel_basis, solve_right, tensor_chain_maps, tensor_total,
 )
 from .space import (
     FinSpec, MonotoneMap, SpaceError, admissible_order, classify_subset,
@@ -53,7 +52,11 @@ class NotClosed(SheafError):
 
 
 class PathIndependenceViolation(SheafError):
-    pass
+    """Two cover paths out of the point start compose differently."""
+
+    def __init__(self, message, start):
+        super().__init__(message)
+        self.start = start
 
 
 class SheafComplex:
@@ -118,7 +121,7 @@ class SheafComplex:
                 for n in set(via) | set(want):
                     if via.get(n) != want.get(n):
                         raise PathIndependenceViolation(
-                            f"two paths {x!r} -> {z!r} compose differently in degree {n}")
+                            f"two paths {x!r} -> {z!r} compose differently in degree {n}", x)
 
     def rho(self, x, y) -> ChainMap:
         """The composite generization map along any cover path x <= y: the
@@ -247,89 +250,6 @@ class Triangle:
     h: SheafMap
 
 
-class CSheaf:
-    """A single constructible sheaf: one finitely generated module per point
-    and a generization matrix on module generators per cover relation.
-
-    Generators are ordered torsion first (one per invariant factor), then
-    free.  A matrix A defines a module map against the diagonal
-    presentations exactly when torsion columns avoid free rows and each
-    entry satisfies the divisibility d^target_i | A_{ij} d^source_j; the
-    relation-level lift B_{ij} = A_{ij} d^source_j / d^target_i is then
-    canonical and composes strictly, so path independence of the generator
-    matrices carries over to the presentation complexes.
-    """
-
-    __slots__ = ("space", "ring", "stalks", "gens", "_complex")
-
-    def __init__(self, space: FinSpec, ring: ScalarRing, stalks: dict, gens: dict):
-        self.space = space
-        self.ring = ring
-        self.stalks = {}
-        for p in space.points:
-            mod = stalks.get(p)
-            if mod is None:
-                mod = FGModule(ring, (), 0)
-            if mod.ring != ring:
-                raise RingMismatch(f"stalk at {p!r} over {mod.ring}")
-            self.stalks[p] = mod
-        self.gens = {}
-        for (x, y) in space.covers:
-            a = gens.get((x, y))
-            if a is None:
-                a = Matrix.zeros(ring, _ngens(self.stalks[y]), _ngens(self.stalks[x]))
-            self.gens[(x, y)] = a
-        self._complex = self._build_complex()
-
-    def _build_complex(self) -> SheafComplex:
-        stalk_cx = {p: _presentation_complex(mod) for p, mod in self.stalks.items()}
-        gens_cx = {}
-        for (x, y), a in self.gens.items():
-            src, tgt = self.stalks[x], self.stalks[y]
-            if a.rows != _ngens(tgt) or a.cols != _ngens(src):
-                raise SheafError(f"generization matrix at {x!r}<{y!r} has wrong shape")
-            b = _relation_lift(a, src, tgt)
-            if b is None:
-                raise SheafError(f"matrix at {x!r}<{y!r} does not define a module map")
-            gens_cx[(x, y)] = ChainMap(stalk_cx[x], stalk_cx[y], {0: a, -1: b})
-        return SheafComplex(self.space, self.ring, stalk_cx, gens_cx)
-
-    def as_complex(self) -> SheafComplex:
-        """The presentation of this sheaf as a complex in degrees -1, 0."""
-        return self._complex
-
-    def __repr__(self):
-        return f"CSheaf({self.ring} on {len(self.space.points)} points)"
-
-
-def _ngens(mod: FGModule) -> int:
-    return len(mod.invariant_factors) + mod.free_rank
-
-
-def _presentation_complex(mod: FGModule) -> FreeChainComplex:
-    k = len(mod.invariant_factors)
-    n = _ngens(mod)
-    rel = Matrix.from_entries(mod.ring, n, k,
-                              ((i, i, d) for i, d in enumerate(mod.invariant_factors)))
-    return FreeChainComplex(mod.ring, {-1: k, 0: n}, {-1: rel}, check=False)
-
-
-def _relation_lift(a: Matrix, src: FGModule, tgt: FGModule):
-    R = a.ring
-    ks, kt = len(src.invariant_factors), len(tgt.invariant_factors)
-    out = []
-    for j, dj in enumerate(src.invariant_factors):
-        for i, x in a.col(j):
-            if i >= kt:
-                return None  # torsion cannot map to the free part
-            val = x * dj
-            di = tgt.invariant_factors[i]
-            if not R.divides(di, val):
-                return None
-            out.append((i, j, R.exact_div(val, di)))
-    return Matrix.from_entries(R, kt, ks, out)
-
-
 # ---------------------------------------------------------------------------
 # basic constructors
 
@@ -347,17 +267,6 @@ def skyscraper(m: FinSpec, x, c: FreeChainComplex) -> SheafComplex:
     """c at the single (locally closed) point x, zero elsewhere, zero maps."""
     m.check_subset({x})
     return SheafComplex(m, c.ring, {x: c}, {}, check=False)
-
-
-def unit_sheaf(m: FinSpec, ring: ScalarRing) -> SheafComplex:
-    return constant_sheaf(m, FreeChainComplex.free_module(ring, 1, 0))
-
-
-def restrict(k: SheafComplex, s) -> SheafComplex:
-    """k restricted to the induced poset on s: the pullback along its
-    inclusion (exact, stalks kept)."""
-    _, incl = subspace(k.space, s)
-    return pullback(incl, k)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +567,8 @@ def _slice(whole, bottoms):
 
     For an open (up-set) U the chains with c[0] outside U form a
     subcomplex, as a coface only adds points and so only lowers the bottom;
-    the quotient by it is the complex built on restrict(k, U) (and
-    restrict(l, U)) label for label, since the chains of U are exactly the
+    the quotient by it is the complex built on the restriction of k (and
+    of l) to U label for label, since the chains of U are exactly the
     chains that start in U.
     """
     cx, labels, _ = whole
@@ -817,46 +726,6 @@ def localization_triangle(k: SheafComplex, z) -> Triangle:
     return triangle_of(SheafMap(a, k, comps, check=False))
 
 
-def open_unit(k: SheafComplex, u):
-    """The unit k -> (pushforward to the space of the restriction to the open u)."""
-    m = k.space
-    u = _open_subset(m, u)
-    _, incl = subspace(m, u)
-    l_sheaf, labels, _ = _pushforward_labeled(incl, pullback(incl, k))
-    comps = {}
-    for x in m.points:
-        def entries(n, lab):
-            # singleton chains (c_0) carry the restriction rho(x, c_0)
-            c, _, i = lab
-            if len(c) == 1:
-                yield from k.rho(x, c[0]).component(n).row(i)
-
-        comps[x] = _label_map(k.stalks[x], l_sheaf.stalks[x], labels[x], entries)
-    return l_sheaf, SheafMap(k, l_sheaf, comps, check=False)
-
-
-def sheaf_fiber(phi: SheafMap):
-    """fib(phi) = cone(phi)[-1], with its projection to the source of phi."""
-    cn, _, project = sheaf_cone(phi)
-    fib = cn.shift(-1)
-    # fib^n = cone^{n-1}, so the projection cone^{n-1} -> A^n serves in degree n
-    comps = {p: ChainMap(fib.stalks[p], phi.source.stalks[p],
-                         {n + 1: m for n, m in pr.mats.items()}, check=False)
-             for p, pr in project.comps.items()}
-    return fib, SheafMap(fib, phi.source, comps, check=False)
-
-
-def i_upper_shriek(z, k: SheafComplex) -> SheafComplex:
-    """Sections supported on the closed set z: the restriction to z of
-    fib(k -> pushforward of the restriction to the open complement)."""
-    m = k.space
-    z = _closed_subset(m, z)
-    u = frozenset(m.points) - z
-    _, unit = open_unit(k, u)
-    fib, _ = sheaf_fiber(unit)
-    return restrict(fib, z)
-
-
 # ---------------------------------------------------------------------------
 # tensor and hom
 
@@ -932,61 +801,12 @@ def derived_hom(k: SheafComplex, l: SheafComplex) -> SheafComplex:
     return sheaf
 
 
-def evaluation_map(k: SheafComplex):
-    """The canonical map k (x) k^dual -> Hom(k, k) on the chain level.
-
-    Returns (tensor sheaf, hom sheaf, the map).  The component at a basis
-    vector a (x) phi sends a chain c to v |-> phi(c)(v) . rho(a), with the
-    Koszul sign (-1)^{deg(a) . (len(c) - 1)}.
-    """
-    m = k.space
-    R = k.ring
-    kv, kv_labels, _ = _derived_hom_labeled(k, unit_sheaf(m, R))
-    hom_kk, _, hom_idx = _derived_hom_labeled(k, k)
-    tensor_sheaf = derived_tensor(k, kv)
-    comps = {}
-    for x in m.points:
-        src = tensor_sheaf.stalks[x]
-        tgt = hom_kk.stalks[x]
-        mats = {}
-        for n, labs in _tensor_basis(k.stalks[x], kv.stalks[x]).items():
-            entries = []
-            for pos, (p_deg, q_deg, i0, jv) in enumerate(labs):
-                c, t, i, _ = kv_labels[x][q_deg][jv]
-                sign = 1 if (p_deg * (len(c) - 1)) % 2 == 0 else -1
-                for i2, co in k.rho(x, c[-1]).component(p_deg).col(i0):
-                    entries.append((hom_idx[x][(n, (c, t, i, i2))], pos, sign * co))
-            mats[n] = Matrix.from_entries(R, tgt.rank(n), src.rank(n), entries)
-        comps[x] = ChainMap(src, tgt, mats, check=False)
-    ev = SheafMap(tensor_sheaf, hom_kk, comps)
-    return tensor_sheaf, hom_kk, ev
-
-
-def is_dualizable(k: SheafComplex):
-    """Whether evaluation k (x) k^dual -> Hom(k, k) is a stalkwise
-    quasi-isomorphism; returns (flag, defect cone sheaf)."""
-    _, _, ev = evaluation_map(k)
-    defect, _, _ = sheaf_cone(ev)
-    return sheaf_is_acyclic(defect), defect
-
-
 # ---------------------------------------------------------------------------
 # homology utilities
 
 
-def sheaf_homology(k: SheafComplex) -> dict:
-    """Point -> degree -> FGModule of the stalk complexes."""
-    return {p: homology(c) for p, c in k.stalks.items()}
-
-
 def sheaf_is_acyclic(k: SheafComplex) -> bool:
     return all(not homology(c) for c in k.stalks.values())
-
-
-def same_stalk_homology(k: SheafComplex, l: SheafComplex) -> bool:
-    """Equality of stalkwise homology; the spot check used for statements
-    "quasi-isomorphic without an explicit map"."""
-    return sheaf_homology(k) == sheaf_homology(l)
 
 
 def _exact_at(c_p: FreeChainComplex, n_p: int, alpha: ChainMap,
@@ -1099,31 +919,6 @@ def base_change_locus(f: MonotoneMap, k: SheafComplex):
             locus.add(q)
     locus = frozenset(locus)
     return locus, classify_subset(s, locus)
-
-
-def compose_pushforward_compare(f: MonotoneMap, g: MonotoneMap, k: SheafComplex):
-    """The canonical comparison from the pushforward along g . f to the
-    iterated pushforward, evaluating cochains at the singleton chains of the
-    intermediate space.  Always a quasi-isomorphism; returned as an explicit
-    sheaf map so tests can certify it."""
-    if f.target != g.source:
-        raise SpaceError("maps do not compose")
-    gf = g.compose(f)
-    lhs, _, lhs_idx = _pushforward_labeled(gf, k)
-    mid, mid_labels, _ = _pushforward_labeled(f, k)
-    rhs, rhs_labels, _ = _pushforward_labeled(g, mid)
-    comps = {}
-    for u in g.target.points:
-        idx = lhs_idx[u]
-
-        def entries(n, lab):
-            cs, qq, ii = lab
-            if len(cs) != 1:
-                return ()
-            return ((idx[(n, mid_labels[cs[0]][qq][ii])], 1),)
-
-        comps[u] = _label_map(lhs.stalks[u], rhs.stalks[u], rhs_labels[u], entries)
-    return lhs, rhs, SheafMap(lhs, rhs, comps)
 
 
 # ---------------------------------------------------------------------------

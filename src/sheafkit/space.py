@@ -261,13 +261,6 @@ class MonotoneMap:
     def constant(cls, m: FinSpec, target: FinSpec, value):
         return cls(m, target, dict.fromkeys(m.points, value))
 
-    def compose(self, other: "MonotoneMap") -> "MonotoneMap":
-        """self after other."""
-        if other.target != self.source:
-            raise SpaceError("composition mismatch")
-        return MonotoneMap(other.source, self.target,
-                           {x: self._images[y] for x, y in other._images.items()})
-
     def preimage(self, s) -> frozenset:
         s = self.target.check_subset(s)
         return frozenset(x for x, fx in self._images.items() if fx in s)

@@ -31,10 +31,9 @@ holding it.  Formulas decide signs by provenance: with disjoint isolating
 intervals every sign is read at a rational between two intervals, off a
 leading term or off the tags, and the formula is evaluated once over all
 cells.  Unions, intersections and transfers along a refinement read each
-fine cell's coarse cell off the tags, and a preimage is the pullback of an
-indicator.  The pushforward builds one image polynomial and its Sturm
-sequence per distinct upstream polynomial, which also isolates the
-downstream roots.  Fiber sums at a value b count the roots of b.poly(p(t))
+fine cell's coarse cell off the tags.  The pushforward builds one image
+polynomial and its Sturm sequence per distinct upstream polynomial, which
+also isolates the downstream roots.  Fiber sums at a value b count the roots of b.poly(p(t))
 between the upstream roots, isolating none: at a rational b all of them
 lie in the fiber, and at an irrational b a Tarski query of the sign of
 (p - b.lo)(b.hi - p) keeps those that p maps into b's isolating interval.
@@ -307,14 +306,6 @@ class SperPoint:
     def pos_inf(cls):
         return cls("+inf")
 
-    def specializes_to(self, other: "SperPoint") -> bool:
-        """Whether this point lies in every neighbourhood closure: cuts
-        specialize to their centers, everything to itself."""
-        if same_point(self, other):
-            return True
-        return (other.kind == "alg" and self.kind in ("cut-", "cut+")
-                and self.center.compare(other.center) == 0)
-
     def __str__(self):
         if self.kind == "alg":
             return str(self.center)
@@ -323,14 +314,6 @@ class SperPoint:
         if self.kind == "cut+":
             return f"{self.center}^+"
         return self.kind
-
-
-def same_point(x: SperPoint, y: SperPoint) -> bool:
-    if x.kind != y.kind:
-        return False
-    if x.kind in ("-inf", "+inf"):
-        return True
-    return x.center.compare(y.center) == 0
 
 
 def real_roots(f) -> list:
@@ -496,10 +479,6 @@ class SperConstructible:
         self.roots = tuple(roots)
         self.mask = tuple(bool(b) for b in mask)
 
-    @classmethod
-    def whole(cls) -> "SperConstructible":
-        return cls((), (True,))
-
     def is_empty(self) -> bool:
         return not any(self.mask)
 
@@ -566,14 +545,6 @@ def closure(s: SperConstructible) -> SperConstructible:
     return SperConstructible(s.roots, mask)
 
 
-def interior(s: SperConstructible) -> SperConstructible:
-    return closure(s.complement()).complement()
-
-
-def is_closed_set(s: SperConstructible) -> bool:
-    return closure(s) == s
-
-
 # ---------------------------------------------------------------------------
 # sign-condition formulas
 
@@ -588,9 +559,6 @@ class Atom:
     def __post_init__(self):
         if self.op not in _HOLDS:
             raise SperError(f"unknown relation {self.op!r}")
-
-    def holds(self, sign: int) -> bool:
-        return _HOLDS[self.op][sign]
 
 
 # relation -> sign -> whether 'f relation 0' holds where f has that sign
@@ -869,26 +837,6 @@ def _push_alg(p: PolyMap, a: AlgNumber, image_polys: dict) -> AlgNumber:
     return AlgNumber.from_rational(ip.evaluate(p.poly, a.as_rational()))
 
 
-def push_point(p: PolyMap, x: SperPoint) -> SperPoint:
-    """The image of a point of the real spectrum under a polynomial map."""
-    d = ip.degree(p.poly)
-    lead_sign = _sign_of_fraction(ip.lead(p.poly))
-    if x.kind == "+inf":
-        return SperPoint.pos_inf() if lead_sign > 0 else SperPoint.neg_inf()
-    if x.kind == "-inf":
-        s = lead_sign * (-1 if d % 2 else 1)
-        return SperPoint.pos_inf() if s > 0 else SperPoint.neg_inf()
-    center = _push_alg(p, x.center, {})
-    if x.kind == "alg":
-        return SperPoint.alg(center)
-    # p(t) - p(alpha) has the sign of p' just right of the center and the
-    # opposite sign just left of it
-    s = sign_at(ip.deriv(p.poly), x)
-    if x.kind == "cut-":
-        s = -s
-    return SperPoint.cut_plus(center) if s > 0 else SperPoint.cut_minus(center)
-
-
 def _fiber_poly_vanishes(y: AlgNumber, b, queries: dict) -> bool:
     """Whether the polynomial whose roots hold the fiber at b, b.poly(p(t))
     or den(b) p - num(b), vanishes at an upstream root a with image
@@ -1011,13 +959,6 @@ def pull_cons(p: PolyMap, psi: ConsFunction, cells: CellPoset):
             img = ip.evaluate(p.poly, sample)
         values[up_cells.point_at(pos)] = psi_at(img)
     return ConsFunction(up_cells.space, values), up_cells
-
-
-def preimage_set(p: PolyMap, s: SperConstructible) -> SperConstructible:
-    """The preimage of s under p: the pullback of its indicator."""
-    cells = cell_poset(s)
-    pulled, up = pull_cons(p, ConsFunction(cells.space, zip(cells.cells, s.mask)), cells)
-    return SperConstructible(up.roots, map(pulled, up.cells))
 
 
 def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):

@@ -9,10 +9,12 @@ from random import Random
 import pytest
 
 import sheafkit
-from sheafkit.linalg import GF, QQ, ZZ
+from sheafkit.linalg import GF, QQ, ZZ, FreeChainComplex, homology
 from sheafkit.randgen import random_monotone_map, random_poset, random_sheaf
-from sheafkit.sheaf import SheafComplex, _label_map, _slice, rgamma_labeled
-from sheafkit.space import MonotoneMap, build_space
+from sheafkit.sheaf import (
+    SheafComplex, _label_map, _slice, constant_sheaf, pullback, rgamma_labeled,
+)
+from sheafkit.space import MonotoneMap, build_space, subspace
 
 SRC = os.path.dirname(os.path.dirname(sheafkit.__file__))
 
@@ -56,6 +58,25 @@ def bench_gen():
     gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
+
+
+def same_stalk_homology(k, l):
+    """Equality of stalkwise homology: the oracle for statements
+    "quasi-isomorphic without an explicit map"."""
+    return ({p: homology(c) for p, c in k.stalks.items()}
+            == {p: homology(c) for p, c in l.stalks.items()})
+
+
+def unit_sheaf(m, ring):
+    """The constant sheaf of rank 1 in degree 0 on m."""
+    return constant_sheaf(m, FreeChainComplex.free_module(ring, 1, 0))
+
+
+def restrict(k, s):
+    """k restricted to the induced poset on s: the pullback along its
+    inclusion (exact, stalks kept)."""
+    _, incl = subspace(k.space, s)
+    return pullback(incl, k)
 
 
 def _per_point_pushforward(f, k):

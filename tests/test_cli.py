@@ -243,6 +243,19 @@ class TestParseSheaf:
             parse_sheaf(sheaf_text, "d", m)
         assert "bot" in str(e.value) and "top" in str(e.value)
 
+    def test_validation_failure_names_the_first_gen_line_out_of_the_start(self):
+        _, m = parse_space("space d\npoints: bot l r top\n"
+                           "covers: bot<l bot<r l<top r<top\n")
+        sheaf_text = ("ring Z\nspace d\n"
+                      "stalk top: deg 0 rank 1\nstalk l: deg 0 rank 1\n"
+                      "stalk r: deg 0 rank 1\nstalk bot: deg 0 rank 1\n"
+                      "gen l<top: deg 0 = [[1]]\ngen r<top: deg 0 = [[1]]\n"
+                      "gen bot<r: deg 0 = [[1]]\ngen bot<l: deg 0 = [[2]]\n")
+        from sheafkit.sheaf import PathIndependenceViolation
+        with pytest.raises(PathIndependenceViolation) as e:
+            parse_sheaf(sheaf_text, "d", m)
+        assert str(e.value) == "line 9: two paths 'bot' -> 'top' compose differently in degree 0"
+
     def test_each_generization_map_is_checked_once(self, monkeypatch):
         from sheafkit.linalg import ChainMap
         calls = []
@@ -726,7 +739,10 @@ class TestCommands:
             "conservativity: 30 pass, 0 fail",
             "sper-boolean: 25 pass, 0 fail",
             "sign-multiplicativity: 40 pass, 0 fail",
-            "total: 815 pass, 0 fail",
+            "hom-tensor-adjunction: 40 pass, 0 fail",
+            "formula-round-trip: 40 pass, 0 fail",
+            "projection-formula: 40 pass, 0 fail",
+            "total: 935 pass, 0 fail",
         ]), 0)
 
 

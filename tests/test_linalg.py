@@ -9,7 +9,6 @@ from sheafkit.linalg import (
     Matrix, PRIME_LIMIT, QQ, RingMismatch, ScalarRing, ZZ, _is_prime,
     _rank_and_factors, block_diagonal, cone, det, homology,
     is_acyclic, k0_rank, kernel_basis, snf, solve_right, tensor_total,
-    tor_amplitude,
 )
 from sheafkit.randgen import random_poset, random_sheaf
 from sheafkit.selftest import _check_snf
@@ -175,8 +174,6 @@ class TestSparseStorage:
                                       for r, s in zip(ga, gc)], inner)
                 k = rng.randint(-3, 3)
                 self.check(R, a.scale(k), [[R.normalize(k * x) for x in r] for r in ga], inner)
-                self.check(R, a.transpose(), [[ga[i][j] for i in range(rows)]
-                                              for j in range(inner)], rows)
                 self.check(R, a.hstack(c), [r + s for r, s in zip(ga, gc)], 2 * inner)
                 ridx = [rng.randrange(rows) for _ in range(rng.randint(0, 3))] if rows else []
                 cidx = [rng.randrange(inner) for _ in range(rng.randint(0, 3))] if inner else []
@@ -367,7 +364,7 @@ class TestHomology:
         # rgamma of rank 2501 with Z/6 in degree 2
         k = random_sheaf(Random(5), ladder(7), ZZ, max_pieces=3)
         c = rgamma(k)
-        assert c.total_rank() > 2000
+        assert sum(c.ranks.values()) > 2000
         h = homology(c)
         assert any(mod.invariant_factors for mod in h.values())
 
@@ -529,31 +526,6 @@ class TestTensor:
         h = homology(tensor_total(c4, c6))
         assert h[2].invariant_factors == (2,)
         assert h[1].invariant_factors == (2,)
-
-
-class TestTorAmplitude:
-    def test_torsion_widens_one_step(self):
-        assert tor_amplitude(two_term(ZZ, 2)) == (-1, 0)
-
-    def test_free_module(self):
-        assert tor_amplitude(FreeChainComplex.free_module(ZZ, 3, 0)) == (0, 0)
-
-    def test_acyclic_marker(self):
-        c = FreeChainComplex.from_diff(ZZ, 0, Matrix(ZZ, [[1]]))
-        assert tor_amplitude(c) is None
-
-    def test_all_free_homology(self):
-        c = FreeChainComplex(ZZ, {-2: 1, 1: 2}, {})
-        assert tor_amplitude(c) == (-2, 1)
-
-    def test_smoke_against_tensoring(self):
-        # window of [Z --2--> Z] verified by tensoring with Z/2 and Z/3
-        c = two_term(ZZ, 2)
-        lo, hi = tor_amplitude(c)
-        for k in (2, 3):
-            h = homology(tensor_total(c, two_term(ZZ, k)))
-            assert all(lo <= n <= hi for n in h)
-        assert -1 in homology(tensor_total(c, two_term(ZZ, 2)))
 
 
 class TestK0Rank:

@@ -39,6 +39,13 @@ BREAKS = {
         phi.child if isinstance(phi, Not) else phi), 0),
     # every sign flipped
     "_check_sign_multiplicativity": ("sign_at", lambda sa: lambda f, x: -sa(f, x), 0),
+    # every tensor shifted by one
+    "_check_hom_tensor_adjunction": ("derived_tensor", lambda dt: lambda k, l: dt(k, l).shift(1), 0),
+    # every defining formula negated
+    "_check_formula_round_trip": ("defining_formula", lambda df: lambda s: Not(df(s)), 0),
+    # every pullback negated
+    "_check_projection_formula": ("pull_cons", lambda pc: lambda p, psi, cells: (
+        lambda f, up: (f.scale(-1), up))(*pc(p, psi, cells)), 0),
 }
 
 

@@ -15,18 +15,17 @@ from sheafkit.randgen import (
 from sheafkit.selftest import _check_cohomological_dimension, _check_conservativity
 from sheafkit.sheaf import (
     NotClosed, NotOpen, PathIndependenceViolation, SheafComplex, SheafMap,
-    base_change_compare, base_change_locus, cell_decompose,
-    compose_pushforward_compare, constant_sheaf, derived_hom, derived_tensor,
-    evaluation_map, i_star, i_upper_shriek, is_dualizable, j_shriek,
-    localization_triangle, open_unit, pullback, pushforward, restrict, rgamma,
-    same_stalk_homology, sheaf_cone, sheaf_fiber,
-    sheaf_is_acyclic, skyscraper, triangle_is_exact, triangle_of, unit_sheaf,
+    base_change_compare, base_change_locus, cell_decompose, constant_sheaf,
+    derived_hom, derived_tensor, i_star, j_shriek, localization_triangle,
+    pullback, pushforward, rgamma, sheaf_is_acyclic, skyscraper, triangle_is_exact,
     zero_sheaf, _chain_matching, _derived_hom_labeled, _extend_by_zero, _hom_end_complex,
     _label_key, _pushforward_labeled, _slice, rgamma_labeled, rgamma_reduced,
 )
 from sheafkit.space import (
     MonotoneMap, build_space, subspace, _key,
 )
+
+from conftest import restrict, same_stalk_homology, unit_sheaf
 
 
 def ladder(height):
@@ -72,7 +71,7 @@ LADDER_CEILING = """
     else:
         c = getattr(sheaf, what)(k)
         h = homology(c)
-        result.update(rank=c.total_rank(), homology={n: str(v) for n, v in h.items()})
+        result.update(rank=sum(c.ranks.values()), homology={n: str(v) for n, v in h.items()})
     result["seconds"] = time.perf_counter() - start
 """
 
@@ -320,7 +319,7 @@ class TestReducedSections:
             full, reduced = rgamma(k), rgamma_reduced(k)
             assert homology(reduced) == homology(full)
             assert k0_rank(reduced) == k0_rank(full)
-            assert reduced.total_rank() <= full.total_rank()
+            assert sum(reduced.ranks.values()) <= sum(full.ranks.values())
 
     def test_degree_overflow_as_rgamma(self):
         # a chain of 8 points under a stalk in degree 10 reaches degree 17
@@ -361,8 +360,8 @@ class TestReducedSections:
         for m, k in self.instances():
             tops = {p for p, c in k.stalks.items() if not c.is_zero()}
             order, _, _, critical = _chain_matching(m, tops)
-            labels = sum(k.stalks[order[c.bit_length() - 1]].total_rank() for c in critical)
-            assert rgamma_reduced(k).total_rank() == labels
+            labels = sum(sum(k.stalks[order[c.bit_length() - 1]].ranks.values()) for c in critical)
+            assert sum(rgamma_reduced(k).ranks.values()) == labels
 
     def test_matching_is_acyclic_on_one_point_pairs(self):
         for m, _ in self.instances():
@@ -547,19 +546,6 @@ class TestPushforward:
             back = restrict(pushforward(j, k), u)
             assert same_stalk_homology(back, k)
 
-    def test_composition_comparison_map(self):
-        rng = Random(24)
-        for _ in range(15):
-            x = random_poset(rng, 4)
-            s = random_poset(rng, 3)
-            u = random_poset(rng, 3)
-            f = random_monotone_map(rng, x, s)
-            g = random_monotone_map(rng, s, u)
-            k = random_sheaf(rng, x, max_pieces=1)
-            lhs, rhs, cmp_map = compose_pushforward_compare(f, g, k)
-            defect, _, _ = sheaf_cone(cmp_map)
-            assert sheaf_is_acyclic(defect)
-
 
 class TestExtensions:
     def test_j_shriek_examples(self):
@@ -589,42 +575,6 @@ class TestExtensions:
         sub, _ = subspace(m, {"eta"})
         with pytest.raises(NotClosed):
             i_star(m, {"eta"}, constant_sheaf(sub, lam()))
-
-
-class TestUpperShriek:
-    def test_whole_space(self):
-        m = sierpinski()
-        k = constant_sheaf(m, lam())
-        out = i_upper_shriek(frozenset(m.points), k)
-        assert same_stalk_homology(out, k)
-
-    def test_constant_has_no_sections_on_closed_point(self):
-        m = sierpinski()
-        out = i_upper_shriek({"s"}, constant_sheaf(m, lam()))
-        assert homology(out.stalks["s"]) == {}
-
-    def test_unit_iso_on_supported_objects(self):
-        m = sierpinski()
-        out = i_upper_shriek({"s"}, closed_extension(m, {"s"}))
-        assert {n: str(v) for n, v in homology(out.stalks["s"]).items()} == {0: "Z"}
-
-    def test_triangle_is_distinguished(self):
-        rng = Random(25)
-        for _ in range(10):
-            m = random_poset(rng, 4)
-            k = random_sheaf(rng, m, max_pieces=1)
-            z = frozenset(q for p in m.points if rng.random() < 0.5
-                          for q in m.down_set(p))
-            u = frozenset(m.points) - z
-            l_sheaf, unit = open_unit(k, u)
-            fib, to_k = sheaf_fiber(unit)
-            tri = triangle_of(to_k)
-            assert triangle_is_exact(tri)
-            # the cone of fib -> K recovers the open pushforward stalkwise
-            assert same_stalk_homology(tri.c, l_sheaf)
-            # and the fiber is supported on z up to quasi-isomorphism
-            for p in u:
-                assert homology(fib.stalks[p]) == {}
 
 
 class TestLocalization:
@@ -771,9 +721,6 @@ class TestDerivedHom:
             derived_hom(k, l)
             # every stalk is a slice of the one build
             assert len(calls) == 1
-            calls.clear()
-            evaluation_map(l)
-            assert len(calls) == 2
 
     def test_stalks_are_the_end_complexes_of_the_restrictions(self):
         rng = Random(45)
@@ -827,32 +774,6 @@ class TestCrossRoutes:
             pt = build_space(["*"], [])
             pushed = pushforward(MonotoneMap.constant(m, pt, "*"), k)
             assert homology(rgamma(k)) == homology(pushed.stalks["*"])
-
-
-class TestDualizable:
-    def test_constant_unit(self):
-        ok, _ = is_dualizable(constant_sheaf(sierpinski(), lam()))
-        assert ok
-
-    def test_constant_perfect_complex(self):
-        c = FreeChainComplex.from_diff(ZZ, 0, Matrix(ZZ, [[2]]))
-        for m in (sierpinski(), pseudo_circle()):
-            ok, _ = is_dualizable(constant_sheaf(m, c))
-            assert ok
-
-    def test_open_extension_fails_with_defect_at_closed_point(self):
-        m = sierpinski()
-        ok, defect = is_dualizable(open_extension(m, {"eta"}))
-        assert not ok
-        assert homology(defect.stalks["s"]) != {}
-        assert homology(defect.stalks["eta"]) == {}
-
-    def test_evaluation_is_a_valid_sheaf_map(self):
-        rng = Random(32)
-        for _ in range(6):
-            m = random_poset(rng, 3)
-            k = random_sheaf(rng, m, max_pieces=1)
-            evaluation_map(k)  # constructor validates chain map + naturality
 
 
 class TestBaseChange:
@@ -1170,58 +1091,6 @@ class TestRings:
             k = constant_sheaf(m, FreeChainComplex.free_module(ring, 1, 0))
             h = homology(rgamma(k))
             assert {n: v.free_rank for n, v in h.items()} == {0: 1, 1: 1}
-
-
-class TestCSheaf:
-    def test_module_sheaf_on_sierpinski(self):
-        from sheafkit.linalg import FGModule
-        from sheafkit.sheaf import CSheaf
-        m = sierpinski()
-        # free stalks with generization multiplication by 2; the space has a
-        # minimum, so derived sections are just the stalk there
-        cs = CSheaf(m, ZZ, {"s": FGModule(ZZ, (), 1), "eta": FGModule(ZZ, (), 1)},
-                    {("s", "eta"): Matrix(ZZ, [[2]])})
-        k = cs.as_complex()
-        assert {n: str(v) for n, v in homology(rgamma(k)).items()} == {0: "Z"}
-
-    def test_module_sheaf_with_twisted_leg_on_pseudo_circle(self):
-        from sheafkit.linalg import FGModule
-        from sheafkit.sheaf import CSheaf
-        m = pseudo_circle()
-        gens = {e: Matrix(ZZ, [[1]]) for e in m.covers}
-        gens[("a", "x")] = Matrix(ZZ, [[2]])
-        cs = CSheaf(m, ZZ, {p: FGModule(ZZ, (), 1) for p in m.points}, gens)
-        h = homology(rgamma(cs.as_complex()))
-        # H^0: sections force phi(a) = 0, so none; H^1 = coker of the
-        # twisted incidence matrix, determinant +-1... computed exactly:
-        # rows (x-2a, y-a, x-b, y-b) have cokernel Z/1? verify by machine
-        # oracle below instead of hand-waving
-        mtx = Matrix(ZZ, [[-2, 0, 1, 0], [-1, 0, 0, 1],
-                          [0, -1, 1, 0], [0, -1, 0, 1]])
-        from sheafkit.linalg import kernel_basis
-        ker = kernel_basis(mtx)
-        assert ker.cols == (1 if 0 in h and h[0].free_rank else 0)
-        coker = homology(FreeChainComplex.from_diff(ZZ, -1, mtx)).get(0, FGModule(ZZ, (), 0))
-        assert h.get(1, FGModule(ZZ, (), 0)) == coker
-
-    def test_torsion_stalks_present_as_two_term_complexes(self):
-        from sheafkit.linalg import FGModule
-        from sheafkit.sheaf import CSheaf
-        m = sierpinski()
-        cs = CSheaf(m, ZZ, {"s": FGModule(ZZ, (4,), 0), "eta": FGModule(ZZ, (2,), 0)},
-                    {("s", "eta"): Matrix(ZZ, [[1]])})
-        k = cs.as_complex()
-        assert homology(k.stalks["s"])[0].invariant_factors == (4,)
-        assert homology(k.stalks["eta"])[0].invariant_factors == (2,)
-
-    def test_invalid_module_map_rejected(self):
-        from sheafkit.linalg import FGModule
-        from sheafkit.sheaf import CSheaf
-        m = sierpinski()
-        # Z/2 -> Z by a nonzero matrix is not a module map
-        with pytest.raises(Exception):
-            CSheaf(m, ZZ, {"s": FGModule(ZZ, (2,), 0), "eta": FGModule(ZZ, (), 1)},
-                   {("s", "eta"): Matrix(ZZ, [[1]])})
 
 
 class TestWideStalks:

@@ -9,12 +9,12 @@ import sheafkit.intpoly as ip
 import sheafkit.sper as sper
 from sheafkit.k0 import ConsFunction
 from sheafkit.space import krull_dim
+from sheafkit.selftest import _check_formula_round_trip, _check_projection_formula
 from sheafkit.sper import (
     AlgNumber, And, Atom, CellPoset, ConstantMap, Not, Or, PolyMap,
-    SperConstructible, SperError, SperPoint, cell_poset, closure, defining_formula,
-    from_formula, interior, is_closed_set, locate_cell, preimage_set,
-    pull_cons, push_cons, push_point, real_roots, refine_cells,
-    sign_at, transfer_cons, cell_samples, _push_alg,
+    SperConstructible, SperError, SperPoint, cell_poset, closure, from_formula,
+    locate_cell, push_cons, real_roots, refine_cells, sign_at, transfer_cons,
+    cell_samples, _push_alg,
 )
 from sheafkit.cli import run
 from sheafkit.intpoly import ZeroPolynomial
@@ -168,29 +168,26 @@ class TestClosureInterior:
         cl = closure(s)
         assert list(cl.mask) == [False, True, True, True, False]
         assert closure(cl) == cl
-        assert is_closed_set(cl)
 
     def test_closure_of_point(self):
         s = from_formula(Atom((0, 1), "="))
         assert closure(s) == s
 
-    def test_interior_of_closed_half_line(self):
-        s = from_formula(Atom((0, 1), ">="))
-        assert list(interior(s).mask) == [False, False, True]
-
-    def test_interior_duality_and_monotonicity(self):
+    def test_closure_contains_and_is_monotone(self):
         rng = Random(52)
         from sheafkit.selftest import _random_formula
         for _ in range(40):
             s = from_formula(_random_formula(rng))
             t = from_formula(_random_formula(rng))
-            assert interior(s) == closure(s.complement()).complement()
             cl = closure(s)
             assert s.union(cl) == cl        # s is contained in its closure
-            assert interior(s).union(s) == s  # and contains its interior
             # monotone: s <= s u t gives cl(s) <= cl(s u t)
             big = closure(s.union(t))
             assert cl.union(big) == big
+
+    def test_defining_formula_round_trip(self):
+        rng = Random(55)
+        assert [i for i in range(40) if not _check_formula_round_trip(rng)] == []
 
 
 class TestCellPoset:
@@ -239,80 +236,6 @@ class TestCellPoset:
             assert (d == 1) == (len(cp.roots) >= 1)
 
 
-class TestPushPoint:
-    def test_square_of_algebraic(self):
-        neg_sqrt2 = real_roots(T2M2)[0]
-        img = push_point(PolyMap((0, 0, 1)), SperPoint.alg(neg_sqrt2))
-        assert img.kind == "alg" and img.center.compare(2) == 0
-
-    def test_square_flips_left_cut_at_zero(self):
-        img = push_point(PolyMap((0, 0, 1)), SperPoint.cut_minus(Fraction(0)))
-        assert img.kind == "cut+" and img.center.compare(0) == 0
-
-    def test_square_at_neg_inf(self):
-        assert push_point(PolyMap((0, 0, 1)), SperPoint.neg_inf()).kind == "+inf"
-
-    def test_constant_rejected(self):
-        with pytest.raises(ConstantMap):
-            PolyMap((5,))
-
-    def test_respects_specialization(self):
-        rng = Random(54)
-        for _ in range(50):
-            coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(2, 4))]
-            if not any(coeffs[1:]):
-                coeffs.append(1)
-            p = PolyMap(coeffs)
-            probe = ip.normalize([rng.randint(-3, 3) for _ in range(3)])
-            if ip.degree(probe) < 1:
-                continue
-            for r in real_roots(probe):
-                center = push_point(p, SperPoint.alg(r))
-                for cut in (SperPoint.cut_minus(r), SperPoint.cut_plus(r)):
-                    img = push_point(p, cut)
-                    assert img.specializes_to(center)
-
-
-class TestPreimage:
-    def test_square_of_positive_half_line(self):
-        pre = preimage_set(PolyMap((0, 0, 1)), from_formula(Atom((0, 1), ">")))
-        assert pre == from_formula(Atom((0, 1), "!=")), str(pre)
-
-    def test_whole(self):
-        pre = preimage_set(PolyMap((0, 0, 1)), SperConstructible.whole())
-        assert pre.is_whole()
-
-    def test_empty_preimage_of_negatives(self):
-        pre = preimage_set(PolyMap((0, 0, 1)),
-                           from_formula(Atom((1, 1), "<")))  # t < -1
-        assert pre.is_empty()
-
-    def test_defining_formula_round_trip(self):
-        rng = Random(55)
-        from sheafkit.selftest import _random_formula
-        for _ in range(40):
-            s = from_formula(_random_formula(rng))
-            assert from_formula(defining_formula(s)) == s
-
-    def test_preimage_respects_membership(self):
-        rng = Random(56)
-        from sheafkit.selftest import _random_formula
-        for _ in range(15):
-            s = from_formula(_random_formula(rng))
-            coeffs = [rng.randint(-2, 2) for _ in range(3)]
-            if ip.degree(ip.normalize(coeffs)) < 1:
-                coeffs = [0, 1, 1]
-            p = PolyMap(coeffs)
-            pre = preimage_set(p, s)
-            for q in [Fraction(n, 2) for n in range(-8, 9)]:
-                assert (pre.contains(SperPoint.alg(q))
-                        == s.contains(SperPoint.alg(ip.evaluate(p.poly, q))))
-            # every root of pre and its two cuts, imaged by push_point
-            for r in pre.roots:
-                for x in (SperPoint.alg(r), SperPoint.cut_minus(r), SperPoint.cut_plus(r)):
-                    assert pre.contains(x) == s.contains(push_point(p, x))
-
-
 def const_phi(cp: CellPoset, value=1) -> ConsFunction:
     return ConsFunction(cp.space, {q: value for q in cp.space.points})
 
@@ -337,31 +260,13 @@ class TestPushCons:
         assert [out(oc.point_at(i)) for i in range(5)] == [1, 2, 3, 2, 1]
         assert oc.roots[0].compare(-2) == 0 and oc.roots[1].compare(2) == 0
 
+    def test_constant_rejected(self):
+        with pytest.raises(ConstantMap):
+            PolyMap((5,))
+
     def test_projection_formula(self):
         rng = Random(57)
-        from sheafkit.selftest import _random_formula
-        for _ in range(10):
-            coeffs = [rng.randint(-2, 2) for _ in range(rng.randint(2, 4))]
-            if ip.degree(ip.normalize(coeffs)) < 1:
-                coeffs = [0, 0, 1]
-            p = PolyMap(coeffs)
-            cp = cell_poset(from_formula(_random_formula(rng)))
-            phi = ConsFunction(cp.space,
-                               {q: rng.randint(-2, 2) for q in cp.space.points})
-            pushed, down = push_cons(p, phi, cp)
-            psi = ConsFunction(down.space,
-                               {q: rng.randint(-2, 2) for q in down.space.points})
-            # left side: push(phi . pull(psi)) on a common refinement
-            pulled, up = pull_cons(p, psi, down)
-            common = refine_cells(cp, up.roots)
-            left_fn = transfer_cons(phi, cp, common) * transfer_cons(pulled, up, common)
-            left, left_cells = push_cons(p, left_fn, common)
-            # right side: push(phi) . psi, compared at probes of both carriers
-            for probe in _probes(left_cells, down):
-                lv = left(left_cells.point_at(locate_cell(left_cells.roots, probe)))
-                rv = (pushed(down.point_at(locate_cell(down.roots, probe)))
-                      * psi(down.point_at(locate_cell(down.roots, probe))))
-                assert lv == rv
+        assert [i for i in range(10) if not _check_projection_formula(rng)] == []
 
 
 class TestMergeWalk:
@@ -558,23 +463,6 @@ class TestHitsReadOffImages:
         assert min(seen.values()) >= 30, seen
 
 
-def _probes(cells_a, cells_b):
-    """Rational probes hitting every cell of both decompositions."""
-    from sheafkit.sper import refine_disjoint, merge_roots
-    roots = refine_disjoint(merge_roots(list(cells_a.roots), list(cells_b.roots)))
-    out = []
-    if not roots:
-        return [Fraction(0)]
-    out.append(roots[0].lo - 1)
-    for j, r in enumerate(roots):
-        if r.is_rational():
-            out.append(r.as_rational())
-        if j + 1 < len(roots):
-            out.append((r.hi + roots[j + 1].lo) / 2)
-    out.append(roots[-1].hi + 1)
-    return out
-
-
 class TestCellSemantics:
     def test_cut_membership_in_interval_cells(self):
         # interval cells contain the cuts at their finite endpoints
@@ -665,7 +553,7 @@ def _eval_formula(phi, sign_of) -> bool:
     """phi at one cell, given the sign of each atom polynomial there: the
     per-cell reference for from_formula's one pass over all cells."""
     if isinstance(phi, Atom):
-        return phi.holds(sign_of(phi.poly))
+        return sper._HOLDS[phi.op][sign_of(phi.poly)]
     if isinstance(phi, Not):
         return not _eval_formula(phi.child, sign_of)
     if isinstance(phi, And):
