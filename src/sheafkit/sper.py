@@ -13,10 +13,10 @@ Everything is exact: algebraic numbers are squarefree integer polynomials
 with isolating rational intervals, whose endpoints are integer numerators
 over one denominator, compared by cross-multiplying.  Halving an interval
 is deterministic, so every number keeps its halving once made, and the
-comparisons of root merges, refine_disjoint, fiber sums and images of
-points reuse each other's refinements.  Two roots of distinct polynomials
-are halved first, since they nearly always differ; only a pair that still
-overlaps after a few halvings takes the gcd of the two polynomials.  The
+comparisons of root merges, refine_disjoint and images of points reuse
+each other's refinements.  Two roots of distinct polynomials are halved
+first, since they nearly always differ; only a pair that still overlaps
+after a few halvings takes the gcd of the two polynomials.  The
 test stays exact: a root of the gcd in the intersection of the intervals,
 found by a Sturm count, is the one root of each polynomial there.  Images
 under polynomial maps come from image polynomials, resultants over Z[t]
@@ -33,14 +33,12 @@ leading term or off the tags, and the formula is evaluated once over all
 cells.  Unions, intersections and transfers along a refinement read each
 fine cell's coarse cell off the tags.  The pushforward builds one image
 polynomial and its Sturm sequence per distinct upstream polynomial, which
-also isolates the downstream roots.  Fiber sums at a value b count the roots of b.poly(p(t))
-between the upstream roots, isolating none: at a rational b all of them
-lie in the fiber, and at an irrational b a Tarski query of the sign of
-(p - b.lo)(b.hi - p) keeps those that p maps into b's isolating interval.
-Their hits, the upstream roots where b.poly(p(t)) vanishes, are read off
-the images of those roots.  One push builds b.poly(p(t)) and its Sturm
-sequence once per downstream polynomial, and each Tarski sequence of a hit
-test once per pair of polynomials.
+also isolates the downstream roots.  Its fiber sums are an Euler integral
+over the monotone pieces of the map, between neighbouring special points
+(the upstream roots and the real critical points): each image is placed
+among the downstream roots off the tags and one Sturm count, and one sweep
+adds each piece's value to the downstream cells strictly between the
+positions of its end images, with no fiber polynomial built.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 
 from . import intpoly as ip
@@ -66,7 +65,9 @@ class ConstantMap(SperError):
 
 
 class InconsistentSamples(SperError):
-    """Cell values disagreeing between samples; an implementation bug."""
+    """A broken invariant of the pushforward sweep: a monotone piece whose
+    two ends map to one downstream position, or an Euler integral that
+    differs between the two sides; an implementation bug."""
 
 
 # Halvings that AlgNumber.compare makes on two overlapping roots of distinct
@@ -837,91 +838,6 @@ def _push_alg(p: PolyMap, a: AlgNumber, image_polys: dict) -> AlgNumber:
     return AlgNumber.from_rational(ip.evaluate(p.poly, a.as_rational()))
 
 
-def _fiber_poly_vanishes(y: AlgNumber, b, queries: dict) -> bool:
-    """Whether the polynomial whose roots hold the fiber at b, b.poly(p(t))
-    or den(b) p - num(b), vanishes at an upstream root a with image
-    y = p(a).  At a rational b that is y = b.  At an irrational b it is
-    b.poly(y) = 0, which holds for y = b and for every other root of
-    b.poly: true when y.poly is b.poly, and otherwise the sign of b.poly at
-    y (_sign_at_root), whose Tarski sequence the dict queries keeps per
-    (y.poly, b.poly)."""
-    if not isinstance(b, AlgNumber) or b.is_rational():
-        return y.compare(b) == 0
-    if y.poly == b.poly:
-        return True
-    if y.is_rational():
-        return ip.sign_at_rational(b.poly, *y._ratio()) == 0
-    key = y.poly, b.poly
-    if key not in queries:
-        queries[key] = ip.sturm_sequence(y.poly, b.poly)
-    return y.count(queries[key]) == 0
-
-
-def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list,
-               images: list, b, fibers: dict, queries: dict) -> int:
-    """The sum of phi over the fiber of p at a value b, a rational or an
-    AlgNumber, by Sturm counts and Tarski queries.
-
-    The fiber lies among the roots of h = b.poly(p(t)) made squarefree.  At
-    a rational b it is all of them.  Otherwise b is the only root of b.poly
-    in (b.lo, b.hi), whose ends are not roots, so the fiber is the set of
-    roots where w = (p - b.lo)(b.hi - p), cleared of denominators, is
-    positive, and w vanishes at no root of h.  So an interval holding N
-    roots of h, where the Tarski query of w is T, holds (N + T) / 2 points
-    of the fiber.
-
-    ups holds the roots of cells with pairwise disjoint isolating intervals
-    (lo, hi), and images holds the images of those roots under p, which
-    tell whether h vanishes there (_fiber_poly_vanishes).  Each root a is
-    refined in place until (lo, hi] holds no root of h other than a and lo
-    is no root of h, since a Tarski query needs ends that are not roots.  A
-    root cell then adds its value times the count in (lo, hi], and an
-    interval cell its value times the count between the neighbouring
-    intervals.  The Sturm (and Tarski) sequence of h is evaluated once at
-    each end, and no root of h is isolated.
-
-    The dicts fibers and queries live for one push: fibers keeps h and its
-    Sturm sequence per downstream polynomial b.poly, and queries the Tarski
-    sequences of _fiber_poly_vanishes.
-    """
-    if isinstance(b, AlgNumber):
-        if b.poly not in fibers:
-            fibers[b.poly] = ip.squarefree_sturm(ip.compose(b.poly, p.poly))
-        h, seq = fibers[b.poly]
-    else:  # the roots of den p - num
-        h, seq = ip.squarefree_sturm(ip.sub(ip.scale(p.poly, b.denominator),
-                                            ip.constant(b.numerator)))
-    tarski = None
-    if isinstance(b, AlgNumber) and not b.is_rational():
-        w = ip.mul(ip.sub(ip.scale(p.poly, b._d), ip.constant(b._a)),
-                   ip.sub(ip.constant(b._b), ip.scale(p.poly, b._d)))
-        tarski = ip.sturm_sequence(h, w)
-    # the Sturm variations at -inf, lo_1, hi_1, ..., lo_k, hi_k, +inf: cell i
-    # of cells lies between the i-th and the next
-    ends, vs = [], [ip.variations_at_neg_inf(seq)]
-    for j, (a, y) in enumerate(zip(ups, images)):
-        hit = _fiber_poly_vanishes(y, b, queries)
-        while True:
-            vlo = ip.nonroot_variations(seq, a._a, a._d)
-            vhi = ip.variations_at(seq, a._b, a._d)
-            if vlo is not None and vlo - vhi == hit:
-                break
-            a = a.refined()
-        ups[j] = a
-        ends += [(a._a, a._d), (a._b, a._d)]
-        vs += [vlo, vhi]
-    vs.append(ip.variations_at_pos_inf(seq))
-    counts = [u - v for u, v in zip(vs, vs[1:])]
-    if tarski is not None:
-        # Tarski queries only at the ends of cells that hold a root of h
-        ts = ([ip.variations_at_neg_inf(tarski)]
-              + [ip.variations_at(tarski, *e) if counts[k] or counts[k + 1] else 0
-                 for k, e in enumerate(ends)]
-              + [ip.variations_at_pos_inf(tarski)])
-        counts = [(n + ts[k] - ts[k + 1]) // 2 if n else 0 for k, n in enumerate(counts)]
-    return sum(phi(cells.point_at(k)) * n for k, n in enumerate(counts) if n)
-
-
 def refine_cells(cells: CellPoset, extra_roots) -> CellPoset:
     """The cell poset over the union of the given roots with extra ones."""
     return cell_poset(merge_roots(list(cells.roots), dedupe_roots(list(extra_roots))))
@@ -962,19 +878,27 @@ def pull_cons(p: PolyMap, psi: ConsFunction, cells: CellPoset):
 
 
 def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
-    """Fiberwise-sum pushforward of a constructible function on cells.
+    """Fiberwise-sum pushforward of a constructible function on cells, as an
+    Euler integral over the monotone pieces of p.
 
-    The downstream root set contains the images of the upstream roots and
-    of the critical points of the map, which makes the fiber sums constant
-    on the downstream cells: the roots of their image polynomials, one per
-    distinct defining polynomial and isolated once each, with the images of
-    the upstream roots kept for the fiber sums.  Each interval cell is
-    evaluated at three distinct rational samples, its gap midpoint and the
-    midpoints between it and the neighbouring roots' intervals (halved
-    until they lie off it), and disagreements raise InconsistentSamples.
-    Every fiber sum, at a rational sample or at a rational or irrational
-    downstream root, comes from Sturm counts and Tarski queries between the
-    upstream roots (_fiber_sum), with no fiber isolated.
+    The special points are the upstream roots and the real critical points
+    of p.  The downstream roots are the roots of the image polynomials of
+    the special points, one per distinct defining polynomial and isolated
+    once each, so each image is one of them.  Its position is read off the
+    merge's tags: a rational image is the one root of its linear
+    polynomial, and an irrational image y is the k-th root of y.poly, k the
+    Sturm count of y.poly below y.lo.
+
+    Between two neighbouring special points, and beyond the outermost ones,
+    p is strictly monotone, so such a piece meets the fiber over every
+    downstream cell strictly between the positions of its end images (+-inf
+    for the unbounded pieces, by the leading term) in one point, and no
+    other fiber.  A piece adds the value of its upstream interval cell to
+    those cells, and a special point the value of its own cell to the root
+    cell of its image; no fiber is isolated or counted.  A piece with both
+    ends at one position raises InconsistentSamples, and so does a
+    compactly supported Euler integral (point values less interval values)
+    that differs between the two sides, which a proper map such as p keeps.
     """
     if phi.space != cells.space:
         raise SperError("function does not live on the given cell poset")
@@ -983,36 +907,54 @@ def push_cons(p: PolyMap, phi: ConsFunction, cells: CellPoset):
     dp = ip.deriv(p.poly)
     crit = real_roots(dp) if ip.degree(dp) >= 1 else []
     crit_images = [_push_alg(p, c, image_polys) for c in crit]
-    polys = dict.fromkeys(y.poly for y in images + crit_images)
+    polys = list(dict.fromkeys(y.poly for y in images + crit_images))
     # an irrational image's polynomial comes with its Sturm sequence
-    out_cells = cell_poset([r for r, _ in _tagged_roots(polys, dict(image_polys.values()))])
-    ups = refine_disjoint(cells.roots)
-    refined, samples = cell_samples(list(out_cells.roots))
-    values, fibers, queries = {}, {}, {}
-    for pos, sample in enumerate(samples):
-        if isinstance(sample, AlgNumber):
-            values[out_cells.point_at(pos)] = _fiber_sum(
-                p, phi, cells, ups, images, sample, fibers, queries)
-            continue
-        # interval cell: three rational samples must agree
-        if not refined:
-            extras = [Fraction(0), Fraction(1), Fraction(-1)]
-        elif pos == 0:
-            extras = [sample, sample - 1, sample - 2]
-        elif pos == len(samples) - 1:
-            extras = [sample, sample + 1, sample + 2]
+    sturm = dict(image_polys.values())
+    tagged = _tagged_roots(polys, sturm)
+    out_cells = cell_poset([r for r, _ in tagged])
+    # the cell positions of the roots of each image polynomial, in order
+    where = {f: [2 * j + 1 for j, (_, tag) in enumerate(tagged) if tag >> bit & 1]
+             for bit, f in enumerate(polys)}
+
+    def position(y):
+        if y.is_rational():
+            return where[y.poly][0]
+        return where[y.poly][ip.count_roots_halfopen(sturm[y.poly], None, y._a, y._d)]
+
+    n = len(out_cells.cells)
+    up = [phi(q) for q in cells.cells]
+    # point values, and the differences of the piece sums between cells
+    values, steps = [0] * n, [0] * (n + 1)
+    lead, odd = ip.lead(p.poly) > 0, ip.degree(p.poly) % 2 == 1
+    # +-inf sit at positions n and -1, one past either end
+    prev, i, c = n if lead != odd else -1, 0, 0
+    # the special points left to right, each tagged 1 if an upstream root and
+    # 2 if critical, then +inf
+    ends = _merge_tagged([(a, 1) for a in cells.roots], [(x, 2) for x in crit]) + [(None, 0)]
+    for _, tag in ends:
+        if tag & 1:
+            at, cell = position(images[i]), 2 * i + 1
+        elif tag:
+            at, cell = position(crit_images[c]), 2 * i
         else:
-            # the neighbours' intervals may share an end, the sample itself:
-            # halve each until it lies off the sample
-            a, b = refined[pos // 2 - 1], refined[pos // 2]
-            while a.hi >= sample:
-                a = a.refined()
-            while b.lo <= sample:
-                b = b.refined()
-            extras = [sample, (a.hi + sample) / 2, (sample + b.lo) / 2]
-        vals = [_fiber_sum(p, phi, cells, ups, images, e, fibers, queries) for e in extras]
-        if len(set(vals)) != 1:
+            at = n if lead else -1
+        if at == prev:
             raise InconsistentSamples(
-                f"cell {out_cells.marker(pos)} sampled values {vals}")
-        values[out_cells.point_at(pos)] = vals[0]
-    return ConsFunction(out_cells.space, values), out_cells
+                f"a monotone piece in cell {cells.marker(2 * i)} has both ends at one position")
+        lo, hi = min(prev, at), max(prev, at)
+        steps[lo + 1] += up[2 * i]
+        steps[hi] -= up[2 * i]
+        if tag:
+            values[at] += up[cell]
+        prev, i, c = at, i + (tag & 1), c + (tag >> 1)
+    values = [v + s for v, s in zip(values, accumulate(steps))]
+    if _euler(up) != _euler(values):
+        raise InconsistentSamples(
+            f"Euler integral {_euler(up)} upstream but {_euler(values)} downstream")
+    return ConsFunction(out_cells.space, zip(out_cells.cells, values)), out_cells
+
+
+def _euler(values) -> int:
+    """The compactly supported Euler integral of cell values: points count
+    +1 and open intervals -1."""
+    return sum(values[1::2]) - sum(values[::2])

@@ -536,6 +536,30 @@ class TestCommands:
         assert got["code"] == 0 and got["marks"] == marks
         assert got["seconds"] < 20
 
+    @pytest.mark.parametrize("poly, formula, seconds", [
+        # a degree-9 map over a degree-7 atom: 1.4 s while every fiber sum
+        # built a fiber polynomial of degree up to 72, 0.02 s as one sweep
+        ("3*t^9 - 2*t^7 + t^4 - 5*t + 1", "t^7 - 3*t^5 + 2*t^2 - 1 > 0 & 2*t^3 - t - 1 != 0",
+         0.5),
+        # 5.5 s with fiber polynomials, 0.64 s as one sweep, nearly all of it
+        # the image polynomial of the degree-40 atom
+        ("t^3 - t", "(t+1)^40 - 2^40 < 0", 3),
+    ])
+    def test_sper_push_as_one_sweep(self, run_child, poly, formula, seconds):
+        # each in a fresh interpreter; the sweep over the monotone pieces
+        # builds no fiber polynomial
+        got = run_child("""
+            import sys, time
+            from sheafkit.cli import run
+            start = time.perf_counter()
+            text, code = run(['sper-push', '--poly', sys.argv[1], '--formula', sys.argv[2]])
+            result.update(code=code, seconds=time.perf_counter() - start,
+                          values=[line.rsplit(' ', 1)[1] for line in text.split('\\n')])
+        """, poly, formula)
+        assert got["code"] == 0
+        assert got["values"][:9] == ["1", "1", "1", "2", "3", "3", "3", "2", "1"]
+        assert got["seconds"] < seconds
+
     def test_sper_push_golden_digest(self, monkeypatch):
         calls = []
         image = ip.image_defining_poly

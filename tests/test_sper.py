@@ -317,6 +317,201 @@ class TestMergeWalk:
                 transfer_cons(const_phi(src), src, dst)
 
 
+# ---------------------------------------------------------------------------
+# the reference route of push_cons: each fiber sum by Sturm counts and Tarski
+# queries at a sampled value, the fiber of each interval cell at three
+# rationals
+
+
+def _fiber_poly_vanishes(y: AlgNumber, b, queries: dict) -> bool:
+    """Whether the polynomial whose roots hold the fiber at b, b.poly(p(t))
+    or den(b) p - num(b), vanishes at an upstream root a with image
+    y = p(a).  At a rational b that is y = b.  At an irrational b it is
+    b.poly(y) = 0, which holds for y = b and for every other root of
+    b.poly: true when y.poly is b.poly, and otherwise the sign of b.poly at
+    y (_sign_at_root), whose Tarski sequence the dict queries keeps per
+    (y.poly, b.poly)."""
+    if not isinstance(b, AlgNumber) or b.is_rational():
+        return y.compare(b) == 0
+    if y.poly == b.poly:
+        return True
+    if y.is_rational():
+        return ip.sign_at_rational(b.poly, *y._ratio()) == 0
+    key = y.poly, b.poly
+    if key not in queries:
+        queries[key] = ip.sturm_sequence(y.poly, b.poly)
+    return y.count(queries[key]) == 0
+
+
+def _fiber_sum(p: PolyMap, phi: ConsFunction, cells: CellPoset, ups: list,
+               images: list, b, fibers: dict, queries: dict) -> int:
+    """The sum of phi over the fiber of p at a value b, a rational or an
+    AlgNumber, by Sturm counts and Tarski queries.
+
+    The fiber lies among the roots of h = b.poly(p(t)) made squarefree.  At
+    a rational b it is all of them.  Otherwise b is the only root of b.poly
+    in (b.lo, b.hi), whose ends are not roots, so the fiber is the set of
+    roots where w = (p - b.lo)(b.hi - p), cleared of denominators, is
+    positive, and w vanishes at no root of h.  So an interval holding N
+    roots of h, where the Tarski query of w is T, holds (N + T) / 2 points
+    of the fiber.
+
+    ups holds the roots of cells with pairwise disjoint isolating intervals
+    (lo, hi), and images holds the images of those roots under p, which
+    tell whether h vanishes there (_fiber_poly_vanishes).  Each root a is
+    refined in place until (lo, hi] holds no root of h other than a and lo
+    is no root of h, since a Tarski query needs ends that are not roots.  A
+    root cell then adds its value times the count in (lo, hi], and an
+    interval cell its value times the count between the neighbouring
+    intervals.  The Sturm (and Tarski) sequence of h is evaluated once at
+    each end, and no root of h is isolated.
+
+    The dicts fibers and queries live for one push: fibers keeps h and its
+    Sturm sequence per downstream polynomial b.poly, and queries the Tarski
+    sequences of _fiber_poly_vanishes.
+    """
+    if isinstance(b, AlgNumber):
+        if b.poly not in fibers:
+            fibers[b.poly] = ip.squarefree_sturm(ip.compose(b.poly, p.poly))
+        h, seq = fibers[b.poly]
+    else:  # the roots of den p - num
+        h, seq = ip.squarefree_sturm(ip.sub(ip.scale(p.poly, b.denominator),
+                                            ip.constant(b.numerator)))
+    tarski = None
+    if isinstance(b, AlgNumber) and not b.is_rational():
+        w = ip.mul(ip.sub(ip.scale(p.poly, b._d), ip.constant(b._a)),
+                   ip.sub(ip.constant(b._b), ip.scale(p.poly, b._d)))
+        tarski = ip.sturm_sequence(h, w)
+    # the Sturm variations at -inf, lo_1, hi_1, ..., lo_k, hi_k, +inf: cell i
+    # of cells lies between the i-th and the next
+    ends, vs = [], [ip.variations_at_neg_inf(seq)]
+    for j, (a, y) in enumerate(zip(ups, images)):
+        hit = _fiber_poly_vanishes(y, b, queries)
+        while True:
+            vlo = ip.nonroot_variations(seq, a._a, a._d)
+            vhi = ip.variations_at(seq, a._b, a._d)
+            if vlo is not None and vlo - vhi == hit:
+                break
+            a = a.refined()
+        ups[j] = a
+        ends += [(a._a, a._d), (a._b, a._d)]
+        vs += [vlo, vhi]
+    vs.append(ip.variations_at_pos_inf(seq))
+    counts = [u - v for u, v in zip(vs, vs[1:])]
+    if tarski is not None:
+        # Tarski queries only at the ends of cells that hold a root of h
+        ts = ([ip.variations_at_neg_inf(tarski)]
+              + [ip.variations_at(tarski, *e) if counts[k] or counts[k + 1] else 0
+                 for k, e in enumerate(ends)]
+              + [ip.variations_at_pos_inf(tarski)])
+        counts = [(n + ts[k] - ts[k + 1]) // 2 if n else 0 for k, n in enumerate(counts)]
+    return sum(phi(cells.point_at(k)) * n for k, n in enumerate(counts) if n)
+
+
+def _reference_push(p: PolyMap, phi: ConsFunction, cells: CellPoset):
+    """push_cons by fiber sums at sampled values: the downstream cells of
+    push_cons, each root cell's value summed over its fiber and each
+    interval cell's at three distinct rational samples, which must agree."""
+    image_polys = {}
+    images = [_push_alg(p, a, image_polys) for a in cells.roots]
+    dp = ip.deriv(p.poly)
+    crit = real_roots(dp) if ip.degree(dp) >= 1 else []
+    crit_images = [_push_alg(p, c, image_polys) for c in crit]
+    polys = dict.fromkeys(y.poly for y in images + crit_images)
+    # an irrational image's polynomial comes with its Sturm sequence
+    out_cells = cell_poset([r for r, _ in sper._tagged_roots(polys, dict(image_polys.values()))])
+    ups = sper.refine_disjoint(cells.roots)
+    refined, samples = sper.cell_samples(list(out_cells.roots))
+    values, fibers, queries = {}, {}, {}
+    for pos, sample in enumerate(samples):
+        if isinstance(sample, AlgNumber):
+            values[out_cells.point_at(pos)] = _fiber_sum(
+                p, phi, cells, ups, images, sample, fibers, queries)
+            continue
+        # interval cell: three rational samples must agree
+        if not refined:
+            extras = [Fraction(0), Fraction(1), Fraction(-1)]
+        elif pos == 0:
+            extras = [sample, sample - 1, sample - 2]
+        elif pos == len(samples) - 1:
+            extras = [sample, sample + 1, sample + 2]
+        else:
+            # the neighbours' intervals may share an end, the sample itself:
+            # halve each until it lies off the sample
+            a, b = refined[pos // 2 - 1], refined[pos // 2]
+            while a.hi >= sample:
+                a = a.refined()
+            while b.lo <= sample:
+                b = b.refined()
+            extras = [sample, (a.hi + sample) / 2, (sample + b.lo) / 2]
+        vals = [_fiber_sum(p, phi, cells, ups, images, e, fibers, queries) for e in extras]
+        assert len(set(vals)) == 1, (out_cells.marker(pos), vals)
+        values[out_cells.point_at(pos)] = vals[0]
+    return ConsFunction(out_cells.space, values), out_cells
+
+
+def _euler_c(values) -> int:
+    """The compactly supported Euler integral of cell values left to right:
+    a point counts +1, an open interval -1."""
+    return sum(v if pos % 2 else -v for pos, v in enumerate(values))
+
+
+def _sweep_cases(rng, n):
+    """(map, cells) pairs: t^3, t^4 and t^3 + t (no real critical point),
+    t^3 - 3t over (t + 2)(t - 2), whose roots share their images -2 and 2
+    with the critical points 1 and -1, then maps of degree 1-9 over atoms
+    through their critical points, atoms p - c, the preimages of the
+    critical values (degree at most 4) and random formulas.  From degree 7
+    on the maps are trinomials, which keep the reference route's fiber
+    polynomials at irrational critical values cheap."""
+    yield PolyMap((0, 0, 0, 1)), cell_poset(from_formula(Atom(T2M2, "<")))
+    yield PolyMap((0, 0, 0, 0, 1)), cell_poset(from_formula(Atom((-1, 0, 0, 0, 1), "!=")))
+    yield PolyMap((0, 1, 0, 1)), cell_poset(from_formula(Atom((0, 1, 0, 1), ">=")))
+    yield PolyMap((0, -3, 0, 1)), cell_poset(from_formula(Atom((-4, 0, 1), "=")))
+    for k in range(n):
+        deg = 1 + k % 9
+        coeffs = [rng.randint(-3, 3) for _ in range(deg)] + [rng.choice((-2, -1, 1, 2))]
+        if deg >= 7:
+            coeffs[1:deg] = [0] * (deg - 1)
+            coeffs[rng.randint(1, deg - 1)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        p = PolyMap(coeffs)
+        dp = ip.deriv(p.poly)
+        kind = k % 4
+        if kind == 0 and deg > 1:
+            phi = Or((Atom(dp, rng.choice(RELOPS)), Atom(rng.choice(SHARED_FACTORS), "=")))
+        elif kind == 1 and 1 < deg <= 4:
+            values = ip.image_defining_poly(dp, p.poly)[0]
+            phi = Atom(ip.compose(values, p.poly), rng.choice(RELOPS))
+        elif kind == 2 and deg <= 5:
+            phi = _shared_root_formula(rng)
+        else:
+            phi = Atom(ip.sub(p.poly, ip.constant(rng.randint(-4, 4))), rng.choice(RELOPS))
+        yield p, cell_poset(from_formula(phi))
+
+
+class TestSweepAgainstFiberSums:
+    def test_values_markers_and_euler_integral(self):
+        """push_cons, one sweep over the monotone pieces of the map, against
+        the reference route of fiber sums at sampled values: the same
+        downstream cells and values, and the same compactly supported Euler
+        integral on both sides, as polynomial maps are proper."""
+        rng = Random(109)
+        shared = 0
+        for p, cp in _sweep_cases(rng, 108):
+            phi = ConsFunction(cp.space, {q: rng.randint(-3, 3) for q in cp.space.points})
+            out, oc = push_cons(p, phi, cp)
+            want, wc = _reference_push(p, phi, cp)
+            values = [out(q) for q in oc.cells]
+            assert oc.markers == wc.markers, str(p)
+            assert values == [want(q) for q in wc.cells], str(p)
+            assert _euler_c(values) == _euler_c([phi(q) for q in cp.cells]), str(p)
+            crit = real_roots(ip.deriv(p.poly)) if ip.degree(p.poly) > 1 else []
+            crit_images = [_push_alg(p, c, {}) for c in crit]
+            shared += any(_push_alg(p, a, {}).compare(y) == 0 and a.compare(c) != 0
+                          for a in cp.roots for c, y in zip(crit, crit_images))
+        assert shared >= 6
+
+
 class TestFiber:
     def test_matches_image_polynomial_filter(self):
         """Fiber sums over irrational b count exactly the roots of
@@ -344,10 +539,10 @@ class TestFiber:
             phi = ConsFunction(cp.space, {cp.point_at(pos): 2 ** (pos // 2) if pos % 2 else 0
                                           for pos in range(len(cp.cells))})
             ups = sper.refine_disjoint(cp.roots)
-            assert sper._fiber_sum(p, phi, cp, ups, images, b, {}, {}) == \
+            assert _fiber_sum(p, phi, cp, ups, images, b, {}, {}) == \
                 sum(2 ** i for i, h in enumerate(hit) if h)
             line = cell_poset([])
-            assert sper._fiber_sum(p, const_phi(line), line, [], [], b, {}, {}) == sum(hit)
+            assert _fiber_sum(p, const_phi(line), line, [], [], b, {}, {}) == sum(hit)
             kept += sum(hit)
             dropped += len(hit) - sum(hit)
         assert kept >= 200 and dropped >= 200
@@ -360,7 +555,7 @@ class TestFiber:
         phi = ConsFunction(cp.space, {cp.point_at(pos): pos % 2 for pos in range(3)})
         b = AlgNumber((6, -5, 1), Fraction(7, 4), Fraction(21, 8))
         p = PolyMap((4, -1))
-        assert sper._fiber_sum(p, phi, cp, [a], [_push_alg(p, a, {})], b, {}, {}) == 1
+        assert _fiber_sum(p, phi, cp, [a], [_push_alg(p, a, {})], b, {}, {}) == 1
 
     def test_degree_five_map_with_four_critical_points(self):
         p = PolyMap((1, 4, 0, -5, 0, 1))  # p' = 5t^4 - 15t^2 + 4
@@ -405,16 +600,16 @@ class TestHitsReadOffImages:
         y = _push_alg(CONJUGATES, minus, {})
         assert y.poly == b.poly and y.compare(b) > 0
         assert sign_at(ip.compose(b.poly, CONJUGATES.poly), SperPoint.alg(minus)) == 0
-        assert sper._fiber_poly_vanishes(y, b, {})
+        assert _fiber_poly_vanishes(y, b, {})
         # the roots +-sqrt 2 of (t^2 - 2)(t^3 - 1) have another image
         # polynomial than b, and 1 maps to 1
         for roots in ([minus], [minus, plus], real_roots(ip.mul(T2M2, (-1, 0, 0, 1)))):
             cp = cell_poset(roots)
             phi = ConsFunction(cp.space, {cp.point_at(pos): 3 ** pos for pos in range(len(cp.cells))})
             images = [_push_alg(CONJUGATES, a, {}) for a in cp.roots]
-            assert [sper._fiber_poly_vanishes(y, b, {}) for y in images] == \
+            assert [_fiber_poly_vanishes(y, b, {}) for y in images] == \
                 [a.compare(1) != 0 for a in cp.roots]
-            got = sper._fiber_sum(CONJUGATES, phi, cp, sper.refine_disjoint(cp.roots), images, b,
+            got = _fiber_sum(CONJUGATES, phi, cp, sper.refine_disjoint(cp.roots), images, b,
                                   {}, {})
             assert got == _alg_fiber_oracle(CONJUGATES, phi, cp, b)
 
@@ -450,7 +645,7 @@ class TestHitsReadOffImages:
             image_polys = {}
             for a in ups:
                 y = _push_alg(p, a, image_polys)
-                hit = sper._fiber_poly_vanishes(y, b, {})
+                hit = _fiber_poly_vanishes(y, b, {})
                 assert hit == (sper._sign_at_root(h, a) == 0)
                 if isinstance(b, Fraction) or b.is_rational():
                     seen["rational hit" if hit else "rational miss"] += 1
@@ -628,7 +823,7 @@ class TestFiberSumsBySturmCounts:
             ys = [ip.evaluate(p.poly, a.as_rational()) for a in cp.roots if a.is_rational()]
             ys += [Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(4)]
             for y in ys:
-                assert sper._fiber_sum(p, phi, cp, ups, images, y, {}, {}) == _fiber_oracle(p, phi, cp, y)
+                assert _fiber_sum(p, phi, cp, ups, images, y, {}, {}) == _fiber_oracle(p, phi, cp, y)
                 checked += 1
             out, oc = push_cons(p, phi, cp)
             _, samples = cell_samples(list(oc.roots))
@@ -880,67 +1075,32 @@ class TestPushBuildsEachSequenceOnce:
     def test_one_sturm_sequence_per_polynomial(self, monkeypatch):
         # t^3 - t on the cells of (t^2 - 2)(t^2 - 3) < 0: the downstream
         # roots are the four images and the two critical values, roots of
-        # two polynomials; each fiber polynomial, each Tarski pair and each
-        # image polynomial gets one sequence, used by every root
+        # two polynomials; the sweep builds one sequence for p' and one for
+        # each image polynomial, used by every root, and no fiber polynomial
         cp = cell_poset(from_formula(Atom((6, 0, -5, 0, 1), "<")))
         phi = ConsFunction(cp.space, {q: i for i, q in enumerate(cp.space.points)})
-        sqf, seqs = Counter(), Counter()
-        squarefree, sturm = ip.squarefree_sturm, ip.sturm_sequence
+        sqf, seqs, composed = Counter(), Counter(), []
+        squarefree, sturm, compose = ip.squarefree_sturm, ip.sturm_sequence, ip.compose
         monkeypatch.setattr(ip, "squarefree_sturm",
                             lambda p: sqf.update([p]) or squarefree(p))
         monkeypatch.setattr(ip, "sturm_sequence",
                             lambda p, q=(1,): seqs.update([(p, q)]) or sturm(p, q))
+        monkeypatch.setattr(ip, "compose", lambda p, q: composed.append(p) or compose(p, q))
         out, oc = push_cons(PolyMap(T3M2T[:1] + (-1, 0, 1)), phi, cp)
         assert len(oc.roots) == 6 and len({r.poly for r in oc.roots}) == 2
-        assert len(sqf) >= 6 and len(seqs) >= 12
-        assert set(sqf.values()) == {1} and set(seqs.values()) == {1}
+        # p' = 3t^2 - 1, and the image polynomials of t^4 - 5t^2 + 6 and 3t^2 - 1
+        assert sqf == Counter({(-1, 0, 3): 1, (24, 0, -14, 0, 1): 1, (-4, 0, 27): 1})
+        assert seqs == Counter({(f, (1,)): 1 for f in sqf})
+        assert composed == []
 
 
-class TestPushSamplesDistinct:
-    """Each interval cell of ``push_cons`` is evaluated at three distinct
-    rationals, also where the refined intervals of its two end roots share
-    an end, which is then the gap midpoint."""
-
-    @staticmethod
-    def interval_samples(monkeypatch):
-        """The rational samples ``_fiber_sum`` is called on, in order: three
-        per interval cell, while a point cell is evaluated at its root."""
-        seen = []
-        fiber_sum = sper._fiber_sum
-
-        def wrapper(p, phi, cells, ups, images, x, *rest):
-            seen.append(x)
-            return fiber_sum(p, phi, cells, ups, images, x, *rest)
-        monkeypatch.setattr(sper, "_fiber_sum", wrapper)
-
-        def triples():
-            rationals = [x for x in seen if isinstance(x, Fraction)]
-            seen.clear()
-            return [rationals[i:i + 3] for i in range(0, len(rationals), 3)]
-        return triples
-
-    def test_shared_end(self, monkeypatch):
-        # the roots (1 +- sqrt(1617)) / 4 isolated by (-102, 0) and (0, 102):
-        # all three samples of the cell between them were 0
-        triples = self.interval_samples(monkeypatch)
-        text, code = run(["sper-push", "--poly", "2*t^3 + 1*t^2 + 3*t + 2",
-                          "--formula", "2*t^2 + 1*t - 4 != 0"])
-        assert code == 0
-        assert text.splitlines()[2] == \
-            "(root(2*t^2 - t - 202, -102, 0),root(2*t^2 - t - 202, 0, 102)) = 1"
-        assert triples()[1] == [0, Fraction(-51, 16), Fraction(51, 16)]
-
-    def test_bench_reals_seeds(self, monkeypatch, tmp_path, bench_gen):
-        """Every sper-push of the reals benchmark seeds 0-5: 681 interval
-        cells, 50 of which had coincident samples."""
-        triples = self.interval_samples(monkeypatch)
-        cells = 0
-        for seed in range(6):
-            ops = [op for op in bench_gen.generate("reals", seed) if op.command == "sper-push"]
-            bench_gen.write_inputs(ops, tmp_path)
-            for op in ops:
-                assert run(op.resolved_argv(str(tmp_path)))[1] == 0
-                for t in triples():
-                    assert len(set(t)) == 3, (op.id, t)
-                    cells += 1
-        assert cells == 681
+class TestPushInvariant:
+    def test_a_piece_with_both_ends_at_one_position_exits_2(self, monkeypatch):
+        """Every image placed at one downstream root leaves the monotone
+        piece of t^3 - 3t between its critical points with both ends there:
+        the sweep reports an internal invariant failure, exit code 2."""
+        monkeypatch.setattr(sper, "_push_alg", lambda p, a, image_polys: AlgNumber.from_rational(0))
+        text, code = run(["sper-push", "--poly", "t^3 - 3*t"])
+        assert code == 2
+        assert text == ("internal invariant failure: a monotone piece in cell (-inf,inf) "
+                        "has both ends at one position")
