@@ -29,9 +29,17 @@ Text formats:
   checked as the stalk lines are read, before any matrix is built;
   degrees lie in [-16, 16] and F p takes primes p below
   3317044064679887385961981 (about 3.3e24), where the deterministic
-  primality test is exact;
+  primality test is exact; the file is read in one pass, each stalk and
+  gen line once and each matrix literal straight into the row dicts of its
+  Matrix, all on the file's one ring object;
+* section and homotopy-end complexes (cohomology, pushforward, basechange)
+  are built on spaces of at most sheaf.MAX_CHAINS = 10**6 strict chains,
+  counted before any chain is listed; a larger space is an error;
 * maps: "map NAME" / "target NAME" / "points: ..." / "covers: ..." (the
   embedded target space) / "sends: a->x b->y";
+* a duplicate point, an unknown point or x<x in a cover, and an unknown or
+  missing point of a map name their "points:", "covers:" or "sends:" line;
+  a cycle through several covers names none;
 * constructible functions: "phi: s=1 eta=0", values within MAX_COEFF_BITS.
 
 Every command parses all of its inputs before computing anything, writes a
@@ -60,7 +68,10 @@ from .sheaf import (
     PathIndependenceViolation, SheafComplex, SheafError, base_change_locus,
     cell_decompose, pushforward, rgamma_reduced,
 )
-from .space import FinSpec, MonotoneMap, SpaceError, build_space, krull_dim
+from .space import (
+    CycleDetected, DuplicatePoint, FinSpec, MonotoneMap, NotTotal, SpaceError, UnknownPoint,
+    build_space, krull_dim,
+)
 from .sper import (
     And, Atom, Not, Or, PolyMap, SperError, InconsistentSamples,
     cell_markers, cell_poset, from_formula, push_cons, real_roots,
@@ -164,7 +175,11 @@ def _budget_int(s: str, what: str) -> int:
     """int(s) for a literal within MAX_COEFF_BITS; ParseError "<what> above
     the coefficient budget" otherwise.  Past MAX_COEFF_BITS // 3 significant
     digits a decimal literal is over the budget, so int() is never asked for
-    more digits than that."""
+    more digits than that.  A literal of at most 18 characters is int(s)
+    straight away: that is the value (or the ValueError) the long path gives
+    it, and 18 digits are far inside the budget."""
+    if len(s) <= 18:
+        return int(s)
     body = s.strip()
     sign = -1 if body[:1] == "-" else 1
     digits = body[1:] if body[:1] in ("+", "-") else body
@@ -367,31 +382,53 @@ def parse_formula(text: str):
 
 def _content_lines(text: str):
     for idx, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield idx, line
 
 
 class _SpaceLines:
-    """The 'points:' and 'covers:' lines of a space or map file."""
+    """The 'points:' and 'covers:' lines of a space or map file, with the
+    line of the points and of each cover."""
 
     def __init__(self):
         self.points = None
+        self.points_line = None
         self.covers = []
+        self.cover_lines = []
 
     def read(self, idx: int, line: str) -> bool:
         """Take in a 'points:' or 'covers:' line; False for any other line."""
         if line.startswith("points:"):
             self.points = line[len("points:"):].split()
+            self.points_line = idx
         elif line.startswith("covers:"):
             for tok in line[len("covers:"):].split():
                 if "<" not in tok:
                     raise ParseError(f"line {idx}: cover {tok!r} must look like a<b")
                 x, y = tok.split("<", 1)
                 self.covers.append((x, y))
+                self.cover_lines.append(idx)
         else:
             return False
         return True
+
+    def build(self) -> FinSpec:
+        """The space of these lines.  A duplicate point names the points
+        line, and an unknown point or x<x in a cover the line of the first
+        such cover, where FinSpec stops.  A cycle through several covers
+        names no line."""
+        try:
+            return build_space(self.points, self.covers)
+        except DuplicatePoint as e:
+            raise DuplicatePoint(f"line {self.points_line}: {e}") from None
+        except (UnknownPoint, CycleDetected) as e:
+            known = set(self.points)
+            idx = next((i for (x, y), i in zip(self.covers, self.cover_lines)
+                        if x not in known or y not in known or x == y), None)
+            if idx is None:
+                raise
+            raise type(e)(f"line {idx}: {e}") from None
 
 
 def parse_space(text: str):
@@ -407,7 +444,7 @@ def parse_space(text: str):
         raise ParseError("missing 'space NAME' line")
     if spec.points is None:
         raise ParseError("missing 'points:' line")
-    return name, build_space(spec.points, spec.covers)
+    return name, spec.build()
 
 
 def space_to_text(name: str, m: FinSpec) -> str:
@@ -416,56 +453,72 @@ def space_to_text(name: str, m: FinSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_scalar(tok: str, ring: ScalarRing, idx: int):
-    what = f"line {idx}: scalar"
+def _parse_scalar(tok: str, ring: ScalarRing):
+    """The entry tok of a matrix literal as an element of ring: an integer
+    or p/q, each part within the coefficient budget."""
     try:
         if "/" in tok:
             num, den = tok.split("/", 1)
-            return ring.normalize(Fraction(_budget_int(num, what), _budget_int(den, what)))
-        return ring.normalize(_budget_int(tok, what))
+            return ring.normalize(Fraction(_budget_int(num, "scalar"),
+                                           _budget_int(den, "scalar")))
+        return ring.normalize(_budget_int(tok, "scalar"))
     except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"line {idx}: bad scalar {tok!r}: {e}")
+        raise ParseError(f"bad scalar {tok!r}: {e}")
 
 
-def _parse_matrix(text: str, ring: ScalarRing, idx: int):
-    """Parse row-major [[a,b],[c,d]] on line idx; [] is the empty matrix.
+# One row of a matrix literal, with the commas and blanks before it.
+_MATRIX_ROW = re.compile(r"[, \t]*\[([^\[\]]*)\]")
+_BETWEEN_ROWS = re.compile(r"[, \t]*")
 
-    One outer bracket holds the rows, one bracket each: a "[" inside a row
-    or a "]" outside one is an error."""
+
+def _parse_matrix(text: str, ring: ScalarRing):
+    """The row-major literal [[a,b],[c,d]] in one pass, as (rows, ncols):
+    each row the dict column -> nonzero entry that ``Matrix._of`` stores;
+    None for a literal without rows, such as [].
+
+    One outer bracket holds the rows, one bracket each, and only commas,
+    spaces and tabs lie between rows.  Entries are separated by commas, and
+    a blank entry is skipped, so [1,,2] has two.  A row's entries are read
+    when its "]" is, so the first fault in reading order is the one
+    reported: a "[" inside a row or any other character outside one, an
+    entry of a closed row, a row left open, and last ragged rows."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise ParseError(f"line {idx}: matrix literal must be bracketed, got {text!r}")
+        raise ParseError(f"matrix literal must be bracketed, got {text!r}")
     body = s[1:-1].strip()
-    rows = []
-    in_row = False
-    cur = ""
-    for ch in body:
-        if in_row and ch not in "[]":
-            cur += ch
-        elif ch == "[" and not in_row:
-            in_row, cur = True, ""
-        elif ch == "]" and in_row:
-            in_row = False
-            rows.append([_parse_scalar(t, ring, idx) for t in cur.split(",") if t.strip()])
-        elif in_row or ch not in ", \t":
-            raise ParseError(f"line {idx}: unexpected {ch!r} in matrix literal")
-    if in_row:
-        raise ParseError(f"line {idx}: unbalanced brackets in matrix literal {text!r}")
+    rows, widths, pos = [], set(), 0
+    while m := _MATRIX_ROW.match(body, pos):
+        row, j = {}, 0
+        for tok in m.group(1).split(","):
+            if tok.strip():
+                x = _parse_scalar(tok, ring)
+                if x:
+                    row[j] = x
+                j += 1
+        rows.append(row)
+        widths.add(j)
+        pos = m.end()
+    pos = _BETWEEN_ROWS.match(body, pos).end()
+    if pos < len(body):
+        ch = body[pos]
+        # a row that no "]" closes meets a "[" or the end first
+        if ch == "[" and body.find("[", pos + 1) < 0:
+            raise ParseError(f"unbalanced brackets in matrix literal {text!r}")
+        raise ParseError(f"unexpected {ch!r} in matrix literal")
     if not rows:
         return None
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ParseError(f"line {idx}: ragged matrix literal {text!r}")
-    return rows
+    if len(widths) > 1:
+        raise ParseError(f"ragged matrix literal {text!r}")
+    return rows, j
 
 
-def _shaped(ring: ScalarRing, rows, nrows: int, ncols: int, what: str) -> Matrix:
-    """The parsed rows, whose scalars ``_parse_scalar`` normalized, as an
-    nrows x ncols matrix; what names it in the error."""
-    if len(rows) != nrows or (rows and len(rows[0]) != ncols):
+def _shaped(ring: ScalarRing, literal, nrows: int, ncols: int, what: str) -> Matrix:
+    """The (rows, ncols) of ``_parse_matrix`` as an nrows x ncols matrix;
+    what names it in the error."""
+    rows, width = literal
+    if len(rows) != nrows or width != ncols:
         raise ParseError(f"{what} must be {nrows}x{ncols}")
-    return Matrix._of(ring, nrows, ncols,
-                      [{j: x for j, x in enumerate(r) if x} for r in rows])
+    return Matrix._of(ring, nrows, ncols, rows)
 
 
 def _matrix_str(m: Matrix) -> str:
@@ -491,87 +544,97 @@ def parse_ring(tokens) -> ScalarRing:
     raise ParseError(f"unknown ring {' '.join(tokens)!r} (expected Z, Q or F p)")
 
 
-def _integer(tok: str, idx: int) -> int:
+def _integer(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ParseError(f"line {idx}: {tok!r} is not an integer")
+        raise ParseError(f"{tok!r} is not an integer")
 
 
 def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
-    """Parse a sheaf file against an already-parsed space."""
+    """Parse a sheaf file against an already-parsed space.
+
+    Each stalk and gen line is read in one pass, its matrix literals
+    straight into row dicts (``_parse_matrix``); an error on such a line
+    names it.  Once every line is read, each matrix gets its shape checked
+    against the ranks, and the stalks, the generization maps and the sheaf
+    their own checks, on the one ring object of the file."""
     ring = None
     declared_space = None
     ranks = {}   # point -> {deg: rank}
     total_rank = 0  # sum of the positive ranks in `ranks`
-    diffs = {}   # point -> {deg: (line, rows)}
-    gen_mats = {}  # (x, y) -> {deg: (line, rows)}
+    diffs = {}   # point -> {deg: (line, literal)}
+    gen_mats = {}  # (x, y) -> {deg: (line, literal)}
     first_line = {}  # point or cover -> the line of its first item
     points, covers = set(m.points), set(m.covers)
     for idx, line in _content_lines(text):
         if line.startswith("ring "):
             ring = parse_ring(line.split()[1:])
-        elif line.startswith("space "):
+            continue
+        if line.startswith("space "):
             declared_space = line.split(None, 1)[1].strip()
-        elif line.startswith("stalk "):
-            if ring is None:
-                raise ParseError(f"line {idx}: 'ring' must come before stalk data")
-            head, _, rest = line[len("stalk "):].partition(":")
-            pt = head.strip()
-            if pt not in points:
-                raise ParseError(f"line {idx}: unknown point {pt!r}")
-            ranks.setdefault(pt, {})
-            diffs.setdefault(pt, {})
-            first_line.setdefault(pt, idx)
-            for item in rest.split(";"):
-                item = item.strip()
-                if not item:
-                    continue
-                toks = item.split()
-                if toks[0] == "deg":
-                    if len(toks) != 4 or toks[2] != "rank":
-                        raise ParseError(f"line {idx}: malformed rank item {item!r}")
-                    deg, rank = _integer(toks[1], idx), _integer(toks[3], idx)
-                    total_rank += max(rank, 0) - max(ranks[pt].get(deg, 0), 0)
-                    if total_rank > MAX_STALK_RANK:
-                        raise ParseError(f"line {idx}: stalk ranks above the rank "
-                                         f"budget of {MAX_STALK_RANK}")
-                    ranks[pt][deg] = rank
-                elif toks[0].startswith("d_"):
-                    deg = _integer(toks[0][2:], idx)
-                    _, _, mat = item.partition("=")
-                    rows = _parse_matrix(mat, ring, idx)
-                    if rows is not None:
-                        diffs[pt][deg] = idx, rows
-                else:
-                    raise ParseError(f"line {idx}: malformed stalk item {item!r}")
-        elif line.startswith("gen "):
-            if ring is None:
-                raise ParseError(f"line {idx}: 'ring' must come before gen data")
-            head, _, rest = line[len("gen "):].partition(":")
-            head = head.strip()
-            if "<" not in head:
-                raise ParseError(f"line {idx}: gen needs a cover like x<y")
-            x, y = head.split("<", 1)
-            if (x, y) not in covers:
-                raise ParseError(f"line {idx}: {x!r}<{y!r} is not a cover relation "
-                                 f"of space {space_name!r}")
-            gen_mats.setdefault((x, y), {})
-            first_line.setdefault((x, y), idx)
-            for item in rest.split(";"):
-                item = item.strip()
-                if not item:
-                    continue
-                toks = item.split()
-                if toks[0] != "deg" or len(toks) < 2:
-                    raise ParseError(f"line {idx}: malformed gen item {item!r}")
-                deg = _integer(toks[1], idx)
-                _, _, mat = item.partition("=")
-                rows = _parse_matrix(mat, ring, idx)
-                if rows is not None:
-                    gen_mats[(x, y)][deg] = idx, rows
-        else:
-            raise ParseError(f"line {idx}: unrecognized directive {line!r}")
+            continue
+        try:
+            if line.startswith("stalk "):
+                if ring is None:
+                    raise ParseError("'ring' must come before stalk data")
+                head, _, rest = line[len("stalk "):].partition(":")
+                pt = head.strip()
+                if pt not in points:
+                    raise ParseError(f"unknown point {pt!r}")
+                rk = ranks.setdefault(pt, {})
+                dd = diffs.setdefault(pt, {})
+                first_line.setdefault(pt, idx)
+                for item in rest.split(";"):
+                    item = item.strip()
+                    if not item:
+                        continue
+                    head = item.split(None, 1)[0]
+                    if head == "deg":
+                        toks = item.split()
+                        if len(toks) != 4 or toks[2] != "rank":
+                            raise ParseError(f"malformed rank item {item!r}")
+                        deg, rank = _integer(toks[1]), _integer(toks[3])
+                        total_rank += max(rank, 0) - max(rk.get(deg, 0), 0)
+                        if total_rank > MAX_STALK_RANK:
+                            raise ParseError(f"stalk ranks above the rank budget of "
+                                             f"{MAX_STALK_RANK}")
+                        rk[deg] = rank
+                    elif head.startswith("d_"):
+                        deg = _integer(head[2:])
+                        literal = _parse_matrix(item.partition("=")[2], ring)
+                        if literal is not None:
+                            dd[deg] = idx, literal
+                    else:
+                        raise ParseError(f"malformed stalk item {item!r}")
+            elif line.startswith("gen "):
+                if ring is None:
+                    raise ParseError("'ring' must come before gen data")
+                head, _, rest = line[len("gen "):].partition(":")
+                head = head.strip()
+                if "<" not in head:
+                    raise ParseError("gen needs a cover like x<y")
+                x, y = head.split("<", 1)
+                if (x, y) not in covers:
+                    raise ParseError(f"{x!r}<{y!r} is not a cover relation "
+                                     f"of space {space_name!r}")
+                mats = gen_mats.setdefault((x, y), {})
+                first_line.setdefault((x, y), idx)
+                for item in rest.split(";"):
+                    item = item.strip()
+                    if not item:
+                        continue
+                    toks = item.split(None, 2)
+                    if toks[0] != "deg" or len(toks) < 2:
+                        raise ParseError(f"malformed gen item {item!r}")
+                    deg = _integer(toks[1])
+                    literal = _parse_matrix(item.partition("=")[2], ring)
+                    if literal is not None:
+                        mats[deg] = idx, literal
+            else:
+                raise ParseError(f"unrecognized directive {line!r}")
+        except ParseError as e:
+            raise ParseError(f"line {idx}: {e}") from None
     if ring is None:
         raise ParseError("missing 'ring' line")
     if declared_space != space_name:
@@ -581,8 +644,8 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
     for pt in m.points:
         rk = ranks.get(pt, {})
         dd = {}
-        for deg, (idx, rows) in diffs.get(pt, {}).items():
-            dd[deg] = _shaped(ring, rows, rk.get(deg + 1, 0), rk.get(deg, 0),
+        for deg, (idx, literal) in diffs.get(pt, {}).items():
+            dd[deg] = _shaped(ring, literal, rk.get(deg + 1, 0), rk.get(deg, 0),
                               f"line {idx}: stalk {pt!r}: d_{deg}")
         try:
             stalks[pt] = FreeChainComplex(ring, rk, dd)
@@ -591,8 +654,8 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
     gens = {}
     for (x, y), per_deg in gen_mats.items():
         mats = {}
-        for deg, (idx, rows) in per_deg.items():
-            mats[deg] = _shaped(ring, rows, stalks[y].rank(deg), stalks[x].rank(deg),
+        for deg, (idx, literal) in per_deg.items():
+            mats[deg] = _shaped(ring, literal, stalks[y].rank(deg), stalks[x].rank(deg),
                                 f"line {idx}: gen {x}<{y}: deg {deg} matrix")
         try:
             gens[(x, y)] = ChainMap(stalks[x], stalks[y], mats)
@@ -681,17 +744,21 @@ def parse_map(text: str, source: FinSpec):
     tgt_name = None
     spec = _SpaceLines()
     sends = {}
+    sends_lines = {}  # source point -> the line of its assignment
+    last_sends = None  # the last 'sends:' line
     for idx, line in _content_lines(text):
         if line.startswith("map "):
             name = line.split(None, 1)[1].strip()
         elif line.startswith("target "):
             tgt_name = line.split(None, 1)[1].strip()
         elif line.startswith("sends:"):
+            last_sends = idx
             for tok in line[len("sends:"):].split():
                 if "->" not in tok:
                     raise ParseError(f"line {idx}: assignment {tok!r} must look like a->x")
                 x, y = tok.split("->", 1)
                 sends[x] = y
+                sends_lines[x] = idx
         elif not spec.read(idx, line):
             raise ParseError(f"line {idx}: unrecognized directive {line!r}")
     if name is None:
@@ -699,8 +766,18 @@ def parse_map(text: str, source: FinSpec):
     if tgt_name is None or spec.points is None:
         raise ParseError("map file must declare its target space "
                          "(target/points/covers lines)")
-    target = build_space(spec.points, spec.covers)
-    return name, tgt_name, MonotoneMap(source, target, list(sends.items()))
+    target = spec.build()
+    try:
+        return name, tgt_name, MonotoneMap(source, target, list(sends.items()))
+    except UnknownPoint as e:
+        # MonotoneMap stops at the first assignment with an unknown point
+        src, tgt = set(source.points), set(target.points)
+        x = next(x for x, y in sends.items() if x not in src or y not in tgt)
+        raise UnknownPoint(f"line {sends_lines[x]}: {e}") from None
+    except NotTotal as e:
+        if last_sends is None:
+            raise
+        raise NotTotal(f"line {last_sends}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

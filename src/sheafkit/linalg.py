@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 # Degree window for all chain complexes; operations that would leave it raise
@@ -58,7 +59,11 @@ class DegreeOverflow(LinalgError):
 
 @dataclass(frozen=True)
 class ScalarRing:
-    """The coefficient ring: Z, Q or F_p (p prime)."""
+    """The coefficient ring: Z, Q or F_p (p prime).
+
+    ZZ, QQ and GF(p) give one object per ring, so the checks that two
+    matrices or complexes share a ring compare by ``is`` first; equal rings
+    built apart still compare equal by value."""
 
     kind: str  # "Z" | "Q" | "Fp"
     p: int | None = None
@@ -74,6 +79,13 @@ class ScalarRing:
                 raise ValueError(f"F_p needs a prime p, got {self.p!r}")
         elif self.p is not None:
             raise ValueError("p only makes sense for F_p")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not ScalarRing:
+            return NotImplemented
+        return self.kind == other.kind and self.p == other.p
 
     def normalize(self, x):
         if self.kind == "Z":
@@ -169,7 +181,10 @@ ZZ = ScalarRing("Z")
 QQ = ScalarRing("Q")
 
 
+@lru_cache(maxsize=64)
 def GF(p: int) -> ScalarRing:
+    """F_p, one object per prime p among the 64 asked for last: a file has
+    one ring, and an evicted prime's new object still equals the old one."""
     return ScalarRing("Fp", p)
 
 
@@ -277,7 +292,8 @@ class Matrix:
                 yield i, j + dj, x
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.ring == other.ring
+        return (isinstance(other, Matrix)
+                and (self.ring is other.ring or self.ring == other.ring)
                 and self.rows == other.rows and self.cols == other.cols
                 and self._data == other._data)
 
@@ -340,7 +356,7 @@ class Matrix:
                                     for j, x in self.row(i) for b in at.get(j, ())))
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
 
 
@@ -645,7 +661,7 @@ class FreeChainComplex:
 
     def _validate(self):
         for n, d in self.diffs.items():
-            if d.ring != self.ring:
+            if d.ring is not self.ring and d.ring != self.ring:
                 raise RingMismatch("differential over the wrong ring")
             if d.cols != self.rank(n) or d.rows != self.rank(n + 1):
                 raise ValueError(f"d_{n} has shape {d.rows}x{d.cols}, "
@@ -702,9 +718,10 @@ class FreeChainComplex:
         return FreeChainComplex(self.ring, ranks, diffs, check=False)
 
     def __eq__(self, other):
-        return (isinstance(other, FreeChainComplex) and self.ring == other.ring
-                and self.ranks == other.ranks
-                and self.diffs == other.diffs)
+        return self is other or (
+            isinstance(other, FreeChainComplex)
+            and (self.ring is other.ring or self.ring == other.ring)
+            and self.ranks == other.ranks and self.diffs == other.diffs)
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.ranks.items())),
@@ -727,7 +744,7 @@ class ChainMap:
 
     def __init__(self, source: FreeChainComplex, target: FreeChainComplex,
                  mats: dict, check: bool = True):
-        if source.ring != target.ring:
+        if source.ring is not target.ring and source.ring != target.ring:
             raise RingMismatch("chain map between different rings")
         self.source = source
         self.target = target

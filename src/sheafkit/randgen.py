@@ -15,7 +15,7 @@ from random import Random
 from .k0 import ConsFunction
 from .linalg import ChainMap, FreeChainComplex, Matrix, ScalarRing, ZZ
 from .sheaf import SheafComplex, constant_sheaf, i_star, j_shriek, skyscraper, zero_sheaf
-from .space import FinSpec, MonotoneMap, admissible_order, build_space, subspace
+from .space import FinSpec, MonotoneMap, admissible_order, build_space, induced_subspace
 
 
 def random_poset(rng: Random, max_points: int = 6, min_points: int = 1,
@@ -116,12 +116,10 @@ def random_sheaf(rng: Random, m: FinSpec, ring: ScalarRing = ZZ,
         kind = rng.random()
         if kind < 0.4:
             u = m.up_set(x)
-            sub, _ = subspace(m, u)
-            piece = j_shriek(m, u, constant_sheaf(sub, c))
+            piece = j_shriek(m, u, constant_sheaf(induced_subspace(m, u), c))
         elif kind < 0.8:
             z = m.down_set(x)
-            sub, _ = subspace(m, z)
-            piece = i_star(m, z, constant_sheaf(sub, c))
+            piece = i_star(m, z, constant_sheaf(induced_subspace(m, z), c))
         else:
             piece = skyscraper(m, x, c)
         out = out.direct_sum(piece)

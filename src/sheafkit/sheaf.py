@@ -34,9 +34,16 @@ from .linalg import (
     kernel_basis, solve_right, tensor_chain_maps, tensor_total,
 )
 from .space import (
-    FinSpec, MonotoneMap, SpaceError, admissible_order, classify_subset,
-    fiber_product, heights, subspace, _key,
+    FinSpec, MonotoneMap, SpaceError, admissible_order, chain_count, classify_subset,
+    fiber_product, heights, induced_subspace, _key,
 )
+
+# Budget on the strict chains of a space whose section or homotopy-end
+# complex is built, counted before any chain is listed, so that a space with
+# too many chains is an error rather than a build that exhausts memory.  The
+# height-12 width-2 ladder, the largest space the tests build sections on,
+# has 3^12 - 1 = 531440; its reduced sections take about 0.5 s and 95 MB.
+MAX_CHAINS = 10**6
 
 
 class SheafError(Exception):
@@ -76,10 +83,11 @@ class SheafComplex:
         self.space = space
         self.ring = ring
         self.stalks = {}
+        zero = None  # one zero complex for every point without a stalk
         for p in space.points:
             c = stalks.get(p)
             if c is None:
-                c = FreeChainComplex.zero(ring)
+                c = zero = zero or FreeChainComplex.zero(ring)
             self.stalks[p] = c
         self.gens = {}
         for (x, y) in space.covers:
@@ -99,15 +107,23 @@ class SheafComplex:
         the first one into z in covers_upward order, through which rho(x, z)
         is composed, must carry rho(x, w) to rho(x, z).  By induction along
         a linear extension this compares all cover paths x -> z, and only
-        the composites these compares need are ever built."""
-        for p, c in self.stalks.items():
-            if c.ring != self.ring:
-                raise RingMismatch(f"stalk at {p!r} over {c.ring}, expected {self.ring}")
+        the composites these compares need are ever built.  Where the stalk
+        at x or at z is zero, every map out of x or into z is zero and the
+        compare holds, so it is skipped.  A parsed sheaf hands over its ring
+        and its stalk objects themselves, so the ring and endpoint checks
+        compare by ``is`` first."""
+        ring, stalks = self.ring, self.stalks
+        for p, c in stalks.items():
+            if c.ring is not ring and c.ring != ring:
+                raise RingMismatch(f"stalk at {p!r} over {c.ring}, expected {ring}")
         for (x, y), g in self.gens.items():
-            if g.source != self.stalks[x] or g.target != self.stalks[y]:
+            s, t = stalks[x], stalks[y]
+            if (g.source is not s and g.source != s) or (g.target is not t and g.target != t):
                 raise SheafError(f"generization map at {x!r}<{y!r} has wrong endpoints")
-        covers = self.space.covers_upward()
+        covers = [(w, z) for w, z in self.space.covers_upward() if stalks[z].ranks]
         for x in self.space.points:
+            if not stalks[x].ranks:
+                continue
             up = self.space.up_set(x)
             reached = set()
             for (w, z) in covers:
@@ -148,12 +164,6 @@ class SheafComplex:
         for w, z in reversed(path):
             got = self._rho[(x, z)] = self.gens[(w, z)].compose(got)
         return got
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.stalks.values())
-
-    def shift(self, k: int) -> "SheafComplex":
-        return self._shifted(k, {p: c.shift(k) for p, c in self.stalks.items()})
 
     def _shifted(self, k: int, st: dict) -> "SheafComplex":
         """self[k] on the given stalks st, each the shift by k of self's."""
@@ -217,23 +227,6 @@ class SheafMap:
                 if lhs.component(n) != rhs.component(n):
                     raise SheafError(f"naturality fails at {x!r}<{y!r} in degree {n}")
 
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target, {}, check=False)
-
-    @classmethod
-    def identity(cls, k: SheafComplex):
-        return cls(k, k, {p: ChainMap.identity(c) for p, c in k.stalks.items()},
-                   check=False)
-
-    def component(self, p) -> ChainMap:
-        return self.comps[p]
-
-    def compose(self, other: "SheafMap") -> "SheafMap":
-        return SheafMap(other.source, self.target,
-                        {p: self.comps[p].compose(other.comps[p])
-                         for p in self.source.space.points}, check=False)
-
     def __repr__(self):
         return f"SheafMap on {len(self.source.space.points)} points"
 
@@ -290,6 +283,13 @@ def _label_key(lab):
     return (len(c), tuple(_key(x) for x in c)) + lab[1:]
 
 
+def _check_chain_budget(m: FinSpec):
+    """SheafError when m has more than MAX_CHAINS strict chains."""
+    n = chain_count(m)
+    if n > MAX_CHAINS:
+        raise SheafError(f"{n} strict chains above the chain budget of {MAX_CHAINS}")
+
+
 def _chain_complex(m: FinSpec, R: ScalarRing, cells, entries):
     """The total complex of a double complex over the strict chains of m,
     as (complex, labels, index).
@@ -304,7 +304,9 @@ def _chain_complex(m: FinSpec, R: ScalarRing, cells, entries):
     Only a chain with labels is listed as a coface: an entry into a chain
     without labels would have no target, so ``entries`` finds none there
     (for sections its top stalk is zero, for the end its bottom or top).
+    A space with more than MAX_CHAINS strict chains is refused first.
     """
+    _check_chain_budget(m)
     basis, faces = {}, {}
     for c in m.strict_chains():
         p = len(c) - 1
@@ -380,8 +382,11 @@ def _chain_matching(m: FinSpec, tops):
     order[a].  For each top x, and for each v below x in order, a chain s
     is paired with s + v when both are chains with top x and neither is
     paired yet.  partner maps each paired chain to the other one of its
-    pair; critical lists the unpaired chains by top, then by mask.
+    pair; critical lists the unpaired chains by top, then by mask.  Every
+    chain is listed, so a space with more than MAX_CHAINS strict chains is
+    refused first.
     """
+    _check_chain_budget(m)
     order = sorted(m.points, key=lambda p: (len(m.down_set(p)), _key(p)))
     pos = {p: a for a, p in enumerate(order)}
     below = [sum(1 << pos[w] for w in m.down_set(p) if w != p) for p in order]
@@ -665,7 +670,7 @@ def _extend_by_zero(m: FinSpec, s, k: SheafComplex) -> SheafComplex:
 def j_shriek(m: FinSpec, u, k: SheafComplex) -> SheafComplex:
     """Extension by zero from an open subset; k must live on the subspace of u."""
     u = _open_subset(m, u)
-    if k.space != subspace(m, u)[0]:
+    if k.space != induced_subspace(m, u):
         raise SheafError("sheaf does not live on the open subspace")
     return _extend_by_zero(m, u, k)
 
@@ -678,7 +683,7 @@ def i_star(m: FinSpec, z, k: SheafComplex) -> SheafComplex:
     appears: the stalk is k at points of z and zero elsewhere.
     """
     z = _closed_subset(m, z)
-    if k.space != subspace(m, z)[0]:
+    if k.space != induced_subspace(m, z):
         raise SheafError("sheaf does not live on the closed subspace")
     return _extend_by_zero(m, z, k)
 
@@ -914,7 +919,7 @@ def base_change_locus(f: MonotoneMap, k: SheafComplex):
     locus = set()
     for q in s.points:
         up = s.up_set(q)
-        x_q, _ = subspace(k.space, f.preimage(up))
+        x_q = induced_subspace(k.space, f.preimage(up))
         if is_acyclic(rgamma_reduced(_extend_by_zero(x_q, f.preimage(up - {q}), k))):
             locus.add(q)
     locus = frozenset(locus)

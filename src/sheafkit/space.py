@@ -29,8 +29,14 @@ class UnknownPoint(SpaceError):
     pass
 
 
+class NotTotal(SpaceError):
+    """A map leaves points of its source without an image."""
+
+
 def _key(p):
     """Deterministic sort key for point identifiers (strings or nested tuples)."""
+    if type(p) is str:
+        return (0, p)
     if isinstance(p, tuple):
         return (1, tuple(_key(q) for q in p))
     return (0, str(p))
@@ -221,7 +227,7 @@ class MonotoneMap:
         points, targets = set(source.points), set(target.points)
         missing = points.difference(items)
         if missing:
-            raise SpaceError(f"map not total: missing {sorted(missing, key=_key)}")
+            raise NotTotal(f"map not total: missing {sorted(missing, key=_key)}")
         for x, fx in items.items():
             if x not in points:
                 raise UnknownPoint(f"unknown source point {x!r}")
@@ -324,6 +330,16 @@ def heights(m: FinSpec) -> dict:
     return m._height
 
 
+def chain_count(m: FinSpec) -> int:
+    """The number of nonempty strict chains of m, counted without listing
+    any: the chains with top x number c(x) = 1 + the sum of c(y) over the
+    points y < x, taken along the order of the pass that built m."""
+    c = {}
+    for x in m._order:
+        c[x] = 1 + sum(c[y] for y in m._down[x] if y != x)
+    return sum(c.values())
+
+
 def krull_dim(m: FinSpec):
     """Length of the longest strict chain, the greatest stored height;
     -inf for the empty space.  No chain is enumerated."""
@@ -367,10 +383,22 @@ def fibers_discrete(f: MonotoneMap) -> bool:
     return True
 
 
-def subspace(m: FinSpec, s):
-    """The induced poset on a subset with its inclusion map."""
+def induced_subspace(m: FinSpec, s) -> FinSpec:
+    """The induced poset on a convex subset s: with x <= z <= y in m and x,
+    y in s, z is in s too.  Open, closed and locally closed sets are convex.
+    The covers of m inside a convex s are the covers of the induced order,
+    so the space is built from them and no pair of points is compared.
+    SpaceError for a subset that is not convex."""
     s = m.check_subset(s)
-    pts = [p for p in m.points if p in s]
-    sub = FinSpec.from_order(pts, m.le)
-    incl = MonotoneMap(sub, m, [(p, p) for p in pts])
-    return sub, incl
+    between = m.closure(s) - s  # the points below s and outside it
+    if any(m.up_set(x) & between for x in s):
+        raise SpaceError(f"{sorted(s, key=_key)} is not convex")
+    return FinSpec([p for p in m.points if p in s],
+                   [(x, y) for x, y in m.covers if x in s and y in s])
+
+
+def subspace(m: FinSpec, s):
+    """The induced poset on a convex subset (``induced_subspace``) with its
+    inclusion map."""
+    sub = induced_subspace(m, s)
+    return sub, MonotoneMap(sub, m, zip(sub.points, sub.points))

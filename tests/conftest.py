@@ -12,7 +12,7 @@ import sheafkit
 from sheafkit.linalg import GF, QQ, ZZ, FreeChainComplex, homology
 from sheafkit.randgen import random_monotone_map, random_poset, random_sheaf
 from sheafkit.sheaf import (
-    SheafComplex, _label_map, _slice, constant_sheaf, pullback, rgamma_labeled,
+    SheafComplex, SheafMap, _label_map, _slice, constant_sheaf, pullback, rgamma_labeled,
 )
 from sheafkit.space import MonotoneMap, build_space, subspace
 
@@ -70,6 +70,21 @@ def same_stalk_homology(k, l):
 def unit_sheaf(m, ring):
     """The constant sheaf of rank 1 in degree 0 on m."""
     return constant_sheaf(m, FreeChainComplex.free_module(ring, 1, 0))
+
+
+def is_zero_sheaf(k):
+    """Whether every stalk of the sheaf complex k is zero."""
+    return all(c.is_zero() for c in k.stalks.values())
+
+
+def shift(k, n):
+    """The sheaf complex k[n], stalk by stalk."""
+    return k._shifted(n, {p: c.shift(n) for p, c in k.stalks.items()})
+
+
+def zero_map(k, l):
+    """The zero map of sheaf complexes k -> l."""
+    return SheafMap(k, l, {}, check=False)
 
 
 def restrict(k, s):

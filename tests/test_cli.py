@@ -18,8 +18,9 @@ from sheafkit.randgen import (
     random_cons_function, random_monotone_map, random_poset, random_sheaf,
 )
 from sheafkit.linalg import QQ, GF, ZZ, ChainMap, LinalgError, Matrix, homology
-from sheafkit.sheaf import SheafComplex, pushforward
-from sheafkit.space import MonotoneMap
+from sheafkit import sheaf
+from sheafkit.sheaf import MAX_CHAINS, SheafComplex, pushforward
+from sheafkit.space import MonotoneMap, SpaceError
 from sheafkit.sper import cell_poset, from_formula
 
 
@@ -835,6 +836,60 @@ class TestErrorsNameTheirLine:
         assert str(e.value) == message
 
 
+class TestSpaceAndMapErrorsNameTheirLine:
+    """Errors that the space or map is built to find after parsing name the
+    'points:', 'covers:' or 'sends:' line they come from.  A cycle through
+    several covers names no line."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("space a\npoints: a b a\ncovers: a<b\n",
+         "line 2: duplicate point identifiers"),
+        ("space a\npoints: a b\n\ncovers: a<b\ncovers: b<c a<d\n",
+         "line 5: relation 'b'<'c' mentions an unknown point"),
+        ("space a\n# loops\npoints: a b\ncovers: a<b b<b\n",
+         "line 4: 'b' < 'b'"),
+        ("space a\npoints: a b c\ncovers: a<b\ncovers: b<c c<a\n",
+         "cycle through 'a'"),
+    ])
+    def test_space(self, tmp_path, text, message):
+        with pytest.raises(SpaceError) as e:
+            parse_space(text)
+        assert str(e.value) == message
+        (tmp_path / "a.space").write_text(text)
+        (tmp_path / "a.sheaf").write_text("ring Z\nspace a\n")
+        assert run(["chi", "--space", str(tmp_path / "a.space"),
+                    "--sheaf", str(tmp_path / "a.sheaf")]) == (f"error: {message}", 1)
+
+    TARGET = "map f\ntarget t\npoints: x y\ncovers: x<y\n"
+
+    @pytest.mark.parametrize("body, message", [
+        ("sends: s->x\n", "line 5: map not total: missing ['eta']"),
+        ("sends: s->x\nsends: eta->y\nsends:\n", None),
+        ("sends: s->x\n\nsends: eta->z\n", "line 7: unknown target point 'z'"),
+        ("sends: s->x zz->y eta->y\n", "line 5: unknown source point 'zz'"),
+        ("sends: eta->y s->x\nsends: s->q\n", "line 6: unknown target point 'q'"),
+        ("", "map not total: missing ['eta', 's']"),
+        ("sends: s->y eta->x\n", "not monotone on 's' < 'eta'"),
+    ])
+    def test_map(self, body, message):
+        _, m = parse_space(SIERP)
+        if message is None:
+            assert parse_map(self.TARGET + body, m)[2]("eta") == "y"
+            return
+        with pytest.raises(SpaceError) as e:
+            parse_map(self.TARGET + body, m)
+        assert str(e.value) == message
+
+    def test_embedded_target(self):
+        _, m = parse_space(SIERP)
+        with pytest.raises(SpaceError) as e:
+            parse_map("map f\ntarget t\npoints: x y x\nsends: s->x eta->x\n", m)
+        assert str(e.value) == "line 3: duplicate point identifiers"
+        with pytest.raises(SpaceError) as e:
+            parse_map("map f\ntarget t\npoints: x y\ncovers: x<y y<x\n", m)
+        assert str(e.value) == "cycle through 'x'"
+
+
 def dense_matrix_str(m):
     """The report text of m from its dense grid, zeros included."""
     return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in m.entries) + "]"
@@ -998,7 +1053,8 @@ def test_pushforward_work_counts(tmp_path, monkeypatch):
     """Parsing, validating and pushing forward the ladder sheaf builds no
     identity matrix, and composes and multiplies only nonzero components.
     Building each composite from the identity and multiplying zero
-    placeholders made 196 compositions, 316 products and 22 identities."""
+    placeholders made 196 compositions, 316 products and 22 identities;
+    path-independence compares at zero stalks made 168 compositions."""
     calls = {"compose": 0, "__matmul__": 0, "identity": 0}
 
     def counted(name, fn):
@@ -1012,7 +1068,7 @@ def test_pushforward_work_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(Matrix, "identity", staticmethod(counted("identity", Matrix.identity)))
     text, code = _ladder_pushforward(tmp_path, LADDER_8_SHEAF)
     assert code == 0 and text.startswith("ring Z\nspace chain\nstalk c0: deg 0 rank 14")
-    assert calls == {"compose": 168, "__matmul__": 164, "identity": 0}
+    assert calls == {"compose": 64, "__matmul__": 164, "identity": 0}
 
 
 class TestReportBudget:
@@ -1102,7 +1158,8 @@ class TestSharedStalkReports:
 
 # Child-process code for the pushforward ceiling: constant Z on the
 # width-2 ladder of height sys.argv[1], pushed along the constant map onto
-# the top of a < b < c, its files written to the directory sys.argv[2].
+# the top of a < b < c, its files written to the directory sys.argv[2]; the
+# command is sys.argv[3] when given, with no map for cohomology.
 PUSHFORWARD_CEILING = """
     import sys, time
     from sheafkit import cli
@@ -1115,11 +1172,12 @@ PUSHFORWARD_CEILING = """
                  + "".join(f"gen {e}: deg 0 = [[1]]\\n" for e in covers),
         "map": "map const\\ntarget t\\npoints: a b c\\ncovers: a<b b<c\\nsends: "
                + " ".join(f"{p}->c" for p in pts) + "\\n"}
-    argv = ["pushforward"]
+    argv = [sys.argv[3] if len(sys.argv) > 3 else "pushforward"]
     for opt, text in files.items():
         with open(f"{where}/{opt}", "w") as fh:
             fh.write(text)
-        argv += [f"--{opt}", f"{where}/{opt}"]
+        if opt != "map" or argv[0] != "cohomology":
+            argv += [f"--{opt}", f"{where}/{opt}"]
     start = time.perf_counter()
     text, code = cli.run(argv)
     result.update(seconds=time.perf_counter() - start, code=code, chars=len(text),
@@ -1143,3 +1201,33 @@ class TestPushforwardCeiling:
         got = run_child(PUSHFORWARD_CEILING, 8, tmp_path)
         assert got["code"] == 1
         assert got["error"] == TestReportBudget.BEYOND.format(41616640, MAX_REPORT_ENTRIES)
+
+
+class TestChainBudget:
+    """A space with more than MAX_CHAINS strict chains is refused before any
+    chain is listed."""
+
+    @pytest.mark.parametrize("command", ["cohomology", "pushforward", "basechange"])
+    def test_height_16_ladder(self, run_child, tmp_path, command):
+        """3^16 - 1 strict chains: cohomology took 21 s and 3.26 GB before
+        the budget; the command now reads, validates and refuses in about
+        0.02 s, in a child whose peak is about 20 MB."""
+        got = run_child(PUSHFORWARD_CEILING, 16, tmp_path, command)
+        assert got["code"] == 1
+        assert got["error"] == (f"error: {3 ** 16 - 1} strict chains above the chain "
+                                f"budget of {MAX_CHAINS}")
+        assert got["seconds"] < 1
+        assert got["rss_mb"] < 40
+
+    def test_boundary(self, tmp_path, monkeypatch):
+        """The height-3 ladder has 3^3 - 1 = 26 strict chains."""
+        (tmp_path / "l.space").write_text("space l\npoints: p0 q0 p1 q1 p2 q2\n"
+                                          "covers: p0<p1 p0<q1 q0<p1 q0<q1 "
+                                          "p1<p2 p1<q2 q1<p2 q1<q2\n")
+        (tmp_path / "l.sheaf").write_text("ring Z\nspace l\nstalk p2: deg 0 rank 1\n")
+        argv = ["cohomology", "--space", str(tmp_path / "l.space"),
+                "--sheaf", str(tmp_path / "l.sheaf")]
+        monkeypatch.setattr(sheaf, "MAX_CHAINS", 26)
+        assert run(argv) == ("H^2: Z", 0)
+        monkeypatch.setattr(sheaf, "MAX_CHAINS", 25)
+        assert run(argv) == ("error: 26 strict chains above the chain budget of 25", 1)

@@ -11,10 +11,11 @@ from sheafkit.linalg import FreeChainComplex, ZZ, k0_rank
 from sheafkit.randgen import random_cons_function, random_poset, random_sheaf
 from sheafkit.selftest import _check_chi_realize, _check_factorization
 from sheafkit.sheaf import (
-    constant_sheaf, j_shriek, localization_triangle, SheafMap, skyscraper,
-    triangle_of, zero_sheaf,
+    constant_sheaf, j_shriek, localization_triangle, skyscraper, triangle_of, zero_sheaf,
 )
 from sheafkit.space import build_space, classify_subset, subspace
+
+from conftest import is_zero_sheaf, zero_map
 
 
 def sierpinski():
@@ -70,7 +71,7 @@ class TestRealize:
 
     def test_zero(self):
         m = sierpinski()
-        assert realize(ConsFunction.zero(m)).is_zero()
+        assert is_zero_sheaf(realize(ConsFunction.zero(m)))
 
     def test_negative_values_in_odd_degree(self):
         m = sierpinski()
@@ -154,7 +155,7 @@ class TestAdditivity:
         for _ in range(30):
             m = random_poset(rng, 4)
             k = random_sheaf(rng, m)
-            tri = triangle_of(SheafMap.zero(k, k))
+            tri = triangle_of(zero_map(k, k))
             assert chi(tri.b) == chi(tri.a) + chi(tri.c)
 
     def test_cell_decomposition_bookkeeping(self):

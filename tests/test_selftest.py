@@ -8,9 +8,11 @@ from random import Random
 import pytest
 
 from sheafkit import selftest
-from sheafkit.sheaf import SheafMap, zero_sheaf
+from sheafkit.sheaf import zero_sheaf
 from sheafkit.space import MonotoneMap, build_space
 from sheafkit.sper import Not
+
+from conftest import shift, zero_map
 
 # check -> (library name in sheafkit.selftest, its broken version given the
 # original, seed of an instance on which the break shows)
@@ -22,7 +24,7 @@ BREAKS = {
     "_check_cohomological_dimension": ("krull_dim", lambda kd: lambda m: kd(m) - 1, 1),
     # the triangle's second map zero
     "_check_localization": ("localization_triangle", lambda lt: lambda k, z: (
-        lambda t: replace(t, g=SheafMap.zero(t.b, t.c)))(lt(k, z)), 1),
+        lambda t: replace(t, g=zero_map(t.b, t.c)))(lt(k, z)), 1),
     # the first closed support dropped
     "_check_chi_realize": ("closed_support_decomposition", lambda csd: lambda phi: csd(phi)[1:], 0),
     # the first piece dropped
@@ -40,7 +42,7 @@ BREAKS = {
     # every sign flipped
     "_check_sign_multiplicativity": ("sign_at", lambda sa: lambda f, x: -sa(f, x), 0),
     # every tensor shifted by one
-    "_check_hom_tensor_adjunction": ("derived_tensor", lambda dt: lambda k, l: dt(k, l).shift(1), 0),
+    "_check_hom_tensor_adjunction": ("derived_tensor", lambda dt: lambda k, l: shift(dt(k, l), 1), 0),
     # every defining formula negated
     "_check_formula_round_trip": ("defining_formula", lambda df: lambda s: Not(df(s)), 0),
     # every pullback negated

@@ -7,9 +7,9 @@ import pytest
 
 from sheafkit.randgen import random_monotone_map, random_poset
 from sheafkit.space import (
-    CycleDetected, DuplicatePoint, FinSpec, MonotoneMap, Stratification,
+    CycleDetected, DuplicatePoint, FinSpec, MonotoneMap, SpaceError, Stratification,
     UnknownPoint, admissible_order, build_space, classify_subset,
-    fiber_product, fibers_discrete, heights, krull_dim, subspace, _key,
+    chain_count, fiber_product, fibers_discrete, heights, induced_subspace, krull_dim, subspace, _key,
 )
 
 
@@ -109,6 +109,35 @@ class TestClassify:
             classify_subset(sierpinski(), {"zz"})
 
 
+class TestSubspace:
+    """A convex subset's space comes from the covers inside it and equals the
+    build that compares every pair of its points."""
+
+    def test_equals_the_build_from_the_order(self):
+        rng = Random(71)
+        kinds = {"open": 0, "closed": 0, "locally closed": 0}
+        for _ in range(300):
+            m = random_poset(rng, 8, edge_prob=0.4)
+            x, y = rng.choice(m.points), rng.choice(m.points)
+            for kind, s in (("open", m.up_set(x)), ("closed", m.down_set(y)),
+                            ("locally closed", m.up_set(x) & m.down_set(y))):
+                pts = [p for p in m.points if p in s]
+                sub, incl = subspace(m, s)
+                assert sub == FinSpec.from_order(pts, m.le) == induced_subspace(m, s)
+                assert sub.points == tuple(pts)
+                assert incl.mapping == tuple(zip(pts, pts))
+                kinds[kind] += len(s) > 1
+        assert min(kinds.values()) >= 50
+
+    def test_refuses_a_set_that_is_not_convex(self):
+        m = build_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        with pytest.raises(SpaceError, match=r"^\['a', 'c'\] is not convex$"):
+            subspace(m, {"a", "c"})
+        with pytest.raises(UnknownPoint):
+            subspace(m, {"zz"})
+        assert subspace(m, set())[0].points == ()
+
+
 class TestKrullDim:
     def test_examples(self):
         assert krull_dim(sierpinski()) == 1
@@ -169,12 +198,20 @@ class TestStrictChains:
         for _ in range(80):
             m = shuffled_poset(rng, 7, rng.choice((0.2, 0.35, 0.6, 0.9)))
             assert m.strict_chains() == chains_oracle(m)
+            assert chain_count(m) == len(m.strict_chains())
 
     def test_ladders(self):
         for height in range(1, 9):
             m = ladder(height)
             assert m.strict_chains() == chains_oracle(m)
-            assert len(m.strict_chains()) == 3 ** height - 1
+            assert len(m.strict_chains()) == chain_count(m) == 3 ** height - 1
+
+    def test_count_without_listing(self):
+        m = ladder(20)
+        start = time.perf_counter()
+        assert chain_count(m) == 3 ** 20 - 1
+        assert chain_count(build_space([], [])) == 0
+        assert time.perf_counter() - start < 0.5
 
     def test_fiber_product_with_tuple_points(self):
         pt = build_space(["*"], [])
