@@ -17,7 +17,8 @@ Text formats:
   exceed it (bounded by the 1-norms of its factors), is a syntax error,
   found before the power or product is computed;
 * spaces: "space NAME" / "points: a b c" / "covers: a<b b<c";
-* sheaves: "ring Z|Q|F p" / "space NAME" / per point
+* sheaves: "ring Z|Q|F p" (one ring line, before any stalk or gen line) /
+  "space NAME" / per point
   "stalk x: deg d rank r; d_d = [[..],[..]]" / per cover
   "gen x<y: deg d = [[..]]" with row-major matrices (one outer bracket
   holding one bracket per row, entries separated by commas; "[]" is the
@@ -42,6 +43,18 @@ Text formats:
   a cycle through several covers names none;
 * constructible functions: "phi: s=1 eta=0", values within MAX_COEFF_BITS.
 
+Command line: "sheafkit COMMAND FLAG..." with the flags of the COMMAND in
+_COMMANDS, each as "--flag VALUE" or "--flag=VALUE", plus --json and
+-h/--help.  A flag may be shortened to any prefix that names it alone
+("--sp" for --space), and a repeated flag keeps its last value.  A VALUE
+that starts with "-" is taken only if it is a negative number or holds a
+space ("--formula '-t^2 + 1 > 0'"); "--phi -x" leaves --phi without one.
+"--" ends the flags.  --help prints the command's usage line to stdout and
+exits 0.  Every usage error (an unknown command or flag, an ambiguous
+prefix, a flag without its value, a required flag left out, a --seed that
+is not an int) is a one-line "error: ..." report with exit 1, in the
+words argparse uses.
+
 Every command parses all of its inputs before computing anything, writes a
 byte-deterministic report, and exits 0 on success, 1 on a validation
 error, 2 on an internal invariant failure.  A pushforward text report holds
@@ -51,12 +64,11 @@ gives the stalk cohomology at any size.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from types import SimpleNamespace
 
 from . import intpoly as ip
 from .k0 import ConsFunction, ConsFunctionError, chi, piece_indices, realize
@@ -569,6 +581,9 @@ def parse_sheaf(text: str, space_name: str, m: FinSpec) -> SheafComplex:
     points, covers = set(m.points), set(m.covers)
     for idx, line in _content_lines(text):
         if line.startswith("ring "):
+            if ring is not None:
+                # matrix entries already read are normalized under the first ring
+                raise ParseError(f"line {idx}: a second 'ring' line; a sheaf file has one ring")
             ring = parse_ring(line.split()[1:])
             continue
         if line.startswith("space "):
@@ -972,60 +987,98 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise ParseError, for the
-    one-line error report, where argparse would print its usage and message
-    to stderr and exit; its subcommand parsers are of this class too."""
+# Each command's function and flags, in the order of its usage line: a
+# bracketed flag may be left out, every other is required.  Every command
+# also takes -h/--help and --json, and --seed is an int.  Read once into
+# the function, the usage line, every flag and the required flags.
+_COMMANDS = {c: (fn, f"usage: sheafkit {c} [-h] {spec} [--json]",
+                 ["--help", *re.findall(r"--\w+", spec), "--json"],
+                 re.findall(r"(?<!\[)(--\w+)", spec)) for c, (fn, spec) in {
+    "cohomology": (cmd_cohomology, "--space FILE --sheaf FILE"),
+    "pushforward": (cmd_pushforward, "--space FILE --sheaf FILE --map FILE"),
+    "chi": (cmd_chi, "--space FILE --sheaf FILE"),
+    "realize": (cmd_realize, "--space FILE --phi STRING"),
+    "decompose": (cmd_decompose, "--space FILE --sheaf FILE"),
+    "basechange": (cmd_basechange, "--space FILE --sheaf FILE --map FILE"),
+    "sper-roots": (cmd_sper_roots, "--poly STRING"),
+    "sper-set": (cmd_sper_set, "--formula STRING"),
+    "sper-cells": (cmd_sper_cells, "--formula STRING"),
+    "sper-push": (cmd_sper_push, "[--phi STRING] [--formula STRING] --poly STRING"),
+    "selftest": (cmd_selftest, "[--seed N]"),
+}.items()}
+# a token that may name a flag: "-" and more, not "--", not a negative
+# number, no space
+_FLAG_LIKE = re.compile(r"-(?!-$|\d+$|\d*\.\d+$)[^ ]+")
 
-    def error(self, message):
-        raise ParseError(message)
+
+def _flag(tok, names):
+    """(flag, the text after "=" or None) for the flag tok names among
+    names, the flag None for an unknown one and "" for a value.  A "--"
+    token names the one flag it is a prefix of, up to any "="."""
+    if tok[:2] == "--" and tok != "--":
+        head, eq, value = tok.partition("=")
+        hits = [n for n in names if n.startswith(head)]
+        if len(hits) > 1:
+            raise ParseError(f"ambiguous option: {tok} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif tok == "-h":
+        return "--help", None
+    return None if tok[:1] == "-" and _FLAG_LIKE.fullmatch(tok) else "", None
 
 
-@cache
-def build_arg_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after."""
-    ap = _ArgumentParser(
-        prog="sheafkit",
-        description="constructible sheaf complexes on finite spectral spaces "
-                    "and the real spectrum of the affine line")
-    sub = ap.add_subparsers(dest="command", required=True)
+def parse_args(argv):
+    """The command line as a namespace: the command, its function fn, and
+    each of its flags, None where not given (--seed 0, --json False).  The
+    first value is the command; before it only --help is known.  --help
+    prints the usage line, and its namespace's fn reports ("", 0)."""
+    command, usage, args, extras = None, "", {}, []
+    kinds, j = [None] * len(argv), 0
+    while j < len(kinds):
+        tok, (flag, value) = argv[j], kinds[j] or _flag(argv[j], ("--help",))
+        j += 1
+        if flag == "" and command is None and argv[j - 1:] != ["--"]:
+            if tok not in _COMMANDS:
+                raise ParseError(f"argument command: invalid choice: {tok!r} (choose from "
+                                 + ", ".join(map(repr, _COMMANDS)) + ")")
+            command, (fn, usage, names, required) = tok, _COMMANDS[tok]
+            args = {n[2:]: False if n == "--json" else 0 if n == "--seed" else None
+                    for n in names[1:]}
+            # every flag is named before any is read; "--" and all after it are left over
+            end = argv.index("--", j) if "--" in argv[j:] else len(argv)
+            kinds[j:] = [_flag(t, names) for t in argv[j:end]]
+        elif not flag:
+            extras.append(tok)
+        elif flag in ("--help", "--json") and value is not None:
+            raise ParseError(f"argument {'-h/' * (flag == '--help')}{flag}: "
+                             f"ignored explicit argument {value!r}")
+        elif flag == "--help":
+            print(usage or "usage: sheafkit [-h] {%s} ..." % ",".join(_COMMANDS))
+            return SimpleNamespace(command=command, fn=lambda args: ("", 0))
+        elif flag == "--json":
+            args["json"] = True
+        else:
+            if value is None:
+                if j == len(kinds) or kinds[j][0] != "":
+                    raise ParseError(f"argument {flag}: expected one argument")
+                value, j = argv[j], j + 1
+            try:
+                args[flag[2:]] = int(value) if flag == "--seed" else value
+            except ValueError:
+                raise ParseError(f"argument --seed: invalid int value: {value!r}") from None
+    extras += argv[len(kinds):]
+    missing = [n for n in required if args[n[2:]] is None] if command else ["command"]
+    if missing:
+        raise ParseError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise ParseError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command, fn=fn, **args)
 
-    def add(name, fn, **needs):
-        sp = sub.add_parser(name)
-        if needs.get("space"):
-            sp.add_argument("--space", required=True, metavar="FILE")
-        if needs.get("sheaf"):
-            sp.add_argument("--sheaf", required=True, metavar="FILE")
-        if needs.get("map"):
-            sp.add_argument("--map", required=True, metavar="FILE")
-        if needs.get("phi") == "required":
-            sp.add_argument("--phi", required=True, metavar="STRING")
-        elif needs.get("phi"):
-            sp.add_argument("--phi", metavar="STRING")
-        if needs.get("formula") == "required":
-            sp.add_argument("--formula", required=True, metavar="STRING")
-        elif needs.get("formula"):
-            sp.add_argument("--formula", metavar="STRING")
-        if needs.get("poly"):
-            sp.add_argument("--poly", required=True, metavar="STRING")
-        if needs.get("seed"):
-            sp.add_argument("--seed", type=int, default=0, metavar="N")
-        sp.add_argument("--json", action="store_true")
-        sp.set_defaults(fn=fn)
-        return sp
 
-    add("cohomology", cmd_cohomology, space=True, sheaf=True)
-    add("pushforward", cmd_pushforward, space=True, sheaf=True, map=True)
-    add("chi", cmd_chi, space=True, sheaf=True)
-    add("realize", cmd_realize, space=True, phi="required")
-    add("decompose", cmd_decompose, space=True, sheaf=True)
-    add("basechange", cmd_basechange, space=True, sheaf=True, map=True)
-    add("sper-roots", cmd_sper_roots, poly=True)
-    add("sper-set", cmd_sper_set, formula="required")
-    add("sper-cells", cmd_sper_cells, formula="required")
-    add("sper-push", cmd_sper_push, poly=True, formula=True, phi=True)
-    add("selftest", cmd_selftest, seed=True)
-    return ap
+def build_arg_parser():
+    """The reader as an object with parse_args(argv), the call the
+    benchmark's replay makes, as on an argparse parser."""
+    return SimpleNamespace(parse_args=parse_args)
 
 
 # Exception class -> exit code, first match first: a subclass precedes its
@@ -1051,11 +1104,7 @@ _REPORT_PREFIX = {1: "error", 2: "internal invariant failure"}
 def run(argv):
     """Dispatch a command line; returns (report text, exit code)."""
     try:
-        try:
-            args = build_arg_parser().parse_args(argv)
-        except SystemExit as e:
-            # only --help exits here: usage errors raise ParseError
-            return "", int(e.code or 0)
+        args = parse_args(argv)
         return args.fn(args)
     except _HANDLED as e:
         code = next(code for cls, code in _EXIT_CODES if isinstance(e, cls))

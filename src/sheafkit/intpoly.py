@@ -15,7 +15,8 @@ split.  The same sequences with p' q in place of
 p' answer Tarski queries: the sum of the signs of q over the roots of p in
 an interval, which gives the sign of q at an isolated root.  Defining
 polynomials of polynomial images of algebraic numbers are resultants over
-Z[t], Sylvester determinants by fraction-free (Bareiss) elimination.
+Z[t]: Sylvester determinants by fraction-free (Bareiss) elimination, or for
+an affine map a scaling and a Taylor shift.
 """
 
 from __future__ import annotations
@@ -393,12 +394,31 @@ def image_defining_poly(a_poly, p):
     Res_s(a_poly(s), t - p(s)), which is +-lc(a_poly)^deg(p) times the
     product of t - p(alpha) over the roots.
 
-    It is the determinant of the Sylvester matrix of the two polynomials in
-    s, whose entries lie in Z[t], by fraction-free (Bareiss) elimination:
-    each division by the previous pivot is exact in Z[t].  The determinant
-    has t-degree deg(a_poly) and is never zero, so a zero pivot always has a
-    nonzero entry below it; the sign of a row swap is dropped, since
-    squarefree_sturm() returns a positive leading coefficient anyway.
+    For an affine p = c1 s + c0 the resultant is c1^n a_poly((t - c0) / c1),
+    n = deg(a_poly), read off directly: a_poly(t / c1) scaled by c1^n, then
+    a Taylor shift by -c0, O(n^2) integer steps.  Any other p takes the
+    determinant (sylvester_resultant), whose cost grows about as n^4-n^5,
+    on a matrix of side n + deg(p).  The two may differ in sign, which
+    flips every term of the Sturm sequence and no count.
+    """
+    if degree(p) != 1:
+        return squarefree_sturm(sylvester_resultant(a_poly, p))
+    n, (c0, c1) = degree(a_poly), p
+    q = [c * c1 ** (n - i) for i, c in enumerate(a_poly)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            q[j] -= c0 * q[j + 1]
+    return squarefree_sturm(tuple(q))
+
+
+def sylvester_resultant(a_poly, p):
+    """Res_s(a_poly(s), t - p(s)) up to sign: the determinant of the
+    Sylvester matrix of the two polynomials in s, whose entries lie in Z[t],
+    by fraction-free (Bareiss) elimination.  Each division by the previous
+    pivot is exact in Z[t].  The determinant has t-degree deg(a_poly) and
+    is never zero, so a zero pivot always has a nonzero entry below it; the
+    sign of a row swap is dropped, since squarefree_sturm() returns a
+    positive leading coefficient anyway.
     """
     n, d = degree(a_poly), degree(p)
     size = n + d
@@ -415,7 +435,7 @@ def image_defining_poly(a_poly, p):
             for j in range(k + 1, size):
                 m[i][j] = divexact(sub(mul(m[i][j], m[k][k]), mul(m[i][k], m[k][j])), prev)
         prev = m[k][k]
-    return squarefree_sturm(m[-1][-1])
+    return m[-1][-1]
 
 
 def eval_interval(p, a, b, d):

@@ -913,14 +913,17 @@ def base_change_locus(f: MonotoneMap, k: SheafComplex):
     over the closed fiber X_q - V.  The restriction is onto, with kernel the
     sections over X_q of k extended by zero from V, which is open in X_q
     (the localization triangle with sections taken).  So q is in the locus
-    exactly when the reduced complex of those sections is acyclic.
+    exactly when the reduced complex of those sections is acyclic.  Where
+    every stalk on V is zero that sheaf is zero, and q is in the locus with
+    no complex built.
     """
     s = f.target
     locus = set()
     for q in s.points:
         up = s.up_set(q)
-        x_q = induced_subspace(k.space, f.preimage(up))
-        if is_acyclic(rgamma_reduced(_extend_by_zero(x_q, f.preimage(up - {q}), k))):
+        v = f.preimage(up - {q})
+        if all(k.stalks[x].is_zero() for x in v) or is_acyclic(rgamma_reduced(
+                _extend_by_zero(induced_subspace(k.space, f.preimage(up)), v, k))):
             locus.add(q)
     locus = frozenset(locus)
     return locus, classify_subset(s, locus)

@@ -561,6 +561,24 @@ class TestCommands:
         assert got["values"][:9] == ["1", "1", "1", "2", "3", "3", "3", "2", "1"]
         assert got["seconds"] < seconds
 
+    def test_sper_push_identity_over_a_degree_1000_atom(self, run_child):
+        # the image polynomials of the identity map come in closed form: about
+        # 2 s on a 2-vCPU VM, where the Bareiss determinant of the 1001 x 1001
+        # Sylvester matrix gave no result within 100 s; in a fresh interpreter
+        got = run_child("""
+            import time
+            from sheafkit.cli import run
+            start = time.perf_counter()
+            text, code = run(['sper-push', '--poly', 't',
+                              '--formula', '(t+1)^1000 - 2^1000 >= 0 | t = 0'])
+            result.update(code=code, seconds=time.perf_counter() - start,
+                          values=[line.rsplit(' ', 1)[1] for line in text.split('\\n')])
+        """)
+        assert got["code"] == 0
+        # the identity pushes the constant 1 forward onto the same 7 cells
+        assert got["values"] == ["1"] * 7
+        assert got["seconds"] < 20
+
     def test_sper_push_golden_digest(self, monkeypatch):
         calls = []
         image = ip.image_defining_poly

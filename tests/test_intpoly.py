@@ -376,3 +376,19 @@ class TestImageDefiningPoly:
             assert q == sympy_image_poly(a, p)
             assert (ip.count_roots_halfopen(seq, None, None)
                     == ip.count_roots_halfopen(ip.sturm_sequence(q), None, None))
+
+    def test_affine_maps_against_bareiss(self):
+        """The closed form of affine maps against the Sylvester determinant:
+        the same q, and Sturm sequences equal up to one sign, on 300 seeded
+        pairs of degree 1-12 polynomials and maps c1*s + c0."""
+        rng = Random(34)
+        flipped = 0
+        for _ in range(300):
+            a = random_poly(rng, rng.randint(1, 12))
+            p = (rng.randint(-30, 30), rng.choice([-1, 1]) * rng.randint(1, 9))
+            q, seq = ip.image_defining_poly(a, p)
+            ref_q, ref_seq = ip.squarefree_sturm(ip.sylvester_resultant(a, p))
+            assert q == ref_q
+            assert seq in (ref_seq, [ip.neg(f) for f in ref_seq])
+            flipped += seq != ref_seq
+        assert 0 < flipped < 300

@@ -7,9 +7,9 @@ non-integer entries, and the text and JSON reports of ``pushforward``,
 ``basechange`` and ``decompose`` on seeded inputs over Q and F_3.  Both were
 recorded while scalars were still printed through a type test of their own
 and base change still pulled back the whole pushforward.  The text reports
-of every ``functors`` and every ``reals`` operation of benchmark seed 0 are
-checked against the digests in bench/expected.json, which the benchmark
-checks only on its own runs.
+of every ``functors``, ``reals`` and ``sections`` operation of benchmark
+seed 0 are checked against the digests in bench/expected.json, which the
+benchmark checks only on its own runs.
 """
 
 import hashlib
@@ -95,10 +95,10 @@ def test_functor_reports_golden_digest(tmp_path):
     assert h.hexdigest() == REPORT_DIGEST
 
 
-@pytest.mark.parametrize("workload", ["functors", "reals"])
-def test_bench_functors_reports_match_recorded_digests(tmp_path, bench_gen, workload):
-    """Every ``functors`` and every ``reals`` operation of benchmark seed 0,
-    text report, against the digest bench/expected.json records for it."""
+@pytest.mark.parametrize("workload", ["functors", "reals", "sections"])
+def test_bench_reports_match_recorded_digests(tmp_path, bench_gen, workload):
+    """Every operation of each workload at benchmark seed 0, text report,
+    against the digest bench/expected.json records for it."""
     with open(os.path.join(os.path.dirname(bench_gen.__file__), "expected.json")) as fh:
         expected = json.load(fh)[workload]
     ops = bench_gen.generate(workload, 0)

@@ -22,7 +22,7 @@ from sheafkit.sheaf import (
     _label_key, _pushforward_labeled, _slice, rgamma_labeled, rgamma_reduced,
 )
 from sheafkit.space import (
-    MonotoneMap, build_space, subspace, _key,
+    MonotoneMap, build_space, induced_subspace, subspace, _key,
 )
 
 from conftest import is_zero_sheaf, restrict, same_stalk_homology, shift, unit_sheaf, zero_map
@@ -916,6 +916,42 @@ class TestBaseChange:
         for i, f in enumerate(maps * 4):
             k = random_sheaf(rng, f.source, (ZZ, QQ, GF(2), GF(3))[i // len(maps)], max_pieces=3)
             assert base_change_locus(f, k)[0] == self.locus_by_comparison(f, k)
+
+    @staticmethod
+    def locus_by_kernels(f, k):
+        """The locus with a kernel built and read at every target point,
+        zero or not: the route before zero kernels were skipped."""
+        s = f.target
+        return frozenset(q for q in s.points if is_acyclic(rgamma_reduced(_extend_by_zero(
+            induced_subspace(k.space, f.preimage(s.up_set(q))),
+            f.preimage(s.up_set(q) - {q}), k))))
+
+    def test_zero_kernels_skipped_with_the_same_locus(self):
+        rng = Random(41)
+        skipped = 0
+        for i in range(400):
+            ring = (ZZ, QQ, GF(2), GF(3))[i % 4]
+            x = random_poset(rng, rng.randint(3, 7))
+            s = random_poset(rng, rng.randint(2, 6), min_points=2)
+            f = random_monotone_map(rng, x, s)
+            k = random_sheaf(rng, x, ring, max_pieces=rng.randint(1, 3))
+            assert base_change_locus(f, k)[0] == self.locus_by_kernels(f, k)
+            skipped += sum(all(k.stalks[p].is_zero() for p in f.preimage(s.up_set(q) - {q}))
+                           for q in s.points)
+        assert skipped >= 400
+
+    def test_kernels_built_only_where_a_stalk_above_is_nonzero(self, monkeypatch):
+        import sheafkit.sheaf as sh
+        built = []
+        extend = sh._extend_by_zero
+        monkeypatch.setattr(sh, "_extend_by_zero", lambda m, v, k: built.append(v) or extend(m, v, k))
+        # the chain a < b < c onto itself, a stalk at c only: the kernels at
+        # a and b hold it, the one at c lives on nothing
+        m = build_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        k = skyscraper(m, "c", FreeChainComplex.free_module(ZZ, 1, 0))
+        locus, _ = base_change_locus(MonotoneMap.identity(m), k)
+        assert sorted(map(sorted, built)) == [["b", "c"], ["c"]]
+        assert locus == self.locus_by_kernels(MonotoneMap.identity(m), k)
 
     def test_size_ceiling_of_the_locus(self, run_child):
         """The locus of the ceiling sheaf on the height-12 ladder mapped onto

@@ -218,3 +218,29 @@ class TestRingsByIdentity:
                 loads += 1
         assert loads >= 200 and compares == []
         assert ScalarRing("Fp", 5) == GF(5) and len(compares) == 1
+
+
+class TestOneRingLine:
+    """A second ``ring`` line is an error naming its line: a matrix read
+    before it holds entries normalized under the first ring, which the
+    second would have taken for its own."""
+
+    SPACE = "space sierp\npoints: s eta\ncovers: s<eta\n"
+    TEXT = ("ring Z\nspace sierp\n"
+            "stalk s: deg 0 rank 1; deg 1 rank 1; d_0 = [[2]]\nring F 2\n")
+
+    def test_parse_sheaf(self):
+        name, m = cli.parse_space(self.SPACE)
+        with pytest.raises(ParseError, match=r"^line 4: a second 'ring' line"):
+            cli.parse_sheaf(self.TEXT, name, m)
+        # the same ring twice, and before any matrix, is refused too
+        with pytest.raises(ParseError, match=r"^line 2: a second 'ring' line"):
+            cli.parse_sheaf("ring Z\nring Z\nspace sierp\n", name, m)
+
+    def test_run_reports_one_line(self, tmp_path):
+        (tmp_path / "s.space").write_text(self.SPACE)
+        (tmp_path / "k.sheaf").write_text(self.TEXT)
+        text, code = cli.run(["cohomology", "--space", str(tmp_path / "s.space"),
+                              "--sheaf", str(tmp_path / "k.sheaf")])
+        assert (text, code) == (
+            "error: line 4: a second 'ring' line; a sheaf file has one ring", 1)

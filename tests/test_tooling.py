@@ -27,15 +27,11 @@ def test_src_imports_only_the_standard_library():
     assert foreign == []
 
 
-# methods that the standard library calls and no file names
-OVERRIDES = {"_ArgumentParser.error"}
-
-
 def _unreferenced(folders, allowed=()):
     """The definitions of src/sheafkit that no file under the given folders
     names, except src/sheafkit/__init__.py: a function or class counts when
     some file names it, a method only when some file accesses it as an
-    attribute.  Names in OVERRIDES and in allowed are left out."""
+    attribute.  Names in allowed are left out."""
     root = SRC.parent.parent
     names, attrs = set(), set()
     for folder in folders:
@@ -63,7 +59,7 @@ def _unreferenced(folders, allowed=()):
             name = methods.get(node, node.name) if isinstance(node, defs) else None
             if (name is None
                     or (node.name.startswith("__") and node.name.endswith("__"))
-                    or name in OVERRIDES or name in allowed):
+                    or name in allowed):
                 continue
             if node.name not in (attrs if node in methods else used):
                 unused.append(f"{path.name}: {name}")
