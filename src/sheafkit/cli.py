@@ -81,7 +81,8 @@ from .sheaf import (
     cell_decompose, pushforward, rgamma_reduced,
 )
 from .space import (
-    CycleDetected, DuplicatePoint, FinSpec, MonotoneMap, NotTotal, SpaceError, UnknownPoint,
+    CycleDetected, DuplicatePoint, FinSpec, MonotoneMap, NotMonotone, NotTotal, SpaceError,
+    UnknownPoint,
     build_space, krull_dim,
 )
 from .sper import (
@@ -427,20 +428,23 @@ class _SpaceLines:
 
     def build(self) -> FinSpec:
         """The space of these lines.  A duplicate point names the points
-        line, and an unknown point or x<x in a cover the line of the first
-        such cover, where FinSpec stops.  A cycle through several covers
-        names no line."""
+        line, and an unknown point in a cover the line of the first such
+        cover, where FinSpec stops.  A cycle, x<x included, names the line
+        of the first of its relations."""
         try:
             return build_space(self.points, self.covers)
         except DuplicatePoint as e:
             raise DuplicatePoint(f"line {self.points_line}: {e}") from None
-        except (UnknownPoint, CycleDetected) as e:
+        except UnknownPoint as e:
             known = set(self.points)
-            idx = next((i for (x, y), i in zip(self.covers, self.cover_lines)
-                        if x not in known or y not in known or x == y), None)
-            if idx is None:
-                raise
-            raise type(e)(f"line {idx}: {e}") from None
+            idx = next(i for (x, y), i in zip(self.covers, self.cover_lines)
+                       if x not in known or y not in known)
+            raise UnknownPoint(f"line {idx}: {e}") from None
+        except CycleDetected as e:
+            c = e.cycle  # each point given as below the one before, c[0] below c[-1]
+            relations = {(c[a], c[a - 1]) for a in range(len(c))}
+            idx = next(i for r, i in zip(self.covers, self.cover_lines) if r in relations)
+            raise CycleDetected(f"line {idx}: {e}", c) from None
 
 
 def parse_space(text: str):
@@ -793,6 +797,10 @@ def parse_map(text: str, source: FinSpec):
         if last_sends is None:
             raise
         raise NotTotal(f"line {last_sends}: {e}") from None
+    except NotMonotone as e:
+        x, y = e.relation
+        raise NotMonotone(f"line {max(sends_lines[x], sends_lines[y])}: {e}",
+                          e.relation) from None
 
 
 # ---------------------------------------------------------------------------

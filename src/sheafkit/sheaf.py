@@ -34,8 +34,8 @@ from .linalg import (
     kernel_basis, solve_right, tensor_chain_maps, tensor_total,
 )
 from .space import (
-    FinSpec, MonotoneMap, SpaceError, admissible_order, chain_count, classify_subset,
-    fiber_product, heights, induced_subspace, _key,
+    FinSpec, MonotoneMap, SpaceError, admissible_order, chain_count, fiber_product, heights,
+    induced_subspace, _bits, _classify, _key,
 )
 
 # Budget on the strict chains of a space whose section or homotopy-end
@@ -120,17 +120,19 @@ class SheafComplex:
             s, t = stalks[x], stalks[y]
             if (g.source is not s and g.source != s) or (g.target is not t and g.target != t):
                 raise SheafError(f"generization map at {x!r}<{y!r} has wrong endpoints")
-        covers = [(w, z) for w, z in self.space.covers_upward() if stalks[z].ranks]
-        for x in self.space.points:
+        m = self.space
+        rank = m._rank
+        covers = [(w, z, rank[w], 1 << rank[z])
+                  for w, z in m.covers_upward() if stalks[z].ranks]
+        for x, up in zip(m.points, m._up):
             if not stalks[x].ranks:
                 continue
-            up = self.space.up_set(x)
-            reached = set()
-            for (w, z) in covers:
-                if w not in up:
+            reached = 0  # the tops z of the covers met so far, as a mask
+            for (w, z, i, zb) in covers:
+                if not up >> i & 1:
                     continue
-                if z not in reached:
-                    reached.add(z)
+                if not reached & zb:
+                    reached |= zb
                     continue
                 via = self.gens[(w, z)].compose(self.rho(x, w)).mats
                 want = self.rho(x, z).mats
@@ -150,14 +152,16 @@ class SheafComplex:
         if x == y:
             got = self._rho[(x, x)] = ChainMap.identity(self.stalks[x])
             return got
-        up = self.space.up_set(x)
-        if y not in up:
+        m = self.space
+        rank = m._rank
+        up = m._up[rank[x]]
+        if not up >> rank[y] & 1:
             raise SheafError(f"{x!r} is not below {y!r}")
         # walk down to a known composite; every cover out of x is known
         path = []
         z = y
         while (x, z) not in self._rho:
-            w = next(w for w in self.space.lower_covers(z) if w in up)
+            w = next(w for w in m.lower_covers(z) if up >> rank[w] & 1)
             path.append((w, z))
             z = w
         got = self._rho[(x, z)]
@@ -364,14 +368,6 @@ def rgamma(k: SheafComplex) -> FreeChainComplex:
     return cx
 
 
-def _bits(mask):
-    """The positions of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _chain_matching(m: FinSpec, tops):
     """The Morse matching of ``rgamma_reduced`` on the strict chains of m
     whose top lies in tops, as (order, below, partner, critical).
@@ -387,9 +383,13 @@ def _chain_matching(m: FinSpec, tops):
     refused first.
     """
     _check_chain_budget(m)
-    order = sorted(m.points, key=lambda p: (len(m.down_set(p)), _key(p)))
-    pos = {p: a for a, p in enumerate(order)}
-    below = [sum(1 << pos[w] for w in m.down_set(p) if w != p) for p in order]
+    # places are in key order, so a stable sort of them keeps key order
+    places = sorted(range(len(m.points)), key=lambda i: m._down[i].bit_count())
+    pos = [0] * len(places)
+    for a, i in enumerate(places):
+        pos[i] = a
+    below = [sum(1 << pos[j] for j in _bits(m._down[i] ^ 1 << i)) for i in places]
+    order = [m.points[i] for i in places]
     ending, partner, critical = [], {}, []
     for t, x in enumerate(order):
         top = 1 << t
@@ -917,16 +917,15 @@ def base_change_locus(f: MonotoneMap, k: SheafComplex):
     every stalk on V is zero that sheaf is zero, and q is in the locus with
     no complex built.
     """
-    s = f.target
-    locus = set()
-    for q in s.points:
-        up = s.up_set(q)
-        v = f.preimage(up - {q})
-        if all(k.stalks[x].is_zero() for x in v) or is_acyclic(rgamma_reduced(
-                _extend_by_zero(induced_subspace(k.space, f.preimage(up)), v, k))):
-            locus.add(q)
-    locus = frozenset(locus)
-    return locus, classify_subset(s, locus)
+    s, m = f.target, f.source
+    nonzero = sum(1 << i for i, p in enumerate(m.points) if not k.stalks[p].is_zero())
+    locus = 0
+    for t, up in enumerate(s._up):
+        v = f._preimage_mask(up ^ 1 << t)
+        if not v & nonzero or is_acyclic(rgamma_reduced(_extend_by_zero(
+                induced_subspace(k.space, m._set(f._preimage_mask(up))), m._set(v), k))):
+            locus |= 1 << t
+    return s._set(locus), _classify(s, locus)
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ class TestParseSpace:
         (tmp_path / "bad.sheaf").write_text("ring Z\nspace bad\n")
         assert run(["cohomology", "--space", str(tmp_path / "bad.space"),
                     "--sheaf", str(tmp_path / "bad.sheaf")]) == (
-            "error: cycle through 'a'", 1)
+            "error: line 3: cycle through 'a'", 1)
 
 
 class TestParseSheaf:
@@ -857,7 +857,8 @@ class TestErrorsNameTheirLine:
 class TestSpaceAndMapErrorsNameTheirLine:
     """Errors that the space or map is built to find after parsing name the
     'points:', 'covers:' or 'sends:' line they come from.  A cycle through
-    several covers names no line."""
+    several covers names the line of the first of its relations, and a map
+    that is not monotone on x < y the later 'sends:' line of x and y."""
 
     @pytest.mark.parametrize("text, message", [
         ("space a\npoints: a b a\ncovers: a<b\n",
@@ -867,7 +868,9 @@ class TestSpaceAndMapErrorsNameTheirLine:
         ("space a\n# loops\npoints: a b\ncovers: a<b b<b\n",
          "line 4: 'b' < 'b'"),
         ("space a\npoints: a b c\ncovers: a<b\ncovers: b<c c<a\n",
-         "cycle through 'a'"),
+         "line 3: cycle through 'a'"),
+        ("space a\npoints: a b c d\ncovers: c<d\ncovers: b<c\n\ncovers: a<b c<a\n",
+         "line 4: cycle through 'a'"),
     ])
     def test_space(self, tmp_path, text, message):
         with pytest.raises(SpaceError) as e:
@@ -887,7 +890,9 @@ class TestSpaceAndMapErrorsNameTheirLine:
         ("sends: s->x zz->y eta->y\n", "line 5: unknown source point 'zz'"),
         ("sends: eta->y s->x\nsends: s->q\n", "line 6: unknown target point 'q'"),
         ("", "map not total: missing ['eta', 's']"),
-        ("sends: s->y eta->x\n", "not monotone on 's' < 'eta'"),
+        ("sends: s->y eta->x\n", "line 5: not monotone on 's' < 'eta'"),
+        ("sends: eta->x\n\nsends: s->y\n", "line 7: not monotone on 's' < 'eta'"),
+        ("sends: s->y\nsends: eta->x\n", "line 6: not monotone on 's' < 'eta'"),
     ])
     def test_map(self, body, message):
         _, m = parse_space(SIERP)
@@ -905,7 +910,7 @@ class TestSpaceAndMapErrorsNameTheirLine:
         assert str(e.value) == "line 3: duplicate point identifiers"
         with pytest.raises(SpaceError) as e:
             parse_map("map f\ntarget t\npoints: x y\ncovers: x<y y<x\n", m)
-        assert str(e.value) == "cycle through 'x'"
+        assert str(e.value) == "line 4: cycle through 'x'"
 
 
 def dense_matrix_str(m):

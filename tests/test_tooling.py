@@ -1,9 +1,10 @@
 """The package imports only the standard library and itself, and defines
 nothing that no source, test or benchmark file names, and no method that no
 file accesses as an attribute; outside a short list, nothing that only
-tests name."""
+tests name.  scripts/ab_passes.py runs."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -83,3 +84,18 @@ def test_every_definition_is_reached_outside_tests():
     """Every definition is named by the program itself (a CLI command, a
     selftest check) or by the benchmark, not by tests alone."""
     assert _unreferenced(("src", "bench"), TEST_ONLY) == []
+
+
+def test_ab_passes_runs_one_tree_against_itself():
+    """scripts/ab_passes.py on one pair of one pass, the tree against
+    itself: a summary line per tree and the count of wins."""
+    root = SRC.parent.parent
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "ab_passes.py"), str(root / "src"),
+         str(root / "src"), "--workload", "functors", "--seed", "0", "--pairs", "1",
+         "--passes", "1"],
+        capture_output=True, text=True, timeout=300, check=True).stdout.splitlines()
+    assert out[0] == "functors seed 0: 1 pairs of 1 passes, wall clock; median (quartiles)"
+    for line, side in zip(out[1:3], "AB"):
+        assert line.startswith(f"  {side} ") and "p50_ms" in line and "ops_per_s" in line
+    assert out[3].startswith("  B better in: p50_ms ") and out[3].endswith(" of 1")
