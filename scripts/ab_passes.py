@@ -16,10 +16,13 @@ percentile rule, and operations per second, as ``bench/run.py`` computes
 them.
 
 It prints, for each tree (A the first, B the second), the median and
-quartiles of each metric over the pairs, and how many pairs B won.  Times are wall clock, not
-scaled to a reference speed, so this complements ``bench/run.py`` on the
-same machine and does not replace it.  The script writes nothing outside
-its temporary directories.
+quartiles of each metric over the pairs, and how many pairs B won.  Then,
+for each tree, one line gives each command's sum of per-operation
+latencies (the median over the pairs), so a difference shows which
+commands carry it.  Times are wall clock, not scaled to a reference
+speed, so this complements ``bench/run.py`` on the same machine and does
+not replace it.  The script writes nothing outside its temporary
+directories.
 """
 
 import argparse
@@ -58,11 +61,15 @@ def child(src: str, workload: str, seed: int, passes: int) -> dict:
                 t0 = time.perf_counter()
                 cli.run(argv)
                 lat[i].append(time.perf_counter() - t0)
-    per_op = sorted(statistics.median(v) for v in lat)
+    medians = [statistics.median(v) for v in lat]
+    per_op = sorted(medians)
     p = run.tail_percentile(len(per_op))
+    commands = {}
+    for argv, median in zip(argvs, medians):
+        commands[argv[0]] = commands.get(argv[0], 0) + median * 1000
     return {"p50_ms": statistics.median(per_op) * 1000,
             "tail_ms": per_op[run._rank(p, len(per_op)) - 1] * 1000,
-            "ops_per_s": len(per_op) / sum(per_op)}
+            "ops_per_s": len(per_op) / sum(per_op), "commands": commands}
 
 
 def spread(values) -> str:
@@ -104,6 +111,10 @@ def main(argv=None) -> int:
                   for a, b in zip(results[0], results[1]))
         wins.append(f"{name} {won} of {args.pairs}")
     print("  B better in: " + ", ".join(wins))
+    for side in (0, 1):
+        sums = [r["commands"] for r in results[side]]
+        print(f"  {'AB'[side]} per command: " + ", ".join(
+            f"{cmd} {statistics.median(s[cmd] for s in sums):.1f} ms" for cmd in sorted(sums[0])))
     return 0
 
 

@@ -40,7 +40,8 @@ Text formats:
   embedded target space) / "sends: a->x b->y";
 * a duplicate point, an unknown point or x<x in a cover, and an unknown or
   missing point of a map name their "points:", "covers:" or "sends:" line;
-  a cycle through several covers names none;
+  a cycle names the first "covers:" line holding one of its covers, and a
+  map not monotone on x < y the later "sends:" line of x and y;
 * constructible functions: "phi: s=1 eta=0", values within MAX_COEFF_BITS.
 
 Command line: "sheafkit COMMAND FLAG..." with the flags of the COMMAND in
@@ -68,6 +69,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 from . import intpoly as ip
@@ -100,65 +102,57 @@ class _TooDeep(ParseError):
 
 
 # ---------------------------------------------------------------------------
-# tokenizers
+# polynomial and formula reader
 
 
-def _line_col(text, i):
-    """The line and column, from 1, of index i of text."""
-    return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
+def _syntax_error(text, i, msg, cls=ParseError):
+    """A cls error at the line and column, from 1, of index i of text."""
+    line, col = text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
+    return cls(f"syntax error at line {line}, column {col}: {msg}")
 
 
 def _token_pattern(relops, ops):
     """One match per token, blanks before it included; the groups, tried in
-    order: 1 a digit run, 2 a relation, 3 an operator or t, 4 the end of the
-    text, 5 any other character.  \\s and \\d match exactly the characters of
-    str.isspace and str.isdecimal."""
-    return re.compile(rf"\s*(?:(\d+)|({relops})|([{ops}t])|(\Z)|(.))", re.S)
+    order: 1 a digit run, 2 a relation, an operator or t, 3 any other
+    character.  Blanks at the end match nothing.  \\s and \\d match exactly
+    the characters of str.isspace and str.isdecimal, \\S the others."""
+    return re.compile(rf"\s*(?:(\d+)|({relops}|[{ops}t])|(\S))")
 
 
 _POLY_TOKEN = _token_pattern("(?!)", r"-+*^()")
 _FORMULA_TOKEN = _token_pattern("<=|>=|!=|[<>=]", r"-+*^()&|!")
+_RELATIONS = frozenset(("<", "<=", "=", "!=", ">=", ">"))
 
 
-def _tokenize(text, formula=False):
-    """The tokens of text as three lists: kinds ("num", "relop", "end" or
-    the operator or t itself), values (an int, the relation, the operator
-    or t, None for the closing "end") and start indices in text."""
-    kinds, values, starts = [], [], []
-    n = len(text)
-    for m in (_FORMULA_TOKEN if formula else _POLY_TOKEN).finditer(text):
+def _tokens(text, pattern):
+    """The tokens of text in one list, from one findall: an int for each
+    literal, the relation, operator or t itself, and None for the end.  Any
+    other character goes to int(), which refuses it; then _token_error raises."""
+    try:
+        toks = [tok or _budget_int(num or bad, "integer literal")
+                for num, tok, bad in pattern.findall(text)]
+    except (ParseError, ValueError):
+        _token_error(text, pattern)
+    toks.append(None)
+    return toks
+
+
+def _token_error(text, pattern):
+    """Raise the error of the first bad token of text: a digit run outside
+    the coefficient budget, or any other character.  A digit run also takes
+    the str.isdigit characters \\d misses, which int() then rejects."""
+    for m in pattern.finditer(text):
         k = m.lastindex
-        if k == 3:
-            op = m.group(3)
-            kinds.append(op)
-            values.append(op)
-        elif k == 1 or k == 5 and text[m.start(5)].isdigit():
-            # a digit run also takes the str.isdigit characters \d misses,
-            # which int() then rejects
+        if k == 1 or k == 3 and m.group(3).isdigit():
             i, j = m.start(k), m.end()
-            while j < n and text[j].isdigit():
+            while j < len(text) and text[j].isdigit():
                 j += 1
             try:
-                value = _budget_int(text[i:j], "integer literal")
+                _budget_int(text[i:j], "integer literal")
             except ParseError as e:
-                line, col = _line_col(text, i)
-                raise ParseError(f"syntax error at line {line}, column {col}: {e}") from None
-            kinds.append("num")
-            values.append(value)
-        elif k == 2:
-            kinds.append("relop")
-            values.append(m.group(2))
-        elif k == 5:
-            line, col = _line_col(text, m.start(5))
-            raise ParseError(f"syntax error at line {line}, column {col}: "
-                             f"unexpected character {m.group(5)!r}")
-        else:  # the end of the text
-            continue
-        starts.append(m.start(k))
-    kinds.append("end")
-    values.append(None)
-    starts.append(n)
-    return kinds, values, starts
+                raise _syntax_error(text, i, e) from None
+        elif k == 3:
+            raise _syntax_error(text, m.start(3), f"unexpected character {m.group(3)!r}")
 
 
 # Nesting budget of the recursive-descent parsers, far inside Python's
@@ -207,186 +201,193 @@ def _budget_int(s: str, what: str) -> int:
     return value
 
 
-class _Parser:
-    """Recursive descent over the tokens of one text (_tokenize): pos is the
-    index of the next token and depth the nesting level."""
+def _over_budget(i, deg, what):
+    """The error at token i of a product or power of degree deg over a budget."""
+    if deg > MAX_POLY_DEGREE:
+        return ParseError(i, f"{what} degree above the degree budget of {MAX_POLY_DEGREE}")
+    return ParseError(i, f"{what} coefficients above the coefficient budget of "
+                         f"{MAX_COEFF_BITS} bits")
 
-    def __init__(self, text, formula=False):
-        self.text = text
-        self.kinds, self.values, self.starts = _tokenize(text, formula)
-        self.pos = 0
-        self.depth = 0
 
-    def error(self, i, msg, cls=ParseError):
-        """A cls error at the line and column of token i; they are counted
-        only here."""
-        line, col = _line_col(self.text, self.starts[i])
-        return cls(f"syntax error at line {line}, column {col}: {msg}")
+def _dense(c, d):
+    """The coefficients of (c, d): of c * t^d for an int c, else d itself."""
+    if c is None:
+        return d
+    return (0,) * d + (c,) if c else ()
+
+
+def _size(c, d):
+    """The degree (-1 for 0) of the polynomial (c, d) and the bit length of
+    its 1-norm, which bounds every coefficient and is submultiplicative."""
+    if c is None:
+        return len(d) - 1, sum(map(abs, d)).bit_length()
+    return (d if c else -1), c.bit_length()
+
+
+class _Reader:
+    """Recursive descent over the tokens of one text (_tokens): pos is the
+    index of the next token and depth the nesting level.  A polynomial is a
+    pair (c, d) (_dense): a term of literals, t and powers stays c * t^d.  A
+    syntax error is ParseError(token index, message) until _parse_text."""
+
+    __slots__ = ("toks", "pos", "depth")
+
+    def __init__(self, toks):
+        self.toks, self.pos, self.depth = toks, 0, 0
 
     def enter(self):
         """Take the token that opens one nesting level; the caller closes
-        the level with depth -= 1 once the nested part is parsed."""
+        the level with close() or depth -= 1 once the nested part is read."""
         if self.depth == MAX_NESTING:
-            raise self.error(self.pos, f"nesting deeper than {MAX_NESTING} levels", _TooDeep)
+            raise _TooDeep(self.pos, f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
         self.pos += 1
 
-    def peek(self) -> str:
-        """The kind of the next token."""
-        return self.kinds[self.pos]
-
-    def take(self) -> int:
-        """The index of the next token, which is taken."""
+    def close(self):
+        tok = self.toks[self.pos]
+        if tok != ")":
+            raise ParseError(self.pos, f"expected ')', found {tok!r}")
         self.pos += 1
-        return self.pos - 1
+        self.depth -= 1
 
-    def expect(self, kind):
-        i = self.take()
-        if self.kinds[i] != kind:
-            raise self.error(i, f"expected {kind!r}, found {self.values[i]!r}")
+    def poly(self):
+        """A sum of terms, added into one coefficient list from the second on."""
+        toks = self.toks
+        c, d = self.term()
+        if toks[self.pos] not in ("+", "-"):
+            return c, d
+        acc = list(_dense(c, d))
+        while (op := toks[self.pos]) in ("+", "-"):
+            self.pos += 1
+            c, d = self.term()
+            if c is None:
+                acc += [0] * (len(d) - len(acc))
+                for i, a in enumerate(d):
+                    acc[i] += a if op == "+" else -a
+            elif c:
+                acc += [0] * (d + 1 - len(acc))
+                acc[d] += c if op == "+" else -c
+        return None, ip.normalize(acc)
+
+    def term(self):
+        c, d = self.factor()
+        while self.toks[self.pos] == "*":
+            star = self.pos
+            self.pos += 1
+            c2, d2 = self.factor()
+            (deg, bits), (deg2, bits2) = _size(c, d), _size(c2, d2)
+            if deg + deg2 > MAX_POLY_DEGREE or bits + bits2 > MAX_COEFF_BITS:
+                raise _over_budget(star, deg + deg2, "product")
+            if c is None or c2 is None:
+                c, d = None, ip.mul(_dense(c, d), _dense(c2, d2))
+            else:
+                c, d = c * c2, d + d2
+        return c, d
+
+    def factor(self):
+        """A literal, t, a negated factor or a parenthesized sum, perhaps
+        raised to a literal power."""
+        toks = self.toks
+        tok = toks[self.pos]
+        if tok == "t":
+            c, d = 1, 1
+            self.pos += 1
+        elif type(tok) is int:
+            c, d = tok, 0
+            self.pos += 1
+        elif tok == "-":
+            self.enter()
+            c, d = self.factor()
+            self.depth -= 1
+            c, d = (None, ip.neg(d)) if c is None else (-c, d)
+        elif tok == "(":
+            self.enter()
+            c, d = self.poly()
+            self.close()
+        else:
+            raise ParseError(self.pos, "expected a polynomial")
+        caret = self.pos
+        if toks[caret] != "^":
+            return c, d
+        k = toks[caret + 1]
+        if type(k) is not int:
+            raise ParseError(caret, "exponent must be a nonnegative integer literal")
+        self.pos += 2
+        if k > MAX_POLY_DEGREE:
+            raise ParseError(caret + 1, f"exponent {k} above the degree budget of "
+                                        f"{MAX_POLY_DEGREE}")
+        deg, bits = _size(c, d)
+        if deg * k > MAX_POLY_DEGREE or bits * k > MAX_COEFF_BITS:
+            raise _over_budget(caret, deg * k, "power")
+        return (None, ip.power(d, k)) if c is None else (c ** k, d * k)
+
+    def disj(self):
+        out = [self.conj()]
+        while self.toks[self.pos] == "|":
+            self.pos += 1
+            out.append(self.conj())
+        return out[0] if len(out) == 1 else Or(tuple(out))
+
+    def conj(self):
+        out = [self.unary()]
+        while self.toks[self.pos] == "&":
+            self.pos += 1
+            out.append(self.unary())
+        return out[0] if len(out) == 1 else And(tuple(out))
+
+    def unary(self):
+        """A negation, a parenthesized formula or, failing that, an atom."""
+        tok = self.toks[self.pos]
+        if tok == "!":
+            self.enter()
+            out = Not(self.unary())
+            self.depth -= 1
+            return out
+        if tok == "(":
+            saved = self.pos, self.depth
+            try:
+                self.enter()
+                inner = self.disj()
+                self.close()
+                return inner
+            except _TooDeep:
+                raise
+            except ParseError:
+                self.pos, self.depth = saved
+        poly = _dense(*self.poly())
+        rel = self.toks[self.pos]
+        if rel not in _RELATIONS:
+            raise ParseError(self.pos, f"expected a relation, found {rel!r}")
+        if self.toks[self.pos + 1] != 0:
+            raise ParseError(self.pos + 1, "the right side of a relation must be the literal 0")
+        self.pos += 2
+        return Atom(poly, rel)
 
 
-def _parse_poly_expr(p: _Parser):
-    out = _parse_poly_term(p)
-    while (op := p.peek()) in ("+", "-"):
-        p.pos += 1
-        rhs = _parse_poly_term(p)
-        out = ip.add(out, rhs) if op == "+" else ip.sub(out, rhs)
+def _parse_text(text, pattern, start):
+    """start(reader) over the tokens of text, which it must take to the end.
+    The place of a syntax error's token is found by scanning text again."""
+    r = _Reader(_tokens(text, pattern))
+    try:
+        out = start(r)
+        if r.toks[r.pos] is not None:
+            raise ParseError(r.pos, f"expected 'end', found {r.toks[r.pos]!r}")
+    except ParseError as e:
+        i, msg = e.args
+        m = next(islice(pattern.finditer(text), i, None), None)
+        raise _syntax_error(text, m.start(m.lastindex) if m else len(text), msg,
+                            type(e)) from None
     return out
-
-
-def _over_degree(p: _Parser, i: int, what: str):
-    return p.error(i, f"{what} above the degree budget of {MAX_POLY_DEGREE}")
-
-
-def _norm_bits(p) -> int:
-    """Bit length of the 1-norm of p, which bounds every coefficient of p and
-    is submultiplicative."""
-    return sum(map(abs, p)).bit_length()
-
-
-def _over_coeffs(p: _Parser, i: int, what: str):
-    return p.error(i, f"{what} coefficients above the coefficient budget of "
-                      f"{MAX_COEFF_BITS} bits")
-
-
-def _parse_poly_term(p: _Parser):
-    out = _parse_poly_factor(p)
-    while p.peek() == "*":
-        star = p.take()
-        rhs = _parse_poly_factor(p)
-        if ip.degree(out) + ip.degree(rhs) > MAX_POLY_DEGREE:
-            raise _over_degree(p, star, "product degree")
-        if _norm_bits(out) + _norm_bits(rhs) > MAX_COEFF_BITS:
-            raise _over_coeffs(p, star, "product")
-        out = ip.mul(out, rhs)
-    return out
-
-
-def _parse_poly_factor(p: _Parser):
-    base = _parse_poly_atom(p)
-    if p.peek() != "^":
-        return base
-    caret = p.take()
-    if p.peek() != "num":
-        raise p.error(caret, "exponent must be a nonnegative integer literal")
-    k = p.values[p.take()]
-    if k > MAX_POLY_DEGREE:
-        raise _over_degree(p, caret + 1, f"exponent {k}")
-    if ip.degree(base) * k > MAX_POLY_DEGREE:
-        raise _over_degree(p, caret, "power degree")
-    if _norm_bits(base) * k > MAX_COEFF_BITS:
-        raise _over_coeffs(p, caret, "power")
-    return (0,) * k + (1,) if base == ip.X else ip.power(base, k)
-
-
-def _parse_poly_atom(p: _Parser):
-    kind = p.peek()
-    if kind == "num":
-        return ip.constant(p.values[p.take()])
-    if kind == "t":
-        p.pos += 1
-        return ip.X
-    if kind == "-":
-        p.enter()
-        out = ip.neg(_parse_poly_factor(p))
-        p.depth -= 1
-        return out
-    if kind == "(":
-        p.enter()
-        inner = _parse_poly_expr(p)
-        p.expect(")")
-        p.depth -= 1
-        return inner
-    raise p.error(p.pos, "expected a polynomial")
 
 
 def parse_poly(text: str):
     """Parse the polynomial grammar into dense integer coefficients."""
-    p = _Parser(text)
-    out = _parse_poly_expr(p)
-    p.expect("end")
-    return out
-
-
-def _parse_formula_disj(p: _Parser):
-    out = [_parse_formula_conj(p)]
-    while p.peek() == "|":
-        p.pos += 1
-        out.append(_parse_formula_conj(p))
-    return out[0] if len(out) == 1 else Or(tuple(out))
-
-
-def _parse_formula_conj(p: _Parser):
-    out = [_parse_formula_unary(p)]
-    while p.peek() == "&":
-        p.pos += 1
-        out.append(_parse_formula_unary(p))
-    return out[0] if len(out) == 1 else And(tuple(out))
-
-
-def _parse_formula_unary(p: _Parser):
-    if p.peek() == "!":
-        p.enter()
-        out = Not(_parse_formula_unary(p))
-        p.depth -= 1
-        return out
-    return _parse_formula_primary(p)
-
-
-def _parse_formula_primary(p: _Parser):
-    if p.peek() == "(":
-        saved = p.pos, p.depth
-        try:
-            p.enter()
-            inner = _parse_formula_disj(p)
-            p.expect(")")
-            p.depth -= 1
-            return inner
-        except _TooDeep:
-            raise
-        except ParseError:
-            p.pos, p.depth = saved
-    return _parse_formula_atom(p)
-
-
-def _parse_formula_atom(p: _Parser):
-    poly = _parse_poly_expr(p)
-    rel = p.take()
-    if p.kinds[rel] != "relop":
-        raise p.error(rel, f"expected a relation, found {p.values[rel]!r}")
-    z = p.take()
-    if p.kinds[z] != "num" or p.values[z] != 0:
-        raise p.error(z, "the right side of a relation must be the literal 0")
-    return Atom(poly, p.values[rel])
+    return _dense(*_parse_text(text, _POLY_TOKEN, _Reader.poly))
 
 
 def parse_formula(text: str):
     """Parse a Boolean combination of sign conditions."""
-    p = _Parser(text, formula=True)
-    out = _parse_formula_disj(p)
-    p.expect("end")
-    return out
+    return _parse_text(text, _FORMULA_TOKEN, _Reader.disj)
 
 
 # ---------------------------------------------------------------------------

@@ -249,10 +249,12 @@ class FinSpec:
         return self._lower[z]
 
     def strict_chains(self):
-        """All nonempty strict chains x_0 < ... < x_n, in (length, keys) order.
+        """All nonempty strict chains x_0 < ... < x_n, by length and then by
+        the places of their points, compared in order; places are in key
+        order, and points with tied keys keep their input order.
 
         Built one length at a time: the chains of length n + 1 extend those
-        of length n, each in order, by the points above its top in key
+        of length n, each in order, by the points above its top in place
         order.  Two chains with different prefixes compare by their prefixes,
         so a sorted level extends to a sorted level and no sort is needed."""
         if self._chains is None:

@@ -155,11 +155,13 @@ class TestCoeffBudget:
 
 
 class TestReaderFastPathEdges:
-    """Exponents of t become monomials, and the line and column of a token
-    are counted only for an error; the reports at the edges of the literal
-    budget and of exponents stay as they were."""
+    """A term of literals, t and their powers stays a (coefficient, degree)
+    pair, sums are added in place, and the line and column of a token are
+    counted only for an error; the reports at the edges of the literal
+    budget, of exponents, of zero monomials and of nesting stay as they
+    were.  tests/test_reader_reference.py reads the texts listed here."""
 
-    @pytest.mark.parametrize("poly, report", [
+    POLY_REPORTS = [
         ("t^1001", "error: syntax error at line 1, column 3: exponent 1001 above "
                    "the degree budget of 1000"),
         ("t^\n1001", "error: syntax error at line 2, column 1: exponent 1001 above "
@@ -170,26 +172,54 @@ class TestReaderFastPathEdges:
         ("\u00b2", "error: invalid literal for int() with base 10: '\u00b2'"),
         ("t^1\u00b2", "error: invalid literal for int() with base 10: '1\u00b2'"),
         ("t +\n  2*x", "error: syntax error at line 2, column 5: unexpected character 'x'"),
-    ])
+        # a zero coefficient has degree -1 in the budget checks
+        ("0*t^1000*t^1000", "error: real_roots of the zero polynomial"),
+        ("t*0*t^1001", "error: syntax error at line 1, column 7: exponent 1001 above "
+                       "the degree budget of 1000"),
+        ("(0*t)^2000", "error: syntax error at line 1, column 7: exponent 2000 above "
+                       "the degree budget of 1000"),
+        ("-" * 101 + "t", "error: syntax error at line 1, column 101: nesting deeper "
+                          "than 100 levels"),
+    ]
+    FORMULA_REPORTS = [
+        ("t^2^2 > 0", "error: syntax error at line 1, column 4: expected a relation, "
+                      "found '^'"),
+        ("t > 0 |\n t^1001 < 0", "error: syntax error at line 2, column 4: exponent 1001 "
+                                 "above the degree budget of 1000"),
+        ("(t > 0", "error: syntax error at line 1, column 4: expected ')', found '>'"),
+    ]
+    VALUES = [
+        ("9" * 2999, (10 ** 2999 - 1,)),
+        ("9" * 3001 + "*t", (0, 10 ** 3001 - 1)),
+        ("1" + "0" * 3010, (10 ** 3010,)),
+        ("0" * 2999 + "7", (7,)),
+        ("\u0661", (1,)),
+        ("\u0663*t^\u0662 - t^0", (-1, 0, 3)),
+        ("t^1000", (0,) * 1000 + (1,)),
+        ("2*t^3 +\r\n t ^ 2", (0, 0, 1, 2)),
+        ("0*t^1000*t^1000", ()),
+        ("-2^2", (-4,)),
+        ("-" * 100 + "t", (0, 1)),
+    ]
+    # a parenthesized product read as a formula first, then as a polynomial
+    BACKTRACK = "(t+1)*(t-1) > 0"
+
+    @pytest.mark.parametrize("poly, report", POLY_REPORTS)
     def test_error_reports(self, poly, report):
-        assert run(["sper-roots", "--poly", poly]) == (report, 1)
+        assert run(["sper-roots", f"--poly={poly}"]) == (report, 1)
 
     def test_formula_error_reports(self):
-        assert run(["sper-set", "--formula", "t^2^2 > 0"]) == (
-            "error: syntax error at line 1, column 4: expected a relation, found '^'", 1)
-        assert run(["sper-set", "--formula", "t > 0 |\n t^1001 < 0"]) == (
-            "error: syntax error at line 2, column 4: exponent 1001 above "
-            "the degree budget of 1000", 1)
+        for formula, report in self.FORMULA_REPORTS:
+            assert run(["sper-set", f"--formula={formula}"]) == (report, 1)
 
     def test_values(self):
-        assert parse_poly("9" * 2999) == (10 ** 2999 - 1,)
-        assert parse_poly("9" * 3001 + "*t") == (0, 10 ** 3001 - 1)
-        assert parse_poly("1" + "0" * 3010) == (10 ** 3010,)
-        assert parse_poly("0" * 2999 + "7") == (7,)
-        assert parse_poly("\u0661") == (1,)
-        assert parse_poly("\u0663*t^\u0662 - t^0") == (-1, 0, 3)
-        assert parse_poly("t^1000") == (0,) * 1000 + (1,)
-        assert parse_poly("2*t^3 +\r\n t ^ 2") == (0, 0, 1, 2)
+        for poly, value in self.VALUES:
+            assert parse_poly(poly) == value
+
+    def test_backtracking(self):
+        report, code = run(["sper-cells", "--formula", self.BACKTRACK])
+        assert code == 0 and report.startswith("space cells\npoints: c00 c01 c02 c03 c04\n")
+        assert run(["sper-set", "--formula", self.BACKTRACK])[0].startswith("cells: 5\n")
 
 
 class TestParseSpace:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
 
+import sheafkit
 from sheafkit.randgen import random_monotone_map, random_poset
 from sheafkit.space import (
     CycleDetected, DuplicatePoint, FinSpec, MonotoneMap, SpaceError, Stratification,
@@ -224,6 +229,28 @@ class TestStrictChains:
     def test_empty_space(self):
         m = build_space([], [])
         assert m.strict_chains() == chains_oracle(m) == ()
+
+    def test_tied_keys_under_two_string_hashes(self):
+        """("a", 1) and ("a", "1") tie in key, so they keep their input order
+        and chains follow places, not keys: the chain of the first tied point
+        to (("a",), "c") comes before that of the second to ("b",).  Two
+        child processes with other PYTHONHASHSEED values list the same."""
+        code = textwrap.dedent("""
+            from sheafkit.space import FinSpec
+            a1, a2, b, c = ("a", 1), ("a", "1"), ("b",), (("a",), "c")
+            for pts in ([a1, a2, b, c], [a2, a1, c, b]):
+                m = FinSpec(pts, [(x, y) for x in (a1, a2) for y in (b, c)])
+                print(repr(m.strict_chains()))
+        """)
+        a1, a2, b, c = ("a", 1), ("a", "1"), ("b",), (("a",), "c")
+        expected = [repr(((x,), (y,), (b,), (c,), (x, b), (x, c), (y, b), (y, c)))
+                    for x, y in ((a1, a2), (a2, a1))]
+        src = os.path.dirname(os.path.dirname(sheafkit.__file__))
+        for seed in ("1", "2"):
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 check=True, timeout=60,
+                                 env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+            assert out.stdout.splitlines() == expected
 
 
 class TestFiberProduct:

@@ -4,6 +4,7 @@ file accesses as an attribute; outside a short list, nothing that only
 tests name.  scripts/ab_passes.py runs."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,7 +89,8 @@ def test_every_definition_is_reached_outside_tests():
 
 def test_ab_passes_runs_one_tree_against_itself():
     """scripts/ab_passes.py on one pair of one pass, the tree against
-    itself: a summary line per tree and the count of wins."""
+    itself: a summary line per tree, the count of wins and a line of
+    per-command sums per tree."""
     root = SRC.parent.parent
     out = subprocess.run(
         [sys.executable, str(root / "scripts" / "ab_passes.py"), str(root / "src"),
@@ -99,3 +101,8 @@ def test_ab_passes_runs_one_tree_against_itself():
     for line, side in zip(out[1:3], "AB"):
         assert line.startswith(f"  {side} ") and "p50_ms" in line and "ops_per_s" in line
     assert out[3].startswith("  B better in: p50_ms ") and out[3].endswith(" of 1")
+    commands = "basechange|chi|cohomology|decompose|pushforward|realize"
+    for line, side in zip(out[4:], "AB"):
+        assert re.fullmatch(rf"  {side} per command: (({commands}) \d+\.\d ms(, |$))+", line)
+        assert "pushforward " in line and "cohomology " in line
+    assert len(out) == 6
